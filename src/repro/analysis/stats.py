@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from scipy import stats as scipy_stats
-
 __all__ = [
     "SummaryStatistics",
     "summarize",
@@ -105,12 +103,19 @@ def summarize(values: Sequence[float]) -> SummaryStatistics:
 def t_confidence_interval(
     values: Sequence[float], confidence: float = 0.95
 ) -> tuple[float, float]:
-    """Student-t confidence interval for the mean of a sample."""
+    """Student-t confidence interval for the mean of a sample.
+
+    The only user of scipy in the package, so scipy is imported here rather
+    than at module level: every simulation imports this module, and loading
+    ``scipy.stats`` would dominate a fresh process's start-up.
+    """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     summary = summarize(values)
     if summary.count < 2 or summary.std == 0.0:
         return (summary.mean, summary.mean)
+    from scipy import stats as scipy_stats
+
     t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=summary.count - 1))
     half_width = t_value * summary.standard_error
     return (summary.mean - half_width, summary.mean + half_width)

@@ -44,6 +44,8 @@ How a batch flows through the screen:
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from ...fuzzy.bounds import CentroidBoundTables
@@ -55,6 +57,8 @@ from .flc1 import FLC1
 from .flc2 import FLC2
 
 __all__ = ["DecisionScreen"]
+
+_log = logging.getLogger(__name__)
 
 #: Widening applied to per-cell membership-degree endpoints; generous cover
 #: for the one rounding step between a degree and its quasiconcave envelope.
@@ -161,10 +165,19 @@ class DecisionScreen:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, flc1: FLC1, flc2: FLC2, threshold: float) -> "DecisionScreen | None":
-        """A screen for the controller pair, or ``None`` when unsupported."""
+        """A screen for the controller pair, or ``None`` when unsupported.
+
+        ``None`` sends every batch down the exact score path, so the reason
+        is logged at INFO on ``repro.cac.facs.screen``.
+        """
         try:
             return cls(flc1, flc2, threshold)
-        except (ValueError, KeyError, AttributeError):
+        except (ValueError, KeyError, AttributeError) as exc:
+            _log.info(
+                "decision screen unavailable, scoring exactly: %s: %s",
+                type(exc).__name__,
+                exc,
+            )
             return None
 
     # ------------------------------------------------------------------

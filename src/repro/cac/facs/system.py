@@ -133,7 +133,8 @@ def _shared_screen(flc1: FLC1, flc2: FLC2, threshold: float) -> DecisionScreen |
     the threshold; FLC1/FLC2 instances are themselves memoised, so keying on
     their identity shares one table build across every FACS system — and
     every trace run — with the same configuration.  ``None`` (pair outside
-    the certified regime) is cached too, so the failing build runs once.
+    the certified regime) is cached too, so the failing build runs, and logs
+    its reason, once.
     """
     return DecisionScreen.build(flc1, flc2, threshold)
 

@@ -55,6 +55,9 @@ __all__ = ["CentroidBoundTables"]
 _REL = 1e-9
 #: Absolute widening floor (guards values at or near zero).
 _ABS = 1e-12
+#: Strength knots per block when tabulating the per-term curves: a block's
+#: ``(knots, grid)`` temporary stays cache-sized (~2 MB at a 501-point grid).
+_KNOT_BLOCK = 512
 
 
 class CentroidBoundTables:
@@ -116,39 +119,36 @@ class CentroidBoundTables:
 
         n_terms = len(fulls)
         knots = strength_cells + 1
-        # Knot-major (knots, n_terms) layout so per-row lookups are a single
-        # fancy-index gather per table.
-        lo_tables = [np.empty((knots, n_terms)) for _ in range(3)]
-        hi_tables = [np.empty((knots, n_terms)) for _ in range(3)]
+        # Knot-major, fused (knots, n_terms, 3) layout: per-row lookups are a
+        # single fancy-index gather per endpoint, which serves the area and
+        # both sign-split moment integrals at once.
+        term_sums = np.empty((knots, n_terms, 3))
         for t, full in enumerate(fulls):
-            clipped = scale(full[None, :], self._sigma[:, None])
-            for k, weights in enumerate(weight_sets):
-                sums = clipped @ weights
-                lo_tables[k][:, t] = sums * (1.0 - _REL) - _ABS
-                hi_tables[k][:, t] = sums * (1.0 + _REL) + _ABS
-        # Fused (knots, n_terms, 3) layout: one gather per endpoint serves
-        # the area and both sign-split moment integrals at once.
-        self._term_lo = np.stack(lo_tables, axis=2)
-        self._term_hi = np.stack(hi_tables, axis=2)
+            for start in range(0, knots, _KNOT_BLOCK):
+                stop = start + _KNOT_BLOCK
+                clipped = scale(full[None, :], self._sigma[start:stop, None])
+                for k, weights in enumerate(weight_sets):
+                    term_sums[start:stop, t, k] = clipped @ weights
+        self._term_lo = term_sums * (1.0 - _REL) - _ABS
+        self._term_hi = term_sums * (1.0 + _REL) + _ABS
 
         # Adjacent-pair overlap corrections, flattened over the 2-D
-        # (σ_t, σ_u) knot grid: (pair knots squared, n_pairs) layout.
+        # (σ_t, σ_u) knot grid: (pair knots squared, n_pairs, 3) layout.
+        # Filled one σ_t row at a time, so the overlap temporary is
+        # (pair knots, grid) rather than (pair knots squared, grid).
         n_pairs = len(pairs)
-        square = self._pair_sigma.size ** 2
-        pair_lo = [np.empty((square, n_pairs)) for _ in range(3)]
-        pair_hi = [np.empty((square, n_pairs)) for _ in range(3)]
+        width = self._pair_sigma.size
+        pair_sums = np.empty((width, width, n_pairs, 3))
         for p, (t, u) in enumerate(pairs):
             left = scale(fulls[t][None, :], self._pair_sigma[:, None])
             right = scale(fulls[u][None, :], self._pair_sigma[:, None])
-            overlap = np.minimum(left[:, None, :], right[None, :, :]).reshape(
-                square, grid_length
-            )
-            for k, weights in enumerate(weight_sets):
-                sums = overlap @ weights
-                pair_lo[k][:, p] = sums * (1.0 - _REL) - _ABS
-                pair_hi[k][:, p] = sums * (1.0 + _REL) + _ABS
-        self._pair_lo = np.stack(pair_lo, axis=2)
-        self._pair_hi = np.stack(pair_hi, axis=2)
+            for i, row in enumerate(left):
+                overlap = np.minimum(row, right)
+                for k, weights in enumerate(weight_sets):
+                    pair_sums[i, :, p, k] = overlap @ weights
+        pair_sums = pair_sums.reshape(width * width, n_pairs, 3)
+        self._pair_lo = pair_sums * (1.0 - _REL) - _ABS
+        self._pair_hi = pair_sums * (1.0 + _REL) + _ABS
         self._pair_t = np.array([t for t, _ in pairs], dtype=np.intp)
         self._pair_u = np.array([u for _, u in pairs], dtype=np.intp)
         self._term_cols = np.arange(n_terms)

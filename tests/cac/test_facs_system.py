@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import logging
+
+import numpy as np
 import pytest
 
 from repro.cac.base import AdmissionDecision, DecisionOutcome
 from repro.cac.counters import ServiceCounters
-from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
+from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem, _shared_screen
 from repro.cellular.calls import Call
 from repro.cellular.mobility import UserState
 from repro.cellular.traffic import ServiceClass
@@ -203,8 +206,6 @@ class TestFACSAcceptanceTrends:
 
 class TestBatchAdmission:
     def _candidates(self, count: int = 60) -> list[Call]:
-        import numpy as np
-
         rng = np.random.default_rng(20250722)
         calls = []
         services = (ServiceClass.TEXT, ServiceClass.VOICE, ServiceClass.VIDEO)
@@ -269,3 +270,44 @@ class TestBatchAdmission:
         video = make_call(ServiceClass.VIDEO, speed=60.0, angle=0.0, distance=1.0)
         batch = facs.decide_batch([video], station, now=0.0)
         assert not bool(batch.accepted[0])
+
+
+class TestScreenFallbackLogging:
+    LOGGER = "repro.cac.facs.screen"
+
+    @staticmethod
+    def _columns(count: int = 40):
+        rng = np.random.default_rng(20070628)
+        return (
+            rng.uniform(0.0, 130.0, count),
+            rng.uniform(-180.0, 180.0, count),
+            rng.uniform(0.0, 12.0, count),
+            rng.choice([1.0, 5.0, 10.0], count),
+            12,
+        )
+
+    def _screen_records(self, caplog) -> list[logging.LogRecord]:
+        return [record for record in caplog.records if record.name == self.LOGGER]
+
+    def test_exact_fallback_is_logged_once_per_controller_pair(self, caplog):
+        # Screens are built once per controller pair and memoised; forget
+        # earlier builds so this test sees the first one.
+        _shared_screen.cache_clear()
+        reference = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
+        twin = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
+        columns = self._columns()
+        with caplog.at_level(logging.INFO, logger=self.LOGGER):
+            verdicts = reference.decide_columns(*columns)
+            reference.decide_columns(*columns)
+            twin.decide_columns(*columns)
+        records = self._screen_records(caplog)
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        assert "ValueError" in records[0].getMessage()
+        assert list(verdicts) == list(reference.score_columns(*columns) > 0.0)
+
+    def test_certified_screen_logs_nothing(self, caplog):
+        _shared_screen.cache_clear()
+        with caplog.at_level(logging.INFO, logger=self.LOGGER):
+            FuzzyAdmissionControlSystem().decide_columns(*self._columns())
+        assert self._screen_records(caplog) == []

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from repro.cellular.cell import BandwidthLedger, BaseStation, Cell, InsufficientBandwidthError
@@ -189,6 +191,48 @@ class TestCellularNetwork:
         network = CellularNetwork(rings=1)
         with pytest.raises(KeyError):
             network.neighbors(12345)
+        with pytest.raises(KeyError):
+            network.hop_distance(1, 12345)
+        with pytest.raises(KeyError):
+            network.hop_distance(12345, 1)
+        assert not network.are_neighbors(1, 12345)
+        assert not network.are_neighbors(12345, 1)
+
+    @pytest.mark.parametrize("rings", [0, 1, 2, 3])
+    def test_neighbor_lists_are_sorted_and_symmetric(self, rings):
+        network = CellularNetwork(rings=rings)
+        adjacency = {
+            cell.cell_id: [n.cell_id for n in network.neighbors(cell.cell_id)]
+            for cell in network
+        }
+        for cell_id, neighbor_ids in adjacency.items():
+            assert neighbor_ids == sorted(neighbor_ids)
+            assert cell_id not in neighbor_ids
+            for other in neighbor_ids:
+                assert cell_id in adjacency[other]
+                assert network.are_neighbors(cell_id, other)
+
+    @pytest.mark.parametrize("rings", [0, 1, 2, 3])
+    def test_hop_distance_is_breadth_first_path_length(self, rings):
+        network = CellularNetwork(rings=rings)
+        for source in network:
+            # Unweighted shortest paths over neighbors(): what a graph
+            # library's shortest-path length returns for this layout.
+            depth = {source.cell_id: 0}
+            frontier = deque([source.cell_id])
+            while frontier:
+                current = frontier.popleft()
+                for neighbor in network.neighbors(current):
+                    if neighbor.cell_id not in depth:
+                        depth[neighbor.cell_id] = depth[current] + 1
+                        frontier.append(neighbor.cell_id)
+            assert len(depth) == network.cell_count
+            for target in network:
+                hops = network.hop_distance(source.cell_id, target.cell_id)
+                assert hops == depth[target.cell_id]
+        cell_ids = [cell.cell_id for cell in network]
+        diameter = max(network.hop_distance(a, b) for a in cell_ids for b in cell_ids)
+        assert diameter == 2 * rings
 
     def test_iteration_and_len(self):
         network = CellularNetwork(rings=1)
