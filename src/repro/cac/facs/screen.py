@@ -52,7 +52,6 @@ from ...fuzzy.bounds import CentroidBoundTables
 from ...fuzzy.compiled import CompiledMamdaniEngine
 from ...fuzzy.defuzzification import DefuzzificationError
 from ...fuzzy.membership import Trapezoidal, Triangular
-from ...fuzzy.operators import MINIMUM
 from .flc1 import FLC1
 from .flc2 import FLC2
 
@@ -80,13 +79,14 @@ _REFINE_ROUNDS = 10
 _REFINE_BOUNDS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
 _REFINE_BUDGET = 20_000
 _MIN_CELL_WIDTH = 1e-7
-#: An ambiguous cell whose *exact* midpoint score sits within this margin
-#: of the threshold is treated as hopeless and never split: certified
+#: An ambiguous cell whose midpoint score is certified to sit within this
+#: margin of the threshold is treated as hopeless and never split: the
 #: bounds bottom out at the widening slack (~1e-9 relative), so such cells
 #: — e.g. the exact-zero plateaus of symmetric rule surfaces, where the
 #: float score is a ±1e-17 summation residue — can never be decided by
-#: refinement, only by the runtime exact fallback.  The midpoint score
-#: merely *prioritises* refinement effort; correctness never depends on it.
+#: refinement, only by the runtime exact fallback.  The probe bounds the
+#: midpoint as a zero-width cell and merely *prioritises* refinement
+#: effort; correctness never depends on it.
 _HOPELESS_MARGIN = 1e-7
 
 
@@ -116,10 +116,7 @@ class DecisionScreen:
     def __init__(self, flc1: FLC1, flc2: FLC2, threshold: float):
         eng1 = flc1.controller.engine
         eng2 = flc2.controller.engine
-        # 8192 strength cells keep the per-request correction interval
-        # tight (width ~ knot pitch x curve slope), directly shrinking the
-        # fraction of rows whose interval spans disagreeing Cv cells.
-        tables1 = CentroidBoundTables.for_engine(eng1, "Cv", strength_cells=8192)
+        tables1 = CentroidBoundTables.for_engine(eng1, "Cv")
         tables2 = CentroidBoundTables.for_engine(eng2, "AR")
         if tables1 is None or tables2 is None:
             raise ValueError("controller pair outside the certified regime")
@@ -284,6 +281,14 @@ class DecisionScreen:
         edges = np.append(cell_lo, cell_hi[-1])
         accept_prefix = np.concatenate(([0], np.cumsum(decision == 1)))
         reject_prefix = np.concatenate(([0], np.cumsum(decision == 0)))
+        _log.debug(
+            "cell table R=%g Cs=%g: %d cells, %d ambiguous, refinement budget exhausted: %s",
+            bandwidth,
+            occupancy,
+            decision.size,
+            decision.size - accept_prefix[-1] - reject_prefix[-1],
+            budget < 4,
+        )
         return edges, decision, accept_prefix, reject_prefix
 
     def _hopeless(
@@ -294,23 +299,23 @@ class DecisionScreen:
         bandwidth: float,
         occupancy: float,
     ) -> np.ndarray:
-        """Ambiguous cells whose exact midpoint score pins the threshold.
+        """Ambiguous cells whose midpoint score pins the threshold.
 
-        One exact engine row per ambiguous cell, batched — a build-time
-        probe that steers the split budget away from undecidable plateaus
-        and toward bands the bounds *can* still resolve.
+        The midpoint is bounded as a zero-width cell, batched over every
+        ambiguous cell; its certified interval lying wholly within
+        ``_HOPELESS_MARGIN`` of the threshold marks the cell hopeless — a
+        build-time probe that steers the split budget away from undecidable
+        plateaus and toward bands the bounds *can* still resolve.
         """
         hopeless = np.zeros(cell_lo.size, dtype=bool)
         ambiguous = np.flatnonzero(decision == -1)
         if ambiguous.size:
             mids = 0.5 * (cell_lo[ambiguous] + cell_hi[ambiguous])
-            scores = self._exact_scores(
-                mids,
-                np.full(ambiguous.size, bandwidth),
-                np.full(ambiguous.size, occupancy),
-            )
+            score_lo, score_hi, certain = self._cell_scores(mids, mids, bandwidth, occupancy)
             hopeless[ambiguous] = (
-                np.abs(scores - self._threshold) <= _HOPELESS_MARGIN
+                certain
+                & (score_lo >= self._threshold - _HOPELESS_MARGIN)
+                & (score_hi <= self._threshold + _HOPELESS_MARGIN)
             )
         return hopeless
 
@@ -322,6 +327,25 @@ class DecisionScreen:
         occupancy: float,
     ) -> np.ndarray:
         """Per-cell verdicts for ``[cell_lo, cell_hi]`` Cv intervals."""
+        score_lo, score_hi, certain = self._cell_scores(cell_lo, cell_hi, bandwidth, occupancy)
+        decision = np.full(cell_lo.size, -1, dtype=np.int8)
+        decision[certain & (score_lo > self._threshold)] = 1
+        decision[certain & (score_hi <= self._threshold)] = 0
+        return decision
+
+    def _cell_scores(
+        self,
+        cell_lo: np.ndarray,
+        cell_hi: np.ndarray,
+        bandwidth: float,
+        occupancy: float,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Certified FLC2 score bounds over ``[cell_lo, cell_hi]`` Cv intervals.
+
+        Returns ``(lo, hi, certain)``; the bounds mean nothing where
+        ``certain`` is False (no rule certainly fired, or no positive area
+        bound).
+        """
         eng = self._eng2
         n_cells = cell_lo.size
         deg_lo = np.empty((n_cells, eng._n_degree_slots))
@@ -344,20 +368,14 @@ class DecisionScreen:
                 deg_hi[:, offset + j] = degree
 
         # Interval rule strengths, folded column for column in the engine's
-        # order (min is an exact selection; product of values in [0, 1] is
-        # weakly monotone under IEEE rounding, so endpoint folds bound the
-        # engine's fold in float).
+        # order: min is an exact selection, so endpoint folds bound the
+        # engine's fold in float.
         index = eng._antecedent_index
         s_lo = deg_lo[:, index[:, 0]]
         s_hi = deg_hi[:, index[:, 0]]
-        minimum_tnorm = eng._tnorm is MINIMUM
         for column in range(1, eng._antecedent_width):
-            if minimum_tnorm:
-                s_lo = np.minimum(s_lo, deg_lo[:, index[:, column]])
-                s_hi = np.minimum(s_hi, deg_hi[:, index[:, column]])
-            else:
-                s_lo = s_lo * deg_lo[:, index[:, column]]
-                s_hi = s_hi * deg_hi[:, index[:, column]]
+            s_lo = np.minimum(s_lo, deg_lo[:, index[:, column]])
+            s_hi = np.minimum(s_hi, deg_hi[:, index[:, column]])
 
         t_lo = np.empty((n_cells, len(self._term_columns2)))
         t_hi = np.empty((n_cells, len(self._term_columns2)))
@@ -366,21 +384,10 @@ class DecisionScreen:
             t_hi[:, t] = s_hi[:, columns].max(axis=1)
 
         fired = (t_lo > 0.0).any(axis=1)
-        # Direct endpoint evaluation: no knot-quantisation floor, so cells
-        # narrow enough that the score bounds clear the threshold *do* get
-        # decided — this is what lets adaptive refinement converge on the
-        # small-but-nonzero score bands.
-        score_lo, score_hi, valid = self._tables2.score_interval_direct(t_lo, t_hi)
+        score_lo, score_hi, valid = self._tables2.score_interval(t_lo, t_hi)
         # The oracle clips the defuzzified score into the output range
         # before comparing; clipping is monotone, so the bounds follow.
-        score_lo = np.clip(score_lo, -1.0, 1.0)
-        score_hi = np.clip(score_hi, -1.0, 1.0)
-
-        decision = np.full(n_cells, -1, dtype=np.int8)
-        certain = fired & valid
-        decision[certain & (score_lo > self._threshold)] = 1
-        decision[certain & (score_hi <= self._threshold)] = 0
-        return decision
+        return np.clip(score_lo, -1.0, 1.0), np.clip(score_hi, -1.0, 1.0), fired & valid
 
     # ------------------------------------------------------------------
     def decide(

@@ -2,39 +2,19 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
+from repro.cac.facs.screen import DecisionScreen
 from repro.cac.facs.system import FuzzyAdmissionControlSystem
-from repro.fuzzy.bounds import _ABS, _REL, CentroidBoundTables
+from repro.fuzzy.bounds import CentroidBoundTables
+from repro.fuzzy.compiled import CompiledMamdaniEngine
+from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
+from repro.fuzzy.operators import PRODUCT
 
-
-def _dense_reference(tables: CentroidBoundTables) -> tuple[np.ndarray, np.ndarray]:
-    """Term and pair sums with every curve materialised at once.
-
-    The straightforward formulation the blocked table build must reproduce:
-    one ``(knots, grid)`` clipped surface per term and one
-    ``(pair knots squared, grid)`` overlap per adjacent pair.
-    """
-    weights = [tables._weights_matrix[:, k].copy() for k in range(3)]
-    term = np.stack(
-        [
-            np.stack(
-                [tables._scale(full[None, :], tables._sigma[:, None]) @ w for w in weights],
-                axis=1,
-            )
-            for full in tables._fulls
-        ],
-        axis=1,
-    )
-    pairs = []
-    grid = tables._fulls.shape[1]
-    for t, u in tables._pairs:
-        left = tables._scale(tables._fulls[t][None, :], tables._pair_sigma[:, None])
-        right = tables._scale(tables._fulls[u][None, :], tables._pair_sigma[:, None])
-        overlap = np.minimum(left[:, None, :], right[None, :, :]).reshape(-1, grid)
-        pairs.append(np.stack([overlap @ w for w in weights], axis=1))
-    return term, np.stack(pairs, axis=1)
+STAGES = [("flc1", "Cv"), ("flc2", "AR")]
 
 
 @pytest.fixture(scope="module")
@@ -42,29 +22,116 @@ def facs() -> FuzzyAdmissionControlSystem:
     return FuzzyAdmissionControlSystem()
 
 
-@pytest.mark.parametrize(("stage", "variable"), [("flc1", "Cv"), ("flc2", "AR")])
-def test_blocked_tables_match_dense_reference(facs, stage, variable):
+@pytest.fixture(scope="module")
+def screen(facs) -> DecisionScreen:
+    # A private screen, so the cell tables built here are not shared.
+    return DecisionScreen(facs.flc1, facs.flc2, facs.config.acceptance_threshold)
+
+
+def _tables(facs, stage, variable) -> tuple[CompiledMamdaniEngine, CentroidBoundTables]:
     engine = getattr(facs, stage).controller.engine
-    # 1025 knots: two full blocks and a one-knot remainder.  64 pair cells
-    # keep the reference's (pair knots squared, grid) overlap small.
-    tables = CentroidBoundTables.for_engine(engine, variable, strength_cells=1024, pair_cells=64)
+    tables = CentroidBoundTables.for_engine(engine, variable)
     assert tables is not None
-    term, pair = _dense_reference(tables)
-    # Only the summation order of the non-negative trapezoid sums may differ,
-    # which moves a sum of n terms by at most n * eps of its value.
-    rtol = tables._fulls.shape[1] * np.finfo(float).eps
-    for actual, reference, widen in (
-        (tables._term_lo, term, lambda s: s * (1.0 - _REL) - _ABS),
-        (tables._term_hi, term, lambda s: s * (1.0 + _REL) + _ABS),
-        (tables._pair_lo, pair, lambda s: s * (1.0 - _REL) - _ABS),
-        (tables._pair_hi, pair, lambda s: s * (1.0 + _REL) + _ABS),
-    ):
-        expected = widen(reference)
+    return engine, tables
+
+
+def _dense_curve_sums(engine, variable, tables, strengths) -> np.ndarray:
+    """Area and sign-split moments of every clipped curve: ``(rows, curves, 3)``.
+
+    The dense formulation: each term surface materialised on the whole
+    grid, clipped at its own strength (pairs at both strengths), and
+    integrated with the engine's trapezoid formula.
+    """
+    term_surfaces, _, supports, grid_length = engine._grouped_consequent_plans[variable]
+    fulls = np.zeros((len(supports), grid_length))
+    for t, (segment, (start, stop)) in enumerate(zip(term_surfaces, supports)):
+        fulls[t, start:stop] = segment
+    grid = engine._consequent_plans[variable][2].grid
+    spacing = np.diff(grid)
+    clipped = np.minimum(fulls[None, :, :], strengths[:, :, None])
+    overlaps = np.minimum(clipped[:, tables._pair_t], clipped[:, tables._pair_u])
+    curves = np.concatenate((clipped, overlaps), axis=1)
+    sums = []
+    for factor in (np.ones_like(grid), np.maximum(grid, 0.0), np.maximum(-grid, 0.0)):
+        values = curves * factor
+        sums.append(((values[..., 1:] + values[..., :-1]) * spacing / 2.0).sum(axis=-1))
+    return np.stack(sums, axis=-1)
+
+
+def _strength_intervals(rng, engine, variable, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Random ``s_lo <= s_hi`` with 0, 1 and exact grid samples (ties) mixed in."""
+    term_surfaces = engine._grouped_consequent_plans[variable][0]
+    samples = np.unique(np.concatenate(term_surfaces))
+    ends = rng.uniform(0.0, 1.0, (2, rows, len(term_surfaces)))
+    pick = rng.uniform(size=ends.shape)
+    ends[pick < 0.15] = 0.0
+    ends[(pick >= 0.15) & (pick < 0.3)] = 1.0
+    ties = pick >= 0.7
+    ends[ties] = rng.choice(samples, int(ties.sum()))
+    return np.minimum(ends[0], ends[1]), np.maximum(ends[0], ends[1])
+
+
+@pytest.mark.parametrize(("stage", "variable"), STAGES)
+def test_curve_sums_match_dense_trapezoids(facs, stage, variable):
+    engine, tables = _tables(facs, stage, variable)
+    s_lo, s_hi = _strength_intervals(np.random.default_rng(7), engine, variable, 300)
+    # Both sides sum ~grid non-negative terms, each within grid * eps of
+    # the real value.
+    rtol = engine._consequent_plans[variable][2].grid.size * np.finfo(float).eps
+    for strengths in (s_lo, s_hi):
+        expected = _dense_curve_sums(engine, variable, tables, strengths)
+        actual = tables._curve_sums(strengths, strengths)
         assert actual.shape == expected.shape
-        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=_ABS * 1e-3)
+        np.testing.assert_allclose(actual, expected, rtol=rtol, atol=0.0)
 
 
-@pytest.mark.parametrize("occupancy_bu", [0, 20, 34])
+@pytest.mark.parametrize(("stage", "variable"), STAGES)
+def test_intervals_contain_engine_centroid(facs, stage, variable):
+    engine, tables = _tables(facs, stage, variable)
+    term_columns = engine._grouped_consequent_plans[variable][1]
+    n_rules = len(engine._antecedent_index)
+    rng = np.random.default_rng(11)
+    strengths = rng.uniform(0.0, 1.0, (2000, n_rules))
+    pick = rng.uniform(size=strengths.shape)
+    strengths[pick < 0.5] = 0.0
+    strengths[pick > 0.95] = 1.0
+    terms = engine._term_strengths_batch(strengths, term_columns)
+    fired = (terms > 0.0).any(axis=1)
+    strengths, terms = strengths[fired], terms[fired]
+
+    aggregated = engine._aggregate_output_batch_grouped(
+        strengths, engine._grouped_consequent_plans[variable], variable, 0
+    )
+    variable_def = engine._consequent_plans[variable][2]
+    centroid = engine._defuzzify_fast_batch(variable, variable_def, aggregated)
+
+    lo, hi, valid = tables.score_interval(terms, terms)
+    assert valid.all()
+    assert np.all((lo <= centroid) & (centroid <= hi))
+    assert np.max(hi - lo) < 1e-7
+    # Any interval around the exact strengths contains the centroid too.
+    wide_lo, wide_hi, valid = tables.score_interval(
+        terms * rng.uniform(0.0, 1.0, terms.shape),
+        terms + (1.0 - terms) * rng.uniform(0.0, 1.0, terms.shape),
+    )
+    assert np.all(~valid | ((wide_lo <= centroid) & (centroid <= wide_hi)))
+
+
+@pytest.mark.parametrize(
+    "make_engine",
+    [
+        lambda rb: CompiledMamdaniEngine(rb, implication=ImplicationMethod.SCALE),
+        lambda rb: CompiledMamdaniEngine(rb, tnorm=PRODUCT),
+        lambda rb: MamdaniEngine(rb),
+    ],
+    ids=["scale-implication", "product-tnorm", "reference-engine"],
+)
+def test_for_engine_rejects_uncertified_regimes(facs, make_engine):
+    engine = make_engine(facs.flc2.controller.rule_base)
+    assert CentroidBoundTables.for_engine(engine, "AR") is None
+
+
+@pytest.mark.parametrize("occupancy_bu", [0, 20, 21, 30, 34, 39])
 def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
     rng = np.random.default_rng(occupancy_bu + 20070628)
     count = 400
@@ -79,3 +146,44 @@ def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
     verdicts = facs.decide_columns(*columns)
     assert verdicts.dtype == bool
     assert np.array_equal(verdicts, exact)
+
+
+def _exact_scores(screen, corrections, bandwidth, occupancy) -> np.ndarray:
+    """Exact FLC2 scores in blocks, keeping the ``(rows, grid)`` surfaces small."""
+    blocks = []
+    for start in range(0, corrections.size, 2048):
+        block = corrections[start : start + 2048]
+        fill = np.full(block.size, 1.0)
+        blocks.append(screen._exact_scores(block, bandwidth * fill, occupancy * fill))
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("occupancy_bu", [0, 21, 30, 39])
+@pytest.mark.parametrize("bandwidth", [1.0, 5.0, 10.0])
+def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, screen, bandwidth, occupancy_bu):
+    occupancy = float(occupancy_bu)
+    edges, decision, _, _ = screen._cell_table(bandwidth, occupancy)
+    cell_lo, cell_hi = edges[:-1], edges[1:]
+    score_lo, score_hi, certain = screen._cell_scores(cell_lo, cell_hi, bandwidth, occupancy)
+    decided = decision != -1
+    threshold = facs.config.acceptance_threshold
+    for points in (cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi):
+        scores = _exact_scores(screen, points, bandwidth, occupancy)
+        assert np.all(~certain | ((score_lo <= scores) & (scores <= score_hi)))
+        assert np.array_equal((scores > threshold)[decided], (decision == 1)[decided])
+
+
+def test_cell_table_build_is_logged_at_debug(screen, caplog):
+    with caplog.at_level(logging.DEBUG, logger="repro.cac.facs.screen"):
+        screen._cell_table(5.0, 22.0)
+        screen._cell_table(5.0, 22.0)  # cached: no second record
+    records = [r for r in caplog.records if r.name == "repro.cac.facs.screen"]
+    assert len(records) == 1
+    assert records[0].levelno == logging.DEBUG
+    bandwidth, occupancy, cells, ambiguous, exhausted = records[0].args
+    _, decision, _, _ = screen._cell_table(5.0, 22.0)
+    assert (bandwidth, occupancy) == (5.0, 22.0)
+    assert cells == decision.size
+    assert ambiguous == np.count_nonzero(decision == -1)
+    assert exhausted is True
+    assert "R=5 Cs=22" in records[0].getMessage()
