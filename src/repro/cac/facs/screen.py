@@ -22,24 +22,32 @@ How a batch flows through the screen:
    (FLC1's defuzzified, [0, 1]-clipped output).
 3. **FLC2 cell lookup.**  FLC2's other two inputs are effectively discrete
    in the trace pipeline (bandwidth ∈ {1, 5, 10} BU, occupancy an integer),
-   so for each ``(R, Cs)`` pair the screen lazily builds a one-dimensional
-   table over ``Cv`` cells: per cell, interval rule strengths (degree
-   endpoints are certified because triangular/trapezoidal memberships are
-   quasiconcave — including ``Triangular``'s ``np.isclose`` peak band,
-   which gets its own guard cells forced to an upper bound of 1), then
-   certified score bounds, collapsing to a per-cell verdict: accept,
-   reject, or ambiguous.  Cells whose verdict is ambiguous are split and
-   re-bounded adaptively, so the undecidable band shrinks to the region
-   where the score genuinely pins the threshold (e.g. the exact-zero
-   plateaus of symmetric surfaces).  Prefix sums answer "do all cells of
-   an interval agree?" in O(1).
-4. **Exact fallback.**  Rows whose correction interval spans disagreeing
-   cells finish FLC1 exactly — reusing the firing strengths from step 1,
-   and bit-identical because batched engine rows are independent; rows
-   landing in an *ambiguous* cell additionally run exact FLC2.  Rows where
-   FLC1's rule base did not fire make the screen defer the whole batch to
-   the exact path so the diagnostic error is raised with its canonical
-   wording.
+   so for each ``(R, Cs)`` pair the screen lazily builds one verdict per
+   cell of a ``Cv`` grid that every pair shares: uniform points plus every
+   membership breakpoint.  One bounding pass gives each cell interval rule
+   strengths (degree endpoints are certified because triangular/trapezoidal
+   memberships are quasiconcave — including ``Triangular``'s ``np.isclose``
+   peak band, which gets its own guard cells forced to an upper bound of
+   1), then certified score bounds, collapsing to a verdict: accept,
+   reject, or ambiguous.  A row is decided when the cells holding the two
+   ends of its correction interval are the same or adjacent cells and carry
+   the same accept or reject verdict.  FLC1 intervals are under 1e-7 wide
+   and every shared cell except the 2e-8-wide guard cell at ``Cv = 0`` is
+   at least 1e-5 wide, so almost every row spans at most two cells.
+   Cells are never split, so an ambiguous band is as wide as the cells
+   that cover it.  At R ∈ {1, 5} with Cs 21–39 the score grows only like
+   ``(Cv − 0.5)³`` away from the threshold (about −1e-5 at ``Cv = 0.525``),
+   so the bounds would need cells about 4e-6 wide there; those tables keep
+   ambiguous bands 0.03–0.21 wide.  Few decisions fall there at the paper's
+   load, but an overloaded trace makes almost all of its decisions at
+   Cs ≥ 21, and more of its rows take the exact fallback.
+4. **Exact fallback.**  Rows the lookup leaves undecided finish FLC1
+   exactly — reusing the firing strengths from step 1, and bit-identical
+   because batched engine rows are independent; rows whose exact
+   correction lands in an *ambiguous* cell additionally run exact FLC2.
+   Rows where FLC1's rule base did not fire make the screen defer the
+   whole batch to the exact path so the diagnostic error is raised with
+   its canonical wording.
 """
 
 from __future__ import annotations
@@ -67,27 +75,8 @@ _DEGREE_SLACK = 1e-9
 #: band as part of the plateau.
 _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
-#: Number of uniform refinement points seeding the ``Cv`` cell edges.
+#: Number of uniform points in the shared ``Cv`` cell grid.
 _CV_SEED_CELLS = 257
-#: Adaptive refinement of ambiguous cells: each round splits every still-
-#: ambiguous cell into four and re-bounds only the new subcells.  The
-#: budget caps total growth so regions where the score genuinely sits *on*
-#: the threshold (e.g. exact-zero plateaus of symmetric surfaces, which no
-#: split can ever decide) stay ambiguous at bounded resolution instead of
-#: splitting forever — rows landing there just take the exact fallback.
-_REFINE_ROUNDS = 10
-_REFINE_BOUNDS = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-_REFINE_BUDGET = 20_000
-_MIN_CELL_WIDTH = 1e-7
-#: An ambiguous cell whose midpoint score is certified to sit within this
-#: margin of the threshold is treated as hopeless and never split: the
-#: bounds bottom out at the widening slack (~1e-9 relative), so such cells
-#: — e.g. the exact-zero plateaus of symmetric rule surfaces, where the
-#: float score is a ±1e-17 summation residue — can never be decided by
-#: refinement, only by the runtime exact fallback.  The probe bounds the
-#: midpoint as a zero-width cell and merely *prioritises* refinement
-#: effort; correctness never depends on it.
-_HOPELESS_MARGIN = 1e-7
 
 
 def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
@@ -140,8 +129,9 @@ class DecisionScreen:
         self._cv_high = cv_high
         self._cv_memberships = cv_memberships
 
-        # Seed Cv cell edges: universe ends, every membership breakpoint
-        # (and isclose guard band), plus a uniform refinement for tightness.
+        # The Cv cell grid every (R, Cs) table shares: universe ends, every
+        # membership breakpoint (and isclose guard band), plus uniform points
+        # for tightness.
         edges: list[float] = [cv_low, cv_high]
         self._peaks: list[tuple[float, float]] = []
         for membership in cv_memberships:
@@ -149,15 +139,11 @@ class DecisionScreen:
             self._peaks.append((lo, hi))
             edges.extend(extra)
         edges.extend(np.linspace(cv_low, cv_high, _CV_SEED_CELLS))
-        self._seed_edges = np.unique(
-            np.clip(np.asarray(edges, dtype=float), cv_low, cv_high)
-        )
+        self._edges = np.unique(np.clip(np.asarray(edges, dtype=float), cv_low, cv_high))
 
-        #: (bandwidth, occupancy) -> (edges, cell decisions, prefix sums).
-        self._cells: dict[
-            tuple[float, float],
-            tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        ] = {}
+        #: (bandwidth, occupancy) -> verdict per shared cell: 1 accept,
+        #: 0 reject, -1 ambiguous.
+        self._cells: dict[tuple[float, float], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -203,121 +189,23 @@ class DecisionScreen:
             deg_hi[j] = np.clip(hi, 0.0, 1.0)
         return deg_lo, deg_hi
 
-    def _cell_table(
-        self, bandwidth: float, occupancy: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _cell_table(self, bandwidth: float, occupancy: float) -> np.ndarray:
+        """Verdicts of one (R, Cs) pair over the shared cells, built once."""
         key = (float(bandwidth), float(occupancy))
-        cached = self._cells.get(key)
-        if cached is None:
-            cached = self._build_cell_table(*key)
-            self._cells[key] = cached
-        return cached
-
-    def _build_cell_table(
-        self, bandwidth: float, occupancy: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Adaptively refined per-``Cv``-cell verdicts for one (R, Cs) pair.
-
-        Returns ``(edges, decision, accept_prefix, reject_prefix)`` where
-        decision is ``1`` accept / ``0`` reject / ``-1`` ambiguous per cell
-        and the prefix sums count decided cells for O(1) range-agreement
-        queries.
-        """
-        cell_lo = self._seed_edges[:-1]
-        cell_hi = self._seed_edges[1:]
-        decision = self._decide_cells(cell_lo, cell_hi, bandwidth, occupancy)
-        hopeless = self._hopeless(cell_lo, cell_hi, decision, bandwidth, occupancy)
-        budget = _REFINE_BUDGET
-        for _ in range(_REFINE_ROUNDS):
-            chosen = np.flatnonzero(
-                (decision == -1)
-                & ~hopeless
-                & (cell_hi - cell_lo > _MIN_CELL_WIDTH)
+        decision = self._cells.get(key)
+        if decision is None:
+            cell_lo, cell_hi = self._edges[:-1], self._edges[1:]
+            decision = self._decide_cells(cell_lo, cell_hi, *key)
+            ambiguous = decision == -1
+            _log.debug(
+                "cell table R=%g Cs=%g: %d cells, %d ambiguous, ambiguous Cv width %.4g",
+                *key,
+                decision.size,
+                np.count_nonzero(ambiguous),
+                float((cell_hi - cell_lo)[ambiguous].sum()),
             )
-            if not chosen.size or budget < 4:
-                break
-            if 4 * chosen.size > budget:
-                # Spend the remaining budget on the widest cells: they are
-                # the ones the per-request correction intervals land in most.
-                widest = np.argsort(cell_hi[chosen] - cell_lo[chosen])
-                chosen = np.sort(chosen[widest[-(budget // 4) :]])
-            budget -= 4 * chosen.size
-
-            # Split each chosen cell into quarters and bound only the new
-            # subcells; all other cells keep their verdicts untouched.
-            bounds = (
-                cell_lo[chosen, None]
-                + (cell_hi - cell_lo)[chosen, None] * _REFINE_BOUNDS
-            )
-            bounds[:, 0] = cell_lo[chosen]
-            bounds[:, -1] = cell_hi[chosen]
-            sub_lo = bounds[:, :4].ravel()
-            sub_hi = bounds[:, 1:].ravel()
-            sub_decision = self._decide_cells(sub_lo, sub_hi, bandwidth, occupancy)
-            sub_hopeless = self._hopeless(
-                sub_lo, sub_hi, sub_decision, bandwidth, occupancy
-            )
-
-            split = np.zeros(cell_lo.size, dtype=bool)
-            split[chosen] = True
-            starts = np.concatenate(([0], np.cumsum(np.where(split, 4, 1))[:-1]))
-            total = cell_lo.size + 3 * chosen.size
-            new_lo = np.empty(total)
-            new_hi = np.empty(total)
-            new_decision = np.empty(total, dtype=np.int8)
-            new_hopeless = np.empty(total, dtype=bool)
-            kept = starts[~split]
-            new_lo[kept] = cell_lo[~split]
-            new_hi[kept] = cell_hi[~split]
-            new_decision[kept] = decision[~split]
-            new_hopeless[kept] = hopeless[~split]
-            slots = (starts[chosen][:, None] + np.arange(4)).ravel()
-            new_lo[slots] = sub_lo
-            new_hi[slots] = sub_hi
-            new_decision[slots] = sub_decision
-            new_hopeless[slots] = sub_hopeless
-            cell_lo, cell_hi = new_lo, new_hi
-            decision, hopeless = new_decision, new_hopeless
-        edges = np.append(cell_lo, cell_hi[-1])
-        accept_prefix = np.concatenate(([0], np.cumsum(decision == 1)))
-        reject_prefix = np.concatenate(([0], np.cumsum(decision == 0)))
-        _log.debug(
-            "cell table R=%g Cs=%g: %d cells, %d ambiguous, refinement budget exhausted: %s",
-            bandwidth,
-            occupancy,
-            decision.size,
-            decision.size - accept_prefix[-1] - reject_prefix[-1],
-            budget < 4,
-        )
-        return edges, decision, accept_prefix, reject_prefix
-
-    def _hopeless(
-        self,
-        cell_lo: np.ndarray,
-        cell_hi: np.ndarray,
-        decision: np.ndarray,
-        bandwidth: float,
-        occupancy: float,
-    ) -> np.ndarray:
-        """Ambiguous cells whose midpoint score pins the threshold.
-
-        The midpoint is bounded as a zero-width cell, batched over every
-        ambiguous cell; its certified interval lying wholly within
-        ``_HOPELESS_MARGIN`` of the threshold marks the cell hopeless — a
-        build-time probe that steers the split budget away from undecidable
-        plateaus and toward bands the bounds *can* still resolve.
-        """
-        hopeless = np.zeros(cell_lo.size, dtype=bool)
-        ambiguous = np.flatnonzero(decision == -1)
-        if ambiguous.size:
-            mids = 0.5 * (cell_lo[ambiguous] + cell_hi[ambiguous])
-            score_lo, score_hi, certain = self._cell_scores(mids, mids, bandwidth, occupancy)
-            hopeless[ambiguous] = (
-                certain
-                & (score_lo >= self._threshold - _HOPELESS_MARGIN)
-                & (score_hi <= self._threshold + _HOPELESS_MARGIN)
-            )
-        return hopeless
+            self._cells[key] = decision
+        return decision
 
     def _decide_cells(
         self,
@@ -422,31 +310,25 @@ class DecisionScreen:
         corr_lo = np.clip(corr_lo, 0.0, 1.0)
         corr_hi = np.clip(corr_hi, 0.0, 1.0)
 
-        count = matrix.shape[0]
+        # One verdict table row per distinct bandwidth in the batch.
+        bandwidths, which = np.unique(request_bus, return_inverse=True)
         occupancy = float(occupancy_bu)
-        accepted = np.zeros(count, dtype=bool)
-        undecided = ~valid
-        for bandwidth in np.unique(request_bus):
-            mask = request_bus == bandwidth
-            edges, _, accept_prefix, reject_prefix = self._cell_table(
-                float(bandwidth), occupancy
-            )
-            last = edges.size - 2
-            first_cell = np.clip(
-                np.searchsorted(edges, corr_lo[mask], side="right") - 1, 0, last
-            )
-            last_cell = np.clip(
-                np.searchsorted(edges, corr_hi[mask], side="left") - 1, 0, last
-            )
-            lo_cell = np.minimum(first_cell, last_cell)
-            hi_cell = np.maximum(first_cell, last_cell)
-            span = hi_cell - lo_cell + 1
-            all_accept = (accept_prefix[hi_cell + 1] - accept_prefix[lo_cell]) == span
-            all_reject = (reject_prefix[hi_cell + 1] - reject_prefix[lo_cell]) == span
-            accepted[mask] = valid[mask] & all_accept
-            undecided[mask] |= ~(all_accept | all_reject)
+        tables = np.stack([self._cell_table(float(b), occupancy) for b in bandwidths])
+        last = self._edges.size - 2
+        first_cell = np.clip(np.searchsorted(self._edges, corr_lo, side="right") - 1, 0, last)
+        last_cell = np.clip(np.searchsorted(self._edges, corr_hi, side="left") - 1, 0, last)
+        # The exact correction lies in the union of the two end cells, so one
+        # accept/reject verdict shared by both (adjacent or equal) decides it.
+        verdict = tables[which, first_cell]
+        decided = (
+            valid
+            & (last_cell - first_cell <= 1)
+            & (verdict == tables[which, last_cell])
+            & (verdict != -1)
+        )
+        accepted = decided & (verdict == 1)
 
-        fallback = np.flatnonzero(undecided)
+        fallback = np.flatnonzero(~decided)
         if fallback.size:
             # Exact FLC1 on the undecided subset, completed from the firing
             # strengths already computed above: batched engine rows are
@@ -462,16 +344,8 @@ class DecisionScreen:
             corrections = np.clip(
                 eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated), 0.0, 1.0
             )
-            verdict = np.empty(fallback.size, dtype=np.int8)
-            for bandwidth in np.unique(request_bus[fallback]):
-                sub = request_bus[fallback] == bandwidth
-                edges, decision, _, _ = self._cell_table(float(bandwidth), occupancy)
-                cell = np.clip(
-                    np.searchsorted(edges, corrections[sub], side="right") - 1,
-                    0,
-                    edges.size - 2,
-                )
-                verdict[sub] = decision[cell]
+            cell = np.clip(np.searchsorted(self._edges, corrections, side="right") - 1, 0, last)
+            verdict = tables[which[fallback], cell]
             accepted[fallback] = verdict == 1
             ambiguous = fallback[verdict == -1]
             if ambiguous.size:

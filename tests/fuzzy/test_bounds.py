@@ -22,9 +22,9 @@ def facs() -> FuzzyAdmissionControlSystem:
     return FuzzyAdmissionControlSystem()
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def screen(facs) -> DecisionScreen:
-    # A private screen, so the cell tables built here are not shared.
+    # A private screen per test, so no test sees cell tables built elsewhere.
     return DecisionScreen(facs.flc1, facs.flc2, facs.config.acceptance_threshold)
 
 
@@ -148,27 +148,20 @@ def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
     assert np.array_equal(verdicts, exact)
 
 
-def _exact_scores(screen, corrections, bandwidth, occupancy) -> np.ndarray:
-    """Exact FLC2 scores in blocks, keeping the ``(rows, grid)`` surfaces small."""
-    blocks = []
-    for start in range(0, corrections.size, 2048):
-        block = corrections[start : start + 2048]
-        fill = np.full(block.size, 1.0)
-        blocks.append(screen._exact_scores(block, bandwidth * fill, occupancy * fill))
-    return np.concatenate(blocks)
-
-
-@pytest.mark.parametrize("occupancy_bu", [0, 21, 30, 39])
+# Every default (R, Cs) table: R in {1, 5, 10} BU, Cs 0..40 BU.
+@pytest.mark.parametrize("occupancy_bu", range(41))
 @pytest.mark.parametrize("bandwidth", [1.0, 5.0, 10.0])
 def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, screen, bandwidth, occupancy_bu):
     occupancy = float(occupancy_bu)
-    edges, decision, _, _ = screen._cell_table(bandwidth, occupancy)
-    cell_lo, cell_hi = edges[:-1], edges[1:]
+    threshold = facs.config.acceptance_threshold
+    cell_lo, cell_hi = screen._edges[:-1], screen._edges[1:]
+    fill = np.ones(cell_lo.size)
+    decision = screen._cell_table(bandwidth, occupancy)
+    assert decision.shape == cell_lo.shape
     score_lo, score_hi, certain = screen._cell_scores(cell_lo, cell_hi, bandwidth, occupancy)
     decided = decision != -1
-    threshold = facs.config.acceptance_threshold
     for points in (cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi):
-        scores = _exact_scores(screen, points, bandwidth, occupancy)
+        scores = screen._exact_scores(points, bandwidth * fill, occupancy * fill)
         assert np.all(~certain | ((score_lo <= scores) & (scores <= score_hi)))
         assert np.array_equal((scores > threshold)[decided], (decision == 1)[decided])
 
@@ -180,10 +173,10 @@ def test_cell_table_build_is_logged_at_debug(screen, caplog):
     records = [r for r in caplog.records if r.name == "repro.cac.facs.screen"]
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
-    bandwidth, occupancy, cells, ambiguous, exhausted = records[0].args
-    _, decision, _, _ = screen._cell_table(5.0, 22.0)
+    bandwidth, occupancy, cells, ambiguous, width = records[0].args
+    decision = screen._cell_table(5.0, 22.0)
     assert (bandwidth, occupancy) == (5.0, 22.0)
-    assert cells == decision.size
-    assert ambiguous == np.count_nonzero(decision == -1)
-    assert exhausted is True
+    assert cells == decision.size == screen._edges.size - 1
+    assert ambiguous == np.count_nonzero(decision == -1) > 0
+    assert width == np.diff(screen._edges)[decision == -1].sum()
     assert "R=5 Cs=22" in records[0].getMessage()

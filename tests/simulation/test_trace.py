@@ -93,6 +93,22 @@ class TestRunTraceArrivals:
             result = run_trace_arrivals(config, batch_size=batch_size)
             assert result.metrics.completed == result.accepted
 
+    @pytest.mark.parametrize("batch_size", [1, 16, 1024])
+    @pytest.mark.parametrize(
+        "seconds_per_request", [40.0, None], ids=["paper-load", "default-window"]
+    )
+    def test_stream_path_equals_object_path(self, seconds_per_request, batch_size):
+        # At the paper's load (40 s per request) about 11% of decisions see
+        # Cs >= 21; in the default 2000 s window about 98% do, which is where
+        # the screen sends the most rows to its exact fallback.
+        requests = 1_500
+        window = {}
+        if seconds_per_request is not None:
+            window["arrival_window_s"] = seconds_per_request * requests
+        config = small_config(request_count=requests, **window)
+        stream = run_trace_arrivals(config, batch_size=batch_size, stream=True)
+        assert stream == run_trace_arrivals(config, batch_size=batch_size)
+
     def test_acceptance_percentage_delegates_to_call_metrics(self):
         result = run_trace_arrivals(small_config(), batch_size=8)
         assert (
