@@ -1,17 +1,17 @@
-"""Scale gate: the frame-native trace pipeline at one million requests.
+"""Scale gate: the trace kernel at one million requests.
 
-The trace fast path (``run_trace_arrivals(..., stream=True)``) exists for
+The trace kernel (``run_trace_arrivals(..., stream=True)``) exists for
 exactly one reason: offline million-request traces should take seconds,
 not minutes, without giving up a single bit of fidelity.  This bench holds
 it to that contract end to end:
 
-* **Byte-identity first.**  The object path (per-``Call`` decide_batch
-  loop) is the oracle.  The stream path must reproduce its full
-  :class:`~repro.simulation.trace.TraceRunResult` — counters, per-batch
-  records, peak occupancy — at several batch sizes, and again at the full
-  million-request scale.  Only then is anything timed.
-* **Wall clock.**  Warm (decision-screen tables built), the stream path
-  must beat the object path by >= 5x on the same million-request trace.
+* **Byte-identity first.**  The discrete-event batch experiment
+  (``run_trace_arrivals(config)``, the DES) is the oracle.  The kernel must
+  reproduce its full :class:`~repro.simulation.trace.TraceRunResult` —
+  counters and peak occupancy — on a 5,000-request trace, and again at
+  the full million-request scale.  Only then is anything timed.
+* **Wall clock.**  Warm (decision-screen tables built), the kernel must
+  beat the DES by >= 5x on the same million-request trace.
 * **Constant parent memory.**  The streaming-fold reduce
   (:class:`~repro.analysis.frame.StreamingFrameReducer` with a spill
   directory) must keep the parent's peak RSS flat as the replication
@@ -39,8 +39,7 @@ from repro.simulation.trace import run_trace_arrivals
 
 REQUESTS = int(os.environ.get("REPRO_TRACE_SCALE_REQUESTS", "1000000"))
 SEED = 7
-BATCH_SIZE = 1024
-STREAM_ROUNDS = 2  # min-of-rounds; the object reference runs once (it is slow)
+KERNEL_ROUNDS = 2  # min-of-rounds; the DES oracle runs once (it is slow)
 MIN_SPEEDUP = 5.0
 
 #: RSS gate: replications in the small/large streaming-fold subprocesses
@@ -124,45 +123,31 @@ def _timed(fn) -> float:
 
 def test_trace_scale_gate(benchmark):
     # ------------------------------------------------------------------
-    # Byte-identity at several admission granularities (small trace),
-    # including per-batch records and peak occupancy, not just totals.
+    # Byte-identity on a small trace, peak occupancy included.
     small = BatchExperimentConfig(request_count=5_000, seed=11)
-    for batch_size in (1, 16, 1024):
-        oracle = run_trace_arrivals(small, batch_size=batch_size)
-        stream = run_trace_arrivals(small, batch_size=batch_size, stream=True)
-        assert stream == oracle, f"stream diverged at batch_size={batch_size}"
+    assert run_trace_arrivals(small, stream=True) == run_trace_arrivals(small)
 
     # ------------------------------------------------------------------
     # The full-scale trace: equivalence at scale, then warm timings.
     config = BatchExperimentConfig(request_count=REQUESTS, seed=SEED)
-    stream_result = run_trace_arrivals(config, batch_size=BATCH_SIZE, stream=True)
+    kernel_result = run_trace_arrivals(config, stream=True)
 
-    object_seconds = None
-    oracle_result = None
-
-    def run_object_reference():
-        nonlocal object_seconds, oracle_result
-        start = time.perf_counter()
-        oracle_result = run_trace_arrivals(config, batch_size=BATCH_SIZE)
-        object_seconds = time.perf_counter() - start
-
-    run_object_reference()
-    assert stream_result == oracle_result, "stream diverged from oracle at scale"
-    assert stream_result.metrics == oracle_result.metrics
+    start = time.perf_counter()
+    oracle_result = run_trace_arrivals(config)
+    des_seconds = time.perf_counter() - start
+    assert kernel_result == oracle_result, "kernel diverged from the DES at scale"
 
     timing: dict[str, float] = {}
 
-    def run_stream_path():
+    def run_kernel():
         timing["seconds"] = min(
-            _timed(
-                lambda: run_trace_arrivals(config, batch_size=BATCH_SIZE, stream=True)
-            )
-            for _ in range(STREAM_ROUNDS)
+            _timed(lambda: run_trace_arrivals(config, stream=True))
+            for _ in range(KERNEL_ROUNDS)
         )
 
-    benchmark.pedantic(run_stream_path, rounds=1, iterations=1)
-    stream_seconds = timing["seconds"]
-    speedup = object_seconds / stream_seconds
+    benchmark.pedantic(run_kernel, rounds=1, iterations=1)
+    kernel_seconds = timing["seconds"]
+    speedup = des_seconds / kernel_seconds
 
     # ------------------------------------------------------------------
     # Constant parent memory in streaming-fold mode: 8x the replications
@@ -180,22 +165,21 @@ def test_trace_scale_gate(benchmark):
         "config": {
             "request_count": REQUESTS,
             "seed": SEED,
-            "batch_size": BATCH_SIZE,
-            "stream_rounds": STREAM_ROUNDS,
+            "kernel_rounds": KERNEL_ROUNDS,
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
         },
         "timings": {
-            "object_path_seconds": round(object_seconds, 4),
-            "stream_path_seconds": round(stream_seconds, 4),
+            "des_oracle_seconds": round(des_seconds, 4),
+            "kernel_seconds": round(kernel_seconds, 4),
             "speedup": round(speedup, 2),
         },
         "equivalence": {
-            "batch_sizes_checked": [1, 16, 1024],
+            "small_trace_requests": 5_000,
             "full_scale_byte_identical": True,
-            "accepted": stream_result.accepted,
-            "completed": stream_result.metrics.completed,
-            "acceptance_percentage": round(stream_result.acceptance_percentage, 6),
+            "accepted": kernel_result.accepted,
+            "completed": kernel_result.metrics.completed,
+            "acceptance_percentage": round(kernel_result.acceptance_percentage, 6),
         },
         "streaming_fold_rss": {
             "rows_small": RSS_ROWS_SMALL,
@@ -215,13 +199,13 @@ def test_trace_scale_gate(benchmark):
     ]
     benchmark.extra_info["results_file"] = str(RESULTS_PATH)
     print(
-        f"\ntrace scale ({REQUESTS} requests): object {object_seconds:.2f}s, "
-        f"stream {stream_seconds:.2f}s, speedup {speedup:.2f}x; "
+        f"\ntrace scale ({REQUESTS} requests): DES {des_seconds:.2f}s, "
+        f"kernel {kernel_seconds:.2f}s, speedup {speedup:.2f}x; "
         f"streaming-fold RSS x{rss_growth:.2f} over 8x rows "
         f"-> {RESULTS_PATH.name}"
     )
     assert speedup >= MIN_SPEEDUP, (
-        f"stream path only {speedup:.2f}x faster than the object oracle "
+        f"kernel only {speedup:.2f}x faster than the DES oracle "
         f"(gate: {MIN_SPEEDUP}x)"
     )
     assert rss_growth <= MAX_RSS_GROWTH, (

@@ -42,7 +42,7 @@ Versioning policy
   ``class_names``/``class.*`` per-class counter columns inside
   ``metrics-frame`` payloads.  All additive — old payloads simply lack
   the field and the columns — so the v4→v5 migration is the identity.
-* **v6** — current.  Adds the optional ``stream`` field on
+* **v6** — Adds the optional ``stream`` field on
   ``trace-arrivals`` scenarios (the frame-native columnar fast path of
   :func:`repro.simulation.trace.run_trace_arrivals`) and the on-disk
   memmap frame directory format
@@ -50,6 +50,12 @@ Versioning policy
   separately by its own header).  All additive — ``stream`` is omitted
   from payloads while ``False`` — so the v5→v6 migration is the
   identity.
+* **v7** — current.  ``trace-arrivals`` admits every request at its own
+  arrival, as the discrete-event batch experiment does, so its results
+  no longer depend on ``batch_size`` (still accepted, now without
+  effect), and its run-report metrics drop the ``batch_size`` and
+  ``batches`` keys.  No payload field changes meaning on read, so the
+  v6→v7 migration is the identity.
 * Future breaking field changes must bump :data:`SCHEMA_VERSION` and add a
   migration step to :data:`_MIGRATIONS`; decoding a payload newer than the
   running build always fails loudly rather than guessing.
@@ -111,7 +117,7 @@ __all__ = [
 # Payload schema versioning
 # ----------------------------------------------------------------------
 #: Version stamped into every newly serialized API payload.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 class PayloadVersionError(ValueError):
@@ -184,6 +190,17 @@ def _migrate_v5_to_v6(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
+def _migrate_v6_to_v7(payload: dict[str, Any]) -> dict[str, Any]:
+    """v6 → v7: the identity — no payload field changed shape.
+
+    New in v7: ``trace-arrivals`` decides each request at its own arrival,
+    so ``batch_size`` no longer changes results and the run-report
+    metrics lose their ``batch_size`` and per-batch ``batches`` keys.
+    Scenario payloads decode unchanged.
+    """
+    return payload
+
+
 #: Migration steps: version ``n`` → the function upgrading ``n`` to ``n+1``.
 _MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
     0: _migrate_v0_to_v1,
@@ -192,6 +209,7 @@ _MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
     3: _migrate_v3_to_v4,
     4: _migrate_v4_to_v5,
     5: _migrate_v5_to_v6,
+    6: _migrate_v6_to_v7,
 }
 
 

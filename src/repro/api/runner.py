@@ -517,32 +517,13 @@ def _run_network_integration(
 
 
 def _render_trace_arrivals(result: TraceRunResult) -> str:
-    """Per-batch table plus a one-line summary for the trace pipeline."""
-    rows = [
-        [
-            record.index,
-            f"{record.start_time_s:.1f}",
-            record.size,
-            record.accepted,
-            record.occupancy_before_bu,
-            record.occupancy_after_bu,
-        ]
-        for record in result.batches
-    ]
-    table = format_table(
-        ["Batch", "t (s)", "Requests", "Accepted", "BU before", "BU after"],
-        rows,
-        title=(
-            f"{result.controller} trace-driven admission, "
-            f"batch size {result.batch_size}"
-        ),
-    )
-    summary = (
+    """A title and a one-line summary for the trace pipeline."""
+    return (
+        f"{result.controller} trace-driven admission\n\n"
         f"accepted {result.accepted}/{result.requested} requests "
         f"({result.acceptance_percentage:.1f}%), "
         f"peak occupancy {result.peak_occupancy_bu} BU"
     )
-    return f"{table}\n\n{summary}"
 
 
 @_handles(TraceArrivalsScenario)
@@ -560,7 +541,6 @@ def _run_trace_arrivals(scenario: TraceArrivalsScenario) -> tuple[str, dict[str,
     )
     result = run_trace_arrivals(
         config,
-        batch_size=scenario.batch_size,
         facs_config=FACSConfig(engine=scenario.engine),
         stream=scenario.stream,
     )
@@ -571,24 +551,12 @@ def _run_trace_arrivals(scenario: TraceArrivalsScenario) -> tuple[str, dict[str,
         "requested": result.requested,
         "accepted": result.accepted,
         "acceptance_percentage": result.acceptance_percentage,
-        "batch_size": result.batch_size,
         "peak_occupancy_bu": result.peak_occupancy_bu,
         "frame": metrics_frame_to_dict(frame),
-        # Provenance only: both paths are byte-identical, so the key rides
-        # along just when the fast path was requested (keeping default
-        # reports byte-stable).
+        # Provenance only: the kernel and its DES oracle give equal
+        # results, so the key rides along just when the kernel ran
+        # (keeping default reports byte-stable).
         **({"stream": True} if scenario.stream else {}),
-        "batches": [
-            {
-                "index": record.index,
-                "start_time_s": record.start_time_s,
-                "size": record.size,
-                "accepted": record.accepted,
-                "occupancy_before_bu": record.occupancy_before_bu,
-                "occupancy_after_bu": record.occupancy_after_bu,
-            }
-            for record in result.batches
-        ],
     }
     return _render_trace_arrivals(result), metrics
 

@@ -634,26 +634,30 @@ class NetworkIntegrationScenario(Scenario):
 @scenario_kind("trace-arrivals")
 @dataclass(frozen=True)
 class TraceArrivalsScenario(Scenario):
-    """An offline, trace-driven request stream through ``decide_batch``.
+    """An offline, trace-driven request stream admitted request by request.
 
     The full arrival trace (times, service classes, GPS observations,
-    holding times) is materialized up front from the seed, then streamed
-    through the FACS controller in batches of ``batch_size`` via the
-    vectorized :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_batch`
-    admission path — the headless pipeline for replaying recorded
-    workloads.  Optional ``speed_kmh``/``angle_deg``/``distance_km`` pin
-    the corresponding GPS attribute for every request (``None`` draws it
-    from the paper's ranges, as in the figure sweeps).
+    holding times) is materialized up front from the seed, then admitted
+    through the FACS controller with the batch experiment's semantics:
+    each request is scored at its own arrival against the occupancy it
+    meets — the headless pipeline for replaying recorded workloads.
+    Optional ``speed_kmh``/``angle_deg``/``distance_km`` pin the
+    corresponding GPS attribute for every request (``None`` draws it from
+    the paper's ranges, as in the figure sweeps).
 
-    ``stream=True`` selects the frame-native columnar fast path: the
-    trace never materializes per-request ``Call`` objects and whole
-    batches are scored through the certified decision screen.  Results
-    are byte-identical to the object path (that equivalence is gated by
-    ``benchmarks/bench_trace_scale.py``), so the flag only trades wall
-    clock — use it for million-request traces.
+    ``stream=True`` runs the columnar kernel of
+    :func:`~repro.simulation.trace.run_trace_arrivals` (no per-request
+    ``Call`` objects; FLC1 once per block, then the certified decision
+    screen's cell tables per request); ``stream=False`` runs the
+    discrete-event batch experiment, the kernel's oracle.  Both give the
+    same report text and metrics (apart from the ``stream`` provenance
+    key), so the flag only trades wall clock — use it for
+    million-request traces.
     """
 
     request_count: int = 200
+    #: Validated (>= 1) and kept for payload compatibility; it has no
+    #: effect, since every request is decided at its own arrival.
     batch_size: int = 16
     arrival_window_s: float = 2000.0
     speed_kmh: float | None = None

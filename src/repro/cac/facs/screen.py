@@ -6,12 +6,15 @@ full dense-grid aggregation and centroid integration in both FLC stages for
 every request.  :class:`DecisionScreen` answers the boolean directly for the
 overwhelming majority of rows using certified interval bounds
 (:class:`repro.fuzzy.bounds.CentroidBoundTables`), and evaluates *exactly*
-— through the very same batched engine paths the oracle uses — only the
-rows whose bounds straddle the threshold.  Decisions are therefore
+— through the very same engine paths the oracle uses — only the rows whose
+bounds straddle the threshold.  Decisions are therefore
 byte-identical to ``score_columns(...) > threshold`` by construction, never
 by tolerance.
 
-How a batch flows through the screen:
+How a block of trace rows flows through the screen
+(:meth:`DecisionScreen.columns` runs steps 1–2 once per block;
+:meth:`ScreenedColumns.accepts` runs steps 3–4 per row, at the occupancy the
+row's request meets):
 
 1. **Exact FLC1 front end.**  Fuzzification and rule firing strengths are
    cheap (a few vector ops over ~40 rules); the screen runs them exactly
@@ -41,18 +44,19 @@ How a batch flows through the screen:
    ambiguous bands 0.03–0.21 wide.  Few decisions fall there at the paper's
    load, but an overloaded trace makes almost all of its decisions at
    Cs ≥ 21, and more of its rows take the exact fallback.
-4. **Exact fallback.**  Rows the lookup leaves undecided finish FLC1
-   exactly — reusing the firing strengths from step 1, and bit-identical
-   because batched engine rows are independent; rows whose exact
-   correction lands in an *ambiguous* cell additionally run exact FLC2.
-   Rows where FLC1's rule base did not fire make the screen defer the
-   whole batch to the exact path so the diagnostic error is raised with
-   its canonical wording.
+4. **Exact fallback.**  A row the lookup leaves undecided finishes FLC1
+   exactly, once — reusing the firing strengths from step 1, and
+   bit-identical because batched engine rows are independent; where its
+   exact correction lands in an *ambiguous* cell it additionally runs exact
+   FLC2 at that occupancy.  Rows where FLC1's rule base did not fire make
+   the screen defer the whole block to the exact path so the diagnostic
+   error is raised with its canonical wording.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 
 import numpy as np
 
@@ -63,7 +67,7 @@ from ...fuzzy.membership import Trapezoidal, Triangular
 from .flc1 import FLC1
 from .flc2 import FLC2
 
-__all__ = ["DecisionScreen"]
+__all__ = ["DecisionScreen", "ScreenedColumns"]
 
 _log = logging.getLogger(__name__)
 
@@ -95,7 +99,7 @@ def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
 
 
 class DecisionScreen:
-    """Threshold decisions for FACS admission batches, byte-identical and fast.
+    """Threshold decisions for FACS admission requests, byte-identical and fast.
 
     Build via :meth:`build`, which returns ``None`` whenever the controller
     pair falls outside the certified regime; callers then simply use the
@@ -113,6 +117,7 @@ class DecisionScreen:
         assert isinstance(eng2, CompiledMamdaniEngine)
         self._eng1 = eng1
         self._eng2 = eng2
+        self._flc2 = flc2
         self._tables1 = tables1
         self._tables2 = tables2
         self._threshold = float(threshold)
@@ -140,6 +145,7 @@ class DecisionScreen:
             edges.extend(extra)
         edges.extend(np.linspace(cv_low, cv_high, _CV_SEED_CELLS))
         self._edges = np.unique(np.clip(np.asarray(edges, dtype=float), cv_low, cv_high))
+        self._edge_list = self._edges.tolist()
 
         #: (bandwidth, occupancy) -> verdict per shared cell: 1 accept,
         #: 0 reject, -1 ambiguous.
@@ -150,7 +156,7 @@ class DecisionScreen:
     def build(cls, flc1: FLC1, flc2: FLC2, threshold: float) -> "DecisionScreen | None":
         """A screen for the controller pair, or ``None`` when unsupported.
 
-        ``None`` sends every batch down the exact score path, so the reason
+        ``None`` sends every block down the exact score path, so the reason
         is logged at INFO on ``repro.cac.facs.screen``.
         """
         try:
@@ -278,19 +284,20 @@ class DecisionScreen:
         return np.clip(score_lo, -1.0, 1.0), np.clip(score_hi, -1.0, 1.0), fired & valid
 
     # ------------------------------------------------------------------
-    def decide(
+    def columns(
         self,
         speeds_kmh: np.ndarray,
         angles_deg: np.ndarray,
         distances_km: np.ndarray,
         request_bus: np.ndarray,
-        occupancy_bu: float,
-    ) -> np.ndarray:
-        """Boolean threshold verdicts, byte-identical to the exact score path.
+    ) -> "ScreenedColumns":
+        """FLC1's certified correction intervals for a block of rows.
 
         Inputs are the already universe-clamped observation columns of
-        :meth:`FuzzyAdmissionControlSystem.score_columns`.  Raises
-        :class:`DefuzzificationError` when the batch must be deferred to the
+        :meth:`FuzzyAdmissionControlSystem.score_columns`.  FLC1 does not
+        depend on the base station, so this runs once per block; the
+        returned object then answers each row at any occupancy.  Raises
+        :class:`DefuzzificationError` when the block must be deferred to the
         exact path for its canonical no-rule-fired diagnostics.
         """
         eng1 = self._eng1
@@ -307,55 +314,38 @@ class DecisionScreen:
         corr_lo, corr_hi, valid = self._tables1.score_interval(
             term_strengths, term_strengths
         )
-        corr_lo = np.clip(corr_lo, 0.0, 1.0)
-        corr_hi = np.clip(corr_hi, 0.0, 1.0)
-
-        # One verdict table row per distinct bandwidth in the batch.
-        bandwidths, which = np.unique(request_bus, return_inverse=True)
-        occupancy = float(occupancy_bu)
-        tables = np.stack([self._cell_table(float(b), occupancy) for b in bandwidths])
         last = self._edges.size - 2
-        first_cell = np.clip(np.searchsorted(self._edges, corr_lo, side="right") - 1, 0, last)
-        last_cell = np.clip(np.searchsorted(self._edges, corr_hi, side="left") - 1, 0, last)
-        # The exact correction lies in the union of the two end cells, so one
-        # accept/reject verdict shared by both (adjacent or equal) decides it.
-        verdict = tables[which, first_cell]
-        decided = (
-            valid
-            & (last_cell - first_cell <= 1)
-            & (verdict == tables[which, last_cell])
-            & (verdict != -1)
+        first_cell = np.clip(
+            np.searchsorted(self._edges, np.clip(corr_lo, 0.0, 1.0), side="right") - 1,
+            0,
+            last,
         )
-        accepted = decided & (verdict == 1)
+        last_cell = np.clip(
+            np.searchsorted(self._edges, np.clip(corr_hi, 0.0, 1.0), side="left") - 1,
+            0,
+            last,
+        )
+        # The exact correction lies in the union of the two end cells, so a
+        # row whose end cells are equal or adjacent is decided wherever both
+        # carry one accept/reject verdict; any other row needs exact FLC1.
+        tight = valid & (last_cell - first_cell <= 1)
+        return ScreenedColumns(self, strengths, request_bus, first_cell, last_cell, tight)
 
-        fallback = np.flatnonzero(~decided)
-        if fallback.size:
-            # Exact FLC1 on the undecided subset, completed from the firing
-            # strengths already computed above: batched engine rows are
-            # mutually independent, so the subset aggregation + centroid is
-            # bit-identical to the corresponding rows of a full-batch run
-            # (and to ``FLC1.correction_values``, whose [0, 1] clip this
-            # replays).
-            eng1_grouped = eng1._grouped_consequent_plans["Cv"]
-            cv_variable = eng1._consequent_plans["Cv"][2]
-            aggregated = eng1._aggregate_output_batch_grouped(
-                strengths[fallback], eng1_grouped, "Cv", 0
-            )
-            corrections = np.clip(
-                eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated), 0.0, 1.0
-            )
-            cell = np.clip(np.searchsorted(self._edges, corrections, side="right") - 1, 0, last)
-            verdict = tables[which[fallback], cell]
-            accepted[fallback] = verdict == 1
-            ambiguous = fallback[verdict == -1]
-            if ambiguous.size:
-                scores = self._exact_scores(
-                    corrections[verdict == -1],
-                    request_bus[ambiguous],
-                    np.full(ambiguous.size, occupancy),
-                )
-                accepted[ambiguous] = scores > self._threshold
-        return accepted
+    def _exact_correction(self, strengths: np.ndarray) -> float:
+        """Exact FLC1 for one row, completed from its firing strengths.
+
+        Batched engine rows are mutually independent, so the one-row
+        aggregation and centroid are bit-identical to that row of a
+        full-batch run (and to ``FLC1.correction_values``, whose [0, 1] clip
+        this replays).
+        """
+        eng1 = self._eng1
+        aggregated = eng1._aggregate_output_batch_grouped(
+            strengths[None, :], eng1._grouped_consequent_plans["Cv"], "Cv", 0
+        )
+        cv_variable = eng1._consequent_plans["Cv"][2]
+        centroid = eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated)[0]
+        return min(max(float(centroid), 0.0), 1.0)
 
     def _exact_scores(
         self, corrections: np.ndarray, request_bus: np.ndarray, counters: np.ndarray
@@ -378,3 +368,57 @@ class DecisionScreen:
         aggregated = eng._aggregate_output_batch_grouped(strengths, grouped, "AR", 0)
         scores = eng._defuzzify_fast_batch("AR", variable, aggregated)
         return np.clip(scores, -1.0, 1.0)
+
+
+class ScreenedColumns:
+    """Threshold verdicts for one block of rows, at any occupancy.
+
+    Built by :meth:`DecisionScreen.columns`.  :meth:`accepts` reads row
+    ``k``'s verdict from the (R, Cs) cell table at the occupancy it is
+    given; a row the table cannot decide runs exact FLC1 and, where its
+    exact correction lands in an ambiguous cell, exact FLC2.  The counters
+    tell how each verdict was reached: ``screened`` verdicts came from a
+    cell table, ``exact_flc2`` from exact FLC2, and ``exact_flc1`` counts
+    the exact correction values computed.
+    """
+
+    def __init__(
+        self,
+        screen: DecisionScreen,
+        strengths: np.ndarray,
+        request_bus: np.ndarray,
+        first_cell: np.ndarray,
+        last_cell: np.ndarray,
+        tight: np.ndarray,
+    ):
+        self._screen = screen
+        self._strengths = strengths
+        self._bandwidths = request_bus.tolist()
+        self._first = first_cell.tolist()
+        self._last = last_cell.tolist()
+        self._tight = tight.tolist()
+        self.screened = 0
+        self.exact_flc1 = 0
+        self.exact_flc2 = 0
+
+    def accepts(self, k: int, occupancy_bu: int) -> bool:
+        """Whether row ``k``'s A/R score at ``occupancy_bu`` is above the
+        threshold: ``score_columns(...)[k] > threshold`` at that occupancy."""
+        screen = self._screen
+        bandwidth = self._bandwidths[k]
+        table = screen._cell_table(bandwidth, occupancy_bu)
+        if self._tight[k]:
+            verdict = table[self._first[k]]
+            if verdict != -1 and verdict == table[self._last[k]]:
+                self.screened += 1
+                return verdict == 1
+        correction = screen._exact_correction(self._strengths[k])
+        self.exact_flc1 += 1
+        cell = min(max(bisect_right(screen._edge_list, correction) - 1, 0), len(table) - 1)
+        verdict = table[cell]
+        if verdict != -1:
+            self.screened += 1
+            return verdict == 1
+        self.exact_flc2 += 1
+        decision = screen._flc2.evaluate(correction, bandwidth, float(occupancy_bu))
+        return decision.score > screen._threshold

@@ -38,9 +38,14 @@ from ..counters import ServiceCounters
 from .config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from .flc1 import FLC1
 from .flc2 import FLC2
-from .screen import DecisionScreen
+from .screen import DecisionScreen, ScreenedColumns
 
-__all__ = ["FACSConfig", "FuzzyAdmissionControlSystem", "BatchAdmissionDecision"]
+__all__ = [
+    "BatchAdmissionDecision",
+    "ExactColumns",
+    "FACSConfig",
+    "FuzzyAdmissionControlSystem",
+]
 
 #: Correction value assumed when a request carries no GPS observation.
 _NEUTRAL_CORRECTION = 0.5
@@ -156,6 +161,41 @@ class BatchAdmissionDecision:
 
     def __len__(self) -> int:
         return int(self.scores.shape[0])
+
+
+class ExactColumns:
+    """Threshold verdicts for one block of rows, at any occupancy, scored exactly.
+
+    What :meth:`FuzzyAdmissionControlSystem.decide_columns` returns for a
+    controller pair without a decision screen: FLC1 ran once over the
+    block, and :meth:`accepts` runs FLC2 per verdict.  It keeps the
+    counters of :class:`~repro.cac.facs.screen.ScreenedColumns`.
+    """
+
+    screened = 0
+
+    def __init__(
+        self,
+        corrections: np.ndarray,
+        request_bus: np.ndarray,
+        flc2: FLC2,
+        threshold: float,
+    ):
+        self._corrections = corrections.tolist()
+        self._bandwidths = request_bus.tolist()
+        self._flc2 = flc2
+        self._threshold = threshold
+        self.exact_flc1 = len(self._corrections)
+        self.exact_flc2 = 0
+
+    def accepts(self, k: int, occupancy_bu: int) -> bool:
+        """Whether row ``k``'s A/R score at ``occupancy_bu`` is above the
+        threshold: ``score_columns(...)[k] > threshold`` at that occupancy."""
+        self.exact_flc2 += 1
+        decision = self._flc2.evaluate(
+            self._corrections[k], self._bandwidths[k], float(occupancy_bu)
+        )
+        return decision.score > self._threshold
 
 
 class FuzzyAdmissionControlSystem(AdmissionController):
@@ -296,19 +336,25 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         angles_deg: np.ndarray,
         distances_km: np.ndarray,
         request_bus: np.ndarray,
-        occupancy_bu: int,
-    ) -> np.ndarray:
-        """Boolean threshold verdicts for pre-drawn observation columns.
+    ) -> ScreenedColumns | ExactColumns:
+        """Threshold verdicts for a block of pre-drawn observation columns.
 
-        Byte-identical to ``score_columns(...) > acceptance_threshold``
-        element for element, but routed through the certified
-        :class:`~repro.cac.facs.screen.DecisionScreen` when the controller
-        pair supports it: most rows are decided from interval bounds alone
-        and only the undecidable remainder pays for exact dense-grid
-        inference.  Configurations outside the certified regime (reference
-        engine, custom operators or membership shapes, …) fall back to the
-        exact score path wholesale.
+        FLC1 does not depend on the base station, so its stage runs once
+        here over the whole block; the returned object's
+        ``accepts(k, occupancy)`` then answers row ``k`` at whatever
+        occupancy its request meets, equal to
+        ``score_columns(...)[k] > acceptance_threshold`` at that occupancy.
+        When the controller pair supports it, the verdict comes from the
+        certified :class:`~repro.cac.facs.screen.DecisionScreen`: most rows
+        are decided by one lookup in the (R, Cs) cell table and only the
+        undecidable remainder pays for exact dense-grid inference.
+        Configurations outside the certified regime (reference engine,
+        custom operators or membership shapes, …) get
+        :class:`ExactColumns`: exact FLC1 once per block and exact FLC2 per
+        verdict.
         """
+        speeds = np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH)
+        distances = np.clip(distances_km, *PAPER_DISTANCE_RANGE_KM)
         screen = self._screen
         if screen is None:
             screen = _shared_screen(
@@ -317,21 +363,17 @@ class FuzzyAdmissionControlSystem(AdmissionController):
             self._screen = screen if screen is not None else _SCREEN_UNAVAILABLE
         if isinstance(screen, DecisionScreen):
             try:
-                return screen.decide(
-                    np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH),
-                    angles_deg,
-                    np.clip(distances_km, *PAPER_DISTANCE_RANGE_KM),
-                    request_bus,
-                    float(occupancy_bu),
-                )
+                return screen.columns(speeds, angles_deg, distances, request_bus)
             except DefuzzificationError:
-                # Deferred: re-run exactly so diagnostics (e.g. the
+                # Deferred: run FLC1 exactly so diagnostics (e.g. the
                 # no-rule-fired error) carry their canonical batch wording.
                 pass
-        scores = self.score_columns(
-            speeds_kmh, angles_deg, distances_km, request_bus, occupancy_bu
+        return ExactColumns(
+            self._flc1.correction_values(speeds, angles_deg, distances),
+            request_bus,
+            self._flc2,
+            self._config.acceptance_threshold,
         )
-        return scores > self._config.acceptance_threshold
 
     def decide_batch(
         self, calls: Sequence[Call], station: BaseStation, now: float

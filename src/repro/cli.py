@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--stream",
         action="store_true",
-        help="trace-arrivals only: run the frame-native columnar fast path "
-        "(byte-identical results, million-request wall clock)",
+        help="trace-arrivals only: run the columnar kernel instead of its "
+        "discrete-event oracle (byte-identical results, million-request wall clock)",
     )
     _add_performance_flags(run)
     _add_report_flags(run)

@@ -3,8 +3,9 @@
 Three layers, one code path:
 
 * :mod:`repro.service.server` — the asyncio server core: bounded queue,
-  size/deadline micro-batcher, ``decide_batch`` dispatcher with the trace
-  pipeline's release-then-score-then-greedy-admit semantics.
+  size/deadline micro-batcher, ``decide_batch`` dispatcher that scores
+  each micro-batch against the flush-instant occupancy snapshot, then
+  admits greedily (release-then-score-then-greedy-admit).
 * :mod:`repro.service.replay` — deterministic replay of a seeded arrival
   trace on a virtual clock; what tests and CI gate on.
 * :mod:`repro.service.loadgen` — closed-loop wall-clock load generator

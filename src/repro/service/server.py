@@ -5,8 +5,13 @@ This is the online counterpart of the offline trace pipeline
 server.submit(call)``; the server coalesces pending requests into
 micro-batches and scores each batch through
 :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_batch`
-against live :class:`~repro.cellular.cell.BaseStation` state, with the
-exact release-then-score-then-greedy-admit semantics of the trace path.
+against live :class:`~repro.cellular.cell.BaseStation` state: departures
+due by the flush instant are released, every request of the micro-batch is
+scored against that one flush-instant occupancy snapshot, and the accepted
+ones are admitted greedily while bandwidth lasts.  The trace pipeline
+instead scores each request at the occupancy its own arrival meets, so the
+two agree exactly with ``max_batch=1``, where every request flushes alone
+at its arrival instant.
 
 Batching policy — flush on whichever comes first:
 
@@ -453,7 +458,7 @@ class AdmissionServer:
             batch.append(self._pending.popleft())
 
         # Release departures due by the batch instant before scoring, so
-        # the controller sees the same counter state as the trace path.
+        # the controller sees the occupancy at the flush instant.
         while self._departures and self._departures[0][0] <= now:
             self._release_next_departure()
 

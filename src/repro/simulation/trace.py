@@ -1,57 +1,53 @@
-"""Offline, trace-driven admission through the batched FACS fast path.
+"""Offline, trace-driven admission: one exact per-request kernel over columns.
 
 The batch experiment (:mod:`repro.simulation.batch`) decides every request
-one at a time inside the discrete-event loop.  This module is the
-*pipeline* counterpart for offline workloads: the whole arrival trace is
-materialized first (:func:`repro.simulation.batch.build_requests` — a pure
-function of the seeded config), then streamed through
-:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_batch` in
-fixed-size batches, so the cascaded FLC1 → FLC2 inference runs once per
-batch over the whole candidate vector instead of once per call.
+one at a time inside the discrete-event loop.  This module answers the same
+question for offline workloads without the event loop: the whole arrival
+trace is drawn first as numpy columns
+(:func:`repro.simulation.batch.build_trace_arrays` — a pure function of the
+seeded config), then walked in arrival order.
 
-Semantics are batch-synchronous, and deliberately so: all candidates of a
-batch are scored against the station snapshot at the batch's first arrival
-(departures due by then are released first), then admitted greedily in
-arrival order while bandwidth lasts.  That is the standard trade of an
-async arrival pipeline — admission decisions lag individual arrivals by at
-most one batch — and ``batch_size=1`` recovers per-call granularity.
+Semantics are the DES's, request for request.  At each arrival every
+departure due at or before that instant is released; a request that does
+not fit the free bandwidth is rejected; any other request is admitted iff
+its A/R score at the occupancy it meets (FLC2's ``Cs`` input) is above the
+threshold.  Instants are computed the way the DES clock computes them
+(``now + (t − now)``, then ``now + holding``), so the departure order is
+the DES's bit for bit, and the run's :class:`TraceRunResult` equals the one
+built from :func:`~repro.simulation.batch.run_batch_experiment` field for
+field — which is what ``stream=False`` runs, as the oracle.
 
-Everything is deterministic: the trace derives from the seed alone, ties
-in the departure queue break on the per-run sequential call id, and no
-state outlives the run — so results are identical in any process, thread
-or execution order.
+FLC1 does not depend on the base station, so it runs once per fixed block
+of rows through
+:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`;
+the arrival walk is then an integer loop with a departure heap that asks
+the block for each verdict at the request's own occupancy.  The block size
+bounds memory and changes no answer.
 """
 
 from __future__ import annotations
 
 import heapq
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import stats
 from ..cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
-from ..cellular.calls import Call
-from ..cellular.cell import BaseStation
 from ..cellular.metrics import CallMetrics
 from ..des.rng import StreamFactory
-from .batch import TraceArrays, build_trace_arrays
+from .batch import build_trace_arrays, run_batch_experiment
 from .config import BatchExperimentConfig
 from .results import RunResult
 
-__all__ = ["TraceBatchRecord", "TraceRunResult", "run_trace_arrivals"]
+__all__ = ["TraceRunResult", "run_trace_arrivals"]
 
+_log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class TraceBatchRecord:
-    """Outcome of one admission batch of the trace pipeline."""
-
-    index: int
-    start_time_s: float
-    size: int
-    accepted: int
-    occupancy_before_bu: int
-    occupancy_after_bu: int
+#: Rows per FLC1 pass of the kernel.  Smaller blocks pay more per-call
+#: overhead; larger ones hold more FLC1 intermediates at once (a whole
+#: 20k-request trace in one block about doubles the process's peak RSS).
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -59,288 +55,115 @@ class TraceRunResult:
     """Aggregate outcome of one trace-driven run."""
 
     controller: str
-    requested: int
-    accepted: int
-    batch_size: int
     peak_occupancy_bu: int
-    batches: tuple[TraceBatchRecord, ...]
-    metrics: CallMetrics | None = None
+    metrics: CallMetrics
+
+    @property
+    def requested(self) -> int:
+        return self.metrics.requested
+
+    @property
+    def accepted(self) -> int:
+        return self.metrics.accepted
 
     @property
     def acceptance_percentage(self) -> float:
-        """The paper's headline metric through its single arithmetic spec,
-        :func:`repro.analysis.stats.acceptance_percentage` (which
-        :attr:`CallMetrics.acceptance_percentage` also delegates to)."""
-        if self.metrics is not None:
-            return self.metrics.acceptance_percentage
-        return stats.acceptance_percentage(self.accepted, self.requested)
+        return self.metrics.acceptance_percentage
 
     def to_run_result(self, seed: int = 0) -> RunResult:
         """The trace run as a counter row for the columnar result store.
 
         Every admitted call's departure is replayed before the run
-        returns, so ``completed`` equals ``accepted`` — the same totals
-        the discrete-event batch experiment reports for this trace.
+        returns, so ``completed`` equals ``accepted``.
         """
-        if self.metrics is None:
-            raise ValueError(
-                "this TraceRunResult carries no counter metrics; "
-                "run_trace_arrivals populates them"
-            )
         return RunResult(
             controller=self.controller,
             metrics=self.metrics,
-            parameters={
-                "request_count": float(self.requested),
-                "batch_size": float(self.batch_size),
-            },
+            parameters={"request_count": float(self.requested)},
             seed=seed,
         )
 
 
 def run_trace_arrivals(
     config: BatchExperimentConfig,
-    batch_size: int = 16,
     facs_config: FACSConfig | None = None,
     stream: bool = False,
 ) -> TraceRunResult:
-    """Replay the trace described by ``config`` through ``decide_batch``.
+    """Admit the trace described by ``config`` through FACS, request by request.
 
-    ``batch_size`` sets the admission granularity (1 = per-call);
-    ``facs_config`` selects the FACS tuning and inference engine.  The
-    controller is FACS by construction — it is the only controller with a
-    vectorized batch admission path.
-
-    ``stream=True`` selects the frame-native fast path: the trace stays
-    columnar (:class:`~repro.simulation.batch.TraceArrays` — no per-request
-    ``Call`` objects), each batch is scored in one FLC1 → FLC2 pass over the
-    columns, and occupancy/departures are tracked with sorted numpy arrays.
-    Both paths replay the same draws and the same batch-synchronous
-    semantics, so their results — counters, per-batch records, peak
-    occupancy — are byte-identical; the object path is the equivalence
-    oracle the tests and the scale benchmark hold the fast path to.
+    ``facs_config`` selects the FACS tuning and inference engine.
+    ``stream=True`` runs the columnar kernel; ``stream=False`` runs the
+    discrete-event batch experiment on the same config, the kernel's
+    oracle.  Both return equal results.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    streams = StreamFactory(master_seed=config.stream_master_seed)
-    arrays = build_trace_arrays(config, streams)
-    controller = FuzzyAdmissionControlSystem(facs_config or FACSConfig())
-    controller.reset()
-
-    if stream:
-        return _run_trace_columns(config, arrays, controller, batch_size)
-
-    requests = arrays.to_calls()
-    station = BaseStation(capacity_bu=config.capacity_bu)
-
-    # Departure queue of admitted calls: (departure time, call id, call).
-    # The call id breaks time ties deterministically.
-    departures: list[tuple[float, int, Call]] = []
-    records: list[TraceBatchRecord] = []
-    accepted_total = 0
-    peak_occupancy = 0
-    completed = 0
-    accepted_bu = 0
-    requested_bu = arrays.requested_bu
-
-    def release_next_departure() -> None:
-        nonlocal completed
-        departure_time, _, departed = heapq.heappop(departures)
-        station.release(departed)
-        departed.complete(departure_time)
-        controller.on_released(departed, station, departure_time)
-        completed += 1
-
-    for index in range(0, len(requests), batch_size):
-        batch = requests[index : index + batch_size]
-        now = batch[0].requested_at
-        while departures and departures[0][0] <= now:
-            release_next_departure()
-
-        occupancy_before = station.used_bu
-        decision = controller.decide_batch(batch, station, now)
-        accepted_in_batch = 0
-        for call, scored_ok in zip(batch, decision.accepted):
-            accepted = bool(scored_ok) and station.can_fit(call.bandwidth_units)
-            if accepted:
-                station.allocate(call)
-                call.admit(now, station.station_id)
-                controller.on_admitted(call, station, now)
-                heapq.heappush(
-                    departures,
-                    (call.requested_at + call.holding_time_s, call.call_id, call),
-                )
-                accepted_in_batch += 1
-                accepted_bu += call.bandwidth_units
-                peak_occupancy = max(peak_occupancy, station.used_bu)
-            else:
-                call.block(now, station.station_id)
-        accepted_total += accepted_in_batch
-        records.append(
-            TraceBatchRecord(
-                index=index // batch_size,
-                start_time_s=now,
-                size=len(batch),
-                accepted=accepted_in_batch,
-                occupancy_before_bu=occupancy_before,
-                occupancy_after_bu=station.used_bu,
-            )
+    facs_config = facs_config or FACSConfig()
+    if not stream:
+        output = run_batch_experiment(
+            config, lambda: FuzzyAdmissionControlSystem(facs_config)
+        )
+        return TraceRunResult(
+            controller=output.result.controller,
+            peak_occupancy_bu=output.peak_occupancy_bu,
+            metrics=output.result.metrics,
         )
 
-    # Drain the departure queue after the final batch: every admitted call
-    # eventually completes, so the completion counters are a property of
-    # the trace — not of where its batch boundaries happened to fall.
-    while departures:
-        release_next_departure()
-
-    return TraceRunResult(
-        controller=controller.name,
-        requested=len(requests),
-        accepted=accepted_total,
-        batch_size=batch_size,
-        peak_occupancy_bu=peak_occupancy,
-        batches=tuple(records),
-        metrics=CallMetrics(
-            requested=len(requests),
-            accepted=accepted_total,
-            blocked=len(requests) - accepted_total,
-            completed=completed,
-            dropped=0,
-            handoff_requests=0,
-            handoff_accepted=0,
-            accepted_bu=accepted_bu,
-            requested_bu=requested_bu,
-        ),
+    arrays = build_trace_arrays(
+        config, StreamFactory(master_seed=config.stream_master_seed)
     )
-
-
-def _run_trace_columns(
-    config: BatchExperimentConfig,
-    arrays: TraceArrays,
-    controller: FuzzyAdmissionControlSystem,
-    batch_size: int,
-) -> TraceRunResult:
-    """The vectorized trace hot loop: whole batches over numpy columns.
-
-    Equivalent to the object path batch for batch.  Scoring goes through
-    :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`,
-    which screens most rows with certified interval bounds and evaluates
-    exactly only the remainder — decisions stay byte-identical to the
-    oracle's ``scores > threshold`` comparison.  Within a batch,
-    bandwidth only shrinks, so a candidate whose demand exceeds the current
-    free bandwidth is rejected *permanently* — which is what lets the
-    greedy arrival-order admission run as a mask + prefix-sum loop whose
-    iteration count is bounded by the number of admissions, not the batch
-    size.  Pending departures are two sorted arrays (time, bandwidth); a
-    ``searchsorted`` prefix pop replaces the heap (release *order* within a
-    batch is unobservable — releases only sum into occupancy and the
-    completion counter — so the heap's call-id tie-break is not needed).
-
-    The controller's RTC/NRTC service counters are not maintained here:
-    they never feed back into ``decide_batch`` scores, so skipping the
-    per-call ``on_admitted``/``on_released`` bookkeeping changes no
-    observable output.
-    """
+    controller = FuzzyAdmissionControlSystem(facs_config)
     capacity = config.capacity_bu
-    arrivals = arrays.arrival_time_s
-    bandwidth = arrays.bandwidth_units
-    bandwidth_f = bandwidth.astype(np.float64)
-    departure_due = arrivals + arrays.holding_time_s
-    speeds = arrays.speed_kmh
-    angles = arrays.angle_deg
-    distances = arrays.distance_km
+    arrivals = arrays.arrival_time_s.tolist()
+    holdings = arrays.holding_time_s.tolist()
+    bandwidths = arrays.bandwidth_units.tolist()
+    request_bus = arrays.bandwidth_units.astype(np.float64)
+    total = len(arrivals)
 
-    pending_times = np.empty(0, dtype=np.float64)
-    pending_bws = np.empty(0, dtype=np.int64)
-    records: list[TraceBatchRecord] = []
-    used = 0
-    accepted_total = 0
-    completed = 0
-    accepted_bu = 0
-    peak_occupancy = 0
-
-    total = len(arrays)
-    for start in range(0, total, batch_size):
-        stop = min(start + batch_size, total)
-        now = float(arrivals[start])
-
-        # Release every departure due by the batch start.
-        due = int(np.searchsorted(pending_times, now, side="right"))
-        if due:
-            used -= int(pending_bws[:due].sum())
-            completed += due
-            pending_times = pending_times[due:]
-            pending_bws = pending_bws[due:]
-
-        occupancy_before = used
-        scored_ok = controller.decide_columns(
-            speeds[start:stop],
-            angles[start:stop],
-            distances[start:stop],
-            bandwidth_f[start:stop],
-            used,
+    # Admitted calls' (departure instant, bandwidth), earliest first.
+    departures: list[tuple[float, int]] = []
+    now = 0.0
+    used = accepted = accepted_bu = peak_occupancy = 0
+    screened = exact_flc1 = exact_flc2 = 0
+    for start in range(0, total, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, total)
+        verdicts = controller.decide_columns(
+            arrays.speed_kmh[start:stop],
+            arrays.angle_deg[start:stop],
+            arrays.distance_km[start:stop],
+            request_bus[start:stop],
         )
-
-        # Greedy admission in arrival order while bandwidth lasts.
-        candidates = start + np.flatnonzero(scored_ok)
-        candidate_bws = bandwidth[candidates]
-        free = capacity - used
-        admitted_runs: list[np.ndarray] = []
-        while candidates.size:
-            feasible = candidate_bws <= free
-            if not feasible.any():
-                break
-            candidates = candidates[feasible]
-            candidate_bws = candidate_bws[feasible]
-            cumulative = np.cumsum(candidate_bws)
-            take = int(np.searchsorted(cumulative, free, side="right"))
-            admitted_runs.append(candidates[:take])
-            free -= int(cumulative[take - 1])
-            candidates = candidates[take:]
-            candidate_bws = candidate_bws[take:]
-
-        accepted_in_batch = 0
-        if admitted_runs:
-            admitted = np.concatenate(admitted_runs)
-            admitted_bws = bandwidth[admitted]
-            admitted_bu = int(admitted_bws.sum())
-            accepted_in_batch = int(admitted.size)
-            used += admitted_bu
-            accepted_total += accepted_in_batch
-            accepted_bu += admitted_bu
+        for row in range(start, stop):
+            delay = arrivals[row] - now
+            if delay > 0:
+                now = now + delay
+            while departures and departures[0][0] <= now:
+                used -= heapq.heappop(departures)[1]
+            bandwidth = bandwidths[row]
+            if used + bandwidth > capacity or not verdicts.accepts(row - start, used):
+                continue
+            used += bandwidth
+            accepted += 1
+            accepted_bu += bandwidth
             peak_occupancy = max(peak_occupancy, used)
-            pending_times = np.concatenate((pending_times, departure_due[admitted]))
-            pending_bws = np.concatenate((pending_bws, admitted_bws))
-            order = np.argsort(pending_times, kind="stable")
-            pending_times = pending_times[order]
-            pending_bws = pending_bws[order]
+            heapq.heappush(departures, (now + holdings[row], bandwidth))
+        screened += verdicts.screened
+        exact_flc1 += verdicts.exact_flc1
+        exact_flc2 += verdicts.exact_flc2
 
-        records.append(
-            TraceBatchRecord(
-                index=start // batch_size,
-                start_time_s=now,
-                size=stop - start,
-                accepted=accepted_in_batch,
-                occupancy_before_bu=occupancy_before,
-                occupancy_after_bu=used,
-            )
-        )
-
-    # Final drain, mirroring the object path: every admitted call completes.
-    completed += int(pending_times.size)
-
+    _log.debug(
+        "trace kernel: %d requests, %d screened, %d exact FLC1 rows, %d exact FLC2 rows",
+        total,
+        screened,
+        exact_flc1,
+        exact_flc2,
+    )
     return TraceRunResult(
         controller=controller.name,
-        requested=total,
-        accepted=accepted_total,
-        batch_size=batch_size,
         peak_occupancy_bu=peak_occupancy,
-        batches=tuple(records),
         metrics=CallMetrics(
             requested=total,
-            accepted=accepted_total,
-            blocked=total - accepted_total,
-            completed=completed,
+            accepted=accepted,
+            blocked=total - accepted,
+            completed=accepted,
             dropped=0,
             handoff_requests=0,
             handoff_accepted=0,

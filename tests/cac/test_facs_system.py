@@ -275,6 +275,8 @@ class TestBatchAdmission:
 class TestScreenFallbackLogging:
     LOGGER = "repro.cac.facs.screen"
 
+    OCCUPANCY_BU = 12
+
     @staticmethod
     def _columns(count: int = 40):
         rng = np.random.default_rng(20070628)
@@ -283,7 +285,6 @@ class TestScreenFallbackLogging:
             rng.uniform(-180.0, 180.0, count),
             rng.uniform(0.0, 12.0, count),
             rng.choice([1.0, 5.0, 10.0], count),
-            12,
         )
 
     def _screen_records(self, caplog) -> list[logging.LogRecord]:
@@ -304,7 +305,10 @@ class TestScreenFallbackLogging:
         assert len(records) == 1
         assert records[0].levelno == logging.INFO
         assert "ValueError" in records[0].getMessage()
-        assert list(verdicts) == list(reference.score_columns(*columns) > 0.0)
+        occupancy = self.OCCUPANCY_BU
+        exact = reference.score_columns(*columns, occupancy) > 0.0
+        assert [verdicts.accepts(k, occupancy) for k in range(len(exact))] == exact.tolist()
+        assert (verdicts.screened, verdicts.exact_flc1) == (0, len(exact))
 
     def test_certified_screen_logs_nothing(self, caplog):
         _shared_screen.cache_clear()

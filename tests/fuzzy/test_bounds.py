@@ -133,19 +133,19 @@ def test_for_engine_rejects_uncertified_regimes(facs, make_engine):
 
 @pytest.mark.parametrize("occupancy_bu", [0, 20, 21, 30, 34, 39])
 def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
-    rng = np.random.default_rng(occupancy_bu + 20070628)
+    rng = np.random.default_rng(20070628)
     count = 400
     columns = (
         rng.uniform(0.0, 130.0, count),
         rng.uniform(-180.0, 180.0, count),
         rng.uniform(0.0, 12.0, count),
         rng.choice([1.0, 5.0, 10.0], count),
-        occupancy_bu,
     )
-    exact = facs.score_columns(*columns) > facs.config.acceptance_threshold
+    exact = facs.score_columns(*columns, occupancy_bu) > facs.config.acceptance_threshold
     verdicts = facs.decide_columns(*columns)
-    assert verdicts.dtype == bool
-    assert np.array_equal(verdicts, exact)
+    assert [verdicts.accepts(k, occupancy_bu) for k in range(count)] == exact.tolist()
+    # Every row is answered from a cell table or by exact FLC2, once.
+    assert verdicts.screened + verdicts.exact_flc2 == count
 
 
 # Every default (R, Cs) table: R in {1, 5, 10} BU, Cs 0..40 BU.

@@ -113,10 +113,10 @@ class TestReplayDeterminism:
 class TestReplayMatchesTracePipeline:
     def test_unit_batches_reproduce_the_trace_pipeline(self):
         # With max_batch=1 every request flushes at its own arrival
-        # instant, which is exactly the trace pipeline at batch_size=1:
-        # same admissions, same completions, same peak occupancy.
+        # instant, which is exactly the trace pipeline's per-request
+        # admission: same admissions, same completions, same peak occupancy.
         config = replay_config(request_count=80)
-        trace = run_trace_arrivals(config, batch_size=1)
+        trace = run_trace_arrivals(config, stream=True)
         replay = run_service_replay(
             config, ServiceConfig(max_batch=1, max_wait_ms=2000.0, queue_capacity=64)
         )

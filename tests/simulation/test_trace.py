@@ -1,8 +1,11 @@
-"""Trace-driven admission pipeline: determinism, bounds, scenario wiring."""
+"""Trace-driven admission pipeline: the DES oracle, bounds, scenario wiring."""
 
 from __future__ import annotations
 
+import logging
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Runner, Scenario, ScenarioError, TraceArrivalsScenario
 from repro.cac.facs.system import FACSConfig
@@ -11,6 +14,9 @@ from repro.simulation import (
     run_batch_experiment,
     run_trace_arrivals,
 )
+from repro.workloads import WORKLOADS
+
+WORKLOAD_NAMES = (None, *WORKLOADS.names())
 
 
 def small_config(**overrides) -> BatchExperimentConfig:
@@ -21,83 +27,49 @@ def small_config(**overrides) -> BatchExperimentConfig:
 
 class TestRunTraceArrivals:
     def test_repeated_runs_are_identical(self):
-        first = run_trace_arrivals(small_config(), batch_size=8)
-        second = run_trace_arrivals(small_config(), batch_size=8)
+        first = run_trace_arrivals(small_config(), stream=True)
+        second = run_trace_arrivals(small_config(), stream=True)
         assert first == second
 
     def test_totals_are_consistent(self):
-        result = run_trace_arrivals(small_config(), batch_size=8)
-        assert result.requested == 60
-        assert 0 <= result.accepted <= result.requested
-        assert result.accepted == sum(b.accepted for b in result.batches)
-        assert sum(b.size for b in result.batches) == result.requested
-        assert result.batches[0].start_time_s <= result.batches[-1].start_time_s
+        metrics = run_trace_arrivals(small_config(), stream=True).metrics
+        assert metrics.requested == 60
+        assert 0 <= metrics.accepted <= metrics.requested
+        assert metrics.accepted + metrics.blocked == metrics.requested
+        assert metrics.completed == metrics.accepted
+        assert metrics.accepted <= metrics.accepted_bu <= metrics.requested_bu
 
     def test_occupancy_never_exceeds_capacity(self):
         config = small_config(request_count=150)
-        result = run_trace_arrivals(config, batch_size=16)
-        capacity = config.capacity_bu
-        assert result.peak_occupancy_bu <= capacity
-        for batch in result.batches:
-            assert 0 <= batch.occupancy_before_bu <= capacity
-            assert 0 <= batch.occupancy_after_bu <= capacity
+        result = run_trace_arrivals(config, stream=True)
+        assert 0 < result.peak_occupancy_bu <= config.capacity_bu
 
     def test_engines_agree(self):
+        # The reference engine has no decision screen, so this pins the
+        # kernel's exact path to its screened path.
         compiled = run_trace_arrivals(
-            small_config(), batch_size=8, facs_config=FACSConfig(engine="compiled")
+            small_config(), facs_config=FACSConfig(engine="compiled"), stream=True
         )
         reference = run_trace_arrivals(
-            small_config(), batch_size=8, facs_config=FACSConfig(engine="reference")
+            small_config(), facs_config=FACSConfig(engine="reference"), stream=True
         )
         assert compiled == reference
 
-    def test_batch_size_one_runs(self):
-        result = run_trace_arrivals(small_config(request_count=20), batch_size=1)
-        assert len(result.batches) == 20
-        assert all(batch.size == 1 for batch in result.batches)
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            run_trace_arrivals(small_config(), batch_size=0)
-
     def test_uses_the_same_trace_as_the_batch_experiment(self):
-        # Same seeded config => same request trace => same request count and
-        # comparable acceptance levels between the DES path and the pipeline.
         config = small_config(request_count=100)
         from repro.simulation.scenario import facs_factory
 
         des = run_batch_experiment(config, facs_factory())
-        trace = run_trace_arrivals(config, batch_size=1)
+        trace = run_trace_arrivals(config, stream=True)
         assert trace.requested == des.result.metrics.requested
 
-    def test_unit_batches_pin_the_des_batch_experiment(self):
-        # Regression: at batch_size=1 the pipeline is per-call admission on
-        # the identical seeded trace, so its counters must pin the DES path
-        # exactly — including `completed`, which once depended on where the
-        # final batch boundary fell because the departure queue was never
-        # drained after the last batch.
-        config = small_config(request_count=100)
-        from repro.simulation.scenario import facs_factory
-
-        des = run_batch_experiment(config, facs_factory()).result.metrics
-        trace = run_trace_arrivals(config, batch_size=1)
-        assert trace.accepted == des.accepted
-        assert trace.metrics.completed == des.completed
-        assert trace.metrics.accepted_bu == des.accepted_bu
-
-    def test_completions_do_not_depend_on_batch_boundaries(self):
-        # Every admitted call's departure is replayed before the run
-        # returns, so completed == accepted for any batch size.
-        config = small_config(request_count=80)
-        for batch_size in (1, 7, 16, 80):
-            result = run_trace_arrivals(config, batch_size=batch_size)
-            assert result.metrics.completed == result.accepted
-
-    @pytest.mark.parametrize("batch_size", [1, 16, 1024])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize(
-        "seconds_per_request", [40.0, None], ids=["paper-load", "default-window"]
+        "seconds_per_request",
+        [40.0, 8.0, None],
+        ids=["paper-load", "overload", "default-window"],
     )
-    def test_stream_path_equals_object_path(self, seconds_per_request, batch_size):
+    def test_kernel_equals_the_des_oracle(self, seconds_per_request, seed):
         # At the paper's load (40 s per request) about 11% of decisions see
         # Cs >= 21; in the default 2000 s window about 98% do, which is where
         # the screen sends the most rows to its exact fallback.
@@ -105,12 +77,45 @@ class TestRunTraceArrivals:
         window = {}
         if seconds_per_request is not None:
             window["arrival_window_s"] = seconds_per_request * requests
-        config = small_config(request_count=requests, **window)
-        stream = run_trace_arrivals(config, batch_size=batch_size, stream=True)
-        assert stream == run_trace_arrivals(config, batch_size=batch_size)
+        config = small_config(request_count=requests, seed=seed, **window)
+        assert run_trace_arrivals(config, stream=True) == run_trace_arrivals(config)
+
+    @given(
+        request_count=st.integers(1, 300),
+        seconds_per_request=st.floats(0.5, 200.0),
+        seed=st.integers(0, 2**20),
+        workload_name=st.sampled_from(WORKLOAD_NAMES),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_kernel_equals_the_des_on_any_trace(
+        self, request_count, seconds_per_request, seed, workload_name
+    ):
+        config = BatchExperimentConfig(
+            request_count=request_count,
+            arrival_window_s=seconds_per_request * request_count,
+            seed=seed,
+            workload=None if workload_name is None else WORKLOADS.get(workload_name),
+        )
+        assert run_trace_arrivals(config, stream=True) == run_trace_arrivals(config)
+
+    def test_kernel_logs_its_paths_once_per_run(self, caplog):
+        config = small_config(request_count=300)
+        with caplog.at_level(logging.DEBUG, logger="repro.simulation.trace"):
+            result = run_trace_arrivals(config, stream=True)
+            run_trace_arrivals(config)  # the DES oracle logs nothing here
+        records = [r for r in caplog.records if r.name == "repro.simulation.trace"]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        requests, screened, exact_flc1, exact_flc2 = records[0].args
+        assert requests == 300
+        # Every request that fits is scored once: from a cell table or by
+        # exact FLC2, which needs the exact FLC1 correction first.
+        assert result.accepted <= screened + exact_flc2 <= requests
+        assert exact_flc2 <= exact_flc1 <= requests
+        assert "300 requests" in records[0].getMessage()
 
     def test_acceptance_percentage_delegates_to_call_metrics(self):
-        result = run_trace_arrivals(small_config(), batch_size=8)
+        result = run_trace_arrivals(small_config(), stream=True)
         assert (
             result.acceptance_percentage
             == result.metrics.acceptance_percentage
@@ -156,16 +161,40 @@ class TestTraceArrivalsScenario:
         assert "trace-driven admission" in report.text
         assert report.metrics["type"] == "trace-arrivals"
         assert report.metrics["requested"] == 40
-        assert len(report.metrics["batches"]) == 4
         assert report.scenario.slug == "trace-arrivals"
 
+    def test_batch_size_and_stream_change_no_report(self):
+        # Every request is decided at its own arrival, so neither the
+        # (inert) batch size nor the choice of kernel or DES oracle can
+        # change an answer.
+        reports = [
+            Runner().run(
+                TraceArrivalsScenario(
+                    request_count=400, batch_size=batch_size, stream=stream, seed=11
+                )
+            )
+            for batch_size in (1, 16, 1024)
+            for stream in (False, True)
+        ]
+        first = reports[0]
+        for report in reports[1:]:
+            metrics = {k: v for k, v in report.metrics.items() if k != "stream"}
+            assert metrics == first.metrics
+            assert report.text == first.text
+
     def test_fixed_profile_changes_the_outcome(self):
-        # Deterministic seeded runs: at this load the user-to-BS distance
-        # flips at least one admission decision through FLC1.
+        # Deterministic seeded runs: at the paper's load (40 s per request)
+        # the user-to-BS distance flips at least one admission decision
+        # through FLC1.
+        window = 40.0 * 150
         near = Runner().run(
-            TraceArrivalsScenario(request_count=150, distance_km=0.5, seed=3)
+            TraceArrivalsScenario(
+                request_count=150, arrival_window_s=window, distance_km=0.5, seed=3
+            )
         )
         far = Runner().run(
-            TraceArrivalsScenario(request_count=150, distance_km=9.5, seed=3)
+            TraceArrivalsScenario(
+                request_count=150, arrival_window_s=window, distance_km=9.5, seed=3
+            )
         )
         assert near.metrics["accepted"] != far.metrics["accepted"]
