@@ -647,8 +647,9 @@ class TraceArrivalsScenario(Scenario):
 
     ``stream=True`` runs the columnar kernel of
     :func:`~repro.simulation.trace.run_trace_arrivals` (no per-request
-    ``Call`` objects; FLC1 once per block, then the certified decision
-    screen's cell tables per request); ``stream=False`` runs the
+    ``Call`` objects; FLC1 once per block, then, in traces of at least
+    1,024 requests, the certified decision screen's cell tables per
+    request); ``stream=False`` runs the
     discrete-event batch experiment, the kernel's oracle.  Both give the
     same report text and metrics (apart from the ``stream`` provenance
     key), so the flag only trades wall clock — use it for

@@ -239,8 +239,8 @@ class FuzzyAdmissionControlSystem(AdmissionController):
                 definition=cfg.flc2_definition,
             )
         self._counters = ServiceCounters(capacity_bu=cfg.counter_capacity_bu)
-        # Built lazily on first decide_columns call (table construction is
-        # worth amortising only for column-oriented trace workloads).
+        # Built lazily on the first screened decide_columns call (table
+        # construction is worth amortising only over long runs).
         self._screen: DecisionScreen | object | None = None
 
     # ------------------------------------------------------------------
@@ -336,6 +336,7 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         angles_deg: np.ndarray,
         distances_km: np.ndarray,
         request_bus: np.ndarray,
+        screen: bool = True,
     ) -> ScreenedColumns | ExactColumns:
         """Threshold verdicts for a block of pre-drawn observation columns.
 
@@ -351,19 +352,21 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         Configurations outside the certified regime (reference engine,
         custom operators or membership shapes, …) get
         :class:`ExactColumns`: exact FLC1 once per block and exact FLC2 per
-        verdict.
+        verdict.  So does ``screen=False``, which neither builds nor reads
+        a screen: for a short run the lazily built cell tables cost more
+        than the exact verdicts they would save.
         """
         speeds = np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH)
         distances = np.clip(distances_km, *PAPER_DISTANCE_RANGE_KM)
-        screen = self._screen
-        if screen is None:
-            screen = _shared_screen(
+        shared = self._screen if screen else _SCREEN_UNAVAILABLE
+        if shared is None:
+            shared = _shared_screen(
                 self._flc1, self._flc2, self._config.acceptance_threshold
             )
-            self._screen = screen if screen is not None else _SCREEN_UNAVAILABLE
-        if isinstance(screen, DecisionScreen):
+            self._screen = shared if shared is not None else _SCREEN_UNAVAILABLE
+        if isinstance(shared, DecisionScreen):
             try:
-                return screen.columns(speeds, angles_deg, distances, request_bus)
+                return shared.columns(speeds, angles_deg, distances, request_bus)
             except DefuzzificationError:
                 # Deferred: run FLC1 exactly so diagnostics (e.g. the
                 # no-rule-fired error) carry their canonical batch wording.

@@ -6,14 +6,36 @@ calls hold their bandwidth for an exponential, class-dependent holding time
 and then release it.  The output is the percentage of accepted calls — the
 y axis of every figure in the paper's evaluation.
 
-The experiment runs on the discrete-event kernel (:mod:`repro.des`): one
-generator process replays the arrival sequence and spawns a departure process
-per admitted call, so occupancy rises and falls exactly as it would in the
-authors' event-driven simulator.
+Two loops run the experiment, with equal results.
+
+* **The FACS kernel** runs every FACS controller.  The whole trace is drawn
+  first as numpy columns (:func:`build_trace_arrays`).  FLC1 does not
+  depend on the base station, so it runs once per fixed block of rows
+  through
+  :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`;
+  the arrivals are then walked in one integer loop with a departure heap
+  that asks the block for each verdict at the request's own occupancy.  At
+  each arrival every departure due at or before that instant is released;
+  a request that does not fit the free bandwidth is rejected; any other
+  request is admitted iff its A/R score at the occupancy it meets (FLC2's
+  ``Cs`` input) is above the threshold.  Instants are computed the way the
+  DES clock computes them (``now + (t − now)``, then ``now + holding``), so
+  the departure order is the DES's bit for bit.  Runs of at least
+  :data:`_SCREEN_MIN_REQUESTS` requests read verdicts from the certified
+  decision screen; shorter ones score every verdict exactly.  Neither the
+  block size nor the path changes an answer.
+* **The discrete-event loop** (:func:`run_des_experiment`, on
+  :mod:`repro.des`) runs every other controller and every run that
+  collects the per-call trace: one generator process replays the arrival
+  sequence and spawns a departure process per admitted call, so occupancy
+  rises and falls exactly as it would in the authors' event-driven
+  simulator.  It is also the FACS kernel's oracle.
 """
 
 from __future__ import annotations
 
+import heapq
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +43,7 @@ import numpy as np
 
 from ..analysis.frame import FrameRow, run_result_row
 from ..cac.base import AdmissionController
+from ..cac.facs.system import ExactColumns, FuzzyAdmissionControlSystem
 from ..cellular.calls import Call, CallType
 from ..cellular.cell import BaseStation
 from ..cellular.metrics import CallMetrics, MetricsCollector
@@ -39,9 +62,25 @@ __all__ = [
     "build_trace_arrays",
     "run_batch_experiment",
     "run_batch_experiment_row",
+    "run_des_experiment",
 ]
 
 ControllerFactory = Callable[[], AdmissionController]
+
+_log = logging.getLogger(__name__)
+
+#: Rows per FLC1 pass of the FACS kernel.  Smaller blocks pay more per-call
+#: overhead; larger ones hold more FLC1 intermediates at once (a whole
+#: 20k-request trace in one block about doubles the process's peak RSS).
+_BLOCK_ROWS = 512
+
+#: Shortest run, in requests, whose FACS kernel reads the certified decision
+#: screen.  A process builds the screen's (R, Cs) cell tables lazily, about
+#: 1.3 ms each, so a short run is faster scoring every verdict exactly.  One
+#: cold run at the paper's load (fresh process, 2 vCPUs, median of 3) takes
+#: 81 ms exact and 106 ms screened at 1,024 requests, 154 and 163 ms at
+#: 2,048, and 310 and 152 ms at 4,096; warm, 1,024 take 68 and 14 ms.
+_SCREEN_MIN_REQUESTS = 2 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -187,12 +226,10 @@ def build_requests(config: BatchExperimentConfig, streams: StreamFactory) -> lis
     """Draw the arrival times, service classes and user states of all requests.
 
     A pure function of ``(config, streams)``: the same seeded configuration
-    always yields the same trace, which is what lets the trace-driven
-    pipeline (:mod:`repro.simulation.trace`) materialize a whole workload
-    offline and replay it through the batched admission path.  The draws
-    happen columnar-ly in :func:`build_trace_arrays`; this merely
-    materializes the `Call` objects, so the two representations can never
-    drift apart.
+    always yields the same trace.  The draws happen columnar-ly in
+    :func:`build_trace_arrays`, which the FACS kernel reads directly; this
+    merely materializes the `Call` objects the discrete-event loop replays,
+    so the two representations can never drift apart.
     """
     return build_trace_arrays(config, streams).to_calls()
 
@@ -202,13 +239,141 @@ def run_batch_experiment(
     controller_factory: ControllerFactory,
     collect_trace: bool = False,
 ) -> BatchRunOutput:
-    """Run one batch experiment and return metrics (and optionally the trace)."""
+    """Run one batch experiment and return metrics (and optionally the trace).
+
+    A FACS controller runs through the exact column kernel; every other
+    controller runs on the discrete-event loop (:func:`run_des_experiment`),
+    and so does ``collect_trace=True``: each :class:`BatchCallRecord`
+    carries its request's A/R score, which only the scalar ``decide``
+    computes.  Both loops return equal outputs.  Only an exact
+    :class:`~repro.cac.facs.system.FuzzyAdmissionControlSystem` takes the
+    kernel, since a subclass may override ``decide``.
+    """
+    controller = controller_factory()
+    if collect_trace or type(controller) is not FuzzyAdmissionControlSystem:
+        return run_des_experiment(config, controller, collect_trace)
+    return _run_facs_kernel(config, controller)
+
+
+def _run_facs_kernel(
+    config: BatchExperimentConfig, controller: FuzzyAdmissionControlSystem
+) -> BatchRunOutput:
+    """The FACS batch experiment as one integer loop over the trace's columns.
+
+    The controller's lifecycle hooks are not called: it is discarded after
+    the run, and every call it would track completes before the run returns.
+    """
+    arrays = build_trace_arrays(
+        config, StreamFactory(master_seed=config.stream_master_seed)
+    )
+    capacity = config.capacity_bu
+    arrivals = arrays.arrival_time_s.tolist()
+    holdings = arrays.holding_time_s.tolist()
+    bandwidths = arrays.bandwidth_units.tolist()
+    request_bus = arrays.bandwidth_units.astype(np.float64)
+    total = len(arrivals)
+
+    # Admitted calls' (departure instant, bandwidth), earliest first.
+    departures: list[tuple[float, int]] = []
+    admitted = np.zeros(total, dtype=bool)
+    now = 0.0
+    used = peak_occupancy = 0
+    screened = exact_flc1 = exact_flc2 = 0
+    path = "exact"
+    for start in range(0, total, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, total)
+        verdicts = controller.decide_columns(
+            arrays.speed_kmh[start:stop],
+            arrays.angle_deg[start:stop],
+            arrays.distance_km[start:stop],
+            request_bus[start:stop],
+            screen=total >= _SCREEN_MIN_REQUESTS,
+        )
+        if not isinstance(verdicts, ExactColumns):
+            path = "screened"
+        for row in range(start, stop):
+            delay = arrivals[row] - now
+            if delay > 0:
+                now = now + delay
+            while departures and departures[0][0] <= now:
+                used -= heapq.heappop(departures)[1]
+            bandwidth = bandwidths[row]
+            if used + bandwidth > capacity or not verdicts.accepts(row - start, used):
+                continue
+            used += bandwidth
+            admitted[row] = True
+            peak_occupancy = max(peak_occupancy, used)
+            heapq.heappush(departures, (now + holdings[row], bandwidth))
+        screened += verdicts.screened
+        exact_flc1 += verdicts.exact_flc1
+        exact_flc2 += verdicts.exact_flc2
+
+    _log.debug(
+        "FACS kernel (%s): %d requests, %d screened, %d exact FLC1 rows, "
+        "%d exact FLC2 rows",
+        path,
+        total,
+        screened,
+        exact_flc1,
+        exact_flc2,
+    )
+    accepted = int(admitted.sum())
+    metrics = CallMetrics(
+        requested=total,
+        accepted=accepted,
+        blocked=total - accepted,
+        completed=accepted,
+        dropped=0,
+        handoff_requests=0,
+        handoff_accepted=0,
+        accepted_bu=int(arrays.bandwidth_units[admitted].sum()),
+        requested_bu=arrays.requested_bu,
+    )
+    class_names = () if config.workload is None else config.workload.class_names()
+    return _run_output(
+        config,
+        controller,
+        metrics,
+        peak_occupancy,
+        class_names,
+        _class_counter_values(arrays, admitted, class_names),
+    )
+
+
+def _class_counter_values(
+    arrays: TraceArrays, admitted: np.ndarray, class_names: tuple[str, ...]
+) -> tuple[float, ...]:
+    """Per-class counters of a kernel run, laid out like
+    :meth:`~repro.cellular.metrics.MetricsCollector.class_counter_values`:
+    every admitted call completes and none is dropped.  A workload's
+    classes are its traffic mix's, so each name has a class code."""
+    slots = len(arrays.services)
+    requested = np.bincount(arrays.class_codes, minlength=slots).tolist()
+    accepted = np.bincount(arrays.class_codes[admitted], minlength=slots).tolist()
+    values: list[float] = []
+    for name in class_names:
+        code = arrays.services.index(ServiceClass(name))
+        asked, taken = requested[code], accepted[code]
+        values += (asked, taken, asked - taken, 0, taken)
+    return tuple(float(value) for value in values)
+
+
+def run_des_experiment(
+    config: BatchExperimentConfig,
+    controller: AdmissionController,
+    collect_trace: bool = False,
+) -> BatchRunOutput:
+    """Run one batch experiment on the discrete-event loop.
+
+    Any controller, decided request by request through its scalar
+    ``decide``; :func:`run_batch_experiment` sends every non-FACS run here,
+    and for FACS this is the kernel's oracle.
+    """
     streams = StreamFactory(master_seed=config.stream_master_seed)
     requests = build_requests(config, streams)
 
     env = Environment()
     station = BaseStation(capacity_bu=config.capacity_bu)
-    controller = controller_factory()
     controller.reset()
     metrics = MetricsCollector()
     records: list[BatchCallRecord] = []
@@ -257,7 +422,28 @@ def run_batch_experiment(
     env.process(arrival_process(), name="arrivals")
     env.run()
 
-    snapshot: CallMetrics = metrics.snapshot()
+    class_names = () if config.workload is None else config.workload.class_names()
+    return _run_output(
+        config,
+        controller,
+        metrics.snapshot(),
+        peak_occupancy,
+        class_names,
+        metrics.class_counter_values(class_names),
+        tuple(records),
+    )
+
+
+def _run_output(
+    config: BatchExperimentConfig,
+    controller: AdmissionController,
+    metrics: CallMetrics,
+    peak_occupancy: int,
+    class_names: tuple[str, ...],
+    class_values: tuple[float, ...],
+    records: tuple[BatchCallRecord, ...] = (),
+) -> BatchRunOutput:
+    """Assemble a run's output; both loops report through here."""
     parameters = {
         "request_count": float(config.request_count),
         "capacity_bu": float(config.capacity_bu),
@@ -273,17 +459,16 @@ def run_batch_experiment(
 
     result = RunResult(
         controller=controller.name,
-        metrics=snapshot,
+        metrics=metrics,
         parameters=parameters,
         seed=config.seed,
     )
-    class_names = () if config.workload is None else config.workload.class_names()
     return BatchRunOutput(
         result=result,
-        records=tuple(records),
+        records=records,
         peak_occupancy_bu=peak_occupancy,
         class_names=class_names,
-        class_values=metrics.class_counter_values(class_names),
+        class_values=class_values,
     )
 
 

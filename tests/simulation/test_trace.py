@@ -8,12 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Runner, Scenario, ScenarioError, TraceArrivalsScenario
-from repro.cac.facs.system import FACSConfig
-from repro.simulation import (
-    BatchExperimentConfig,
-    run_batch_experiment,
-    run_trace_arrivals,
-)
+from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
+from repro.simulation import BatchExperimentConfig, run_trace_arrivals
+from repro.simulation.batch import run_des_experiment
 from repro.workloads import WORKLOADS
 
 WORKLOAD_NAMES = (None, *WORKLOADS.names())
@@ -45,8 +42,10 @@ class TestRunTraceArrivals:
         assert 0 < result.peak_occupancy_bu <= config.capacity_bu
 
     def test_engines_agree(self):
-        # The reference engine has no decision screen, so this pins the
-        # kernel's exact path to its screened path.
+        # Neither engine reads a decision screen at 60 requests, so this
+        # pins the kernel's exact path across engines;
+        # tests/simulation/test_facs_kernel.py holds both paths and both
+        # engines to the DES oracle.
         compiled = run_trace_arrivals(
             small_config(), facs_config=FACSConfig(engine="compiled"), stream=True
         )
@@ -57,9 +56,7 @@ class TestRunTraceArrivals:
 
     def test_uses_the_same_trace_as_the_batch_experiment(self):
         config = small_config(request_count=100)
-        from repro.simulation.scenario import facs_factory
-
-        des = run_batch_experiment(config, facs_factory())
+        des = run_des_experiment(config, FuzzyAdmissionControlSystem())
         trace = run_trace_arrivals(config, stream=True)
         assert trace.requested == des.result.metrics.requested
 
@@ -99,20 +96,28 @@ class TestRunTraceArrivals:
         assert run_trace_arrivals(config, stream=True) == run_trace_arrivals(config)
 
     def test_kernel_logs_its_paths_once_per_run(self, caplog):
-        config = small_config(request_count=300)
-        with caplog.at_level(logging.DEBUG, logger="repro.simulation.trace"):
-            result = run_trace_arrivals(config, stream=True)
-            run_trace_arrivals(config)  # the DES oracle logs nothing here
-        records = [r for r in caplog.records if r.name == "repro.simulation.trace"]
-        assert len(records) == 1
-        assert records[0].levelno == logging.DEBUG
-        requests, screened, exact_flc1, exact_flc2 = records[0].args
-        assert requests == 300
-        # Every request that fits is scored once: from a cell table or by
-        # exact FLC2, which needs the exact FLC1 correction first.
-        assert result.accepted <= screened + exact_flc2 <= requests
-        assert exact_flc2 <= exact_flc1 <= requests
-        assert "300 requests" in records[0].getMessage()
+        # Runs shorter than 1,024 requests score exactly; longer ones read
+        # the certified screen.
+        for request_count, path in ((100, "exact"), (1_500, "screened")):
+            caplog.clear()
+            config = small_config(request_count=request_count)
+            with caplog.at_level(logging.DEBUG, logger="repro.simulation.batch"):
+                result = run_trace_arrivals(config, stream=True)
+                run_trace_arrivals(config)  # the DES oracle logs nothing here
+            records = [r for r in caplog.records if r.name == "repro.simulation.batch"]
+            assert len(records) == 1
+            assert records[0].levelno == logging.DEBUG
+            taken, requests, screened, exact_flc1, exact_flc2 = records[0].args
+            assert (taken, requests) == (path, request_count)
+            # Every request that fits is scored once: from a cell table or
+            # by exact FLC2, which needs the exact FLC1 correction first.
+            assert result.accepted <= screened + exact_flc2 <= requests
+            assert exact_flc2 <= exact_flc1 <= requests
+            if path == "exact":
+                assert (screened, exact_flc1) == (0, requests)
+            else:
+                assert screened > exact_flc2
+            assert f"({path}): {request_count} requests" in records[0].getMessage()
 
     def test_acceptance_percentage_delegates_to_call_metrics(self):
         result = run_trace_arrivals(small_config(), stream=True)
