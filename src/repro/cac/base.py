@@ -71,6 +71,16 @@ class AdmissionController(ABC):
         :meth:`on_admitted`.
         """
 
+    def accepts(self, call: Call, station: BaseStation, now: float) -> bool:
+        """The verdict of :meth:`decide`, without its score, reason or diagnostics.
+
+        What the network engines ask per request.  A controller may answer
+        it faster than :meth:`decide`, but never differently: the result
+        (and any error raised) must equal ``decide(call, station,
+        now).accepted``.  The same no-mutation rule applies.
+        """
+        return self.decide(call, station, now).accepted
+
     # -- lifecycle notifications (default: stateless no-ops) -------------
     def on_admitted(self, call: Call, station: BaseStation, now: float) -> None:
         """Called after the call's bandwidth has been allocated."""

@@ -1,15 +1,30 @@
 """Certified decision screening for the FACS cascade.
 
-The trace pipeline only needs the *boolean* admission verdict — "is the
-defuzzified A/R score above the threshold?" — yet the score path pays for
-full dense-grid aggregation and centroid integration in both FLC stages for
-every request.  :class:`DecisionScreen` answers the boolean directly for the
-overwhelming majority of rows using certified interval bounds
+The exact admission kernel and both network engines only need the
+*boolean* admission verdict — "is the defuzzified A/R score above the
+threshold?" — yet the score path pays for full dense-grid aggregation and
+centroid integration in both FLC stages for every request.
+:class:`DecisionScreen` answers the boolean directly for the overwhelming
+majority of requests using certified interval bounds
 (:class:`repro.fuzzy.bounds.CentroidBoundTables`), and evaluates *exactly*
-— through the very same engine paths the oracle uses — only the rows whose
-bounds straddle the threshold.  Decisions are therefore
+— through the very same engine paths the oracle uses — only the requests
+whose bounds straddle the threshold.  Decisions are therefore
 byte-identical to ``score_columns(...) > threshold`` by construction, never
 by tolerance.
+
+There are two ways in.  A block of kernel rows goes through
+:meth:`DecisionScreen.columns`, which bounds FLC1 for the whole block.  A
+single request whose exact correction value is already known (the network
+engines' :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.accepts`,
+and a kernel row the block bounds could not decide) goes through
+:meth:`DecisionScreen.verdict_at`: one bisect of the shared ``Cv`` grid and
+one read of the (R, Cs) cell table, with exact FLC2 only where that cell is
+ambiguous.  A process builds the screen and its tables for itself, so
+they pay only over enough verdicts, and this module holds both rules for
+when they do: a kernel run reads the screen from
+:data:`SCREEN_MIN_REQUESTS` requests on, and a single verdict builds its
+(R, Cs) table once that pair has been asked :data:`_TABLE_MIN_VERDICTS`
+times, scoring exactly until then.
 
 How a block of trace rows flows through the screen
 (:meth:`DecisionScreen.columns` runs steps 1–2 once per block;
@@ -24,7 +39,7 @@ row's request meets):
    strengths into a certified interval for the correction value ``Cv``
    (FLC1's defuzzified, [0, 1]-clipped output).
 3. **FLC2 cell lookup.**  FLC2's other two inputs are effectively discrete
-   in the trace pipeline (bandwidth ∈ {1, 5, 10} BU, occupancy an integer),
+   in every caller (bandwidth ∈ {1, 5, 10} BU, occupancy an integer),
    so for each ``(R, Cs)`` pair the screen lazily builds one verdict per
    cell of a ``Cv`` grid that every pair shares: uniform points plus every
    membership breakpoint.  One bounding pass gives each cell interval rule
@@ -46,11 +61,13 @@ row's request meets):
    Cs ≥ 21, and more of its rows take the exact fallback.
 4. **Exact fallback.**  A row the lookup leaves undecided finishes FLC1
    exactly, once — reusing the firing strengths from step 1, and
-   bit-identical because batched engine rows are independent; where its
-   exact correction lands in an *ambiguous* cell it additionally runs exact
-   FLC2 at that occupancy.  Rows where FLC1's rule base did not fire make
-   the screen defer the whole block to the exact path so the diagnostic
-   error is raised with its canonical wording.
+   bit-identical because batched engine rows are independent — and reads
+   its verdict at that exact correction through
+   :meth:`DecisionScreen.verdict_at`, which runs exact FLC2 at that
+   occupancy where the correction lands in an *ambiguous* cell.
+   Rows where FLC1's rule base did not fire make the screen defer the
+   whole block to the exact path so the diagnostic error is raised with
+   its canonical wording.
 """
 
 from __future__ import annotations
@@ -67,7 +84,7 @@ from ...fuzzy.membership import Trapezoidal, Triangular
 from .flc1 import FLC1
 from .flc2 import FLC2
 
-__all__ = ["DecisionScreen", "ScreenedColumns"]
+__all__ = ["SCREEN_MIN_REQUESTS", "DecisionScreen", "ScreenedColumns"]
 
 _log = logging.getLogger(__name__)
 
@@ -81,6 +98,24 @@ _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
 #: Number of uniform points in the shared ``Cv`` cell grid.
 _CV_SEED_CELLS = 257
+#: Fewest requests of a FACS kernel run whose blocks read the screen.  A
+#: process builds the screen (about 2 ms) and its cell tables lazily, and a
+#: block builds the table of every (R, Cs) its rows meet, so a short run is
+#: faster scored exactly.  Cold, in a fresh process (one run at the paper's
+#: load, seeds 1-3, 2 vCPUs, median of 3), exact and screened take 53 and
+#: 84 ms at 512 requests, 67 and 118 ms at 1,024, 108 and 84 ms at 1,536,
+#: and 146 and 91 ms at 2,048; warm, the screen wins at every size (39 and
+#: 12 ms at 512).  The cold break-even lies between 1,024 and 1,536
+#: requests, and a process's later runs are warm, so the minimum sits at
+#: the low end.
+SCREEN_MIN_REQUESTS = 1024
+#: Verdicts :meth:`DecisionScreen.verdict_at` asks at one (R, Cs) before it
+#: builds that pair's cell table.  A table costs 0.5-0.7 ms, about a dozen
+#: exact FLC2 evaluations (46-65 µs each), so paying exact FLC2 until a
+#: pair has been asked this often, and building its table then, never
+#: costs much more than twice the cheaper choice, however many verdicts
+#: the process goes on to ask there.
+_TABLE_MIN_VERDICTS = 12
 
 
 def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
@@ -144,12 +179,40 @@ class DecisionScreen:
             self._peaks.append((lo, hi))
             edges.extend(extra)
         edges.extend(np.linspace(cv_low, cv_high, _CV_SEED_CELLS))
-        self._edges = np.unique(np.clip(np.asarray(edges, dtype=float), cv_low, cv_high))
-        self._edge_list = self._edges.tolist()
+        # Sorted distinct edges, as np.unique gives them: np.unique's first
+        # call imports numpy.ma, which every process that builds a screen
+        # (each coupled-sharded shard worker does) would pay.
+        clipped = np.clip(np.asarray(edges, dtype=float), cv_low, cv_high)
+        self._edge_list = sorted(set(clipped.tolist()))
+        self._edges = np.array(self._edge_list)
+        # Interval rule strengths are mins over antecedent degrees, and min
+        # is an exact selection, so the fold splits bit for bit into its Cv
+        # part, which depends on the shared cell grid alone and is folded
+        # here once, and its R/Cs part, constant within a table and folded
+        # per table (see _cell_scores): ``(cells, rules)``.  Rules are laid
+        # out grouped by consequent term, so one maximum.reduceat gives every
+        # term's strength (max is exact too).
+        deg_lo, deg_hi = self._degree_intervals(self._edges[:-1], self._edges[1:])
+        term_rules = self._term_columns2
+        self._term_starts2 = np.cumsum([0] + [len(rules) for rules in term_rules[:-1]])
+        index = self._rule_index2 = eng2._antecedent_index[np.concatenate(term_rules)]
+        cv_slot = index - plan_by_name["Cv"][3]
+        on_cv = (cv_slot >= 0) & (cv_slot < len(cv_memberships))
+        lo = self._cv_strength_lo = np.ones((self._edges.size - 1, len(index)))
+        hi = self._cv_strength_hi = np.ones((self._edges.size - 1, len(index)))
+        for column in range(eng2._antecedent_width):
+            rules = np.flatnonzero(on_cv[:, column])
+            slots = cv_slot[rules, column]
+            lo[:, rules] = np.minimum(lo[:, rules], deg_lo[slots].T)
+            hi[:, rules] = np.minimum(hi[:, rules], deg_hi[slots].T)
 
         #: (bandwidth, occupancy) -> verdict per shared cell: 1 accept,
         #: 0 reject, -1 ambiguous.
         self._cells: dict[tuple[float, float], np.ndarray] = {}
+        #: (bandwidth, occupancy) -> verdicts verdict_at has asked there
+        #: without a table.  A count lost to a racing thread only delays
+        #: the build.
+        self._asked: dict[tuple[float, float], int] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -200,82 +263,73 @@ class DecisionScreen:
         key = (float(bandwidth), float(occupancy))
         decision = self._cells.get(key)
         if decision is None:
-            cell_lo, cell_hi = self._edges[:-1], self._edges[1:]
-            decision = self._decide_cells(cell_lo, cell_hi, *key)
+            score_lo, score_hi, certain = self._cell_scores(*key)
+            decision = np.full(score_lo.size, -1, dtype=np.int8)
+            decision[certain & (score_lo > self._threshold)] = 1
+            decision[certain & (score_hi <= self._threshold)] = 0
             ambiguous = decision == -1
             _log.debug(
                 "cell table R=%g Cs=%g: %d cells, %d ambiguous, ambiguous Cv width %.4g",
                 *key,
                 decision.size,
                 np.count_nonzero(ambiguous),
-                float((cell_hi - cell_lo)[ambiguous].sum()),
+                float(np.diff(self._edges)[ambiguous].sum()),
             )
             self._cells[key] = decision
         return decision
 
-    def _decide_cells(
-        self,
-        cell_lo: np.ndarray,
-        cell_hi: np.ndarray,
-        bandwidth: float,
-        occupancy: float,
-    ) -> np.ndarray:
-        """Per-cell verdicts for ``[cell_lo, cell_hi]`` Cv intervals."""
-        score_lo, score_hi, certain = self._cell_scores(cell_lo, cell_hi, bandwidth, occupancy)
-        decision = np.full(cell_lo.size, -1, dtype=np.int8)
-        decision[certain & (score_lo > self._threshold)] = 1
-        decision[certain & (score_hi <= self._threshold)] = 0
-        return decision
+    def verdict_at(
+        self, correction: float, bandwidth: float, occupancy: float
+    ) -> tuple[bool, bool]:
+        """Whether the A/R score at an exact correction value is above the threshold.
+
+        Reads the cell holding ``correction`` in the (R, Cs) cell table.
+        Exact FLC2 decides instead where that cell is ambiguous, and until
+        the (R, Cs) pair has been asked :data:`_TABLE_MIN_VERDICTS` times
+        without a table, when the table is built.  Returns
+        ``(accepted, exact)``, ``exact`` telling whether exact FLC2 ran.  A
+        certified cell implies that some FLC2 rule fires at every Cv in
+        it, so exact FLC2 runs, and raises, wherever the oracle's would.
+        """
+        key = (float(bandwidth), float(occupancy))
+        table = self._cells.get(key)
+        if table is None:
+            asked = self._asked[key] = self._asked.get(key, 0) + 1
+            if asked >= _TABLE_MIN_VERDICTS:
+                table = self._cell_table(*key)
+        if table is not None:
+            cell = min(max(bisect_right(self._edge_list, correction) - 1, 0), len(table) - 1)
+            verdict = int(table[cell])
+            if verdict != -1:
+                return verdict == 1, False
+        decision = self._flc2.evaluate(correction, *key)
+        return decision.score > self._threshold, True
 
     def _cell_scores(
-        self,
-        cell_lo: np.ndarray,
-        cell_hi: np.ndarray,
-        bandwidth: float,
-        occupancy: float,
+        self, bandwidth: float, occupancy: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Certified FLC2 score bounds over ``[cell_lo, cell_hi]`` Cv intervals.
+        """Certified FLC2 score bounds at one (R, Cs) over every shared Cv cell.
 
         Returns ``(lo, hi, certain)``; the bounds mean nothing where
         ``certain`` is False (no rule certainly fired, or no positive area
         bound).
         """
         eng = self._eng2
-        n_cells = cell_lo.size
-        deg_lo = np.empty((n_cells, eng._n_degree_slots))
-        deg_hi = np.empty((n_cells, eng._n_degree_slots))
-        deg_lo[:, eng._identity_slot] = 1.0
-        deg_hi[:, eng._identity_slot] = 1.0
+        # R and Cs degrees exactly as the engine's batched fuzzification
+        # gives them; every Cv slot (and the padding slot) holds the min
+        # identity 1, so the fold below keeps only the R/Cs part.
+        degrees = np.ones(eng._n_degree_slots)
         scalars = {"R": bandwidth, "Cs": occupancy}
         for name, low, high, offset, memberships in eng._batch_fuzzify_plan:
             if name == "Cv":
-                cv_lo, cv_hi = self._degree_intervals(cell_lo, cell_hi)
-                stop = offset + len(memberships)
-                deg_lo[:, offset:stop] = cv_lo.T
-                deg_hi[:, offset:stop] = cv_hi.T
                 continue
-            # Exactly the engine's batched fuzzification of this scalar.
             value = np.clip(np.array([scalars[name]]), low, high)
             for j, membership in enumerate(memberships):
-                degree = float(np.clip(membership.evaluate(value), 0.0, 1.0)[0])
-                deg_lo[:, offset + j] = degree
-                deg_hi[:, offset + j] = degree
-
-        # Interval rule strengths, folded column for column in the engine's
-        # order: min is an exact selection, so endpoint folds bound the
-        # engine's fold in float.
-        index = eng._antecedent_index
-        s_lo = deg_lo[:, index[:, 0]]
-        s_hi = deg_hi[:, index[:, 0]]
-        for column in range(1, eng._antecedent_width):
-            s_lo = np.minimum(s_lo, deg_lo[:, index[:, column]])
-            s_hi = np.minimum(s_hi, deg_hi[:, index[:, column]])
-
-        t_lo = np.empty((n_cells, len(self._term_columns2)))
-        t_hi = np.empty((n_cells, len(self._term_columns2)))
-        for t, columns in enumerate(self._term_columns2):
-            t_lo[:, t] = s_lo[:, columns].max(axis=1)
-            t_hi[:, t] = s_hi[:, columns].max(axis=1)
+                degrees[offset + j] = float(np.clip(membership.evaluate(value), 0.0, 1.0)[0])
+        constant = degrees[self._rule_index2].min(axis=1)
+        starts = self._term_starts2
+        t_lo = np.maximum.reduceat(np.minimum(self._cv_strength_lo, constant), starts, axis=1)
+        t_hi = np.maximum.reduceat(np.minimum(self._cv_strength_hi, constant), starts, axis=1)
 
         fired = (t_lo > 0.0).any(axis=1)
         score_lo, score_hi, valid = self._tables2.score_interval(t_lo, t_hi)
@@ -406,19 +460,17 @@ class ScreenedColumns:
         threshold: ``score_columns(...)[k] > threshold`` at that occupancy."""
         screen = self._screen
         bandwidth = self._bandwidths[k]
-        table = screen._cell_table(bandwidth, occupancy_bu)
         if self._tight[k]:
+            table = screen._cell_table(bandwidth, occupancy_bu)
             verdict = table[self._first[k]]
             if verdict != -1 and verdict == table[self._last[k]]:
                 self.screened += 1
                 return verdict == 1
         correction = screen._exact_correction(self._strengths[k])
         self.exact_flc1 += 1
-        cell = min(max(bisect_right(screen._edge_list, correction) - 1, 0), len(table) - 1)
-        verdict = table[cell]
-        if verdict != -1:
+        accepted, exact = screen.verdict_at(correction, bandwidth, occupancy_bu)
+        if exact:
+            self.exact_flc2 += 1
+        else:
             self.screened += 1
-            return verdict == 1
-        self.exact_flc2 += 1
-        decision = screen._flc2.evaluate(correction, bandwidth, float(occupancy_bu))
-        return decision.score > screen._threshold
+        return accepted

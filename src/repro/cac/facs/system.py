@@ -38,7 +38,7 @@ from ..counters import ServiceCounters
 from .config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from .flc1 import FLC1
 from .flc2 import FLC2
-from .screen import DecisionScreen, ScreenedColumns
+from .screen import SCREEN_MIN_REQUESTS, DecisionScreen, ScreenedColumns
 
 __all__ = [
     "BatchAdmissionDecision",
@@ -53,6 +53,7 @@ _NEUTRAL_CORRECTION = 0.5
 #: Sentinel cached when no decision screen can be built for a configuration,
 #: so the (failing) build is attempted at most once per controller.
 _SCREEN_UNAVAILABLE = object()
+
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,7 @@ def _shared_screen(flc1: FLC1, flc2: FLC2, threshold: float) -> DecisionScreen |
     its reason, once.
     """
     return DecisionScreen.build(flc1, flc2, threshold)
+
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,8 @@ class FuzzyAdmissionControlSystem(AdmissionController):
                 definition=cfg.flc2_definition,
             )
         self._counters = ServiceCounters(capacity_bu=cfg.counter_capacity_bu)
-        # Built lazily on the first screened decide_columns call (table
-        # construction is worth amortising only over long runs).
+        # Looked up lazily on the first screened verdict (see
+        # _decision_screen).
         self._screen: DecisionScreen | object | None = None
 
     # ------------------------------------------------------------------
@@ -260,6 +262,25 @@ class FuzzyAdmissionControlSystem(AdmissionController):
     def counters(self) -> ServiceCounters:
         """The Ds/RTC/NRTC counters tracking calls admitted by this controller."""
         return self._counters
+
+    def _decision_screen(self, requests: int | None = None) -> DecisionScreen | None:
+        """The process-wide screen of this controller pair, or ``None``.
+
+        ``None`` too for a block of a kernel run of fewer than
+        :data:`~repro.cac.facs.screen.SCREEN_MIN_REQUESTS` ``requests``,
+        which is faster scored exactly; a single verdict (``requests``
+        ``None``) always reads the screen, whose own rule decides when to
+        build each cell table.  Looked up once per controller.
+        """
+        if requests is not None and requests < SCREEN_MIN_REQUESTS:
+            return None
+        shared = self._screen
+        if shared is None:
+            shared = _shared_screen(
+                self._flc1, self._flc2, self._config.acceptance_threshold
+            )
+            self._screen = shared if shared is not None else _SCREEN_UNAVAILABLE
+        return shared if isinstance(shared, DecisionScreen) else None
 
     # ------------------------------------------------------------------
     def correction_value(self, user: UserState | None) -> float:
@@ -336,7 +357,7 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         angles_deg: np.ndarray,
         distances_km: np.ndarray,
         request_bus: np.ndarray,
-        screen: bool = True,
+        requests: int | None = None,
     ) -> ScreenedColumns | ExactColumns:
         """Threshold verdicts for a block of pre-drawn observation columns.
 
@@ -352,19 +373,14 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         Configurations outside the certified regime (reference engine,
         custom operators or membership shapes, …) get
         :class:`ExactColumns`: exact FLC1 once per block and exact FLC2 per
-        verdict.  So does ``screen=False``, which neither builds nor reads
-        a screen: for a short run the lazily built cell tables cost more
-        than the exact verdicts they would save.
+        verdict.  So does a block of a run whose ``requests`` are too few
+        to pay for the screen's tables (see :meth:`_decision_screen`); it
+        neither builds nor reads one.
         """
         speeds = np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH)
         distances = np.clip(distances_km, *PAPER_DISTANCE_RANGE_KM)
-        shared = self._screen if screen else _SCREEN_UNAVAILABLE
-        if shared is None:
-            shared = _shared_screen(
-                self._flc1, self._flc2, self._config.acceptance_threshold
-            )
-            self._screen = shared if shared is not None else _SCREEN_UNAVAILABLE
-        if isinstance(shared, DecisionScreen):
+        shared = self._decision_screen(requests)
+        if shared is not None:
             try:
                 return shared.columns(speeds, angles_deg, distances, request_bus)
             except DefuzzificationError:
@@ -445,6 +461,33 @@ class FuzzyAdmissionControlSystem(AdmissionController):
                 "free_bu": float(station.free_bu),
             },
         )
+
+    def accepts(self, call: Call, station: BaseStation, now: float) -> bool:
+        """The verdict of :meth:`decide`, read from the decision screen.
+
+        FLC1 runs exactly, as in :meth:`decide`, so its errors are raised
+        the same way.  FLC2's verdict at that exact correction value then
+        comes from the screen
+        (:meth:`~repro.cac.facs.screen.DecisionScreen.verdict_at`), which
+        runs exact FLC2 where the (R, Cs) cell is ambiguous or its table is
+        not yet worth building, and so raises wherever :meth:`decide`'s
+        FLC2 would.  For a pair without a screen, FLC2 runs exactly.
+        Only an exact ``FuzzyAdmissionControlSystem`` reads the screen: a
+        subclass may override :meth:`decide`, so it answers through its
+        own.
+        """
+        if type(self) is not FuzzyAdmissionControlSystem:
+            return super().accepts(call, station, now)
+        correction = self.correction_value(call.user_state)
+        bandwidth = float(call.bandwidth_units)
+        occupancy = float(station.used_bu)
+        screen = self._decision_screen()
+        if screen is not None:
+            accepted = screen.verdict_at(correction, bandwidth, occupancy)[0]
+        else:
+            score = self._flc2.evaluate(correction, bandwidth, occupancy).score
+            accepted = score > self._config.acceptance_threshold
+        return accepted and station.can_fit(call.bandwidth_units)
 
     # -- lifecycle -------------------------------------------------------
     def on_admitted(self, call: Call, station: BaseStation, now: float) -> None:

@@ -21,9 +21,9 @@ Two loops run the experiment, with equal results.
   ``Cs`` input) is above the threshold.  Instants are computed the way the
   DES clock computes them (``now + (t − now)``, then ``now + holding``), so
   the departure order is the DES's bit for bit.  Runs of at least
-  :data:`_SCREEN_MIN_REQUESTS` requests read verdicts from the certified
-  decision screen; shorter ones score every verdict exactly.  Neither the
-  block size nor the path changes an answer.
+  :data:`~repro.cac.facs.screen.SCREEN_MIN_REQUESTS` requests read verdicts
+  from the certified decision screen; shorter ones score every verdict
+  exactly.  Neither the block size nor the path changes an answer.
 * **The discrete-event loop** (:func:`run_des_experiment`, on
   :mod:`repro.des`) runs every other controller and every run that
   collects the per-call trace: one generator process replays the arrival
@@ -73,14 +73,6 @@ _log = logging.getLogger(__name__)
 #: overhead; larger ones hold more FLC1 intermediates at once (a whole
 #: 20k-request trace in one block about doubles the process's peak RSS).
 _BLOCK_ROWS = 512
-
-#: Shortest run, in requests, whose FACS kernel reads the certified decision
-#: screen.  A process builds the screen's (R, Cs) cell tables lazily, about
-#: 1.3 ms each, so a short run is faster scoring every verdict exactly.  One
-#: cold run at the paper's load (fresh process, 2 vCPUs, median of 3) takes
-#: 81 ms exact and 106 ms screened at 1,024 requests, 154 and 163 ms at
-#: 2,048, and 310 and 152 ms at 4,096; warm, 1,024 take 68 and 14 ms.
-_SCREEN_MIN_REQUESTS = 2 * _BLOCK_ROWS
 
 
 @dataclass(frozen=True)
@@ -287,7 +279,7 @@ def _run_facs_kernel(
             arrays.angle_deg[start:stop],
             arrays.distance_km[start:stop],
             request_bus[start:stop],
-            screen=total >= _SCREEN_MIN_REQUESTS,
+            requests=total,
         )
         if not isinstance(verdicts, ExactColumns):
             path = "screened"

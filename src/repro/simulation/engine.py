@@ -6,6 +6,15 @@ Gauss–Markov model, and active calls hand off between cells.  Each cell runs
 its own instance of the configured admission controller (as a real deployment
 would), and the run reports blocking, dropping and handoff statistics per
 controller.
+
+Every new call and every handoff is admitted through the controller's
+:meth:`~repro.cac.base.AdmissionController.accepts`, which returns
+``decide(...).accepted`` without the score and diagnostics the engine never
+reads.  For FACS that is exact FLC1, one lookup in the certified decision
+screen's (R, Cs) cell table, and exact FLC2 only where that cell is
+ambiguous, its table is not yet worth building (the screen builds an
+(R, Cs) table once that pair has been asked about a dozen times), or the
+controller pair has no screen.
 """
 
 from __future__ import annotations
@@ -184,8 +193,8 @@ class NetworkSimulation:
             call_id=next(self._call_ids),
         )
         self._metrics.record_request(handoff_request)
-        decision = controller.decide(handoff_request, target.base_station, self._env.now)
-        accepted = decision.accepted and target.base_station.can_fit(call.bandwidth_units)
+        verdict = controller.accepts(handoff_request, target.base_station, self._env.now)
+        accepted = verdict and target.base_station.can_fit(call.bandwidth_units)
         self._metrics.record_decision(handoff_request, accepted)
         source_controller = self._controllers[source.cell_id]
         if accepted:
@@ -240,8 +249,8 @@ class NetworkSimulation:
             )
             controller = self._controllers[cell.cell_id]
             self._metrics.record_request(call)
-            decision = controller.decide(call, cell.base_station, self._env.now)
-            accepted = decision.accepted and cell.base_station.can_fit(call.bandwidth_units)
+            verdict = controller.accepts(call, cell.base_station, self._env.now)
+            accepted = verdict and cell.base_station.can_fit(call.bandwidth_units)
             self._metrics.record_decision(call, accepted)
             if accepted:
                 cell.base_station.allocate(call)

@@ -40,6 +40,13 @@ instant to the next window barrier (the call holds bandwidth in neither
 cell while in transit, and its holding clock freezes until delivery).
 ``tests/simulation/test_shard.py`` quantifies the delta: per-cell new-call
 arrival schedules are stream-identical to the coupled run at any rings.
+
+Shards admit new calls and inbound handoffs through the same
+:meth:`~repro.cac.base.AdmissionController.accepts` as the coupled engine,
+so a FACS verdict is exact FLC1 plus one decision-screen cell lookup there
+too.  Each worker process builds its own screen, and builds an (R, Cs)
+table only once that pair has been asked about a dozen times, so a worker
+that asks few verdicts mostly scores them exactly.
 """
 
 from __future__ import annotations
@@ -272,8 +279,8 @@ class CellShard:
                 call_id=self._next_call_id(),
             )
             self._metrics.record_request(call)
-            decision = self._controller.decide(call, cell.base_station, self._env.now)
-            accepted = decision.accepted and cell.base_station.can_fit(call.bandwidth_units)
+            verdict = self._controller.accepts(call, cell.base_station, self._env.now)
+            accepted = verdict and cell.base_station.can_fit(call.bandwidth_units)
             self._metrics.record_decision(call, accepted)
             if accepted:
                 cell.base_station.allocate(call)
@@ -383,8 +390,8 @@ class CellShard:
             call_id=self._next_call_id(),
         )
         self._metrics.record_request(request)
-        decision = self._controller.decide(request, station, now)
-        accepted = decision.accepted and station.can_fit(message.bandwidth_units)
+        verdict = self._controller.accepts(request, station, now)
+        accepted = verdict and station.can_fit(message.bandwidth_units)
         self._metrics.record_decision(request, accepted)
         if accepted:
             station.allocate(call)

@@ -1,0 +1,328 @@
+"""``FuzzyAdmissionControlSystem.accepts`` answers exactly what ``decide`` does.
+
+The network engines ask every controller ``accepts(call, station, now)``.
+For FACS that is exact FLC1, one lookup in the certified decision screen's
+(R, Cs) cell table, and exact FLC2 only where the cell is ambiguous, the
+controller pair has no screen, or the screen has not yet been asked often
+enough at that (R, Cs) to build its table.  These tests hold the verdict
+to ``decide(...).accepted``, errors included, per request and over whole
+network runs, with and without tables, and pin when a table is built and
+which paths still call scalar ``decide``.
+"""
+
+from __future__ import annotations
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from functools import lru_cache, partial
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.io import read_flc_definition_json
+from repro.cac.facs import screen as screen_module
+from repro.cac.facs import system
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
+from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
+from repro.cellular.calls import Call
+from repro.cellular.cell import BaseStation
+from repro.cellular.mobility import UserState
+from repro.cellular.traffic import ServiceClass
+from repro.fuzzy.defuzzification import DefuzzificationError
+from repro.simulation import (
+    BatchExperimentConfig,
+    NetworkExperimentConfig,
+    run_coupled_sharded_network_experiment,
+)
+from repro.simulation.batch import run_des_experiment
+from repro.simulation.engine import NetworkSimulation
+from repro.workloads import WORKLOADS
+
+CONTROLLER_DIR = Path(__file__).resolve().parents[2] / "examples" / "controllers"
+
+THRESHOLDS = (-0.25, 0.0, 0.123, 0.5)
+
+#: Table minimums: build a table on its first verdict, and never.
+MINIMUMS = (1, sys.maxsize)
+
+
+def _tuned_flc1():
+    """The paper's FLC1 with one rule at weight 0.5: outside the certified regime."""
+    definition = flc1_definition()
+    return definition.with_rule(replace(definition.rules[0], weight=0.5))
+
+
+CONFIGS = {
+    # Compiled paper controllers: screened.
+    "compiled": FACSConfig(),
+    # Reference engine: no screen, exact FLC2 per verdict.
+    "reference": FACSConfig(engine="reference"),
+    # The shipped definition exports: a second screened controller pair.
+    "definitions": FACSConfig(
+        flc1_definition=read_flc_definition_json(CONTROLLER_DIR / "flc1.json"),
+        flc2_definition=read_flc_definition_json(CONTROLLER_DIR / "flc2.json"),
+    ),
+    # A non-unit rule weight: no screen.
+    "tuned-weight": FACSConfig(flc1_definition=_tuned_flc1()),
+}
+
+
+def _station(capacity_bu: int, occupancy_bu: int) -> BaseStation:
+    station = BaseStation(capacity_bu=capacity_bu)
+    if occupancy_bu:
+        station.allocate(Call(service=ServiceClass.TEXT, bandwidth_units=occupancy_bu))
+    return station
+
+
+def _request(user: UserState | None, bandwidth_bu: int) -> Call:
+    return Call(service=ServiceClass.VOICE, bandwidth_units=bandwidth_bu, user_state=user)
+
+
+def _outcome(answer, call: Call, station: BaseStation):
+    """The verdict ``answer`` gives, or the type of the error it raises."""
+    try:
+        return answer(call, station, 0.0)
+    except DefuzzificationError as exc:
+        return type(exc)
+
+
+def _fresh(memo):
+    """An empty copy of an ``lru_cache``-memoised function."""
+    return lru_cache(maxsize=64)(memo.__wrapped__)
+
+
+def _tables_from(patch, minimum: int) -> None:
+    """Fresh screens that build an (R, Cs) table on its ``minimum``-th verdict."""
+    patch.setattr(screen_module, "_TABLE_MIN_VERDICTS", minimum)
+    patch.setattr(system, "_shared_screen", _fresh(system._shared_screen))
+
+
+def _assert_accepts_equals_decide(config: FACSConfig, call, station) -> None:
+    def decided(*args) -> bool:
+        return FuzzyAdmissionControlSystem(config).decide(*args).accepted
+
+    expected = _outcome(decided, call, station)
+    for minimum in MINIMUMS:
+        with pytest.MonkeyPatch.context() as patch:
+            _tables_from(patch, minimum)
+            controller = FuzzyAdmissionControlSystem(config)
+            assert _outcome(controller.accepts, call, station) == expected
+
+
+# Speeds and distances run past the FLC1 universes (120 km/h, 10 km); the
+# station capacity of 60 BU lets occupancy run past FLC2's Cs universe (40).
+observations = st.one_of(
+    st.none(),
+    st.builds(
+        UserState,
+        speed_kmh=st.floats(0.0, 200.0),
+        angle_deg=st.floats(-180.0, 180.0),
+        distance_km=st.floats(0.0, 25.0),
+    ),
+)
+loads = st.sampled_from([40, 60]).flatmap(
+    lambda capacity: st.tuples(st.just(capacity), st.integers(0, capacity))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    config=st.sampled_from(sorted(CONFIGS)),
+    threshold=st.sampled_from(THRESHOLDS),
+    user=observations,
+    bandwidth_bu=st.sampled_from([1, 5, 10, 3]),
+    load=loads,
+)
+def test_accepts_equals_decide(config, threshold, user, bandwidth_bu, load):
+    facs = replace(CONFIGS[config], acceptance_threshold=threshold)
+    _assert_accepts_equals_decide(facs, _request(user, bandwidth_bu), _station(*load))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("threshold", THRESHOLDS)
+def test_accepts_equals_decide_at_full_and_over_universe_occupancy(config, threshold):
+    facs = replace(CONFIGS[config], acceptance_threshold=threshold)
+    users = (None, UserState(0.0, -30.0, 2.0), UserState(150.0, 90.0, 12.0))
+    for capacity, occupancy in ((40, 0), (40, 29), (40, 35), (40, 40), (60, 45), (60, 60)):
+        for bandwidth in (1, 5, 10, 3):
+            for user in users:
+                call = _request(user, bandwidth)
+                _assert_accepts_equals_decide(facs, call, _station(capacity, occupancy))
+
+
+def test_ambiguous_cell_runs_exact_flc2_and_agrees(monkeypatch):
+    # R=5, Cs=29 holds the widest ambiguous Cv band of the paper's tables;
+    # this observation's correction value lands in it, near Cv = 0.525.
+    _tables_from(monkeypatch, 1)
+    controller = FuzzyAdmissionControlSystem()
+    call = _request(UserState(0.0, -30.0, 2.0), 5)
+    correction = controller.correction_value(call.user_state)
+    assert correction == pytest.approx(0.525, abs=0.005)
+    screen = controller._decision_screen()
+    assert screen.verdict_at(correction, 5.0, 29.0)[1]
+    assert screen.verdict_at(correction, 5.0, 0.0) == (True, False)
+
+    exact = []
+    evaluate = controller.flc2.evaluate
+
+    def counting(*args, **kwargs):
+        exact.append(args)
+        return evaluate(*args, **kwargs)
+
+    for occupancy, exact_runs in ((29, 1), (0, 0)):
+        station = _station(40, occupancy)
+        expected = controller.decide(call, station, 0.0).accepted
+        with monkeypatch.context() as patch:
+            patch.setattr(controller.flc2, "evaluate", counting)
+            assert controller.accepts(call, station, 0.0) == expected
+        assert len(exact) == exact_runs
+        exact.clear()
+
+
+def test_no_rule_fired_errors_match_decide():
+    flc1, flc2 = flc1_definition(), flc2_definition()
+    # No FLC1 rule covers a standing user; no FLC2 rule covers a video request.
+    without_slow = replace(flc1, rules=[r for r in flc1.rules if ("S", "Sl") not in r.antecedent])
+    without_video = replace(flc2, rules=[r for r in flc2.rules if ("R", "Vi") not in r.antecedent])
+    call = _request(UserState(0.0, 0.0, 2.0), 10)
+    configs = (FACSConfig(flc1_definition=without_slow), FACSConfig(flc2_definition=without_video))
+    for config in configs:
+        controller = FuzzyAdmissionControlSystem(config)
+        for occupancy in (0, 35):  # the second request does not fit
+            station = _station(40, occupancy)
+            with pytest.raises(DefuzzificationError):
+                controller.decide(call, station, 0.0)
+            with pytest.raises(DefuzzificationError):
+                controller.accepts(call, station, 0.0)
+
+
+class _Vetoing(FuzzyAdmissionControlSystem):
+    """A subclass whose own ``decide`` rejects everything."""
+
+    def decide(self, call, station, now):
+        return replace(super().decide(call, station, now), accepted=False)
+
+
+def test_subclass_overriding_decide_is_honoured():
+    call, station = _request(UserState(10.0, 0.0, 1.0), 1), _station(40, 0)
+    assert FuzzyAdmissionControlSystem().accepts(call, station, 0.0)
+    assert not _Vetoing().accepts(call, station, 0.0)
+
+
+class _ThroughDecide(FuzzyAdmissionControlSystem):
+    """The oracle: FACS answering every request through scalar ``decide``."""
+
+    def accepts(self, call, station, now):
+        return self.decide(call, station, now).accepted
+
+
+def _network_config(rings: int, **overrides) -> NetworkExperimentConfig:
+    # Above the paper's load, so cells reach the occupancies (Cs >= 21)
+    # where the cell tables have ambiguous bands.
+    defaults = dict(rings=rings, arrival_rate_per_cell_per_s=0.05, duration_s=300.0, seed=7)
+    defaults.update(overrides)
+    return NetworkExperimentConfig(**defaults)
+
+
+@pytest.fixture(params=[1, 12, sys.maxsize], ids=["tables", "default", "exact"])
+def minimum(request, monkeypatch):
+    """Tables from the first verdict, at the default minimum, and never."""
+    _tables_from(monkeypatch, request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5])
+@pytest.mark.parametrize("rings", [1, 3])
+def test_network_run_equals_the_decide_oracle(rings, threshold, minimum):
+    config = _network_config(rings)
+    facs = FACSConfig(acceptance_threshold=threshold)
+    output = NetworkSimulation(config, partial(FuzzyAdmissionControlSystem, facs)).run()
+    assert output == NetworkSimulation(config, partial(_ThroughDecide, facs)).run()
+    assert output.result.metrics.blocked > 0
+    assert output.handoff_attempts > 0
+
+
+def test_network_run_with_a_workload_equals_the_decide_oracle(minimum):
+    config = _network_config(1, workload=WORKLOADS.get("mmpp"))
+    output = NetworkSimulation(config, FuzzyAdmissionControlSystem).run()
+    assert output == NetworkSimulation(config, _ThroughDecide).run()
+    assert output.class_names
+
+
+def test_coupled_sharded_run_equals_the_decide_oracle(minimum):
+    config = _network_config(1)
+    output = run_coupled_sharded_network_experiment(config, FuzzyAdmissionControlSystem)
+    assert output == run_coupled_sharded_network_experiment(config, _ThroughDecide)
+    assert output.handoff_attempts > 0
+
+
+def test_threads_sharing_a_cold_screen_equal_the_decide_oracle(monkeypatch):
+    # A fresh screen cache, so the threads race to build the screen, to
+    # count the verdicts at each (R, Cs) and to build its table; a short
+    # switch interval makes them interleave often.
+    _tables_from(monkeypatch, 3)
+    configs = [_network_config(1, duration_s=150.0, seed=seed) for seed in range(8)]
+    expected = [NetworkSimulation(config, _ThroughDecide).run() for config in configs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(NetworkSimulation(config, FuzzyAdmissionControlSystem).run)
+                for config in configs
+            ]
+            outputs = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs == expected
+
+
+def test_only_the_des_oracle_calls_scalar_decide(monkeypatch):
+    decided = []
+    decide = FuzzyAdmissionControlSystem.decide
+
+    def counting(self, call, station, now):
+        decided.append(call.call_id)
+        return decide(self, call, station, now)
+
+    monkeypatch.setattr(FuzzyAdmissionControlSystem, "decide", counting)
+    config = _network_config(1, duration_s=120.0)
+    coupled = NetworkSimulation(config, FuzzyAdmissionControlSystem).run()
+    sharded = run_coupled_sharded_network_experiment(config, FuzzyAdmissionControlSystem)
+    assert coupled.result.metrics.requested > 0 and sharded.result.metrics.requested > 0
+    assert decided == []
+
+    batch = run_des_experiment(
+        BatchExperimentConfig(request_count=50, seed=3), FuzzyAdmissionControlSystem()
+    )
+    assert len(decided) == batch.result.metrics.requested == 50
+
+
+def test_a_table_is_built_on_its_pairs_minimum_verdict(monkeypatch):
+    _tables_from(monkeypatch, 3)
+    # Two controllers of one pair share one screen and its counts.
+    first, second = FuzzyAdmissionControlSystem(), FuzzyAdmissionControlSystem()
+    screen = first._decision_screen()
+    assert second._decision_screen() is screen
+    call = _request(UserState(10.0, 0.0, 1.0), 1)
+    empty, busy = _station(40, 0), _station(40, 5)
+    for controller in (first, second):
+        assert controller.accepts(call, empty, 0.0)
+        assert controller.accepts(call, busy, 0.0)
+    assert screen._cells == {}
+    assert first.accepts(call, empty, 0.0)
+    assert list(screen._cells) == [(1.0, 0.0)]
+    assert screen._asked == {(1.0, 0.0): 3, (1.0, 5.0): 2}
+
+
+def test_network_run_builds_tables_only_for_often_asked_pairs(monkeypatch):
+    _tables_from(monkeypatch, 12)
+    config = _network_config(1, duration_s=600.0)
+    NetworkSimulation(config, FuzzyAdmissionControlSystem).run()
+    screen = FuzzyAdmissionControlSystem()._decision_screen()
+    assert screen._cells
+    assert all(screen._asked[key] == 12 for key in screen._cells)
+    assert any(asked < 12 for asked in screen._asked.values())

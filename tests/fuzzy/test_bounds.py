@@ -158,7 +158,7 @@ def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, screen, bandwidth
     fill = np.ones(cell_lo.size)
     decision = screen._cell_table(bandwidth, occupancy)
     assert decision.shape == cell_lo.shape
-    score_lo, score_hi, certain = screen._cell_scores(cell_lo, cell_hi, bandwidth, occupancy)
+    score_lo, score_hi, certain = screen._cell_scores(bandwidth, occupancy)
     decided = decision != -1
     for points in (cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi):
         scores = screen._exact_scores(points, bandwidth * fill, occupancy * fill)
