@@ -4,9 +4,9 @@ The refactor gate of the MetricsFrame result core.  A many-replication
 network sweep produces thousands of per-run outputs whose *aggregation +
 IPC* path used to be: process workers pickle whole ``NetworkRunOutput``
 dataclass trees back to the parent, which walks them in pure-Python
-aggregation loops.  The frame path folds the runs into columnar
-``MetricsFrame`` buffers inside the worker, ships raw column bytes
-through shared memory and reduces vectorized groups in the parent.
+aggregation loops.  The frame path folds the runs into a columnar
+``MetricsFrame`` inside the worker, which the pool pickles back as one
+chunk frame, and reduces vectorized groups in the parent.
 
 This bench isolates exactly that path: the run outputs are synthesized
 once (deterministically — the simulation itself is benched elsewhere),
@@ -14,16 +14,17 @@ then both pipelines replay the same worker-chunked aggregation:
 
 * **baseline** — per chunk: ``pickle.dumps``/``loads`` the output list
   (the worker -> parent hop), then per-point ``aggregate_network_runs``;
-* **frame** — per chunk: fold rows into a ``MetricsFrame``, ``pack_frame``
-  (shared memory) / ``unpack_frame``, then ``concat`` + ``group_reduce``.
+* **frame** — per chunk: fold rows into a ``MetricsFrame`` and
+  ``pickle.dumps``/``loads`` it (the worker -> parent hop), then
+  ``concat`` + ``group_reduce``.
 
 Asserted invariants:
 
 * the frame path is >= 2x faster end to end,
 * its per-point statistics equal the legacy loops **exactly** (dataclass
   equality, which is bitwise for the float fields), and
-* the packed worker payload never references ``NetworkRunOutput`` — the
-  pickled-dataclass IPC regression this PR removes stays removed.
+* the pickled chunk frame never references ``NetworkRunOutput`` — the
+  worker ships columns, not dataclass trees.
 
 Writes ``results/BENCH_frame.json`` with the timings (uploaded as a CI
 artifact alongside ``BENCH_multicell.json``).
@@ -39,12 +40,7 @@ import random
 import time
 from pathlib import Path
 
-from repro.analysis.frame import (
-    MetricsFrame,
-    network_output_row,
-    pack_frame,
-    unpack_frame,
-)
+from repro.analysis.frame import MetricsFrame, network_output_row
 from repro.cellular.metrics import CallMetrics
 from repro.simulation.engine import NetworkRunOutput
 from repro.simulation.results import RunResult, aggregate_network_runs
@@ -123,12 +119,12 @@ def baseline_pipeline(outputs):
 
 
 def frame_pipeline(outputs):
-    """Columnar fold in the 'worker', shared-memory hop, vectorized reduce."""
+    """Columnar fold in the 'worker', pickled chunk frames, vectorized reduce."""
     partials = []
     for chunk in chunked(outputs, CHUNKS):
         rows = [network_output_row(output) for output in chunk]  # worker side
-        packed = pack_frame(MetricsFrame.from_rows("network", rows))
-        partials.append(unpack_frame(packed))  # parent side
+        frame = MetricsFrame.from_rows("network", rows)
+        partials.append(pickle.loads(pickle.dumps(frame)))  # worker -> parent hop
     frame = MetricsFrame.concat(partials)
     frame = frame.with_ordinals(
         *_sweep_ordinals(len(CONTROLLERS), len(ARRIVAL_RATES), REPLICATIONS)
@@ -145,14 +141,13 @@ def test_frame_aggregation_speedup(benchmark):
     frame_aggregates = frame_pipeline(outputs)
     assert frame_aggregates == baseline_aggregates
 
-    # The worker payload must not smuggle dataclass trees: the packed
-    # descriptor (what a process-pool worker returns) never references
+    # The worker payload must not smuggle dataclass trees: the pickled
+    # chunk frame (what a process-pool worker returns) never references
     # the run output class.
-    rows = [network_output_row(output) for output in outputs[:100]]
-    packed = pack_frame(MetricsFrame.from_rows("network", rows))
-    wire_bytes = pickle.dumps(packed)
+    first_chunk = chunked(outputs, CHUNKS)[0]
+    rows = [network_output_row(output) for output in first_chunk]
+    wire_bytes = pickle.dumps(MetricsFrame.from_rows("network", rows))
     assert b"NetworkRunOutput" not in wire_bytes
-    unpack_frame(packed)  # release the segment
 
     baseline_seconds = min(
         _timed(baseline_pipeline, outputs) for _ in range(ROUNDS)
@@ -180,12 +175,12 @@ def test_frame_aggregation_speedup(benchmark):
         },
         "timings": {
             "pickled_dataclass_seconds": round(baseline_seconds, 4),
-            "frame_shared_memory_seconds": round(frame_seconds, 4),
+            "pickled_frame_seconds": round(frame_seconds, 4),
             "speedup": round(speedup, 2),
         },
         "wire_bytes": {
-            "pickled_chunk": len(pickle.dumps(chunked(outputs, CHUNKS)[0])),
-            "frame_descriptor": len(wire_bytes),
+            "pickled_chunk": len(pickle.dumps(first_chunk)),
+            "pickled_chunk_frame": len(wire_bytes),
         },
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -195,7 +190,7 @@ def test_frame_aggregation_speedup(benchmark):
     benchmark.extra_info["results_file"] = str(RESULTS_PATH)
     print(
         f"\nframe aggregation: pickled dataclasses {baseline_seconds:.3f}s, "
-        f"frame+shm {frame_seconds:.3f}s, speedup {speedup:.2f}x "
+        f"pickled frames {frame_seconds:.3f}s, speedup {speedup:.2f}x "
         f"-> {RESULTS_PATH.name}"
     )
     assert speedup >= 2.0

@@ -4,8 +4,8 @@ The workloads subsystem replaces the hard-wired Poisson arrivals with
 registered arrival-process models and multi-service classes, and its whole
 value rests on two guarantees: the new draws stay a pure function of the
 seeded config (so results are byte-identical for every backend and worker
-count), and the per-class counters ride the same shared-memory frame path
-the legacy counters do (so parallel sweeps still scale).  This bench runs
+count), and the per-class counters ride the same chunk-frame path the
+legacy counters do (so parallel sweeps still scale).  This bench runs
 the MMPP network sweep — bursty 2-state arrivals with the voice/data/video
 mix — twice:
 

@@ -11,7 +11,7 @@ Package layout
     inference, defuzzification, controllers).
 ``repro.des``
     From-scratch discrete-event simulation kernel (environment, processes,
-    resources, monitors, seeded random streams).
+    seeded random streams).
 ``repro.cellular``
     Cellular-network substrate (hex geometry, base stations, mobility,
     traffic classes, calls, handoffs, metrics).

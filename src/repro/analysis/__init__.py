@@ -27,8 +27,6 @@ __all__ = [
     "FrameRow",
     "run_result_row",
     "network_output_row",
-    "pack_frame",
-    "unpack_frame",
     # tables / plotting
     "format_table",
     "format_curve_table",
@@ -63,8 +61,6 @@ _EXPORTS = {
     "FrameRow": ".frame",
     "run_result_row": ".frame",
     "network_output_row": ".frame",
-    "pack_frame": ".frame",
-    "unpack_frame": ".frame",
     "format_table": ".tables",
     "format_curve_table": ".tables",
     "ascii_line_plot": ".plotting",

@@ -17,10 +17,10 @@ curve labels and controller ids — that
   historical ``aggregate_runs``/``aggregate_network_runs`` loops
   (the shared spec lives in :func:`repro.analysis.stats.series_mean` /
   :func:`~repro.analysis.stats.series_sample_std`), and
-* serialises as raw column buffers — shared-memory backed for the process
-  pool (:func:`pack_frame`/:func:`unpack_frame`) — so workers ship a
-  handful of flat arrays instead of pickled dataclass trees, the same
-  move NIC-side collective aggregation makes: reduce where the data is.
+* folds inside the worker (:class:`FrameReducer`), so a process-pool
+  worker pickles back one chunk frame — a handful of flat arrays — instead
+  of a list of dataclass trees, the same move NIC-side collective
+  aggregation makes: reduce where the data is.
 
 The legacy dataclasses (``RunResult``, ``AggregatedResult``,
 ``NetworkAggregatedResult``, ``NetworkRunOutput``) survive as thin views
@@ -37,11 +37,9 @@ lazily instead.
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -61,24 +59,14 @@ __all__ = [
     "BATCH_KIND",
     "NETWORK_KIND",
     "CLASS_COUNTER_FIELDS",
-    "MEMMAP_SCHEMA_VERSION",
     "class_column_names",
-    "FrameAccumulator",
     "FrameGroup",
     "FrameReducer",
     "FrameRow",
     "MetricsFrame",
-    "StreamingFrameReducer",
     "network_output_row",
-    "pack_frame",
     "run_result_row",
-    "unpack_frame",
 ]
-
-#: On-disk memory-map format version (``frame.json`` header + one raw
-#: ``colNNNNN.bin`` per column); bumped on any layout change.
-MEMMAP_SCHEMA_VERSION = 1
-_MEMMAP_HEADER = "frame.json"
 
 #: Frame kinds: single-cell batch runs vs multi-cell network runs (which
 #: carry the extra handoff/occupancy columns).
@@ -984,8 +972,6 @@ class MetricsFrame:
         return [self.network_output(i) for i in range(len(self))]
 
     # ------------------------------------------------------------------
-    # Column-buffer serialisation (the worker -> parent wire format)
-    # ------------------------------------------------------------------
     def column_buffers(self) -> tuple[dict[str, Any], list[np.ndarray]]:
         """Schema metadata plus the raw column arrays, in schema order."""
         meta = {
@@ -1001,199 +987,15 @@ class MetricsFrame:
         }
         return meta, [np.ascontiguousarray(a) for a in self._columns.values()]
 
-    @classmethod
-    def from_column_buffers(
-        cls, meta: Mapping[str, Any], buffers: Sequence[Any]
-    ) -> "MetricsFrame":
-        """Rebuild a frame from :meth:`column_buffers` metadata + raw bytes."""
-        names_dtypes = meta["columns"]
-        if len(buffers) != len(names_dtypes):
-            raise ValueError(
-                f"{len(buffers)} buffers for {len(names_dtypes)} columns"
-            )
-        columns = {
-            name: np.frombuffer(buf, dtype=np.dtype(dtype_str)).copy()
-            for (name, dtype_str), buf in zip(names_dtypes, buffers)
-        }
-        return cls(
-            meta["kind"],
-            columns,
-            tuple(meta["label_vocab"]),
-            tuple(meta["controller_vocab"]),
-            tuple(meta["param_names"]),
-            tuple(meta.get("class_names", ())),
-        )
-
-    def to_bytes(self) -> tuple[dict[str, Any], bytes]:
-        """One contiguous payload of all column bytes (plus its metadata)."""
-        meta, buffers = self.column_buffers()
-        return meta, b"".join(array.tobytes() for array in buffers)
-
-    @classmethod
-    def from_bytes(cls, meta: Mapping[str, Any], payload: bytes) -> "MetricsFrame":
-        """Rebuild a frame from a :meth:`to_bytes` payload."""
-        view = memoryview(payload)
-        buffers = []
-        offset = 0
-        for name, dtype_str in meta["columns"]:
-            nbytes = np.dtype(dtype_str).itemsize * meta["rows"]
-            buffers.append(view[offset : offset + nbytes])
-            offset += nbytes
-        return cls.from_column_buffers(meta, buffers)
-
-    # ------------------------------------------------------------------
-    def save_memmap(self, directory: str | Path) -> Path:
-        """Persist the frame as a memory-mappable column directory.
-
-        Layout (format ``MEMMAP_SCHEMA_VERSION``): a ``frame.json`` header
-        carrying the schema version, kind, row count, vocabularies,
-        parameter/class names and the ordered ``[name, dtype]`` column
-        list, plus one raw little-endian ``colNNNNN.bin`` file per column
-        (positional names sidestep any column-name/filesystem clashes).
-        :meth:`open_memmap` maps the files back read-only, so a saved
-        frame of any size can be reopened with constant resident memory.
-        """
-        path = Path(directory)
-        path.mkdir(parents=True, exist_ok=True)
-        meta, buffers = self.column_buffers()
-        meta["schema_version"] = MEMMAP_SCHEMA_VERSION
-        for index, array in enumerate(buffers):
-            (path / f"col{index:05d}.bin").write_bytes(array.tobytes())
-        header = json.dumps(meta, indent=2, sort_keys=True)
-        (path / _MEMMAP_HEADER).write_text(header + "\n", encoding="utf-8")
-        return path
-
-    @classmethod
-    def open_memmap(cls, directory: str | Path) -> "MetricsFrame":
-        """Reopen a :meth:`save_memmap` directory as a memmap-backed frame.
-
-        Columns are ``np.memmap(mode="r")`` views — the OS pages them in on
-        demand, so opening (and selectively reading) a multi-gigabyte frame
-        keeps resident memory constant.  The header's schema version and
-        every column file's size are validated before mapping.
-        """
-        path = Path(directory)
-        header = path / _MEMMAP_HEADER
-        if not header.is_file():
-            raise FileNotFoundError(
-                f"{path} is not a saved frame (missing {_MEMMAP_HEADER})"
-            )
-        meta = json.loads(header.read_text(encoding="utf-8"))
-        version = meta.get("schema_version")
-        if version != MEMMAP_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported frame memmap schema version {version!r}; "
-                f"this build reads version {MEMMAP_SCHEMA_VERSION}"
-            )
-        rows = int(meta["rows"])
-        columns: dict[str, np.ndarray] = {}
-        for index, (name, dtype_str) in enumerate(meta["columns"]):
-            file = path / f"col{index:05d}.bin"
-            dtype = np.dtype(dtype_str)
-            expected = dtype.itemsize * rows
-            actual = file.stat().st_size if file.is_file() else None
-            if actual != expected:
-                raise ValueError(
-                    f"column file {file.name} holds {actual} bytes, "
-                    f"expected {expected} for {rows} rows of {dtype_str}"
-                )
-            if rows:
-                columns[name] = np.memmap(file, dtype=dtype, mode="r", shape=(rows,))
-            else:
-                columns[name] = np.empty(0, dtype=dtype)
-        return cls(
-            meta["kind"],
-            columns,
-            tuple(meta["label_vocab"]),
-            tuple(meta["controller_vocab"]),
-            tuple(meta["param_names"]),
-            tuple(meta.get("class_names", ())),
-        )
-
-
-# ----------------------------------------------------------------------
-# Shared-memory transport for the process pool
-# ----------------------------------------------------------------------
-def _unregister_from_resource_tracker(shm) -> None:
-    """Hand ownership of a worker-created segment to the parent.
-
-    The worker's resource tracker would otherwise unlink the segment when
-    the worker exits — before the parent has read it.  The parent unlinks
-    explicitly in :func:`unpack_frame`.
-    """
-    try:  # pragma: no cover - depends on multiprocessing internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def pack_frame(frame: MetricsFrame) -> dict[str, Any]:
-    """Serialise a frame into a shared-memory segment (bytes fallback).
-
-    Returns a small picklable descriptor: the column schema plus either
-    the segment name (``transport: "shm"``) or, where shared memory is
-    unavailable, the raw payload itself (``transport: "bytes"``).  Either
-    way the worker ships flat column buffers, never object trees.
-    """
-    meta, payload = frame.to_bytes()
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=max(len(payload), 1))
-    except Exception:
-        return {"transport": "bytes", "meta": meta, "payload": payload}
-    try:
-        shm.buf[: len(payload)] = payload
-        _unregister_from_resource_tracker(shm)
-        name = shm.name
-    except BaseException:
-        # A failed write must not strand the segment in /dev/shm.
-        shm.close()
-        try:
-            shm.unlink()
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
-        raise
-    shm.close()
-    return {"transport": "shm", "meta": meta, "name": name, "nbytes": len(payload)}
-
-
-def unpack_frame(packed: Mapping[str, Any]) -> MetricsFrame:
-    """Rebuild a frame from a :func:`pack_frame` descriptor.
-
-    Shared-memory segments are copied out, closed and unlinked here — the
-    parent owns cleanup, so a completed reduce leaves nothing behind in
-    ``/dev/shm``.
-    """
-    transport = packed.get("transport")
-    if transport == "bytes":
-        return MetricsFrame.from_bytes(packed["meta"], packed["payload"])
-    if transport != "shm":
-        raise ValueError(f"unknown frame transport {transport!r}")
-    from multiprocessing import shared_memory
-
-    shm = shared_memory.SharedMemory(name=packed["name"], create=False)
-    try:
-        payload = bytes(shm.buf[: packed["nbytes"]])
-    finally:
-        shm.close()
-        try:
-            shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-    return MetricsFrame.from_bytes(packed["meta"], payload)
-
 
 class FrameReducer:
-    """Task reducer folding worker rows into shared-memory-backed frames.
+    """Task reducer folding worker rows into chunk frames.
 
     Implements the :class:`repro.simulation.executor.TaskReducer` protocol
     for :meth:`SweepExecutor.map_reduce`: workers fold their chunk of
-    :class:`FrameRow` results into a chunk-local frame and pack it as raw
-    column buffers (shared memory on the process pool); the parent unpacks
-    and concatenates in task order.  ``merge(fold(chunk) for chunks)`` is
+    :class:`FrameRow` results into a chunk-local frame, which the process
+    pool pickles back like any other result; the parent concatenates the
+    chunk frames in task order.  ``merge(fold(chunk) for chunks)`` is
     exactly ``fold(all rows)``, so the reduced frame is identical for
     every backend, chunking and worker count.
     """
@@ -1206,205 +1008,5 @@ class FrameReducer:
     def fold(self, results: Iterable[FrameRow]) -> MetricsFrame:
         return MetricsFrame.from_rows(self.kind, results)
 
-    def pack(self, partial: MetricsFrame) -> dict[str, Any]:
-        return pack_frame(partial)
-
-    def unpack(self, packed: Mapping[str, Any]) -> MetricsFrame:
-        return unpack_frame(packed)
-
     def merge(self, partials: Sequence[MetricsFrame]) -> MetricsFrame:
         return MetricsFrame.concat(list(partials))
-
-
-class FrameAccumulator:
-    """Incremental, order-preserving fold of chunk frames.
-
-    The executors' incremental ``map_reduce`` path absorbs each worker's
-    chunk frame into one of these the moment it arrives (always in
-    task-submission order).  Two modes:
-
-    * **In-memory** (``spill_dir=None``): buffers the chunk frames and
-      concatenates once in :meth:`finish` — literally
-      :meth:`MetricsFrame.concat`, hence byte-identical to the buffered
-      reduce by construction.
-    * **Spill** (``spill_dir`` set): every absorbed chunk's columns are
-      remapped into the running vocabularies and appended straight to the
-      on-disk column files of the :meth:`MetricsFrame.save_memmap` format.
-      Parent memory is bounded by the largest *chunk* (plus the running
-      vocabularies), not the total row count; :meth:`finish` writes the
-      header and reopens the directory as a read-only memmap-backed frame
-      whose columns are byte-identical to the in-memory concat: the vocab
-      merge (first-seen across chunks in task order), parameter/class
-      union and NaN backfill replay ``concat``'s arithmetic exactly.
-    """
-
-    #: Backfill/append block, in rows — bounds resident memory while
-    #: NaN-filling a late-appearing column over millions of prior rows.
-    _BLOCK_ROWS = 1 << 20
-
-    def __init__(self, kind: str, spill_dir: str | Path | None = None):
-        if kind not in (BATCH_KIND, NETWORK_KIND):
-            raise ValueError(f"unknown frame kind {kind!r}")
-        self.kind = kind
-        self._spill_dir = None if spill_dir is None else Path(spill_dir)
-        self._frames: list[MetricsFrame] = []
-        self._rows = 0
-        self._label_vocab: dict[str, int] = {}
-        self._controller_vocab: dict[str, int] = {}
-        self._param_names: dict[str, None] = {}
-        self._class_names: dict[str, None] = {}
-        self._has_ordinals: bool | None = None
-        self._files: dict[str, Any] = {}
-        self._part_paths: dict[str, Path] = {}
-        self._finished = False
-        if self._spill_dir is not None:
-            self._spill_dir.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------------
-    def absorb(self, frame: MetricsFrame) -> None:
-        """Fold one chunk frame in; chunks must arrive in task order."""
-        if self._finished:
-            raise ValueError("cannot absorb into a finished accumulator")
-        if frame.kind != self.kind:
-            raise ValueError(
-                f"cannot absorb a {frame.kind!r} frame into a {self.kind!r} "
-                "accumulator"
-            )
-        if self._has_ordinals is None:
-            self._has_ordinals = frame.has_ordinals
-        elif frame.has_ordinals != self._has_ordinals:
-            raise ValueError("cannot accumulate frames with and without ordinals")
-        if self._spill_dir is None:
-            self._frames.append(frame)
-            return
-
-        label_remap = self._remap(frame.label_vocab, self._label_vocab)
-        controller_remap = self._remap(
-            frame.controller_vocab, self._controller_vocab
-        )
-        for name in frame.param_names:
-            self._param_names.setdefault(name, None)
-        for name in frame.class_names:
-            self._class_names.setdefault(name, None)
-
-        chunk_rows = len(frame)
-        chunk_columns = frame.columns
-        for name, dtype in self._spec_items():
-            handle = self._file_for(name, dtype)
-            if name == "label":
-                codes = chunk_columns[name]
-                data = label_remap[codes] if len(label_remap) else codes
-            elif name == "controller":
-                codes = chunk_columns[name]
-                data = controller_remap[codes] if len(controller_remap) else codes
-            elif name in chunk_columns:
-                data = chunk_columns[name]
-            else:  # parameter/class column absent in this chunk
-                data = np.full(chunk_rows, np.nan, dtype=np.float64)
-            handle.write(np.ascontiguousarray(data, dtype=dtype).tobytes())
-        self._rows += chunk_rows
-
-    def finish(self) -> MetricsFrame:
-        """Close out the fold and return the reduced frame.
-
-        In-memory mode concatenates the buffered chunks; spill mode writes
-        the ``frame.json`` header and reopens the directory memmap-backed.
-        """
-        if self._finished:
-            raise ValueError("accumulator already finished")
-        self._finished = True
-        if self._spill_dir is None:
-            return MetricsFrame.concat(self._frames)
-        if self._has_ordinals is None:
-            raise ValueError("cannot finish an accumulator that absorbed nothing")
-        names = [name for name, _ in self._spec_items()]
-        for handle in self._files.values():
-            handle.close()
-        for index, name in enumerate(names):
-            self._part_paths[name].rename(self._spill_dir / f"col{index:05d}.bin")
-        spec = MetricsFrame._column_spec(
-            self.kind, tuple(self._param_names), tuple(self._class_names)
-        )
-        meta = {
-            "schema_version": MEMMAP_SCHEMA_VERSION,
-            "kind": self.kind,
-            "rows": self._rows,
-            "label_vocab": list(self._label_vocab),
-            "controller_vocab": list(self._controller_vocab),
-            "param_names": list(self._param_names),
-            "class_names": list(self._class_names),
-            "columns": [
-                [name, np.dtype(spec.get(name, np.int64)).str] for name in names
-            ],
-        }
-        header = json.dumps(meta, indent=2, sort_keys=True)
-        (self._spill_dir / _MEMMAP_HEADER).write_text(header + "\n", encoding="utf-8")
-        return MetricsFrame.open_memmap(self._spill_dir)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _remap(source: Sequence[str], vocab: dict[str, int]) -> np.ndarray:
-        for value in source:
-            vocab.setdefault(value, len(vocab))
-        return np.array([vocab[v] for v in source], dtype=np.int32)
-
-    def _spec_items(self) -> list[tuple[str, Any]]:
-        spec = MetricsFrame._column_spec(
-            self.kind, tuple(self._param_names), tuple(self._class_names)
-        )
-        items = [(name, np.dtype(dtype)) for name, dtype in spec.items()]
-        if self._has_ordinals:
-            items.extend((name, np.dtype(np.int64)) for name in ORDINAL_COLUMNS)
-        return items
-
-    def _file_for(self, name: str, dtype: np.dtype):
-        handle = self._files.get(name)
-        if handle is None:
-            # Sequential scratch names (column names may not be filesystem
-            # safe); finish() renames them to positional colNNNNN.bin in
-            # final schema order.
-            path = self._spill_dir / f"part{len(self._part_paths):05d}.bin"
-            handle = open(path, "wb")
-            self._part_paths[name] = path
-            self._files[name] = handle
-            if self._rows:
-                # Column appeared after earlier chunks: backfill NaN for
-                # every row already written, block-wise to bound memory.
-                remaining = self._rows
-                while remaining:
-                    block = min(remaining, self._BLOCK_ROWS)
-                    handle.write(
-                        np.full(block, np.nan, dtype=np.float64).tobytes()
-                    )
-                    remaining -= block
-        return handle
-
-
-class StreamingFrameReducer(FrameReducer):
-    """Incremental-fold frame reducer for ``SweepExecutor.map_reduce``.
-
-    Identical worker-side behaviour to :class:`FrameReducer` (fold chunk
-    rows to a frame, ship raw column buffers), but the parent absorbs each
-    chunk into a :class:`FrameAccumulator` as it arrives instead of
-    buffering every partial for one final concat.  With ``spill_dir`` set,
-    absorbed chunks stream to disk in the :meth:`MetricsFrame.save_memmap`
-    format and the reduced frame comes back memmap-backed — parent memory
-    stays constant in the number of tasks.  Either way the result is
-    byte-identical to the buffered reduce on every backend at any worker
-    count, because chunks are always absorbed in task-submission order.
-    """
-
-    incremental = True
-
-    def __init__(self, kind: str, spill_dir: str | Path | None = None):
-        super().__init__(kind)
-        self.spill_dir = None if spill_dir is None else Path(spill_dir)
-
-    def begin(self) -> FrameAccumulator:
-        return FrameAccumulator(self.kind, spill_dir=self.spill_dir)
-
-    def absorb(self, state: FrameAccumulator, partial: MetricsFrame) -> None:
-        state.absorb(partial)
-
-    def finalize(self, state: FrameAccumulator) -> MetricsFrame:
-        return state.finish()

@@ -44,12 +44,9 @@ Versioning policy
   the field and the columns — so the v4→v5 migration is the identity.
 * **v6** — Adds the optional ``stream`` field on
   ``trace-arrivals`` scenarios (the frame-native columnar fast path of
-  :func:`repro.simulation.trace.run_trace_arrivals`) and the on-disk
-  memmap frame directory format
-  (:meth:`repro.analysis.frame.MetricsFrame.save_memmap`, versioned
-  separately by its own header).  All additive — ``stream`` is omitted
-  from payloads while ``False`` — so the v5→v6 migration is the
-  identity.
+  :func:`repro.simulation.trace.run_trace_arrivals`).  Additive —
+  ``stream`` is omitted from payloads while ``False`` — so the v5→v6
+  migration is the identity.
 * **v7** — current.  ``trace-arrivals`` admits every request at its own
   arrival, as the discrete-event batch experiment does, so its results
   no longer depend on ``batch_size`` (still accepted, now without
@@ -183,9 +180,8 @@ def _migrate_v5_to_v6(payload: dict[str, Any]) -> dict[str, Any]:
     """v5 → v6: the identity — v6 only *added* fields.
 
     New in v6: the optional ``stream`` field on ``trace-arrivals``
-    scenario payloads (omitted while ``False``) and the standalone
-    memmap frame directory format.  Old payloads simply lack the field,
-    and the decoder fills it from the dataclass default.
+    scenario payloads (omitted while ``False``).  Old payloads simply lack
+    the field, and the decoder fills it from the dataclass default.
     """
     return payload
 

@@ -401,28 +401,6 @@ class DecisionScreen:
         centroid = eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated)[0]
         return min(max(float(centroid), 0.0), 1.0)
 
-    def _exact_scores(
-        self, corrections: np.ndarray, request_bus: np.ndarray, counters: np.ndarray
-    ) -> np.ndarray:
-        """Exact FLC2 scores through the engine's batched hot path.
-
-        The same operation sequence as
-        :meth:`FLC2.decision_scores` → ``compute_batch`` → ``infer_batch``
-        (including the final [-1, 1] clip), minus the wrapper overhead —
-        results are bit-identical because every step is shared.
-        """
-        eng = self._eng2
-        matrix = eng._batch_matrix(
-            {"Cv": corrections, "R": request_bus, "Cs": counters}
-        )
-        degrees = eng._fill_degrees_batch(matrix)
-        strengths = eng._firing_strengths_batch(degrees)
-        grouped = eng._grouped_consequent_plans["AR"]
-        variable = eng._consequent_plans["AR"][2]
-        aggregated = eng._aggregate_output_batch_grouped(strengths, grouped, "AR", 0)
-        scores = eng._defuzzify_fast_batch("AR", variable, aggregated)
-        return np.clip(scores, -1.0, 1.0)
-
 
 class ScreenedColumns:
     """Threshold verdicts for one block of rows, at any occupancy.

@@ -33,6 +33,7 @@ import os
 import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 from ..registry import Registry, RegistryError
@@ -86,64 +87,29 @@ class TaskReducer(ABC):
 
     ``fold`` turns one chunk's per-task results into a compact partial
     (it runs *inside the worker* on the process backend, so the heavyweight
-    per-task results never cross the process boundary); ``pack``/``unpack``
-    translate a partial to/from a small picklable descriptor for the IPC
-    hop (identity by default); ``merge`` combines the partials in task
-    order in the parent.  ``merge`` over any chunking must equal one
-    ``fold`` over all results — that associativity is what keeps reduced
-    results byte-identical for every backend and worker count.
+    per-task results never cross the process boundary — the pool pickles
+    the partial back like any other result); ``merge`` combines the
+    partials in task order in the parent.  ``merge`` over any chunking must
+    equal one ``fold`` over all results — that associativity is what keeps
+    reduced results byte-identical for every backend and worker count.
 
-    Executors call these four methods structurally; implementations do not
+    Executors call these two methods structurally; implementations do not
     have to subclass (see :class:`repro.analysis.frame.FrameReducer`).
-
-    **Incremental fold.**  A reducer that sets ``incremental = True`` also
-    provides ``begin()`` / ``absorb(state, partial)`` / ``finalize(state)``.
-    Executors then fold each chunk partial into the running ``state`` the
-    moment it is available — always in *task-submission order*, regardless
-    of which worker finishes first — instead of buffering every partial for
-    one final ``merge``.  Because the absorption order is canonical, the
-    finalized result is byte-identical across serial/thread/process
-    backends at any worker count, and parent memory is bounded by the
-    accumulator (constant for a spilling accumulator like
-    :class:`repro.analysis.frame.FrameAccumulator`) rather than by the
-    total number of tasks.
     """
-
-    #: Set to True (with begin/absorb/finalize) to opt into incremental fold.
-    incremental: bool = False
 
     @abstractmethod
     def fold(self, results: Iterable[R]) -> Any:
         """Combine one chunk of per-task results into a partial."""
 
-    def pack(self, partial: Any) -> Any:
-        """Worker-side: encode a partial for the trip to the parent."""
-        return partial
-
-    def unpack(self, packed: Any) -> Any:
-        """Parent-side: decode a worker's packed partial."""
-        return packed
-
     @abstractmethod
     def merge(self, partials: Sequence[Any]) -> Any:
         """Combine the chunk partials, in task order, into the final result."""
 
-    def begin(self) -> Any:
-        """Fresh incremental-fold state (incremental reducers only)."""
-        raise NotImplementedError(f"{type(self).__name__} is not incremental")
-
-    def absorb(self, state: Any, partial: Any) -> None:
-        """Fold one chunk partial into ``state``, in task-submission order."""
-        raise NotImplementedError(f"{type(self).__name__} is not incremental")
-
-    def finalize(self, state: Any) -> Any:
-        """Close out the incremental fold and return the reduced result."""
-        raise NotImplementedError(f"{type(self).__name__} is not incremental")
-
 
 def _map_reduce_chunk(fn, reducer, chunk):
     """Fold one chunk in a worker; module-level so process pools can pickle it."""
-    return reducer.pack(reducer.fold([fn(task) for task in chunk]))
+    return reducer.fold([fn(task) for task in chunk])
+
 
 #: Registry of executor backends: name → builder ``(workers) -> SweepExecutor``.
 #: Registration order defines the CLI ``--executor`` choices; aliases
@@ -171,15 +137,11 @@ class SweepExecutor(ABC):
 
         The default (serial) implementation folds everything in one
         in-process pass; the pool backends override it to fold per chunk —
-        inside the worker on the process pool, so only the packed partials
+        inside the worker on the process pool, so only the chunk partials
         travel back to the parent.  Because ``reducer.merge`` over any
         chunking equals one fold over all results, the reduced value is
         identical for every backend and worker count.
         """
-        if getattr(reducer, "incremental", False):
-            state = reducer.begin()
-            reducer.absorb(state, reducer.fold(fn(task) for task in tasks))
-            return reducer.finalize(state)
         return reducer.merge([reducer.fold(fn(task) for task in tasks)])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -253,67 +215,29 @@ class ProcessPoolSweepExecutor(SweepExecutor):
     def map_reduce(
         self, fn: Callable[[T], R], tasks: Sequence[T], reducer: TaskReducer
     ) -> Any:
-        """Fold chunks inside the workers; only packed partials come back.
+        """Fold chunks inside the workers; only the chunk partials come back.
 
-        This is the shared-memory aggregation seam: with a reducer like
-        :class:`repro.analysis.frame.FrameReducer`, each worker folds its
-        chunk of counter rows into a columnar frame and ships raw column
-        buffers through shared memory — the per-task result objects are
-        never pickled back to the parent.
+        With a reducer like :class:`repro.analysis.frame.FrameReducer`, each
+        worker folds its chunk of counter rows into a columnar frame, and
+        the pool pickles that frame back — the per-task result objects
+        never cross the process boundary.  ``pool.map`` yields the partials
+        in task order whichever worker finishes first, so they merge in
+        task order and the first failing chunk, in task order, raises.
         """
         tasks = list(tasks)
         if not tasks:
-            if getattr(reducer, "incremental", False):
-                state = reducer.begin()
-                reducer.absorb(state, reducer.fold([]))
-                return reducer.finalize(state)
             return reducer.merge([reducer.fold([])])
         self._preflight(fn, reducer, tasks[0])
         workers = self._workers_for(len(tasks))
         chunks = _chunked(
             tasks, self.chunksize or default_chunksize(len(tasks), workers)
         )
-        # Per-chunk futures (not pool.map): on a task failure every chunk
-        # that *did* complete must still be unpacked, or its packed partial
-        # — a shared-memory segment whose ownership the worker already
-        # handed to this parent — would outlive the process in /dev/shm.
-        incremental = getattr(reducer, "incremental", False)
-        state = reducer.begin() if incremental else None
-        packed: list = []
-        first_error: BaseException | None = None
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            futures = [
-                pool.submit(_map_reduce_chunk, fn, reducer, chunk)
-                for chunk in chunks
-            ]
-            # Iterating the futures in submission order canonicalises the
-            # fold order: chunks are unpacked (and, incrementally, absorbed)
-            # in task order no matter which worker finishes first.
-            for future in futures:
-                try:
-                    result = future.result()
-                except BaseException as exc:  # noqa: BLE001 - re-raised below
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                if first_error is not None or not incremental:
-                    packed.append(result)
-                else:
-                    reducer.absorb(state, reducer.unpack(result))
-        if first_error is not None:
-            for partial in packed:
-                try:
-                    reducer.unpack(partial)  # releases the shm segment
-                except Exception:  # pragma: no cover - best-effort cleanup
-                    pass
-            if isinstance(first_error, pickle.PicklingError):
-                raise SweepExecutionError(
-                    f"{self._PICKLE_HINT} ({first_error})"
-                ) from first_error
-            raise first_error
-        if incremental:
-            return reducer.finalize(state)
-        return reducer.merge([reducer.unpack(p) for p in packed])
+        try:
+            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+                partials = list(pool.map(partial(_map_reduce_chunk, fn, reducer), chunks))
+        except pickle.PicklingError as exc:
+            raise SweepExecutionError(f"{self._PICKLE_HINT} ({exc})") from exc
+        return reducer.merge(partials)
 
 
 class ThreadPoolSweepExecutor(SweepExecutor):
@@ -367,25 +291,13 @@ class ThreadPoolSweepExecutor(SweepExecutor):
     def map_reduce(
         self, fn: Callable[[T], R], tasks: Sequence[T], reducer: TaskReducer
     ) -> Any:
-        """Fold per chunk in the pool; no pack/unpack hop (same process)."""
+        """Fold per chunk in the pool; the partials stay in this process."""
         tasks = list(tasks)
         if not tasks:
-            if getattr(reducer, "incremental", False):
-                state = reducer.begin()
-                reducer.absorb(state, reducer.fold([]))
-                return reducer.finalize(state)
             return reducer.merge([reducer.fold([])])
         workers, chunks = self._plan(tasks)
         with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            stream = pool.map(lambda chunk: reducer.fold([fn(t) for t in chunk]), chunks)
-            if getattr(reducer, "incremental", False):
-                # pool.map yields in submission order, so chunk partials are
-                # absorbed in canonical task order as they become available.
-                state = reducer.begin()
-                for partial in stream:
-                    reducer.absorb(state, partial)
-                return reducer.finalize(state)
-            partials = list(stream)
+            partials = list(pool.map(lambda chunk: reducer.fold([fn(t) for t in chunk]), chunks))
         return reducer.merge(partials)
 
 

@@ -18,8 +18,8 @@ backend and worker count.
 Aggregation is columnar: workers emit compact counter rows
 (:class:`~repro.analysis.frame.FrameRow`), the executor's ``map_reduce``
 folds them into chunk-local :class:`~repro.analysis.frame.MetricsFrame`
-column buffers (shared-memory backed on the process pool, so no run output
-is ever pickled back to the parent), and the per-point statistics come out
+column stores (inside the worker on the process pool, so no run output is
+ever pickled back to the parent), and the per-point statistics come out
 of :meth:`MetricsFrame.group_reduce` — bit-identical to the historical
 ``aggregate_runs``/``aggregate_network_runs`` loops.  The assembled sweep
 result carries the frame on its ``frame`` field.
@@ -346,7 +346,7 @@ def _execute_network_replication_row(task: NetworkReplicationTask) -> FrameRow:
     """Run one network replication, returning only its compact counter row.
 
     This is the worker function of the frame path: process-pool workers
-    fold these rows into shared-memory column buffers instead of pickling
+    fold these rows into a chunk frame instead of pickling
     :class:`NetworkRunOutput` trees back to the parent.
     """
     return run_network_experiment_row(

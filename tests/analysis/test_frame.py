@@ -1,28 +1,31 @@
 """MetricsFrame property suite: bit-identity to the legacy aggregation
-loops on random result sets, lossless codecs, concat/vocab semantics and
-the shared-memory transport."""
+loops on random result sets, lossless codecs (JSON, and the pickle the
+process pool ships chunk frames with) and concat/vocab semantics."""
 
 from __future__ import annotations
 
 import json
 import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.frame import (
+    BATCH_KIND,
+    CLASS_COUNTER_FIELDS,
+    NETWORK_KIND,
     FrameReducer,
     MetricsFrame,
     network_output_row,
-    pack_frame,
     run_result_row,
-    unpack_frame,
 )
 from repro.analysis.io import metrics_frame_from_dict, metrics_frame_to_dict
 from repro.cellular.metrics import CallMetrics
 from repro.simulation.engine import NetworkRunOutput
+from repro.simulation.executor import ProcessPoolSweepExecutor
 from repro.simulation.results import (
     RunResult,
     aggregate_network_runs,
@@ -84,6 +87,31 @@ def network_outputs(draw, controller: str = "FACS") -> NetworkRunOutput:
             st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
         ),
     )
+
+
+_class_names = st.sampled_from([(), ("voice",), ("voice", "data", "video")])
+
+
+@st.composite
+def frames(draw) -> MetricsFrame:
+    """Batch or network frames, possibly empty, whose rows mix parameter
+    sets (NaN slots) and per-class counter sets, optionally with ordinals."""
+    network = draw(st.booleans())
+    results = draw(st.lists(network_outputs() if network else run_results(), max_size=6))
+    rows = []
+    for result in results:
+        row = network_output_row(result) if network else run_result_row(result)
+        names = draw(_class_names)
+        count = len(names) * len(CLASS_COUNTER_FIELDS)
+        values = draw(
+            st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=count, max_size=count)
+        )
+        rows.append(row._replace(class_names=names, class_values=tuple(values)))
+    frame = MetricsFrame.from_rows(NETWORK_KIND if network else BATCH_KIND, rows)
+    if draw(st.booleans()):
+        ordinals = st.lists(st.integers(0, 9), min_size=len(rows), max_size=len(rows))
+        frame = frame.with_ordinals(draw(ordinals), draw(ordinals))
+    return frame
 
 
 class TestGroupReduceBitIdentity:
@@ -215,14 +243,22 @@ class TestCodecs:
         with pytest.raises(ValueError, match="metrics-frame"):
             metrics_frame_from_dict({"schema_version": 2, "type": "campaign"})
 
-    @settings(max_examples=20, deadline=None)
-    @given(st.lists(network_outputs(), min_size=1, max_size=6))
-    def test_bytes_codec_round_trips(self, outputs):
-        frame = MetricsFrame.from_network_outputs(outputs)
-        meta, payload = frame.to_bytes()
-        assert MetricsFrame.from_bytes(meta, payload) == frame
+    @settings(max_examples=40, deadline=None)
+    @given(frames())
+    @example(MetricsFrame.from_rows(BATCH_KIND, []))
+    @example(MetricsFrame.from_rows(NETWORK_KIND, []))
+    def test_bytes_codec_round_trips(self, frame):
+        # What a process-pool worker sends back: the chunk frame, pickled
+        # by the pool's own pickler.
+        wire = bytes(ForkingPickler.dumps(frame))
+        assert pickle.loads(wire) == frame
+        for needle in (b"NetworkRunOutput", b"RunResult", b"CallMetrics"):
+            assert needle not in wire
 
     def test_shared_memory_transport_round_trips(self):
+        # Chunk frames reach the parent through the process pool's own
+        # pickle, with no shared-memory segment on the way: a network frame
+        # folded in two workers arrives equal to the in-process frame.
         outputs = [
             NetworkRunOutput(
                 result=RunResult("FACS", CallMetrics(5, 4, 1, 4, 0, 1, 1, 8, 10)),
@@ -231,28 +267,32 @@ class TestCodecs:
                 completed_calls=4,
                 dropped_calls=0,
                 time_average_occupancy_bu=12.5,
-            )
+            ),
+            NetworkRunOutput(
+                result=RunResult(
+                    "FACS", CallMetrics(7, 5, 2, 4, 1, 2, 1, 10, 14), {"speed_kmh": 60.0}
+                ),
+                handoff_attempts=2,
+                handoff_failures=0,
+                completed_calls=4,
+                dropped_calls=1,
+                time_average_occupancy_bu=20.25,
+            ),
         ]
-        frame = MetricsFrame.from_network_outputs(outputs)
-        packed = pack_frame(frame)
-        # The descriptor is small, picklable and free of dataclass trees.
-        wire = pickle.dumps(packed)
-        assert b"NetworkRunOutput" not in wire
-        assert b"RunResult" not in wire
-        restored = unpack_frame(packed)
-        assert restored == frame
-        if packed["transport"] == "shm":
-            # The parent unlinked the segment; a second attach must fail.
-            with pytest.raises((ValueError, FileNotFoundError)):
-                unpack_frame(packed)
+        executor = ProcessPoolSweepExecutor(max_workers=2, chunksize=1)
+        frame = executor.map_reduce(network_output_row, outputs, FrameReducer(NETWORK_KIND))
+        assert frame == MetricsFrame.from_network_outputs(outputs)
 
     def test_bytes_transport_fallback_round_trips(self):
+        # The frame pickles without the pool's protocol too: every protocol
+        # from 2 up restores it, and no protocol writes a dataclass tree.
         frame = MetricsFrame.from_run_results(
             [RunResult("FACS", CallMetrics(1, 1, 0, 1, 0, 0, 0, 2, 2))]
         )
-        meta, payload = frame.to_bytes()
-        packed = {"transport": "bytes", "meta": meta, "payload": payload}
-        assert unpack_frame(packed) == frame
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            wire = pickle.dumps(frame, protocol=protocol)
+            assert pickle.loads(wire) == frame
+            assert b"RunResult" not in wire and b"CallMetrics" not in wire
 
 
 class TestConcatAndReducer:

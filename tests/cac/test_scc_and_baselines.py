@@ -7,7 +7,6 @@ import math
 import pytest
 
 from repro.cac.complete_sharing import CompleteSharingController
-from repro.cac.fractional_guard import FractionalGuardConfig, FractionalGuardController
 from repro.cac.guard_channel import GuardChannelConfig, GuardChannelController
 from repro.cac.scc.demand import DemandEstimator
 from repro.cac.scc.projection import ProjectionConfig, expected_exit_time_s, project_residency
@@ -244,32 +243,6 @@ class TestGuardChannel:
     def test_negative_guard_rejected(self):
         with pytest.raises(ValueError):
             GuardChannelConfig(guard_bu=-1)
-
-
-class TestFractionalGuard:
-    def test_admission_probability_profile(self):
-        controller = FractionalGuardController(FractionalGuardConfig(25, 38))
-        assert controller.admission_probability(10.0) == 1.0
-        assert controller.admission_probability(38.0) == 0.0
-        assert 0.0 < controller.admission_probability(30.0) < 1.0
-
-    def test_handoffs_bypass_thinning(self, station):
-        controller = FractionalGuardController(FractionalGuardConfig(1, 2))
-        station.allocate(make_call(ServiceClass.VIDEO, bandwidth=30))
-        handoff_call = make_call(ServiceClass.VOICE, call_type=CallType.HANDOFF)
-        assert controller.decide(handoff_call, station, 0.0).accepted
-
-    def test_new_calls_always_blocked_above_hard_threshold(self, station):
-        controller = FractionalGuardController(FractionalGuardConfig(5, 10))
-        station.allocate(make_call(ServiceClass.VIDEO, bandwidth=20))
-        for _ in range(10):
-            assert not controller.decide(make_call(ServiceClass.TEXT), station, 0.0).accepted
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FractionalGuardConfig(soft_threshold_bu=30, hard_threshold_bu=20)
-        with pytest.raises(ValueError):
-            FractionalGuardConfig(soft_threshold_bu=-1, hard_threshold_bu=20)
 
 
 class TestThresholdPolicy:

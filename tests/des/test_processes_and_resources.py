@@ -1,10 +1,10 @@
-"""Tests for generator processes, interrupts, resources and containers."""
+"""Tests for generator processes and interrupts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.des import Container, Interruption, PriorityResource, Resource
+from repro.des import Interruption
 
 
 class TestProcesses:
@@ -122,156 +122,3 @@ class TestProcesses:
         process = env.process(late_waiter(env))
         env.run()
         assert process.value == pytest.approx(5.0)
-
-
-class TestResource:
-    def test_grants_up_to_capacity(self, env):
-        resource = Resource(env, capacity=2)
-        log = []
-
-        def user(env, resource, name, hold):
-            with resource.request() as req:
-                yield req
-                log.append((name, env.now, "start"))
-                yield env.timeout(hold)
-            log.append((name, env.now, "end"))
-
-        for index in range(3):
-            env.process(user(env, resource, f"u{index}", 10.0))
-        env.run()
-        starts = {name: time for name, time, kind in log if kind == "start"}
-        assert starts["u0"] == 0.0 and starts["u1"] == 0.0
-        assert starts["u2"] == 10.0
-
-    def test_counts_and_queue_length(self, env):
-        resource = Resource(env, capacity=1)
-
-        def holder(env, resource):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(5.0)
-
-        env.process(holder(env, resource))
-        env.process(holder(env, resource))
-        env.run(until=1.0)
-        assert resource.count == 1
-        assert resource.queue_length == 1
-
-    def test_invalid_capacity(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
-    def test_cancel_waiting_request(self, env):
-        resource = Resource(env, capacity=1)
-        first = resource.request()
-        second = resource.request()
-        assert resource.queue_length == 1
-        second.cancel()
-        assert resource.queue_length == 0
-
-    def test_priority_resource_orders_waiters(self, env):
-        resource = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, resource, name, priority, delay):
-            yield env.timeout(delay)
-            request = resource.request(priority=priority)
-            yield request
-            order.append(name)
-            yield env.timeout(10.0)
-            resource.release(request)
-
-        env.process(user(env, resource, "holder", 0, 0.0))
-        env.process(user(env, resource, "low-priority", 5, 1.0))
-        env.process(user(env, resource, "high-priority", 0, 2.0))
-        env.run()
-        assert order == ["holder", "high-priority", "low-priority"]
-
-
-class TestContainer:
-    def test_initial_level_defaults_to_capacity(self, env):
-        container = Container(env, capacity=40.0)
-        assert container.level == 40.0
-        assert container.used == 0.0
-
-    def test_invalid_parameters(self, env):
-        with pytest.raises(ValueError):
-            Container(env, capacity=0.0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=10.0, init=20.0)
-
-    def test_try_get_and_try_put(self, env):
-        container = Container(env, capacity=40.0)
-        assert container.try_get(10.0)
-        assert container.level == 30.0
-        assert not container.try_get(35.0)
-        assert container.try_put(5.0)
-        assert container.level == 35.0
-        assert not container.try_put(10.0)
-
-    def test_try_get_invalid_amount(self, env):
-        container = Container(env, capacity=10.0)
-        with pytest.raises(ValueError):
-            container.try_get(0.0)
-        with pytest.raises(ValueError):
-            container.try_put(-1.0)
-
-    def test_blocking_get_waits_for_put(self, env):
-        container = Container(env, capacity=40.0, init=0.0)
-        log = []
-
-        def consumer(env, container):
-            yield container.get(10.0)
-            log.append(("got", env.now))
-
-        def producer(env, container):
-            yield env.timeout(7.0)
-            yield container.put(10.0)
-
-        env.process(consumer(env, container))
-        env.process(producer(env, container))
-        env.run()
-        assert log == [("got", 7.0)]
-
-    def test_blocking_put_waits_for_space(self, env):
-        container = Container(env, capacity=10.0, init=10.0)
-        log = []
-
-        def producer(env, container):
-            yield container.put(5.0)
-            log.append(("put", env.now))
-
-        def consumer(env, container):
-            yield env.timeout(3.0)
-            yield container.get(6.0)
-
-        env.process(producer(env, container))
-        env.process(consumer(env, container))
-        env.run()
-        assert log == [("put", 3.0)]
-
-    def test_get_more_than_capacity_fails_event(self, env):
-        container = Container(env, capacity=10.0)
-        event = container.get(20.0)
-        event.defuse()
-        env.run()
-        assert not event.ok
-
-    def test_fifo_gets(self, env):
-        container = Container(env, capacity=10.0, init=0.0)
-        order = []
-
-        def consumer(env, container, name, amount):
-            yield container.get(amount)
-            order.append(name)
-
-        env.process(consumer(env, container, "first", 4.0))
-        env.process(consumer(env, container, "second", 2.0))
-
-        def producer(env, container):
-            yield env.timeout(1.0)
-            yield container.put(10.0)
-
-        env.process(producer(env, container))
-        env.run()
-        assert order == ["first", "second"]

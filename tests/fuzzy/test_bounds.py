@@ -161,7 +161,7 @@ def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, screen, bandwidth
     score_lo, score_hi, certain = screen._cell_scores(bandwidth, occupancy)
     decided = decision != -1
     for points in (cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi):
-        scores = screen._exact_scores(points, bandwidth * fill, occupancy * fill)
+        scores = facs.flc2.decision_scores(points, bandwidth * fill, occupancy * fill)
         assert np.all(~certain | ((score_lo <= scores) & (scores <= score_hi)))
         assert np.array_equal((scores > threshold)[decided], (decision == 1)[decided])
 

@@ -4,6 +4,7 @@ the no-pickled-run-outputs guarantee of the process backend."""
 from __future__ import annotations
 
 import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import pytest
 
@@ -134,7 +135,7 @@ class TestChunking:
 
 
 class TestNoPickledRunOutputs:
-    """The acceptance criterion: process workers ship column buffers, not
+    """The acceptance criterion: process workers ship chunk frames, not
     pickled NetworkRunOutput dataclass trees."""
 
     def _network_rows(self):
@@ -155,12 +156,13 @@ class TestNoPickledRunOutputs:
             assert row.network is not None
 
     def test_worker_wire_payload_references_no_dataclasses(self):
+        # The chunk frame is what _map_reduce_chunk returns, so it is what
+        # the pool pickles back to the parent.
         reducer = FrameReducer("network")
-        packed = reducer.pack(reducer.fold(self._network_rows()))
-        wire = pickle.dumps(packed)
+        wire = bytes(ForkingPickler.dumps(reducer.fold(self._network_rows())))
         for needle in (b"NetworkRunOutput", b"RunResult", b"CallMetrics"):
             assert needle not in wire
-        assert reducer.unpack(packed).kind == "network"
+        assert pickle.loads(wire).kind == "network"
 
     def test_batch_worker_fn_returns_rows(self):
         task = ReplicationTask(

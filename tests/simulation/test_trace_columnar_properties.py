@@ -8,12 +8,11 @@
    every registered :data:`~repro.workloads.spec.WORKLOADS` arrival model
    and for the legacy no-workload sequence, across seeds and counts.
 
-2. **Incremental fold == buffered fold.**  ``map_reduce`` with an
-   incremental reducer (:class:`~repro.analysis.frame.StreamingFrameReducer`)
-   absorbs chunk frames in task-submission order, so the reduced frame must
-   be byte-identical to the buffered :class:`~repro.analysis.frame.FrameReducer`
-   reduce on every backend at any worker count and chunking — with and
-   without the memmap spill directory.
+2. **Chunked fold == one serial fold.**  ``map_reduce`` with a
+   :class:`~repro.analysis.frame.FrameReducer` folds each chunk into a
+   frame and merges the chunk frames in task order, so the reduced frame
+   must be byte-identical to one fold over every row on every backend at
+   any worker count and chunking.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.frame import BATCH_KIND, FrameReducer, StreamingFrameReducer, run_result_row
+from repro.analysis.frame import BATCH_KIND, FrameReducer, run_result_row
 from repro.cellular.metrics import CallMetrics
 from repro.des.rng import StreamFactory
 from repro.simulation.batch import build_requests, build_trace_arrays
@@ -131,7 +130,7 @@ def test_materialized_calls_match_scalar_loop(request_count, seed, workload_name
 
 
 # ----------------------------------------------------------------------
-# Incremental fold identity.
+# Chunked fold identity.
 
 
 def _make_row(index: int):
@@ -139,7 +138,7 @@ def _make_row(index: int):
 
     Varies the label, controller, parameter set and seed with the index so
     chunk boundaries exercise vocabulary growth and late-appearing
-    parameter columns (NaN backfill) in the accumulator.
+    parameter columns (NaN backfill) in the merge.
     """
     requested = 50 + (index * 13) % 40
     accepted = requested - (index * 7) % 20
@@ -167,7 +166,7 @@ def _make_row(index: int):
     return run_result_row(result, label=f"label{index % 4}", replication=index % 6)
 
 
-def _buffered_expected(row_count: int):
+def _serial_fold(row_count: int):
     return FrameReducer(BATCH_KIND).fold(_make_row(i) for i in range(row_count))
 
 
@@ -176,47 +175,31 @@ def _buffered_expected(row_count: int):
     max_workers=st.integers(1, 5),
     chunksize=st.integers(1, 9),
     backend=st.sampled_from(["serial", "thread"]),
-    spill=st.booleans(),
 )
 @_slow_settings
-def test_incremental_fold_matches_buffered_reduce(
-    row_count, max_workers, chunksize, backend, spill, tmp_path_factory
-):
+def test_frame_reducer_matches_one_serial_fold(row_count, max_workers, chunksize, backend):
     if backend == "serial":
         executor = SerialExecutor()
     else:
         executor = ThreadPoolSweepExecutor(max_workers=max_workers, chunksize=chunksize)
-    spill_dir = tmp_path_factory.mktemp("spill") if spill else None
-    reducer = StreamingFrameReducer(BATCH_KIND, spill_dir=spill_dir)
-    frame = executor.map_reduce(_make_row, range(row_count), reducer)
-    assert frame == _buffered_expected(row_count)
+    frame = executor.map_reduce(_make_row, range(row_count), FrameReducer(BATCH_KIND))
+    assert frame == _serial_fold(row_count)
 
 
 @pytest.mark.parametrize("chunksize", [1, 4])
-def test_incremental_fold_matches_on_process_pool(chunksize, tmp_path):
+def test_frame_reducer_matches_on_process_pool(chunksize):
     executor = ProcessPoolSweepExecutor(max_workers=2, chunksize=chunksize)
     rows = 25
-    buffered = executor.map_reduce(_make_row, range(rows), FrameReducer(BATCH_KIND))
-    incremental = executor.map_reduce(
-        _make_row, range(rows), StreamingFrameReducer(BATCH_KIND)
-    )
-    spilled = executor.map_reduce(
-        _make_row,
-        range(rows),
-        StreamingFrameReducer(BATCH_KIND, spill_dir=tmp_path),
-    )
-    expected = _buffered_expected(rows)
-    assert buffered == expected
-    assert incremental == expected
-    assert spilled == expected
+    frame = executor.map_reduce(_make_row, range(rows), FrameReducer(BATCH_KIND))
+    assert frame == _serial_fold(rows)
 
 
-def test_incremental_fold_empty_tasks():
+def test_frame_reducer_empty_tasks():
     expected = FrameReducer(BATCH_KIND).fold([])
     for executor in (
         SerialExecutor(),
         ThreadPoolSweepExecutor(max_workers=2, chunksize=3),
         ProcessPoolSweepExecutor(max_workers=2, chunksize=3),
     ):
-        frame = executor.map_reduce(_make_row, [], StreamingFrameReducer(BATCH_KIND))
+        frame = executor.map_reduce(_make_row, [], FrameReducer(BATCH_KIND))
         assert frame == expected
