@@ -26,11 +26,11 @@ from ..analysis.io import (
     versioned_payload,
     write_guarded_json,
 )
-from ..analysis.plotting import ascii_line_plot
-from ..analysis.tables import format_curve_table, format_table
+from ..analysis.tables import format_table
 from ..cac.facs.system import FACSConfig
 from ..cellular.mobility import UserProfile
 from ..cellular.network import hex_cell_count
+from ..experiments.figures import render_acceptance_sweep
 from ..experiments.network_sweep import (
     DEFAULT_NETWORK_BASE_CONFIG,
     network_sweep_spec,
@@ -412,24 +412,11 @@ def _run_coupled_sharded_network_sweep(
 
 def _render_ablation(result: SweepResult) -> str:
     """Generic table + plot rendering for the ablation sweeps."""
-    x_values = result.curves[0].request_counts()
-    series = {curve.label: curve.acceptance_series() for curve in result.curves}
-    table = format_curve_table(
-        "Requests",
-        x_values,
-        series,
-        title=f"{result.name} — acceptance percentage vs requesting connections",
+    return render_acceptance_sweep(
+        result,
+        f"{result.name} — acceptance percentage vs requesting connections",
+        result.name,
     )
-    if len(x_values) < 2:
-        return table
-    plot = ascii_line_plot(
-        [float(x) for x in x_values],
-        series,
-        y_label="percentage of accepted calls",
-        x_label="number of requesting connections",
-        title=result.name,
-    )
-    return f"{table}\n\n{plot}"
 
 
 @_handles(AblationScenario)

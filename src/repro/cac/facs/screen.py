@@ -1,6 +1,6 @@
 """Certified decision screening for the FACS cascade.
 
-The exact admission kernel and both network engines only need the
+The single-cell admission loop and both network engines only need the
 *boolean* admission verdict — "is the defuzzified A/R score above the
 threshold?" — yet the score path pays for full dense-grid aggregation and
 centroid integration in both FLC stages for every request.
@@ -12,19 +12,18 @@ whose bounds straddle the threshold.  Decisions are therefore
 byte-identical to ``score_columns(...) > threshold`` by construction, never
 by tolerance.
 
-There are two ways in.  A block of kernel rows goes through
+There are two ways in.  A block of trace rows goes through
 :meth:`DecisionScreen.columns`, which bounds FLC1 for the whole block.  A
 single request whose exact correction value is already known (the network
 engines' :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.accepts`,
-and a kernel row the block bounds could not decide) goes through
+and a trace row the block bounds could not decide) goes through
 :meth:`DecisionScreen.verdict_at`: one bisect of the shared ``Cv`` grid and
 one read of the (R, Cs) cell table, with exact FLC2 only where that cell is
-ambiguous.  A process builds the screen and its tables for itself, so
-they pay only over enough verdicts, and this module holds both rules for
-when they do: a kernel run reads the screen from
-:data:`SCREEN_MIN_REQUESTS` requests on, and a single verdict builds its
-(R, Cs) table once that pair has been asked :data:`_TABLE_MIN_VERDICTS`
-times, scoring exactly until then.
+ambiguous.  A process builds the screen once per controller pair and its
+cell tables lazily.  A block builds the table of every (R, Cs) its rows
+meet.  A single verdict builds its (R, Cs) table only once that pair has
+been asked :data:`_TABLE_MIN_VERDICTS` times, and scores exactly until
+then.
 
 How a block of trace rows flows through the screen
 (:meth:`DecisionScreen.columns` runs steps 1–2 once per block;
@@ -84,7 +83,7 @@ from ...fuzzy.membership import Trapezoidal, Triangular
 from .flc1 import FLC1
 from .flc2 import FLC2
 
-__all__ = ["SCREEN_MIN_REQUESTS", "DecisionScreen", "ScreenedColumns"]
+__all__ = ["DecisionScreen", "ScreenedColumns"]
 
 _log = logging.getLogger(__name__)
 
@@ -98,17 +97,6 @@ _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
 #: Number of uniform points in the shared ``Cv`` cell grid.
 _CV_SEED_CELLS = 257
-#: Fewest requests of a FACS kernel run whose blocks read the screen.  A
-#: process builds the screen (about 2 ms) and its cell tables lazily, and a
-#: block builds the table of every (R, Cs) its rows meet, so a short run is
-#: faster scored exactly.  Cold, in a fresh process (one run at the paper's
-#: load, seeds 1-3, 2 vCPUs, median of 3), exact and screened take 53 and
-#: 84 ms at 512 requests, 67 and 118 ms at 1,024, 108 and 84 ms at 1,536,
-#: and 146 and 91 ms at 2,048; warm, the screen wins at every size (39 and
-#: 12 ms at 512).  The cold break-even lies between 1,024 and 1,536
-#: requests, and a process's later runs are warm, so the minimum sits at
-#: the low end.
-SCREEN_MIN_REQUESTS = 1024
 #: Verdicts :meth:`DecisionScreen.verdict_at` asks at one (R, Cs) before it
 #: builds that pair's cell table.  A table costs 0.5-0.7 ms, about a dozen
 #: exact FLC2 evaluations (46-65 µs each), so paying exact FLC2 until a

@@ -38,7 +38,7 @@ from ..counters import ServiceCounters
 from .config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from .flc1 import FLC1
 from .flc2 import FLC2
-from .screen import SCREEN_MIN_REQUESTS, DecisionScreen, ScreenedColumns
+from .screen import DecisionScreen, ScreenedColumns
 
 __all__ = [
     "BatchAdmissionDecision",
@@ -263,17 +263,10 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         """The Ds/RTC/NRTC counters tracking calls admitted by this controller."""
         return self._counters
 
-    def _decision_screen(self, requests: int | None = None) -> DecisionScreen | None:
-        """The process-wide screen of this controller pair, or ``None``.
-
-        ``None`` too for a block of a kernel run of fewer than
-        :data:`~repro.cac.facs.screen.SCREEN_MIN_REQUESTS` ``requests``,
-        which is faster scored exactly; a single verdict (``requests``
-        ``None``) always reads the screen, whose own rule decides when to
-        build each cell table.  Looked up once per controller.
+    def _decision_screen(self) -> DecisionScreen | None:
+        """The process-wide screen of this controller pair, or ``None`` for a
+        pair outside the certified regime.  Looked up once per controller.
         """
-        if requests is not None and requests < SCREEN_MIN_REQUESTS:
-            return None
         shared = self._screen
         if shared is None:
             shared = _shared_screen(
@@ -357,7 +350,6 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         angles_deg: np.ndarray,
         distances_km: np.ndarray,
         request_bus: np.ndarray,
-        requests: int | None = None,
     ) -> ScreenedColumns | ExactColumns:
         """Threshold verdicts for a block of pre-drawn observation columns.
 
@@ -367,19 +359,17 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         occupancy its request meets, equal to
         ``score_columns(...)[k] > acceptance_threshold`` at that occupancy.
         When the controller pair supports it, the verdict comes from the
-        certified :class:`~repro.cac.facs.screen.DecisionScreen`: most rows
-        are decided by one lookup in the (R, Cs) cell table and only the
-        undecidable remainder pays for exact dense-grid inference.
-        Configurations outside the certified regime (reference engine,
-        custom operators or membership shapes, …) get
-        :class:`ExactColumns`: exact FLC1 once per block and exact FLC2 per
-        verdict.  So does a block of a run whose ``requests`` are too few
-        to pay for the screen's tables (see :meth:`_decision_screen`); it
-        neither builds nor reads one.
+        certified :class:`~repro.cac.facs.screen.DecisionScreen` the process
+        shares: most rows are decided by one lookup in the (R, Cs) cell
+        table and only the undecidable remainder pays for exact dense-grid
+        inference.  Configurations outside the certified regime (reference
+        engine, custom operators or membership shapes, non-unit rule
+        weights, …) get :class:`ExactColumns`: exact FLC1 once per block and
+        exact FLC2 per verdict.
         """
         speeds = np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH)
         distances = np.clip(distances_km, *PAPER_DISTANCE_RANGE_KM)
-        shared = self._decision_screen(requests)
+        shared = self._decision_screen()
         if shared is not None:
             try:
                 return shared.columns(speeds, angles_deg, distances, request_bus)

@@ -42,6 +42,12 @@ class DemandEstimator:
     def __init__(self, config: ProjectionConfig):
         self._config = config
         self._profiles: dict[int, DemandProfile] = {}
+        #: Each tracked call's :meth:`DemandProfile.in_cell_demand`, stored
+        #: when it is tracked, in the same order as ``_profiles``.
+        self._in_cell: dict[int, tuple[float, ...]] = {}
+        #: The call :meth:`profile_for` projected last, with its profile.
+        #: :meth:`track` reuses the profile for that same call object only.
+        self._last: tuple[Call, DemandProfile] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -59,35 +65,56 @@ class DemandEstimator:
     def profile_for(self, call: Call) -> DemandProfile:
         """Build the demand profile of a (not necessarily tracked) call."""
         projection: ResidencyProjection = project_residency(call.user_state, self._config)
-        return DemandProfile(
+        profile = DemandProfile(
             call_id=call.call_id,
             bandwidth_units=call.bandwidth_units,
             in_cell=projection.in_cell_active,
             outgoing=projection.departed_active,
         )
+        self._last = (call, profile)
+        return profile
 
     def track(self, call: Call) -> DemandProfile:
-        """Start projecting an admitted call's demand."""
+        """Start projecting an admitted call's demand.
+
+        A call is admitted at the instant it was scored, so the profile
+        :meth:`profile_for` just built for this very call object is reused
+        instead of projected again.
+        """
         if call.call_id in self._profiles:
             raise ValueError(f"call {call.call_id} is already tracked")
-        profile = self.profile_for(call)
+        last = self._last
+        profile = last[1] if last is not None and last[0] is call else self.profile_for(call)
+        self._last = None
         self._profiles[call.call_id] = profile
+        self._in_cell[call.call_id] = profile.in_cell_demand()
         return profile
 
     def untrack(self, call: Call) -> None:
         """Stop projecting a call (completed, dropped or handed off away)."""
         self._profiles.pop(call.call_id, None)
+        self._in_cell.pop(call.call_id, None)
 
     def reset(self) -> None:
         self._profiles.clear()
+        self._in_cell.clear()
+        self._last = None
 
     # ------------------------------------------------------------------
     def projected_in_cell_demand(self) -> list[float]:
-        """Expected BU needed in this cell per future interval (tracked calls)."""
-        totals = [0.0] * self._config.horizon_intervals
-        for profile in self._profiles.values():
-            for index, demand in enumerate(profile.in_cell_demand()):
-                totals[index] += demand
+        """Expected BU needed in this cell per future interval (tracked calls).
+
+        Each interval's total is summed from 0.0 call by call, in tracking
+        order.
+        """
+        if not self._in_cell:
+            return [0.0] * self._config.horizon_intervals
+        totals = []
+        for column in zip(*self._in_cell.values()):
+            total = 0.0
+            for demand in column:
+                total += demand
+            totals.append(total)
         return totals
 
     def projected_outgoing_demand(self) -> list[float]:

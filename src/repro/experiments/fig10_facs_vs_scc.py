@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..analysis.plotting import ascii_line_plot
-from ..analysis.tables import format_curve_table
 from ..cac.facs.system import FACSConfig
 from ..cac.scc.system import SCCConfig
 from ..simulation.config import PAPER_REQUEST_COUNTS
@@ -20,6 +18,7 @@ from ..simulation.executor import SweepExecutor
 from ..simulation.scenario import controller_comparison_variants, with_workload
 from ..simulation.sweep import SweepResult, run_acceptance_sweep
 from ..workloads import WorkloadSpec
+from .figures import render_acceptance_sweep
 
 __all__ = ["reproduce_figure10", "render_figure10", "crossover_request_count"]
 
@@ -65,26 +64,22 @@ def crossover_request_count(sweep: SweepResult) -> int | None:
 
 
 def render_figure10(sweep: SweepResult) -> str:
-    """Render the Fig. 10 reproduction as an ASCII table plus plot."""
-    x_values = sweep.curves[0].request_counts()
-    series = {curve.label: curve.acceptance_series() for curve in sweep.curves}
-    table = format_curve_table(
-        "Requests",
-        x_values,
-        series,
-        title="Figure 10 — FACS vs SCC acceptance percentage",
+    """Render the Fig. 10 reproduction as an ASCII table plus plot.
+
+    A sweep of a single request count renders as the table alone, with no
+    crossover line.
+    """
+    text = render_acceptance_sweep(
+        sweep,
+        "Figure 10 — FACS vs SCC acceptance percentage",
+        "Figure 10 (reproduction)",
     )
-    plot = ascii_line_plot(
-        [float(x) for x in x_values],
-        series,
-        y_label="percentage of accepted calls",
-        x_label="number of requesting connections",
-        title="Figure 10 (reproduction)",
-    )
+    if len(sweep.curves[0].points) < 2:
+        return text
     crossover = crossover_request_count(sweep)
     note = (
         f"crossover: SCC overtakes FACS at {crossover} requesting connections"
         if crossover is not None
         else "crossover: not observed within the sweep"
     )
-    return f"{table}\n\n{plot}\n{note}"
+    return f"{text}\n{note}"

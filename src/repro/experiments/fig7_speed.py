@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..analysis.plotting import ascii_line_plot
-from ..analysis.tables import format_curve_table
 from ..cac.facs.system import FACSConfig
 from ..simulation.config import PAPER_REQUEST_COUNTS
 from ..simulation.executor import SweepExecutor
@@ -24,6 +22,7 @@ from ..simulation.scenario import (
 )
 from ..simulation.sweep import SweepResult, run_acceptance_sweep
 from ..workloads import WorkloadSpec
+from .figures import render_acceptance_sweep
 
 __all__ = ["reproduce_figure7", "render_figure7"]
 
@@ -53,19 +52,8 @@ def reproduce_figure7(
 
 def render_figure7(sweep: SweepResult) -> str:
     """Render the Fig. 7 reproduction as an ASCII table plus plot."""
-    x_values = sweep.curves[0].request_counts()
-    series = {curve.label: curve.acceptance_series() for curve in sweep.curves}
-    table = format_curve_table(
-        "Requests",
-        x_values,
-        series,
-        title="Figure 7 — acceptance percentage vs requesting connections (speed curves)",
+    return render_acceptance_sweep(
+        sweep,
+        "Figure 7 — acceptance percentage vs requesting connections (speed curves)",
+        "Figure 7 (reproduction)",
     )
-    plot = ascii_line_plot(
-        [float(x) for x in x_values],
-        series,
-        y_label="percentage of accepted calls",
-        x_label="number of requesting connections",
-        title="Figure 7 (reproduction)",
-    )
-    return f"{table}\n\n{plot}"

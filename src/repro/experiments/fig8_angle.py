@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..analysis.plotting import ascii_line_plot
-from ..analysis.tables import format_curve_table
 from ..cac.facs.system import FACSConfig
 from ..simulation.config import PAPER_REQUEST_COUNTS
 from ..simulation.executor import SweepExecutor
@@ -23,6 +21,7 @@ from ..simulation.scenario import (
 )
 from ..simulation.sweep import SweepResult, run_acceptance_sweep
 from ..workloads import WorkloadSpec
+from .figures import render_acceptance_sweep
 
 __all__ = ["reproduce_figure8", "render_figure8"]
 
@@ -52,19 +51,8 @@ def reproduce_figure8(
 
 def render_figure8(sweep: SweepResult) -> str:
     """Render the Fig. 8 reproduction as an ASCII table plus plot."""
-    x_values = sweep.curves[0].request_counts()
-    series = {curve.label: curve.acceptance_series() for curve in sweep.curves}
-    table = format_curve_table(
-        "Requests",
-        x_values,
-        series,
-        title="Figure 8 — acceptance percentage vs requesting connections (angle curves)",
+    return render_acceptance_sweep(
+        sweep,
+        "Figure 8 — acceptance percentage vs requesting connections (angle curves)",
+        "Figure 8 (reproduction)",
     )
-    plot = ascii_line_plot(
-        [float(x) for x in x_values],
-        series,
-        y_label="percentage of accepted calls",
-        x_label="number of requesting connections",
-        title="Figure 8 (reproduction)",
-    )
-    return f"{table}\n\n{plot}"

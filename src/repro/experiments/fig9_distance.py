@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..analysis.plotting import ascii_line_plot
-from ..analysis.tables import format_curve_table
 from ..cac.facs.system import FACSConfig
 from ..simulation.config import PAPER_REQUEST_COUNTS
 from ..simulation.executor import SweepExecutor
@@ -23,6 +21,7 @@ from ..simulation.scenario import (
 )
 from ..simulation.sweep import SweepResult, run_acceptance_sweep
 from ..workloads import WorkloadSpec
+from .figures import render_acceptance_sweep
 
 __all__ = ["reproduce_figure9", "render_figure9", "curve_spread"]
 
@@ -62,19 +61,8 @@ def curve_spread(sweep: SweepResult) -> float:
 
 def render_figure9(sweep: SweepResult) -> str:
     """Render the Fig. 9 reproduction as an ASCII table plus plot."""
-    x_values = sweep.curves[0].request_counts()
-    series = {curve.label: curve.acceptance_series() for curve in sweep.curves}
-    table = format_curve_table(
-        "Requests",
-        x_values,
-        series,
-        title="Figure 9 — acceptance percentage vs requesting connections (distance curves)",
+    return render_acceptance_sweep(
+        sweep,
+        "Figure 9 — acceptance percentage vs requesting connections (distance curves)",
+        "Figure 9 (reproduction)",
     )
-    plot = ascii_line_plot(
-        [float(x) for x in x_values],
-        series,
-        y_label="percentage of accepted calls",
-        x_label="number of requesting connections",
-        title="Figure 9 (reproduction)",
-    )
-    return f"{table}\n\n{plot}"

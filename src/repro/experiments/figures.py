@@ -4,13 +4,25 @@ Each entry ties a paper artifact (Fig. 7, Table 1, ...) to the function in
 this package that reproduces it and to the expected qualitative shape the
 reproduction is checked against.  The benches and EXPERIMENTS.md are both
 driven from this registry so the experiment inventory lives in one place.
+The acceptance-sweep figures and ablations share one renderer,
+:func:`render_acceptance_sweep`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["ExperimentSpec", "EXPERIMENTS", "experiment", "experiment_ids"]
+from ..analysis.plotting import ascii_line_plot
+from ..analysis.tables import format_curve_table
+from ..simulation.sweep import SweepResult
+
+__all__ = [
+    "ExperimentSpec",
+    "EXPERIMENTS",
+    "experiment",
+    "experiment_ids",
+    "render_acceptance_sweep",
+]
 
 
 @dataclass(frozen=True)
@@ -188,3 +200,24 @@ def experiment(experiment_id: str) -> ExperimentSpec:
 def experiment_ids() -> list[str]:
     """All registered experiment identifiers, in registry order."""
     return [spec.experiment_id for spec in EXPERIMENTS]
+
+
+def render_acceptance_sweep(sweep: SweepResult, title: str, plot_title: str) -> str:
+    """An acceptance sweep as a table plus an ASCII plot of its curves.
+
+    A sweep of a single request count has no line to draw, so it renders as
+    the table alone.
+    """
+    x_values = sweep.curves[0].request_counts()
+    series = {curve.label: curve.acceptance_series() for curve in sweep.curves}
+    table = format_curve_table("Requests", x_values, series, title=title)
+    if len(x_values) < 2:
+        return table
+    plot = ascii_line_plot(
+        [float(x) for x in x_values],
+        series,
+        y_label="percentage of accepted calls",
+        x_label="number of requesting connections",
+        title=plot_title,
+    )
+    return f"{table}\n\n{plot}"

@@ -6,30 +6,36 @@ calls hold their bandwidth for an exponential, class-dependent holding time
 and then release it.  The output is the percentage of accepted calls — the
 y axis of every figure in the paper's evaluation.
 
-Two loops run the experiment, with equal results.
+One admission loop runs every controller.  The whole trace is drawn first
+as numpy columns (:func:`build_trace_arrays`); the arrivals are then walked
+in order with a departure heap.  At each arrival every departure due at or
+before that instant is released, in the order (departure instant, admission
+order) the DES's event queue uses.  Instants are computed the way the DES
+clock computes them (``now + (t − now)``, then ``now + holding``), so the
+departure order is the DES's bit for bit.  Row ``k``'s verdict comes from
+one of two places:
 
-* **The FACS kernel** runs every FACS controller.  The whole trace is drawn
-  first as numpy columns (:func:`build_trace_arrays`).  FLC1 does not
-  depend on the base station, so it runs once per fixed block of rows
-  through
-  :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`;
-  the arrivals are then walked in one integer loop with a departure heap
-  that asks the block for each verdict at the request's own occupancy.  At
-  each arrival every departure due at or before that instant is released;
-  a request that does not fit the free bandwidth is rejected; any other
-  request is admitted iff its A/R score at the occupancy it meets (FLC2's
-  ``Cs`` input) is above the threshold.  Instants are computed the way the
-  DES clock computes them (``now + (t − now)``, then ``now + holding``), so
-  the departure order is the DES's bit for bit.  Runs of at least
-  :data:`~repro.cac.facs.screen.SCREEN_MIN_REQUESTS` requests read verdicts
-  from the certified decision screen; shorter ones score every verdict
-  exactly.  Neither the block size nor the path changes an answer.
-* **The discrete-event loop** (:func:`run_des_experiment`, on
-  :mod:`repro.des`) runs every other controller and every run that
-  collects the per-call trace: one generator process replays the arrival
-  sequence and spawns a departure process per admitted call, so occupancy
-  rises and falls exactly as it would in the authors' event-driven
-  simulator.  It is also the FACS kernel's oracle.
+* **FACS blocks.**  FLC1 does not depend on the base station, so for an
+  exact FACS controller it runs once per fixed block of rows through
+  :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`,
+  and the block answers each row at the occupancy its request meets (FLC2's
+  ``Cs`` input): from the certified decision screen where the controller
+  pair has one, by exact inference where it has none.  A request that does
+  not fit the free bandwidth is rejected before the block is asked, since
+  the verdict is stateless.  Neither the block size nor the path changes an
+  answer, and no ``Call`` or ``BaseStation`` is built.
+* **The controller.**  Every other controller, and every run that collects
+  the per-call trace, is asked about each request's :class:`Call` at a
+  :class:`BaseStation` whose ledger holds the admitted calls, and hears
+  ``on_admitted`` and ``on_released`` at the admission and departure
+  instants.  It is asked before the fit check, as the DES asks it, because
+  asking may change its state (MPCLookahead updates its load estimates on
+  every new call).  A trace run calls ``decide`` and records its score.
+
+The discrete-event loop (:func:`run_des_experiment`, on :mod:`repro.des`)
+replays the same trace with one generator process and a departure process
+per admitted call, so occupancy rises and falls exactly as it would in the
+authors' event-driven simulator.  It is the admission loop's oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ ControllerFactory = Callable[[], AdmissionController]
 
 _log = logging.getLogger(__name__)
 
-#: Rows per FLC1 pass of the FACS kernel.  Smaller blocks pay more per-call
+#: Rows per FLC1 pass of a FACS block.  Smaller blocks pay more per-call
 #: overhead; larger ones hold more FLC1 intermediates at once (a whole
 #: 20k-request trace in one block about doubles the process's peak RSS).
 _BLOCK_ROWS = 512
@@ -111,7 +117,7 @@ class BatchRunOutput:
 class TraceArrays:
     """A whole arrival trace as one numpy column per request attribute.
 
-    The columnar twin of the ``list[Call]`` a batch run replays: same draws,
+    The columnar twin of the ``list[Call]`` the DES replays: same draws,
     same values, no per-request objects.  ``class_codes`` indexes into
     ``services`` (the traffic mix's class order); every column has one entry
     per request, in arrival order, and call ids are implicitly ``1..n`` —
@@ -219,9 +225,9 @@ def build_requests(config: BatchExperimentConfig, streams: StreamFactory) -> lis
 
     A pure function of ``(config, streams)``: the same seeded configuration
     always yields the same trace.  The draws happen columnar-ly in
-    :func:`build_trace_arrays`, which the FACS kernel reads directly; this
-    merely materializes the `Call` objects the discrete-event loop replays,
-    so the two representations can never drift apart.
+    :func:`build_trace_arrays`, which the admission loop reads directly;
+    this merely materializes their `Call` objects, so the two
+    representations can never drift apart.
     """
     return build_trace_arrays(config, streams).to_calls()
 
@@ -233,40 +239,31 @@ def run_batch_experiment(
 ) -> BatchRunOutput:
     """Run one batch experiment and return metrics (and optionally the trace).
 
-    A FACS controller runs through the exact column kernel; every other
-    controller runs on the discrete-event loop (:func:`run_des_experiment`),
-    and so does ``collect_trace=True``: each :class:`BatchCallRecord`
-    carries its request's A/R score, which only the scalar ``decide``
-    computes.  Both loops return equal outputs.  Only an exact
-    :class:`~repro.cac.facs.system.FuzzyAdmissionControlSystem` takes the
-    kernel, since a subclass may override ``decide``.
+    Every controller runs through the one admission loop (see the module
+    docstring).  Only an exact
+    :class:`~repro.cac.facs.system.FuzzyAdmissionControlSystem` reads FACS
+    blocks, since a subclass may override ``decide``; any other controller,
+    and ``collect_trace=True``, is asked per request.  Each
+    :class:`BatchCallRecord` of the trace carries its request's ``decide``
+    score.  The output equals :func:`run_des_experiment`'s.
     """
     controller = controller_factory()
-    if collect_trace or type(controller) is not FuzzyAdmissionControlSystem:
-        return run_des_experiment(config, controller, collect_trace)
-    return _run_facs_kernel(config, controller)
-
-
-def _run_facs_kernel(
-    config: BatchExperimentConfig, controller: FuzzyAdmissionControlSystem
-) -> BatchRunOutput:
-    """The FACS batch experiment as one integer loop over the trace's columns.
-
-    The controller's lifecycle hooks are not called: it is discarded after
-    the run, and every call it would track completes before the run returns.
-    """
     arrays = build_trace_arrays(
         config, StreamFactory(master_seed=config.stream_master_seed)
     )
     capacity = config.capacity_bu
+    asked = None
+    if collect_trace or type(controller) is not FuzzyAdmissionControlSystem:
+        asked = _AskedController(controller, arrays.to_calls(), capacity, collect_trace)
     arrivals = arrays.arrival_time_s.tolist()
     holdings = arrays.holding_time_s.tolist()
     bandwidths = arrays.bandwidth_units.tolist()
     request_bus = arrays.bandwidth_units.astype(np.float64)
     total = len(arrivals)
 
-    # Admitted calls' (departure instant, bandwidth), earliest first.
-    departures: list[tuple[float, int]] = []
+    # Admitted calls' (departure instant, row, bandwidth), earliest first.
+    # Rows are admitted in order, so ties release in admission order.
+    departures: list[tuple[float, int, int]] = []
     admitted = np.zeros(total, dtype=bool)
     now = 0.0
     used = peak_occupancy = 0
@@ -274,41 +271,58 @@ def _run_facs_kernel(
     path = "exact"
     for start in range(0, total, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, total)
-        verdicts = controller.decide_columns(
-            arrays.speed_kmh[start:stop],
-            arrays.angle_deg[start:stop],
-            arrays.distance_km[start:stop],
-            request_bus[start:stop],
-            requests=total,
-        )
-        if not isinstance(verdicts, ExactColumns):
-            path = "screened"
+        if asked is None:
+            block = controller.decide_columns(
+                arrays.speed_kmh[start:stop],
+                arrays.angle_deg[start:stop],
+                arrays.distance_km[start:stop],
+                request_bus[start:stop],
+            )
+            if not isinstance(block, ExactColumns):
+                path = "screened"
         for row in range(start, stop):
             delay = arrivals[row] - now
             if delay > 0:
                 now = now + delay
             while departures and departures[0][0] <= now:
-                used -= heapq.heappop(departures)[1]
+                instant, done, bandwidth = heapq.heappop(departures)
+                used -= bandwidth
+                if asked is not None:
+                    asked.release(done, instant)
             bandwidth = bandwidths[row]
-            if used + bandwidth > capacity or not verdicts.accepts(row - start, used):
+            if asked is not None:
+                # The controller is asked first and the fit checked after.
+                if not asked.admits(row, now):
+                    continue
+            # A FACS block's verdict is stateless, so the fit is checked first.
+            elif used + bandwidth > capacity or not block.accepts(row - start, used):
                 continue
             used += bandwidth
             admitted[row] = True
             peak_occupancy = max(peak_occupancy, used)
-            heapq.heappush(departures, (now + holdings[row], bandwidth))
-        screened += verdicts.screened
-        exact_flc1 += verdicts.exact_flc1
-        exact_flc2 += verdicts.exact_flc2
+            heapq.heappush(departures, (now + holdings[row], row, bandwidth))
+        if asked is None:
+            screened += block.screened
+            exact_flc1 += block.exact_flc1
+            exact_flc2 += block.exact_flc2
 
-    _log.debug(
-        "FACS kernel (%s): %d requests, %d screened, %d exact FLC1 rows, "
-        "%d exact FLC2 rows",
-        path,
-        total,
-        screened,
-        exact_flc1,
-        exact_flc2,
-    )
+    records: tuple[BatchCallRecord, ...] = ()
+    if asked is not None:
+        # The DES goes on to run every departure left after the last arrival.
+        while departures:
+            instant, done, _ = heapq.heappop(departures)
+            asked.release(done, instant)
+        records = tuple(asked.records or ())
+    else:
+        _log.debug(
+            "FACS blocks (%s): %d requests, %d screened, %d exact FLC1 rows, "
+            "%d exact FLC2 rows",
+            path,
+            total,
+            screened,
+            exact_flc1,
+            exact_flc2,
+        )
     accepted = int(admitted.sum())
     metrics = CallMetrics(
         requested=total,
@@ -329,13 +343,79 @@ def _run_facs_kernel(
         peak_occupancy,
         class_names,
         _class_counter_values(arrays, admitted, class_names),
+        records,
     )
+
+
+class _AskedController:
+    """A controller asked about each request on its :class:`Call`, as the DES asks.
+
+    It sees a :class:`BaseStation` whose ledger holds the admitted calls,
+    each call moves through the lifecycle the DES gives it, and the
+    controller hears ``on_admitted`` at each admission and ``on_released``
+    at each departure instant.  ``records`` collects the per-call trace
+    when asked to, else it is ``None``.
+    """
+
+    def __init__(
+        self,
+        controller: AdmissionController,
+        calls: list[Call],
+        capacity_bu: int,
+        collect_trace: bool,
+    ):
+        controller.reset()
+        self._controller = controller
+        self._calls = calls
+        self._station = BaseStation(capacity_bu=capacity_bu)
+        self.records: list[BatchCallRecord] | None = [] if collect_trace else None
+
+    def admits(self, row: int, now: float) -> bool:
+        """Ask about row ``row``'s request at ``now``, then admit it if the
+        controller accepts it and it fits."""
+        call = self._calls[row]
+        station = self._station
+        controller = self._controller
+        if self.records is None:
+            accepted = controller.accepts(call, station, now) and station.can_fit(
+                call.bandwidth_units
+            )
+        else:
+            occupancy_before = station.used_bu
+            decision = controller.decide(call, station, now)
+            accepted = decision.accepted and station.can_fit(call.bandwidth_units)
+            self.records.append(
+                BatchCallRecord(
+                    call_id=call.call_id,
+                    arrival_time_s=now,
+                    service=call.service,
+                    bandwidth_units=call.bandwidth_units,
+                    user_state=call.user_state,
+                    accepted=accepted,
+                    score=decision.score,
+                    occupancy_before_bu=occupancy_before,
+                )
+            )
+        if accepted:
+            station.allocate(call)
+            call.admit(now, station.station_id)
+            controller.on_admitted(call, station, now)
+        else:
+            call.block(now, station.station_id)
+        return accepted
+
+    def release(self, row: int, instant: float) -> None:
+        """Release row ``row``'s call at its departure instant."""
+        call = self._calls[row]
+        self._station.release(call)
+        call.complete(instant)
+        self._controller.on_released(call, self._station, instant)
 
 
 def _class_counter_values(
     arrays: TraceArrays, admitted: np.ndarray, class_names: tuple[str, ...]
 ) -> tuple[float, ...]:
-    """Per-class counters of a kernel run, laid out like
+    """Per-class counters of an admission-loop run, laid out like
     :meth:`~repro.cellular.metrics.MetricsCollector.class_counter_values`:
     every admitted call completes and none is dropped.  A workload's
     classes are its traffic mix's, so each name has a class code."""
@@ -358,8 +438,10 @@ def run_des_experiment(
     """Run one batch experiment on the discrete-event loop.
 
     Any controller, decided request by request through its scalar
-    ``decide``; :func:`run_batch_experiment` sends every non-FACS run here,
-    and for FACS this is the kernel's oracle.
+    ``decide``.  The oracle :func:`run_batch_experiment` is held equal to,
+    field for field, and what
+    :func:`~repro.simulation.trace.run_trace_arrivals` runs with
+    ``stream=False``.
     """
     streams = StreamFactory(master_seed=config.stream_master_seed)
     requests = build_requests(config, streams)
@@ -435,7 +517,8 @@ def _run_output(
     class_values: tuple[float, ...],
     records: tuple[BatchCallRecord, ...] = (),
 ) -> BatchRunOutput:
-    """Assemble a run's output; both loops report through here."""
+    """Assemble a run's output; the admission loop and the DES both report
+    through here."""
     parameters = {
         "request_count": float(config.request_count),
         "capacity_bu": float(config.capacity_bu),

@@ -3,11 +3,11 @@
 A trace run is the single-cell batch experiment
 (:mod:`repro.simulation.batch`) with a FACS controller, reported as a
 :class:`TraceRunResult`.  ``stream=True`` runs it through
-:func:`~repro.simulation.batch.run_batch_experiment`, whose exact FACS
-kernel draws the whole trace first as numpy columns and then walks it in
-arrival order, deciding each request at the occupancy it meets.
-``stream=False`` runs the discrete-event loop on the same config, the
-kernel's oracle; the two return equal results, field for field.
+:func:`~repro.simulation.batch.run_batch_experiment`, whose admission loop
+draws the whole trace first as numpy columns and then walks it in arrival
+order, deciding each request at the occupancy it meets.  ``stream=False``
+runs the discrete-event loop on the same config, the loop's oracle; the
+two return equal results, field for field.
 """
 
 from __future__ import annotations
@@ -68,9 +68,9 @@ def run_trace_arrivals(
     """Admit the trace described by ``config`` through FACS, request by request.
 
     ``facs_config`` selects the FACS tuning and inference engine.
-    ``stream=True`` runs the columnar kernel; ``stream=False`` runs the
-    discrete-event batch experiment on the same config, the kernel's
-    oracle.  Both return equal results.
+    ``stream=True`` runs the admission loop; ``stream=False`` runs the
+    discrete-event batch experiment on the same config, the loop's oracle.
+    Both return equal results.
     """
     if stream:
         output = run_batch_experiment(config, facs_factory(facs_config))

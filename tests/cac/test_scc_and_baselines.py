@@ -8,6 +8,7 @@ import pytest
 
 from repro.cac.complete_sharing import CompleteSharingController
 from repro.cac.guard_channel import GuardChannelConfig, GuardChannelController
+from repro.cac.scc import demand
 from repro.cac.scc.demand import DemandEstimator
 from repro.cac.scc.projection import ProjectionConfig, expected_exit_time_s, project_residency
 from repro.cac.scc.system import SCCConfig, ShadowClusterController
@@ -107,6 +108,61 @@ class TestDemandEstimator:
         estimator.reset()
         assert estimator.tracked_calls == 0
 
+    @pytest.fixture
+    def projections(self, monkeypatch):
+        counter = {"calls": 0}
+
+        def counted(*args, **kwargs):
+            counter["calls"] += 1
+            return project_residency(*args, **kwargs)
+
+        monkeypatch.setattr(demand, "project_residency", counted)
+        return counter
+
+    def test_track_reuses_the_profile_just_scored(self, projections):
+        estimator = DemandEstimator(ProjectionConfig())
+        call = make_call(ServiceClass.VIDEO, speed=60.0, angle=120.0)
+        scored = estimator.profile_for(call)
+        assert estimator.track(call) is scored
+        assert projections["calls"] == 1
+
+    def test_reuse_is_tied_to_the_scored_call_object(self, projections):
+        estimator = DemandEstimator(ProjectionConfig())
+        scored = make_call(ServiceClass.VIDEO, speed=60.0, angle=120.0)
+        other = make_call(ServiceClass.VOICE, speed=4.0, distance=9.0)
+        estimator.profile_for(scored)
+        profile = estimator.track(other)
+        assert profile.call_id == other.call_id
+        expected = project_residency(other.user_state, ProjectionConfig())
+        assert profile.in_cell == expected.in_cell_active
+        # Consumed by the first track, and cleared by reset.
+        estimator.reset()
+        estimator.track(scored)
+        assert projections["calls"] == 3
+
+    def test_totals_are_summed_call_by_call_in_tracking_order(self):
+        estimator = DemandEstimator(ProjectionConfig())
+        calls = [
+            make_call(service, speed=speed, angle=angle, distance=distance)
+            for service, speed, angle, distance in (
+                (ServiceClass.VIDEO, 60.0, 170.0, 8.5),
+                (ServiceClass.TEXT, 4.0, 30.0, 1.2),
+                (ServiceClass.VOICE, 33.3, 90.0, 6.1),
+                (ServiceClass.VIDEO, 0.3, 10.0, 9.9),
+                (ServiceClass.VOICE, 99.0, 179.0, 0.4),
+            )
+        ]
+        for call in calls:
+            estimator.track(call)
+        estimator.untrack(calls[1])
+        estimator.track(calls[1])
+        expected = [0.0] * ProjectionConfig().horizon_intervals
+        for call in (calls[0], *calls[2:], calls[1]):
+            profile = estimator.profile_for(call)
+            for index, value in enumerate(profile.in_cell_demand()):
+                expected[index] += value
+        assert estimator.projected_in_cell_demand() == expected
+
 
 class TestSCCController:
     def test_config_validation(self):
@@ -142,6 +198,21 @@ class TestSCCController:
         decision = scc.decide(make_call(ServiceClass.VIDEO, speed=0.0), station, 0.0)
         assert not decision.accepted
         assert "exceeds admission capacity" in decision.reason
+
+    def test_each_admitted_call_is_projected_once(self, station, monkeypatch):
+        projected = []
+        monkeypatch.setattr(
+            demand,
+            "project_residency",
+            lambda user, config: projected.append(user) or project_residency(user, config),
+        )
+        scc = ShadowClusterController(SCCConfig(reservation_failure_probability=0.0))
+        call = make_call(ServiceClass.VOICE)
+        assert scc.decide(call, station, 0.0).accepted
+        station.allocate(call)
+        scc.on_admitted(call, station, 0.0)
+        assert projected == [call.user_state]
+        assert scc.estimator.tracked_calls == 1
 
     def test_tracking_follows_lifecycle(self, station):
         scc = ShadowClusterController(SCCConfig(reservation_failure_probability=0.0))

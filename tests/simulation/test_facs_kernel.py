@@ -1,28 +1,27 @@
-"""The batch experiment's FACS kernel: equal to the DES oracle, and routed.
+"""The batch experiment's FACS blocks: equal to the DES oracle, and routed.
 
-``run_batch_experiment`` runs a FACS controller through the exact column
-kernel and every other controller on the discrete-event loop, which stays
-FACS's oracle (``run_des_experiment``).  Runs shorter than 1,024 requests
-score every verdict exactly; longer ones read the certified screen.
+``run_batch_experiment`` runs every controller through one admission loop;
+an exact FACS controller reads its verdicts from FACS blocks, which read
+the certified screen wherever the controller pair has one.  The
+discrete-event loop (``run_des_experiment``) stays the oracle, and no run
+of the loop enters it.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 
 import pytest
 
-from repro.cac.complete_sharing import CompleteSharingController
-from repro.cac.facs import system
+from repro.api import CONTROLLERS
 from repro.cac.facs.definitions import flc1_definition
-from repro.cac.facs.screen import DecisionScreen
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
 from repro.cellular.mobility import UserProfile
 from repro.des.environment import Environment
 from repro.fuzzy.defuzzification import defuzzifier_by_name
 from repro.simulation.batch import run_batch_experiment, run_des_experiment
 from repro.simulation.config import BatchExperimentConfig
-from repro.simulation.scenario import facs_factory, scc_factory
+from repro.simulation.scenario import facs_factory
 from repro.tuning import ParameterSpec, SearchSpace
 from repro.workloads import WORKLOADS
 
@@ -73,7 +72,8 @@ CASES = {
     },
 }
 
-#: Cases also run at 1,500 requests, past the screen's 1,024-request rule.
+#: Cases also run at 1,500 requests: three blocks of rows, and more of the
+#: screen's (R, Cs) tables and exact fallbacks than 100 requests reach.
 SCREENED_CASES = ("default", "threshold+0.5", "tuned-peak", "workload-mmpp")
 
 
@@ -134,30 +134,12 @@ class TestRouting:
         run_batch_experiment(_config("default", 100), facs_factory())
         assert des_runs.calls == 0
 
-    @pytest.mark.parametrize(
-        "factory", [scc_factory(), CompleteSharingController], ids=["scc", "cs"]
-    )
-    def test_other_controllers_stay_on_the_event_loop(self, des_runs, factory):
-        run_batch_experiment(_config("default", 100), factory)
-        assert des_runs.calls == 1
-
-    def test_collect_trace_stays_on_the_event_loop(self, des_runs):
-        output = run_batch_experiment(
-            _config("default", 100), facs_factory(), collect_trace=True
-        )
-        assert des_runs.calls == 1
-        assert len(output.records) == 100
-
-    def test_short_runs_build_no_screen(self, monkeypatch):
-        # A threshold no other run uses, and a fresh screen cache, so any
-        # screen lookup would have to build one.
-        monkeypatch.setattr(
-            system, "_shared_screen", lru_cache(maxsize=64)(system._shared_screen.__wrapped__)
-        )
-        builds = _CallCounter(DecisionScreen.build)
-        monkeypatch.setattr(DecisionScreen, "build", builds)
-        factory = facs_factory(FACSConfig(acceptance_threshold=0.123))
-        run_batch_experiment(_config("default", 100), factory)
-        assert builds.calls == 0
-        run_batch_experiment(_config("default", 1_500), factory)
-        assert builds.calls == 1
+    def test_no_run_enters_the_event_loop(self, des_runs):
+        for name in CONTROLLERS.names():
+            factory = CONTROLLERS.get(name)(engine="compiled")
+            for collect_trace in (False, True):
+                output = run_batch_experiment(
+                    _config("default", 100), factory, collect_trace=collect_trace
+                )
+                assert len(output.records) == (100 if collect_trace else 0)
+        assert des_runs.calls == 0

@@ -42,8 +42,8 @@ class TestRunTraceArrivals:
         assert 0 < result.peak_occupancy_bu <= config.capacity_bu
 
     def test_engines_agree(self):
-        # Neither engine reads a decision screen at 60 requests, so this
-        # pins the kernel's exact path across engines;
+        # The compiled pair reads the decision screen and the reference
+        # pair has none, so this pins the screened path to the exact one;
         # tests/simulation/test_facs_kernel.py holds both paths and both
         # engines to the DES oracle.
         compiled = run_trace_arrivals(
@@ -96,14 +96,19 @@ class TestRunTraceArrivals:
         assert run_trace_arrivals(config, stream=True) == run_trace_arrivals(config)
 
     def test_kernel_logs_its_paths_once_per_run(self, caplog):
-        # Runs shorter than 1,024 requests score exactly; longer ones read
-        # the certified screen.
-        for request_count, path in ((100, "exact"), (1_500, "screened")):
+        # A certified controller pair reads the screen at any run size; the
+        # reference engine's pair has no screen and scores exactly.
+        for request_count, engine, path in (
+            (100, "compiled", "screened"),
+            (1_500, "compiled", "screened"),
+            (100, "reference", "exact"),
+        ):
             caplog.clear()
             config = small_config(request_count=request_count)
+            facs_config = FACSConfig(engine=engine)
             with caplog.at_level(logging.DEBUG, logger="repro.simulation.batch"):
-                result = run_trace_arrivals(config, stream=True)
-                run_trace_arrivals(config)  # the DES oracle logs nothing here
+                result = run_trace_arrivals(config, facs_config, stream=True)
+                run_trace_arrivals(config, facs_config)  # the DES oracle logs nothing
             records = [r for r in caplog.records if r.name == "repro.simulation.batch"]
             assert len(records) == 1
             assert records[0].levelno == logging.DEBUG

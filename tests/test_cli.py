@@ -89,6 +89,22 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Figure 7" in output and "legend:" in output
 
+    def test_one_request_count_renders_the_table_alone(self, capsys):
+        # One point draws no line: each figure prints its table (title,
+        # header, rule and one row) and no plot.
+        for figure, title in (
+            ("fig7-speed", "Figure 7"),
+            ("fig8-angle", "Figure 8"),
+            ("fig9-distance", "Figure 9"),
+            ("fig10-facs-vs-scc", "Figure 10"),
+        ):
+            code = main(["run", figure, "--replications", "1", "--requests", "10"])
+            assert code == 0
+            output = capsys.readouterr().out
+            assert output.startswith(f"{title} — ")
+            assert "legend:" not in output and "crossover" not in output
+            assert len([line for line in output.splitlines() if line.strip()]) == 4
+
     def test_benchmark_only_experiment_is_refused(self):
         with pytest.raises(SystemExit, match="benchmark-only"):
             main(["run", "abl-defuzz"])
