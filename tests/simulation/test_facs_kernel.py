@@ -4,7 +4,7 @@
 an exact FACS controller reads its verdicts from FACS blocks, which read
 the certified screen wherever the controller pair has one.  The
 discrete-event loop (``run_des_experiment``) stays the oracle, and no run
-of the loop enters it.
+of the admission loop enters it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from functools import partial
 import pytest
 
 from repro.api import CONTROLLERS
+from repro.cac.complete_sharing import CompleteSharingController
 from repro.cac.facs.definitions import flc1_definition
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
 from repro.cellular.mobility import UserProfile
@@ -21,7 +22,7 @@ from repro.des.environment import Environment
 from repro.fuzzy.defuzzification import defuzzifier_by_name
 from repro.simulation.batch import run_batch_experiment, run_des_experiment
 from repro.simulation.config import BatchExperimentConfig
-from repro.simulation.scenario import facs_factory
+from repro.simulation.scenario import facs_factory, scc_factory
 from repro.tuning import ParameterSpec, SearchSpace
 from repro.workloads import WORKLOADS
 
@@ -143,3 +144,24 @@ class TestRouting:
                 )
                 assert len(output.records) == (100 if collect_trace else 0)
         assert des_runs.calls == 0
+
+    # The oracle the admission loop is held to stays a run of the event
+    # loop, so equality with it is not the loop compared with itself.
+    @pytest.mark.parametrize(
+        "factory", [scc_factory(), CompleteSharingController], ids=["scc", "cs"]
+    )
+    def test_other_controllers_stay_on_the_event_loop(self, des_runs, factory):
+        config = _config("default", 100)
+        oracle = run_des_experiment(config, factory())
+        assert des_runs.calls == 1
+        assert run_batch_experiment(config, factory) == oracle
+        assert des_runs.calls == 1
+
+    def test_collect_trace_stays_on_the_event_loop(self, des_runs):
+        config = _config("default", 100)
+        oracle = run_des_experiment(config, facs_factory()(), collect_trace=True)
+        assert des_runs.calls == 1
+        assert len(oracle.records) == 100
+        output = run_batch_experiment(config, facs_factory(), collect_trace=True)
+        assert output == oracle
+        assert des_runs.calls == 1
