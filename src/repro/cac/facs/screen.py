@@ -19,11 +19,15 @@ engines' :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.accepts`,
 and a trace row the block bounds could not decide) goes through
 :meth:`DecisionScreen.verdict_at`: one bisect of the shared ``Cv`` grid and
 one read of the (R, Cs) cell table, with exact FLC2 only where that cell is
-ambiguous.  A process builds the screen once per controller pair and its
-cell tables lazily.  A block builds the table of every (R, Cs) its rows
-meet.  A single verdict builds its (R, Cs) table only once that pair has
-been asked :data:`_TABLE_MIN_VERDICTS` times, and scores exactly until
-then.
+ambiguous.  A process builds the screen once per controller pair.  Its
+FLC2 half, :class:`VerdictTables` (the ``Cv`` grid and the cell tables),
+depends on FLC2 and the threshold alone and is shared by every pair with
+the same FLC2 and threshold, so a rule-base tuning search over FLC1 builds
+each table once for all its trials.  Tables are built lazily, by one rule
+for both ways in: an (R, Cs) pair's table is built on the
+:data:`_TABLE_MIN_VERDICTS`-th verdict asked there, and the verdicts
+before it are scored exactly.  A pair met only a few times never pays for
+a table.
 
 How a block of trace rows flows through the screen
 (:meth:`DecisionScreen.columns` runs steps 1–2 once per block;
@@ -41,14 +45,16 @@ row's request meets):
    in every caller (bandwidth ∈ {1, 5, 10} BU, occupancy an integer),
    so for each ``(R, Cs)`` pair the screen lazily builds one verdict per
    cell of a ``Cv`` grid that every pair shares: uniform points plus every
-   membership breakpoint.  One bounding pass gives each cell interval rule
-   strengths (degree endpoints are certified because triangular/trapezoidal
-   memberships are quasiconcave — including ``Triangular``'s ``np.isclose``
-   peak band, which gets its own guard cells forced to an upper bound of
-   1), then certified score bounds, collapsing to a verdict: accept,
-   reject, or ambiguous.  A row is decided when the cells holding the two
-   ends of its correction interval are the same or adjacent cells and carry
-   the same accept or reject verdict.  FLC1 intervals are under 1e-7 wide
+   membership breakpoint, once the pair has been asked often enough (until
+   then the row takes step 4).  One bounding pass gives each cell interval
+   rule strengths (degree endpoints are certified because
+   triangular/trapezoidal memberships are quasiconcave — including
+   ``Triangular``'s ``np.isclose`` peak band, which gets its own guard
+   cells forced to an upper bound of 1), then certified score bounds,
+   collapsing to a verdict: accept, reject, or ambiguous.  A row is
+   decided when the cells holding the two ends of its correction interval
+   are the same or adjacent cells and carry the same accept or reject
+   verdict.  FLC1 intervals are under 1e-7 wide
    and every shared cell except the 2e-8-wide guard cell at ``Cv = 0`` is
    at least 1e-5 wide, so almost every row spans at most two cells.
    Cells are never split, so an ambiguous band is as wide as the cells
@@ -60,10 +66,15 @@ row's request meets):
    Cs ≥ 21, and more of its rows take the exact fallback.
 4. **Exact fallback.**  A row the lookup leaves undecided finishes FLC1
    exactly, once — reusing the firing strengths from step 1, and
-   bit-identical because batched engine rows are independent — and reads
-   its verdict at that exact correction through
-   :meth:`DecisionScreen.verdict_at`, which runs exact FLC2 at that
-   occupancy where the correction lands in an *ambiguous* cell.
+   bit-identical because the engine's batch rows are independent and equal
+   its scalar path — and reads its verdict at that exact correction in the
+   cell table, running exact FLC2 at that occupancy where the pair has no
+   table yet or the correction lands in an *ambiguous* cell.  A warm
+   block, most of whose rows the lookup decides, finishes FLC1 for its few
+   undecided rows one at a time.  A cold block, whose pairs have no tables
+   yet, finishes it in vectorized passes over the row and the next ones,
+   as exact scoring would: a block counts as cold while it has finished
+   FLC1 for at least as many rows as the lookup has decided.
    Rows where FLC1's rule base did not fire make the screen defer the
    whole block to the exact path so the diagnostic error is raised with
    its canonical wording.
@@ -73,6 +84,7 @@ from __future__ import annotations
 
 import logging
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,7 +95,7 @@ from ...fuzzy.membership import Trapezoidal, Triangular
 from .flc1 import FLC1
 from .flc2 import FLC2
 
-__all__ = ["DecisionScreen", "ScreenedColumns"]
+__all__ = ["DecisionScreen", "ScreenedColumns", "VerdictTables"]
 
 _log = logging.getLogger(__name__)
 
@@ -97,13 +109,20 @@ _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
 #: Number of uniform points in the shared ``Cv`` cell grid.
 _CV_SEED_CELLS = 257
-#: Verdicts :meth:`DecisionScreen.verdict_at` asks at one (R, Cs) before it
-#: builds that pair's cell table.  A table costs 0.5-0.7 ms, about a dozen
-#: exact FLC2 evaluations (46-65 µs each), so paying exact FLC2 until a
-#: pair has been asked this often, and building its table then, never
-#: costs much more than twice the cheaper choice, however many verdicts
-#: the process goes on to ask there.
+#: Verdicts asked at one (R, Cs), through a block or through
+#: :meth:`VerdictTables.verdict_at`, before that pair's cell table is
+#: built.  A table costs 0.5-0.7 ms, about a dozen exact FLC2 evaluations
+#: (46-65 µs each), so paying exact FLC2 until a pair has been asked this
+#: often, and building its table then, never costs much more than twice
+#: the cheaper choice, however many verdicts the process goes on to ask
+#: there.
 _TABLE_MIN_VERDICTS = 12
+#: Rows a cold block corrects in one exact FLC1 pass (see
+#: :meth:`ScreenedColumns.accepts`).  A pass holds a few (rows × Cv grid)
+#: arrays at once, about 16 KiB a row: 8 MiB for a whole 512-row block, a
+#: sixth of a 20,000-request trace run's peak RSS.  At 64 rows it costs
+#: about 13 µs a row, against 35 µs for a row corrected alone.
+_FLC1_PASS_ROWS = 64
 
 
 def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
@@ -121,30 +140,26 @@ def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
     raise ValueError(f"unsupported membership shape {type(membership).__name__}")
 
 
-class DecisionScreen:
-    """Threshold decisions for FACS admission requests, byte-identical and fast.
+class VerdictTables:
+    """FLC2's half of the screen: the verdict tables of every (R, Cs).
 
-    Build via :meth:`build`, which returns ``None`` whenever the controller
-    pair falls outside the certified regime; callers then simply use the
-    exact score path.
+    The tables, and the verdicts counted toward building them, depend on
+    FLC2 and the threshold alone, so every controller pair with the same
+    FLC2 and threshold reads one instance (:func:`_shared_verdicts`).  A
+    rule-base tuning search over FLC1 thus builds each table once for all
+    its trials.
     """
 
-    def __init__(self, flc1: FLC1, flc2: FLC2, threshold: float):
-        eng1 = flc1.controller.engine
+    def __init__(self, flc2: FLC2, threshold: float):
         eng2 = flc2.controller.engine
-        tables1 = CentroidBoundTables.for_engine(eng1, "Cv")
         tables2 = CentroidBoundTables.for_engine(eng2, "AR")
-        if tables1 is None or tables2 is None:
+        if tables2 is None:
             raise ValueError("controller pair outside the certified regime")
-        assert isinstance(eng1, CompiledMamdaniEngine)
         assert isinstance(eng2, CompiledMamdaniEngine)
-        self._eng1 = eng1
         self._eng2 = eng2
         self._flc2 = flc2
-        self._tables1 = tables1
         self._tables2 = tables2
         self._threshold = float(threshold)
-        self._term_columns1 = eng1._grouped_consequent_plans["Cv"][1]
         self._term_columns2 = eng2._grouped_consequent_plans["AR"][1]
 
         # FLC2 input layout: locate the Cv / R / Cs slots in the engine's
@@ -197,30 +212,10 @@ class DecisionScreen:
         #: (bandwidth, occupancy) -> verdict per shared cell: 1 accept,
         #: 0 reject, -1 ambiguous.
         self._cells: dict[tuple[float, float], np.ndarray] = {}
-        #: (bandwidth, occupancy) -> verdicts verdict_at has asked there
-        #: without a table.  A count lost to a racing thread only delays
-        #: the build.
+        #: (bandwidth, occupancy) -> verdicts asked there without a table,
+        #: by every screen that shares these tables.
         self._asked: dict[tuple[float, float], int] = {}
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, flc1: FLC1, flc2: FLC2, threshold: float) -> "DecisionScreen | None":
-        """A screen for the controller pair, or ``None`` when unsupported.
-
-        ``None`` sends every block down the exact score path, so the reason
-        is logged at INFO on ``repro.cac.facs.screen``.
-        """
-        try:
-            return cls(flc1, flc2, threshold)
-        except (ValueError, KeyError, AttributeError) as exc:
-            _log.info(
-                "decision screen unavailable, scoring exactly: %s: %s",
-                type(exc).__name__,
-                exc,
-            )
-            return None
-
-    # ------------------------------------------------------------------
     def _degree_intervals(
         self, cell_lo: np.ndarray, cell_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -266,6 +261,21 @@ class DecisionScreen:
             self._cells[key] = decision
         return decision
 
+    def _table(self, bandwidth: float, occupancy: float) -> np.ndarray | None:
+        """The (R, Cs) pair's cell table for one verdict asked there.
+
+        ``None`` until the pair has been asked :data:`_TABLE_MIN_VERDICTS`
+        times; that ask builds the table.  A count lost to a racing thread
+        only delays the build.
+        """
+        key = (float(bandwidth), float(occupancy))
+        table = self._cells.get(key)
+        if table is None:
+            asked = self._asked[key] = self._asked.get(key, 0) + 1
+            if asked >= _TABLE_MIN_VERDICTS:
+                table = self._cell_table(*key)
+        return table
+
     def verdict_at(
         self, correction: float, bandwidth: float, occupancy: float
     ) -> tuple[bool, bool]:
@@ -279,18 +289,19 @@ class DecisionScreen:
         certified cell implies that some FLC2 rule fires at every Cv in
         it, so exact FLC2 runs, and raises, wherever the oracle's would.
         """
-        key = (float(bandwidth), float(occupancy))
-        table = self._cells.get(key)
-        if table is None:
-            asked = self._asked[key] = self._asked.get(key, 0) + 1
-            if asked >= _TABLE_MIN_VERDICTS:
-                table = self._cell_table(*key)
+        table = self._table(bandwidth, occupancy)
+        return self._verdict(table, correction, bandwidth, occupancy)
+
+    def _verdict(
+        self, table: np.ndarray | None, correction: float, bandwidth: float, occupancy: float
+    ) -> tuple[bool, bool]:
+        """:meth:`verdict_at` with the pair's table (or ``None``) in hand."""
         if table is not None:
             cell = min(max(bisect_right(self._edge_list, correction) - 1, 0), len(table) - 1)
             verdict = int(table[cell])
             if verdict != -1:
                 return verdict == 1, False
-        decision = self._flc2.evaluate(correction, *key)
+        decision = self._flc2.evaluate(correction, float(bandwidth), float(occupancy))
         return decision.score > self._threshold, True
 
     def _cell_scores(
@@ -325,6 +336,57 @@ class DecisionScreen:
         # before comparing; clipping is monotone, so the bounds follow.
         return np.clip(score_lo, -1.0, 1.0), np.clip(score_hi, -1.0, 1.0), fired & valid
 
+
+@lru_cache(maxsize=64)
+def _shared_verdicts(flc2: FLC2, threshold: float) -> VerdictTables:
+    """The process's :class:`VerdictTables` for one FLC2 and threshold."""
+    return VerdictTables(flc2, threshold)
+
+
+class DecisionScreen:
+    """Threshold decisions for FACS admission requests, byte-identical and fast.
+
+    FLC1's bound tables, read against the :class:`VerdictTables` of the
+    pair's FLC2 and threshold.  Build via :meth:`build`, which returns
+    ``None`` whenever the controller pair falls outside the certified
+    regime; callers then simply use the exact score path.
+    """
+
+    def __init__(self, flc1: FLC1, flc2: FLC2, threshold: float):
+        eng1 = flc1.controller.engine
+        tables1 = CentroidBoundTables.for_engine(eng1, "Cv")
+        if tables1 is None:
+            raise ValueError("controller pair outside the certified regime")
+        assert isinstance(eng1, CompiledMamdaniEngine)
+        self._eng1 = eng1
+        self._tables1 = tables1
+        self._term_columns1 = eng1._grouped_consequent_plans["Cv"][1]
+        self._verdicts = _shared_verdicts(flc2, float(threshold))
+
+    # ------------------------------------------------------------------
+    @classmethod
+    def build(cls, flc1: FLC1, flc2: FLC2, threshold: float) -> "DecisionScreen | None":
+        """A screen for the controller pair, or ``None`` when unsupported.
+
+        ``None`` sends every block down the exact score path, so the reason
+        is logged at INFO on ``repro.cac.facs.screen``.
+        """
+        try:
+            return cls(flc1, flc2, threshold)
+        except (ValueError, KeyError, AttributeError) as exc:
+            _log.info(
+                "decision screen unavailable, scoring exactly: %s: %s",
+                type(exc).__name__,
+                exc,
+            )
+            return None
+
+    def verdict_at(
+        self, correction: float, bandwidth: float, occupancy: float
+    ) -> tuple[bool, bool]:
+        """:meth:`VerdictTables.verdict_at` for the pair's FLC2 and threshold."""
+        return self._verdicts.verdict_at(correction, bandwidth, occupancy)
+
     # ------------------------------------------------------------------
     def columns(
         self,
@@ -356,14 +418,15 @@ class DecisionScreen:
         corr_lo, corr_hi, valid = self._tables1.score_interval(
             term_strengths, term_strengths
         )
-        last = self._edges.size - 2
+        edges = self._verdicts._edges
+        last = edges.size - 2
         first_cell = np.clip(
-            np.searchsorted(self._edges, np.clip(corr_lo, 0.0, 1.0), side="right") - 1,
+            np.searchsorted(edges, np.clip(corr_lo, 0.0, 1.0), side="right") - 1,
             0,
             last,
         )
         last_cell = np.clip(
-            np.searchsorted(self._edges, np.clip(corr_hi, 0.0, 1.0), side="left") - 1,
+            np.searchsorted(edges, np.clip(corr_hi, 0.0, 1.0), side="left") - 1,
             0,
             last,
         )
@@ -373,21 +436,30 @@ class DecisionScreen:
         tight = valid & (last_cell - first_cell <= 1)
         return ScreenedColumns(self, strengths, request_bus, first_cell, last_cell, tight)
 
-    def _exact_correction(self, strengths: np.ndarray) -> float:
-        """Exact FLC1 for one row, completed from its firing strengths.
+    def _exact_corrections(self, strengths: np.ndarray) -> np.ndarray:
+        """Exact FLC1 for rows of firing strengths, completed from them.
 
-        Batched engine rows are mutually independent, so the one-row
+        Batched engine rows are mutually independent, so each row's
         aggregation and centroid are bit-identical to that row of a
         full-batch run (and to ``FLC1.correction_values``, whose [0, 1] clip
-        this replays).
+        this replays), whether one row is passed or a whole block.
         """
         eng1 = self._eng1
         aggregated = eng1._aggregate_output_batch_grouped(
-            strengths[None, :], eng1._grouped_consequent_plans["Cv"], "Cv", 0
+            strengths, eng1._grouped_consequent_plans["Cv"], "Cv", 0
         )
         cv_variable = eng1._consequent_plans["Cv"][2]
-        centroid = eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated)[0]
-        return min(max(float(centroid), 0.0), 1.0)
+        centroids = eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated)
+        return np.clip(centroids, 0.0, 1.0)
+
+    def _exact_correction(self, strengths: np.ndarray) -> float:
+        """:meth:`_exact_corrections` for one row, through the engine's scalar
+        path: bit-identical to a batch row, at about a third of the cost of
+        a batch of one."""
+        eng1 = self._eng1
+        entry_rules, tensor, cv_variable = eng1._consequent_plans["Cv"]
+        aggregated = eng1._aggregate_output(strengths, entry_rules, tensor, "Cv", {})
+        return min(max(eng1._defuzzify_fast("Cv", cv_variable, aggregated), 0.0), 1.0)
 
 
 class ScreenedColumns:
@@ -395,11 +467,12 @@ class ScreenedColumns:
 
     Built by :meth:`DecisionScreen.columns`.  :meth:`accepts` reads row
     ``k``'s verdict from the (R, Cs) cell table at the occupancy it is
-    given; a row the table cannot decide runs exact FLC1 and, where its
-    exact correction lands in an ambiguous cell, exact FLC2.  The counters
-    tell how each verdict was reached: ``screened`` verdicts came from a
-    cell table, ``exact_flc2`` from exact FLC2, and ``exact_flc1`` counts
-    the exact correction values computed.
+    given; a row the table cannot decide, or whose pair has no table yet,
+    runs exact FLC1 and, where its pair has no table or its exact
+    correction lands in an ambiguous cell, exact FLC2.  The counters tell
+    how each verdict was reached: ``screened`` verdicts came from a cell
+    table, ``exact_flc2`` from exact FLC2, and ``exact_flc1`` counts the
+    rows whose exact correction was computed.
     """
 
     def __init__(
@@ -417,6 +490,8 @@ class ScreenedColumns:
         self._first = first_cell.tolist()
         self._last = last_cell.tolist()
         self._tight = tight.tolist()
+        #: Row -> exact correction, for the rows a cold block's passes cover.
+        self._corrections: dict[int, float] = {}
         self.screened = 0
         self.exact_flc1 = 0
         self.exact_flc2 = 0
@@ -425,16 +500,28 @@ class ScreenedColumns:
         """Whether row ``k``'s A/R score at ``occupancy_bu`` is above the
         threshold: ``score_columns(...)[k] > threshold`` at that occupancy."""
         screen = self._screen
+        verdicts = screen._verdicts
         bandwidth = self._bandwidths[k]
-        if self._tight[k]:
-            table = screen._cell_table(bandwidth, occupancy_bu)
+        table = verdicts._table(bandwidth, occupancy_bu)
+        if table is not None and self._tight[k]:
             verdict = table[self._first[k]]
             if verdict != -1 and verdict == table[self._last[k]]:
                 self.screened += 1
                 return verdict == 1
-        correction = screen._exact_correction(self._strengths[k])
-        self.exact_flc1 += 1
-        accepted, exact = screen.verdict_at(correction, bandwidth, occupancy_bu)
+        corrections = self._corrections
+        correction = corrections.get(k)
+        if correction is None:
+            if self.exact_flc1 >= self.screened:
+                # A cold block: this row and the next ones in one pass.
+                stop = k + _FLC1_PASS_ROWS
+                passed = screen._exact_corrections(self._strengths[k:stop]).tolist()
+                corrections.update(enumerate(passed, start=k))
+                self.exact_flc1 += len(passed)
+                correction = passed[0]
+            else:
+                correction = screen._exact_correction(self._strengths[k])
+                self.exact_flc1 += 1
+        accepted, exact = verdicts._verdict(table, correction, bandwidth, occupancy_bu)
         if exact:
             self.exact_flc2 += 1
         else:

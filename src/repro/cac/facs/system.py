@@ -135,10 +135,12 @@ def _shared_flc2_from_definition(
 def _shared_screen(flc1: FLC1, flc2: FLC2, threshold: float) -> DecisionScreen | None:
     """Build (or reuse) the decision screen for a controller pair.
 
-    Screens hold only immutable tables derived from the controller pair and
-    the threshold; FLC1/FLC2 instances are themselves memoised, so keying on
+    Screens hold only tables derived from the controller pair and the
+    threshold; FLC1/FLC2 instances are themselves memoised, so keying on
     their identity shares one table build across every FACS system — and
-    every trace run — with the same configuration.  ``None`` (pair outside
+    every trace run — with the same configuration.  Their FLC2 half, the
+    verdict tables, is shared wider still: by every pair with the same FLC2
+    and threshold.  ``None`` (pair outside
     the certified regime) is cached too, so the failing build runs, and logs
     its reason, once.
     """

@@ -10,7 +10,7 @@ any interval of the horizon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ...cellular.calls import Call
 from .projection import ProjectionConfig, ResidencyProjection, project_residency
@@ -26,10 +26,16 @@ class DemandProfile:
     bandwidth_units: int
     in_cell: tuple[float, ...]
     outgoing: tuple[float, ...]
+    _in_cell_demand: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Read on every admission test while the call is tracked.
+        demand = tuple(self.bandwidth_units * p for p in self.in_cell)
+        object.__setattr__(self, "_in_cell_demand", demand)
 
     def in_cell_demand(self) -> tuple[float, ...]:
         """Expected BU this call needs in its current cell per interval."""
-        return tuple(self.bandwidth_units * p for p in self.in_cell)
+        return self._in_cell_demand
 
     def outgoing_demand(self) -> tuple[float, ...]:
         """Expected BU this call projects onto neighbouring cells per interval."""
@@ -42,9 +48,6 @@ class DemandEstimator:
     def __init__(self, config: ProjectionConfig):
         self._config = config
         self._profiles: dict[int, DemandProfile] = {}
-        #: Each tracked call's :meth:`DemandProfile.in_cell_demand`, stored
-        #: when it is tracked, in the same order as ``_profiles``.
-        self._in_cell: dict[int, tuple[float, ...]] = {}
         #: The call :meth:`profile_for` projected last, with its profile.
         #: :meth:`track` reuses the profile for that same call object only.
         self._last: tuple[Call, DemandProfile] | None = None
@@ -87,17 +90,14 @@ class DemandEstimator:
         profile = last[1] if last is not None and last[0] is call else self.profile_for(call)
         self._last = None
         self._profiles[call.call_id] = profile
-        self._in_cell[call.call_id] = profile.in_cell_demand()
         return profile
 
     def untrack(self, call: Call) -> None:
         """Stop projecting a call (completed, dropped or handed off away)."""
         self._profiles.pop(call.call_id, None)
-        self._in_cell.pop(call.call_id, None)
 
     def reset(self) -> None:
         self._profiles.clear()
-        self._in_cell.clear()
         self._last = None
 
     # ------------------------------------------------------------------
@@ -107,10 +107,11 @@ class DemandEstimator:
         Each interval's total is summed from 0.0 call by call, in tracking
         order.
         """
-        if not self._in_cell:
+        if not self._profiles:
             return [0.0] * self._config.horizon_intervals
         totals = []
-        for column in zip(*self._in_cell.values()):
+        demands = [profile.in_cell_demand() for profile in self._profiles.values()]
+        for column in zip(*demands):
             total = 0.0
             for demand in column:
                 total += demand

@@ -18,6 +18,7 @@ from dataclasses import replace
 from functools import lru_cache, partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,7 @@ from repro.simulation import (
 )
 from repro.simulation.batch import run_des_experiment
 from repro.simulation.engine import NetworkSimulation
+from repro.tuning import ParameterSpec, SearchSpace
 from repro.workloads import WORKLOADS
 
 CONTROLLER_DIR = Path(__file__).resolve().parents[2] / "examples" / "controllers"
@@ -98,6 +100,7 @@ def _tables_from(patch, minimum: int) -> None:
     """Fresh screens that build an (R, Cs) table on its ``minimum``-th verdict."""
     patch.setattr(screen_module, "_TABLE_MIN_VERDICTS", minimum)
     patch.setattr(system, "_shared_screen", _fresh(system._shared_screen))
+    patch.setattr(screen_module, "_shared_verdicts", _fresh(screen_module._shared_verdicts))
 
 
 def _assert_accepts_equals_decide(config: FACSConfig, call, station) -> None:
@@ -312,10 +315,56 @@ def test_a_table_is_built_on_its_pairs_minimum_verdict(monkeypatch):
     for controller in (first, second):
         assert controller.accepts(call, empty, 0.0)
         assert controller.accepts(call, busy, 0.0)
-    assert screen._cells == {}
+    assert screen._verdicts._cells == {}
     assert first.accepts(call, empty, 0.0)
-    assert list(screen._cells) == [(1.0, 0.0)]
-    assert screen._asked == {(1.0, 0.0): 3, (1.0, 5.0): 2}
+    assert list(screen._verdicts._cells) == [(1.0, 0.0)]
+    assert screen._verdicts._asked == {(1.0, 0.0): 3, (1.0, 5.0): 2}
+
+
+def test_block_rows_follow_the_same_table_rule(monkeypatch):
+    _tables_from(monkeypatch, 3)
+    controller = FuzzyAdmissionControlSystem()
+    screen = controller._decision_screen()
+    count = 4
+    columns = (np.full(count, 10.0), np.zeros(count), np.ones(count), np.ones(count))
+    call = _request(UserState(10.0, 0.0, 1.0), 1)
+    expected = {
+        occupancy: controller.decide(call, _station(40, occupancy), 0.0).accepted
+        for occupancy in (0, 7)
+    }
+    # A cold block finishes FLC1 in one pass over the row and the next ones,
+    # and a block row and a single verdict count toward one table.
+    cold = controller.decide_columns(*columns)
+    assert cold.accepts(0, 0) == expected[0]
+    assert controller.accepts(call, _station(40, 0), 0.0) == expected[0]
+    assert screen._verdicts._cells == {}
+    assert cold.accepts(1, 0) == expected[0]
+    assert list(screen._verdicts._cells) == [(1.0, 0.0)]
+    assert cold.accepts(2, 0) == expected[0]
+    assert (cold.screened, cold.exact_flc1, cold.exact_flc2) == (2, count, 1)
+    # A warm block finishes FLC1 one row at a time, for a row whose pair has
+    # no table yet.
+    warm = controller.decide_columns(*columns)
+    assert warm.accepts(0, 0) == expected[0]
+    assert warm.accepts(1, 7) == expected[7]
+    assert (warm.screened, warm.exact_flc1, warm.exact_flc2) == (1, 1, 1)
+    assert screen._verdicts._asked == {(1.0, 0.0): 3, (1.0, 7.0): 1}
+    # A cold pass covers a bounded run of rows, not the whole block.
+    wide = controller.decide_columns(*(column.repeat(50) for column in columns))
+    assert wide.accepts(0, 3) == controller.decide(call, _station(40, 3), 0.0).accepted
+    assert wide.exact_flc1 == screen_module._FLC1_PASS_ROWS < 4 * 50
+
+
+def test_pairs_of_one_flc2_and_threshold_share_their_tables(monkeypatch):
+    _tables_from(monkeypatch, 12)
+    space = SearchSpace((ParameterSpec("mf.S.M.1", choices=(35.0,)),))
+    tuned = FACSConfig(flc1_definition=space.apply(flc1_definition(), (35.0,)))
+    paper = FuzzyAdmissionControlSystem()._decision_screen()
+    retuned = FuzzyAdmissionControlSystem(tuned)._decision_screen()
+    stricter = FuzzyAdmissionControlSystem(FACSConfig(acceptance_threshold=0.5))
+    assert retuned is not paper
+    assert retuned._verdicts is paper._verdicts
+    assert stricter._decision_screen()._verdicts is not paper._verdicts
 
 
 def test_network_run_builds_tables_only_for_often_asked_pairs(monkeypatch):
@@ -323,6 +372,6 @@ def test_network_run_builds_tables_only_for_often_asked_pairs(monkeypatch):
     config = _network_config(1, duration_s=600.0)
     NetworkSimulation(config, FuzzyAdmissionControlSystem).run()
     screen = FuzzyAdmissionControlSystem()._decision_screen()
-    assert screen._cells
-    assert all(screen._asked[key] == 12 for key in screen._cells)
-    assert any(asked < 12 for asked in screen._asked.values())
+    assert screen._verdicts._cells
+    assert all(screen._verdicts._asked[key] == 12 for key in screen._verdicts._cells)
+    assert any(asked < 12 for asked in screen._verdicts._asked.values())

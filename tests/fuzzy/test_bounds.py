@@ -7,7 +7,7 @@ import logging
 import numpy as np
 import pytest
 
-from repro.cac.facs.screen import DecisionScreen
+from repro.cac.facs.screen import VerdictTables
 from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.bounds import CentroidBoundTables
 from repro.fuzzy.compiled import CompiledMamdaniEngine
@@ -23,9 +23,9 @@ def facs() -> FuzzyAdmissionControlSystem:
 
 
 @pytest.fixture
-def screen(facs) -> DecisionScreen:
-    # A private screen per test, so no test sees cell tables built elsewhere.
-    return DecisionScreen(facs.flc1, facs.flc2, facs.config.acceptance_threshold)
+def tables(facs) -> VerdictTables:
+    # Private verdict tables per test, so no test sees cell tables built elsewhere.
+    return VerdictTables(facs.flc2, facs.config.acceptance_threshold)
 
 
 def _tables(facs, stage, variable) -> tuple[CompiledMamdaniEngine, CentroidBoundTables]:
@@ -151,14 +151,14 @@ def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
 # Every default (R, Cs) table: R in {1, 5, 10} BU, Cs 0..40 BU.
 @pytest.mark.parametrize("occupancy_bu", range(41))
 @pytest.mark.parametrize("bandwidth", [1.0, 5.0, 10.0])
-def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, screen, bandwidth, occupancy_bu):
+def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, tables, bandwidth, occupancy_bu):
     occupancy = float(occupancy_bu)
     threshold = facs.config.acceptance_threshold
-    cell_lo, cell_hi = screen._edges[:-1], screen._edges[1:]
+    cell_lo, cell_hi = tables._edges[:-1], tables._edges[1:]
     fill = np.ones(cell_lo.size)
-    decision = screen._cell_table(bandwidth, occupancy)
+    decision = tables._cell_table(bandwidth, occupancy)
     assert decision.shape == cell_lo.shape
-    score_lo, score_hi, certain = screen._cell_scores(bandwidth, occupancy)
+    score_lo, score_hi, certain = tables._cell_scores(bandwidth, occupancy)
     decided = decision != -1
     for points in (cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi):
         scores = facs.flc2.decision_scores(points, bandwidth * fill, occupancy * fill)
@@ -166,17 +166,17 @@ def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, screen, bandwidth
         assert np.array_equal((scores > threshold)[decided], (decision == 1)[decided])
 
 
-def test_cell_table_build_is_logged_at_debug(screen, caplog):
+def test_cell_table_build_is_logged_at_debug(tables, caplog):
     with caplog.at_level(logging.DEBUG, logger="repro.cac.facs.screen"):
-        screen._cell_table(5.0, 22.0)
-        screen._cell_table(5.0, 22.0)  # cached: no second record
+        tables._cell_table(5.0, 22.0)
+        tables._cell_table(5.0, 22.0)  # cached: no second record
     records = [r for r in caplog.records if r.name == "repro.cac.facs.screen"]
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
     bandwidth, occupancy, cells, ambiguous, width = records[0].args
-    decision = screen._cell_table(5.0, 22.0)
+    decision = tables._cell_table(5.0, 22.0)
     assert (bandwidth, occupancy) == (5.0, 22.0)
-    assert cells == decision.size == screen._edges.size - 1
+    assert cells == decision.size == tables._edges.size - 1
     assert ambiguous == np.count_nonzero(decision == -1) > 0
-    assert width == np.diff(screen._edges)[decision == -1].sum()
+    assert width == np.diff(tables._edges)[decision == -1].sum()
     assert "R=5 Cs=22" in records[0].getMessage()
