@@ -1,7 +1,7 @@
 """A self-contained fuzzy-logic toolkit (replacement for scikit-fuzzy).
 
-Provides membership functions, linguistic variables, a rule DSL, Mamdani /
-Sugeno inference and defuzzification — everything FLC1 and FLC2 of the
+Provides membership functions, linguistic variables, a rule DSL, Mamdani
+inference and defuzzification — everything FLC1 and FLC2 of the
 paper's FACS system need, built from scratch.
 """
 
@@ -53,7 +53,6 @@ from .inference import (
     InferenceResult,
     MamdaniEngine,
     RuleActivation,
-    SugenoEngine,
 )
 from .compiled import (
     CacheInfo,
@@ -62,9 +61,7 @@ from .compiled import (
     RuleCompilationError,
 )
 from .controller import (
-    ENGINE_CHOICES,
     ENGINES,
-    ControllerSpec,
     EngineSpec,
     FuzzyController,
 )
@@ -127,7 +124,6 @@ __all__ = [
     "DefuzzificationError",
     # inference
     "MamdaniEngine",
-    "SugenoEngine",
     "InferenceResult",
     "RuleActivation",
     "ImplicationMethod",
@@ -138,8 +134,6 @@ __all__ = [
     "CacheInfo",
     # controller
     "FuzzyController",
-    "ControllerSpec",
-    "ENGINE_CHOICES",
     "ENGINES",
     "EngineSpec",
 ]

@@ -308,8 +308,15 @@ class CompiledMamdaniEngine(MamdaniEngine):
         # Per output variable: (entry -> rule index, stacked surfaces, variable).
         plans: dict[str, tuple[np.ndarray, np.ndarray, LinguisticVariable]] = {}
         self._grid_diffs: dict[str, np.ndarray] = {}
+        # The validating Centroid rejects a surface whose area or peak is at
+        # most _EPS.  Area <= peak * span, so a surface with more area than
+        # this bound passes both checks and the fast centroid reads its peak
+        # only below it.
+        self._zero_area_bounds: dict[str, float] = {}
         for var_name, variable in rule_base.output_variables.items():
             self._grid_diffs[var_name] = np.diff(variable.grid)
+            low, high = variable.universe
+            self._zero_area_bounds[var_name] = _EPS * max(1.0, 2.0 * (high - low))
             surfaces: list[np.ndarray] = []
             entry_rules: list[int] = []
             for rule_index, rule in enumerate(rule_base):
@@ -464,23 +471,27 @@ class CompiledMamdaniEngine(MamdaniEngine):
     def _defuzzify_fast(
         self, var_name: str, variable: LinguisticVariable, surface: np.ndarray
     ) -> float:
-        """Defuzzify an internally aggregated (hence valid) surface.
+        """Defuzzify an aggregated surface, raising where the reference does.
 
-        The validating ``__call__`` wrapper is skipped — at least one rule
-        fired, so the surface is in-range and non-zero.  For the exact
-        :class:`Centroid` defuzzifier the two ``np.trapezoid`` integrals are
-        replayed against the precomputed grid spacing, producing the same
-        value bit-for-bit with fewer array passes.
+        A fired rule can still leave an all-zero surface (a consequent term
+        that samples to zero on the output grid), so every defuzzifier goes
+        through its validating ``__call__``.  The exact :class:`Centroid`
+        is the one shortcut: its two ``np.trapezoid`` integrals are replayed
+        against the precomputed grid spacing, producing the same value
+        bit-for-bit with fewer array passes, and it raises on the surfaces
+        the validating call rejects (zero area, or a peak at most ``_EPS``).
         """
         if self._fast_centroid:
             grid = variable.grid
             spacing = self._grid_diffs[var_name]
             area = float((spacing * (surface[1:] + surface[:-1]) / 2.0).sum())
-            if area <= _EPS:  # pragma: no cover - unreachable after aggregation
+            if area <= self._zero_area_bounds[var_name] and (
+                area <= _EPS or float(surface.max()) <= _EPS
+            ):
                 raise DefuzzificationError("zero area under membership surface")
             moment = surface * grid
             return float((spacing * (moment[1:] + moment[:-1]) / 2.0).sum() / area)
-        return float(self._defuzzifier.defuzzify(variable.grid, surface))
+        return self._defuzzifier(variable.grid, surface)
 
     def _cache_key(self, inputs: Mapping[str, float]) -> tuple:
         try:
@@ -709,7 +720,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
             trapezoids *= spacing
             trapezoids /= 2.0
             areas = trapezoids.sum(axis=1)
-            if np.any(areas <= _EPS):  # pragma: no cover - unreachable
+            small = areas <= self._zero_area_bounds[var_name]
+            if small.any() and np.any(
+                (areas[small] <= _EPS) | (surfaces[small].max(axis=1) <= _EPS)
+            ):
                 raise DefuzzificationError("zero area under membership surface")
             moments = surfaces * grid
             trapezoids = moments[:, 1:] + moments[:, :-1]

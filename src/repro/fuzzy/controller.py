@@ -15,19 +15,17 @@ import numpy as np
 
 from ..registry import Registry
 from .compiled import CompiledMamdaniEngine, CrispInference, RuleCompilationError
-from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier, defuzzifier_by_name
+from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier
 from .inference import ImplicationMethod, InferenceResult, MamdaniEngine
-from .operators import MAXIMUM, MINIMUM, SNorm, TNorm, snorm_by_name, tnorm_by_name
+from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
 from .parser import parse_rules
 from .rules import FuzzyRule, RuleBase
 from .variables import LinguisticVariable
 
 __all__ = [
     "FuzzyController",
-    "ControllerSpec",
     "EngineSpec",
     "ENGINES",
-    "ENGINE_CHOICES",
 ]
 
 
@@ -74,45 +72,6 @@ ENGINES.register(
         cli=False,
     ),
 )
-
-#: Engine names (backwards-compatible alias; prefer ``ENGINES.names()``).
-#: Derived from the registry, sorted-stable for existing error messages.
-ENGINE_CHOICES = tuple(sorted(ENGINES))
-
-
-@dataclass(frozen=True)
-class ControllerSpec:
-    """Declarative description of a fuzzy controller.
-
-    Keeps the configuration of FLC1/FLC2 (operators, implication,
-    defuzzifier) serialisable and comparable in tests and ablations.
-    """
-
-    name: str
-    tnorm: str = "minimum"
-    snorm: str = "maximum"
-    implication: str = ImplicationMethod.CLIP
-    defuzzifier: str = "centroid"
-    engine: str = "auto"
-
-    def build(
-        self,
-        inputs: Sequence[LinguisticVariable],
-        outputs: Sequence[LinguisticVariable],
-        rules: Sequence[FuzzyRule] | str,
-    ) -> "FuzzyController":
-        """Materialise the spec into a runnable :class:`FuzzyController`."""
-        return FuzzyController(
-            name=self.name,
-            inputs=inputs,
-            outputs=outputs,
-            rules=rules,
-            tnorm=tnorm_by_name(self.tnorm),
-            snorm=snorm_by_name(self.snorm),
-            implication=self.implication,
-            defuzzifier=defuzzifier_by_name(self.defuzzifier),
-            engine=self.engine,
-        )
 
 
 class FuzzyController:

@@ -189,6 +189,10 @@ class VariableDef:
                 f"variable {self.name!r} resolution must be an int, "
                 f"got {self.resolution!r}"
             )
+        if self.resolution < 3:
+            raise DefinitionError(
+                f"variable {self.name!r} resolution must be at least 3, got {self.resolution}"
+            )
         # Build each membership function once now so a bad parameter vector
         # fails at definition time, naming the variable and term.
         for term in self.terms:

@@ -1,4 +1,4 @@
-"""Mamdani (and Larsen / Takagi–Sugeno zero-order) fuzzy inference engines.
+"""Mamdani (and Larsen) fuzzy inference engine.
 
 The engine combines the four FLC blocks shown in Fig. 2 of the paper —
 fuzzifier, inference engine, fuzzy rule base and defuzzifier — into a single
@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .defuzzification import DEFAULT_DEFUZZIFIER, DefuzzificationError, Defuzzifier
-from .operators import MAXIMUM, MINIMUM, PRODUCT, SNorm, TNorm
+from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
 from .rules import FuzzyRule, RuleBase
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "InferenceResult",
     "BatchInference",
     "MamdaniEngine",
-    "SugenoEngine",
 ]
 
 
@@ -341,59 +340,3 @@ class MamdaniEngine:
         batch = self.infer_batch(matrix)
         surface = batch.outputs[output].reshape(resolution, resolution)
         return xs, ys, surface
-
-
-class SugenoEngine(MamdaniEngine):
-    """Zero-order Takagi–Sugeno engine: consequents collapse to term centroids.
-
-    Output is the firing-strength-weighted average of consequent term
-    centroids.  Provided for the controller ablation; the paper's system is
-    Mamdani.
-    """
-
-    def __init__(
-        self,
-        rule_base: RuleBase,
-        tnorm: TNorm = PRODUCT,
-        snorm: SNorm = MAXIMUM,
-    ):
-        super().__init__(rule_base, tnorm=tnorm, snorm=snorm)
-        self._term_centroids: dict[str, dict[str, float]] = {
-            var_name: {term.name: term.membership.centroid() for term in var}
-            for var_name, var in rule_base.output_variables.items()
-        }
-
-    def infer(self, inputs: Mapping[str, float]) -> InferenceResult:
-        degrees = self.fuzzify(inputs)
-        activations: list[RuleActivation] = []
-        numerator: dict[str, float] = {
-            name: 0.0 for name in self._rule_base.output_variables
-        }
-        denominator: dict[str, float] = {
-            name: 0.0 for name in self._rule_base.output_variables
-        }
-        for rule in self._rule_base:
-            strength = rule.firing_strength(degrees, self._tnorm, self._snorm)
-            activations.append(RuleActivation(rule, strength))
-            if strength <= 0.0:
-                continue
-            for consequent in rule.consequents:
-                centroid = self._term_centroids[consequent.variable][consequent.term]
-                numerator[consequent.variable] += strength * centroid
-                denominator[consequent.variable] += strength
-
-        outputs: dict[str, float] = {}
-        aggregated: dict[str, np.ndarray] = {}
-        for name, variable in self._rule_base.output_variables.items():
-            if denominator[name] <= 0.0:
-                raise DefuzzificationError(
-                    f"no rule fired for output variable {name!r} with inputs {dict(inputs)!r}"
-                )
-            outputs[name] = numerator[name] / denominator[name]
-            aggregated[name] = np.zeros(variable.resolution)
-        return InferenceResult(
-            outputs=outputs,
-            fuzzified_inputs=degrees,
-            activations=tuple(activations),
-            aggregated=aggregated,
-        )

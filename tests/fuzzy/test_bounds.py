@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from repro.cac.facs.screen import VerdictTables
 from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.bounds import CentroidBoundTables
 from repro.fuzzy.compiled import CompiledMamdaniEngine
+from repro.fuzzy.defuzzification import Bisector
 from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
 from repro.fuzzy.operators import PRODUCT
+from repro.fuzzy.rules import RuleBase
 
 STAGES = [("flc1", "Cv"), ("flc2", "AR")]
 
@@ -117,14 +120,28 @@ def test_intervals_contain_engine_centroid(facs, stage, variable):
     assert np.all(~valid | ((wide_lo <= centroid) & (centroid <= wide_hi)))
 
 
+def _half_weight_first_rule(rb: RuleBase) -> RuleBase:
+    rules = rb.rules
+    rules[0] = replace(rules[0], weight=0.5)
+    return RuleBase(rules, list(rb.input_variables.values()), list(rb.output_variables.values()))
+
+
 @pytest.mark.parametrize(
     "make_engine",
     [
         lambda rb: CompiledMamdaniEngine(rb, implication=ImplicationMethod.SCALE),
         lambda rb: CompiledMamdaniEngine(rb, tnorm=PRODUCT),
+        lambda rb: CompiledMamdaniEngine(rb, defuzzifier=Bisector()),
+        lambda rb: CompiledMamdaniEngine(_half_weight_first_rule(rb)),
         lambda rb: MamdaniEngine(rb),
     ],
-    ids=["scale-implication", "product-tnorm", "reference-engine"],
+    ids=[
+        "scale-implication",
+        "product-tnorm",
+        "bisector-defuzzifier",
+        "rule-weights",
+        "reference-engine",
+    ],
 )
 def test_for_engine_rejects_uncertified_regimes(facs, make_engine):
     engine = make_engine(facs.flc2.controller.rule_base)

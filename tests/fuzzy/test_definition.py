@@ -109,6 +109,12 @@ class TestVariableDef:
         assert "'speed'" in str(excinfo.value)
         assert "'fast'" in str(excinfo.value)
 
+    @pytest.mark.parametrize("resolution", [2, 0, -5])
+    def test_rejects_resolution_below_three(self, resolution):
+        terms = tiny_definition().inputs[0].terms
+        with pytest.raises(DefinitionError, match="'x' resolution must be at least 3"):
+            VariableDef(name="x", universe=(0.0, 1.0), terms=terms, resolution=resolution)
+
     def test_build_produces_a_linguistic_variable(self):
         variable = tiny_definition().inputs[0].build()
         assert isinstance(variable, LinguisticVariable)
@@ -265,7 +271,7 @@ def definitions(draw) -> FLCDefinition:
             name=name,
             universe=(-200.0, 200.0),
             terms=terms,
-            resolution=draw(st.integers(min_value=2, max_value=64)),
+            resolution=draw(st.integers(min_value=3, max_value=64)),
         )
 
     inputs = tuple(variable(name) for name in ("in1", "in2"))

@@ -1,4 +1,4 @@
-"""Tests for defuzzification strategies and the Mamdani/Sugeno engines."""
+"""Tests for defuzzification strategies and the Mamdani engine."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fuzzy.controller import ControllerSpec, FuzzyController
+from repro.fuzzy.controller import FuzzyController
 from repro.fuzzy.defuzzification import (
     Bisector,
     Centroid,
@@ -17,7 +17,7 @@ from repro.fuzzy.defuzzification import (
     WeightedAverage,
     defuzzifier_by_name,
 )
-from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine, SugenoEngine
+from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
 from repro.fuzzy.membership import Triangular
 from repro.fuzzy.parser import parse_rules
 from repro.fuzzy.rules import RuleBase
@@ -197,22 +197,6 @@ class TestMamdaniEngine:
         assert surface.max() > 0.0
 
 
-class TestSugenoEngine:
-    def test_sugeno_agrees_qualitatively_with_mamdani(self):
-        controller = tip_controller()
-        sugeno = SugenoEngine(controller.rule_base)
-        low = sugeno.infer({"service": 1.0, "food": 2.0})["tip"]
-        high = sugeno.infer({"service": 9.5, "food": 9.5})["tip"]
-        assert low < high
-
-    def test_sugeno_no_coverage_raises(self):
-        x = LinguisticVariable("x", (0.0, 10.0), [Term("low", Triangular(0.0, 0.0, 2.0))])
-        y = LinguisticVariable("y", (0.0, 10.0), [Term("out", Triangular(0.0, 5.0, 10.0))])
-        base = RuleBase(parse_rules(["IF x is low THEN y is out"]), [x], [y])
-        with pytest.raises(DefuzzificationError):
-            SugenoEngine(base).infer({"x": 9.0})
-
-
 class TestFuzzyControllerFacade:
     def test_compute_rejects_multi_output(self):
         service = LinguisticVariable(
@@ -260,29 +244,3 @@ class TestFuzzyControllerFacade:
         rules = parse_rules(["IF s is a THEN o is x"])
         with pytest.raises(TypeError):
             FuzzyController("bad", [service], [out], [rules[0], "IF s is b THEN o is x"])
-
-    def test_controller_spec_builds_equivalent_controller(self):
-        spec = ControllerSpec(name="tipping", tnorm="minimum", snorm="maximum")
-        service = LinguisticVariable(
-            "service",
-            (0.0, 10.0),
-            [
-                Term("poor", Triangular(0.0, 0.0, 5.0)),
-                Term("good", Triangular(0.0, 5.0, 10.0)),
-                Term("excellent", Triangular(5.0, 10.0, 10.0)),
-            ],
-        )
-        tip = LinguisticVariable(
-            "tip",
-            (0.0, 30.0),
-            [
-                Term("low", Triangular(0.0, 5.0, 10.0)),
-                Term("high", Triangular(20.0, 25.0, 30.0)),
-            ],
-        )
-        controller = spec.build(
-            [service],
-            [tip],
-            ["IF service is poor THEN tip is low", "IF service is excellent THEN tip is high"],
-        )
-        assert controller.compute(service=0.0) < controller.compute(service=10.0)
