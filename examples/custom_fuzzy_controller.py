@@ -4,8 +4,8 @@
 Part 1 uses the `repro.fuzzy` toolkit — a general Mamdani toolkit, the same
 one the paper's FLCs are built from — to define a small handoff-decision
 controller (signal strength + cell load -> handoff urgency) from scratch:
-its own linguistic variables, a rule base written in the text DSL, and a
-centroid defuzzifier.
+its own linguistic variables, a rule base built from a
+``(signal, load, urgency)`` table, and a centroid defuzzifier.
 
 Part 2 wraps it as an admission policy, registers it in the
 ``repro.api.CONTROLLERS`` registry, and runs a multi-cell sweep scenario
@@ -23,22 +23,32 @@ from repro.analysis import format_curve_table
 from repro.api import Runner, Scenario, register_controller
 from repro.cac import AdmissionController, AdmissionDecision
 from repro.cellular import Call
-from repro.fuzzy import FuzzyController, LinguisticVariable, Term, Trapezoidal, Triangular
+from repro.fuzzy import (
+    Consequent,
+    FuzzyController,
+    FuzzyRule,
+    LinguisticVariable,
+    Proposition,
+    Term,
+    Trapezoidal,
+    Triangular,
+)
 
-RULES = """
-# Strong signal: stay unless the cell is overloaded.
-IF signal is strong AND load is light THEN urgency is none
-IF signal is strong AND load is moderate THEN urgency is low
-IF signal is strong AND load is heavy THEN urgency is medium
-# Fading signal: prepare to hand off.
-IF signal is fading AND load is light THEN urgency is low
-IF signal is fading AND load is moderate THEN urgency is medium
-IF signal is fading AND load is heavy THEN urgency is high
-# Weak signal: hand off almost regardless of load.
-IF signal is weak AND load is light THEN urgency is high
-IF signal is weak AND load is moderate THEN urgency is high
-IF signal is weak AND load is heavy THEN urgency is critical
-"""
+#: One rule per row: IF signal is <signal> AND load is <load> THEN urgency is <urgency>.
+RULES = (
+    # Strong signal: stay unless the cell is overloaded.
+    ("strong", "light", "none"),
+    ("strong", "moderate", "low"),
+    ("strong", "heavy", "medium"),
+    # Fading signal: prepare to hand off.
+    ("fading", "light", "low"),
+    ("fading", "moderate", "medium"),
+    ("fading", "heavy", "high"),
+    # Weak signal: hand off almost regardless of load.
+    ("weak", "light", "high"),
+    ("weak", "moderate", "high"),
+    ("weak", "heavy", "critical"),
+)
 
 
 def build_controller() -> FuzzyController:
@@ -71,7 +81,15 @@ def build_controller() -> FuzzyController:
             Term("critical", Triangular(0.75, 1.0, 1.0)),
         ],
     )
-    return FuzzyController("handoff-urgency", [signal, load], [urgency], RULES)
+    rules = [
+        FuzzyRule(
+            (Proposition("signal", level), Proposition("load", occupancy)),
+            (Consequent("urgency", need),),
+            label=str(index),
+        )
+        for index, (level, occupancy, need) in enumerate(RULES)
+    ]
+    return FuzzyController("handoff-urgency", [signal, load], [urgency], rules)
 
 
 class UrgencyAdmissionController(AdmissionController):

@@ -6,8 +6,8 @@ from .config import (
     FLC1Config,
     FLC2Config,
 )
-from .frb1 import FRB1_TABLE, frb1_rule_strings, frb1_rules
-from .frb2 import FRB2_TABLE, frb2_rule_strings, frb2_rules
+from .frb1 import FRB1_TABLE, frb1_rules
+from .frb2 import FRB2_TABLE, frb2_rules
 from .flc1 import FLC1, CorrectionResult
 from .flc2 import FLC2, DecisionResult
 from .system import FACSConfig, FuzzyAdmissionControlSystem
@@ -19,10 +19,8 @@ __all__ = [
     "DEFAULT_FLC2_CONFIG",
     "FRB1_TABLE",
     "frb1_rules",
-    "frb1_rule_strings",
     "FRB2_TABLE",
     "frb2_rules",
-    "frb2_rule_strings",
     "FLC1",
     "CorrectionResult",
     "FLC2",

@@ -1,17 +1,15 @@
 """FRB1 — the 42-rule fuzzy rule base of FLC1 (Table 1 of the paper).
 
 The table is transcribed verbatim: rule index, speed term, angle term,
-distance term and the correction-value consequent.  The helper functions
-materialise it either as rule-DSL strings or as a list of
-``(S, A, D, Cv)`` tuples for table rendering and cross-checking.
+distance term and the correction-value consequent.  :func:`frb1_rules`
+builds one conjunctive :class:`FuzzyRule` per row.
 """
 
 from __future__ import annotations
 
-from ...fuzzy.rules import FuzzyRule
-from ...fuzzy.parser import parse_rule
+from ...fuzzy.rules import Consequent, FuzzyRule, Proposition
 
-__all__ = ["FRB1_TABLE", "frb1_rules", "frb1_rule_strings"]
+__all__ = ["FRB1_TABLE", "frb1_rules"]
 
 #: Table 1 of the paper: (rule index, S, A, D, Cv).
 FRB1_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
@@ -60,17 +58,13 @@ FRB1_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
 )
 
 
-def frb1_rule_strings() -> list[str]:
-    """Render Table 1 in the rule DSL (one string per rule, in table order)."""
-    return [
-        f"IF S is {speed} AND A is {angle} AND D is {distance} THEN Cv is {correction}"
-        for _, speed, angle, distance, correction in FRB1_TABLE
-    ]
-
-
 def frb1_rules() -> list[FuzzyRule]:
     """Table 1 as :class:`FuzzyRule` objects labelled with the paper's rule indices."""
     return [
-        parse_rule(text, label=str(index))
-        for (index, *_), text in zip(FRB1_TABLE, frb1_rule_strings())
+        FuzzyRule(
+            (Proposition("S", speed), Proposition("A", angle), Proposition("D", distance)),
+            (Consequent("Cv", correction),),
+            label=str(index),
+        )
+        for index, speed, angle, distance, correction in FRB1_TABLE
     ]

@@ -3,15 +3,15 @@
 Transcribed verbatim from Table 2: rule index, correction-value term (Bad /
 Normal / Good), request term (Text / Voice / Video), counter-state term
 (Small / Middle / Full) and the accept/reject consequent (R / WR / NRNA /
-WA / A).
+WA / A).  :func:`frb2_rules` builds one conjunctive :class:`FuzzyRule` per
+row.
 """
 
 from __future__ import annotations
 
-from ...fuzzy.rules import FuzzyRule
-from ...fuzzy.parser import parse_rule
+from ...fuzzy.rules import Consequent, FuzzyRule, Proposition
 
-__all__ = ["FRB2_TABLE", "frb2_rules", "frb2_rule_strings"]
+__all__ = ["FRB2_TABLE", "frb2_rules"]
 
 #: Table 2 of the paper: (rule index, Cv, R, Cs, A/R).
 FRB2_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
@@ -45,17 +45,13 @@ FRB2_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
 )
 
 
-def frb2_rule_strings() -> list[str]:
-    """Render Table 2 in the rule DSL (one string per rule, in table order)."""
-    return [
-        f"IF Cv is {correction} AND R is {request} AND Cs is {counter} THEN AR is {decision}"
-        for _, correction, request, counter, decision in FRB2_TABLE
-    ]
-
-
 def frb2_rules() -> list[FuzzyRule]:
     """Table 2 as :class:`FuzzyRule` objects labelled with the paper's rule indices."""
     return [
-        parse_rule(text, label=str(index))
-        for (index, *_), text in zip(FRB2_TABLE, frb2_rule_strings())
+        FuzzyRule(
+            (Proposition("Cv", correction), Proposition("R", request), Proposition("Cs", counter)),
+            (Consequent("AR", decision),),
+            label=str(index),
+        )
+        for index, correction, request, counter, decision in FRB2_TABLE
     ]

@@ -66,8 +66,8 @@ class FACSConfig:
     #: "weak accept" and above, mirroring the paper's soft decision scale.
     acceptance_threshold: float = 0.0
     #: Inference engine for FLC1/FLC2: ``"compiled"`` (vectorized fast path,
-    #: the default — bit-identical to the reference for the paper operators),
-    #: ``"reference"`` (interpreted per-rule loop) or ``"auto"``.
+    #: the default — bit-identical to the reference for the paper operators)
+    #: or ``"reference"`` (interpreted per-rule loop).
     engine: str = "compiled"
     #: Declarative overrides for the two pipeline stages.  When set, the
     #: stage is built from the definition (see :mod:`repro.fuzzy.definition`)

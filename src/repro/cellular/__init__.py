@@ -31,8 +31,6 @@ from .mobility import (
     UserState,
 )
 from .traffic import (
-    ArrivalProcess,
-    HoldingTimeModel,
     PAPER_BANDWIDTH_UNITS,
     PAPER_TRAFFIC_MIX,
     ServiceClass,
@@ -72,8 +70,6 @@ __all__ = [
     "TrafficMix",
     "PAPER_TRAFFIC_MIX",
     "PAPER_BANDWIDTH_UNITS",
-    "ArrivalProcess",
-    "HoldingTimeModel",
     "Call",
     "CallEvent",
     "CallState",

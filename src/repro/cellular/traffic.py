@@ -1,4 +1,4 @@
-"""Traffic classes, the paper's workload mix and arrival/holding processes.
+"""Traffic classes and the paper's workload mix.
 
 The paper's simulation parameters (Section 4):
 
@@ -29,8 +29,6 @@ __all__ = [
     "TrafficMix",
     "PAPER_TRAFFIC_MIX",
     "PAPER_BANDWIDTH_UNITS",
-    "ArrivalProcess",
-    "HoldingTimeModel",
 ]
 
 #: Base-station capacity used throughout the paper's evaluation (Section 4).
@@ -172,28 +170,3 @@ PAPER_TRAFFIC_MIX = TrafficMix(
     }
 )
 
-
-class ArrivalProcess:
-    """Poisson call-arrival process (exponential inter-arrival times)."""
-
-    def __init__(self, rate_per_s: float, rng: "RandomStream"):
-        if rate_per_s <= 0:
-            raise ValueError(f"arrival rate must be positive, got {rate_per_s}")
-        self.rate_per_s = rate_per_s
-        self._rng = rng
-
-    def next_interarrival(self) -> float:
-        """Time until the next call request (seconds)."""
-        return self._rng.exponential(1.0 / self.rate_per_s)
-
-
-class HoldingTimeModel:
-    """Exponential call-holding-time model with per-class means."""
-
-    def __init__(self, mix: TrafficMix, rng: "RandomStream"):
-        self._mix = mix
-        self._rng = rng
-
-    def sample(self, service: ServiceClass) -> float:
-        """Call duration in seconds for a service class."""
-        return self._rng.exponential(self._mix.spec(service).mean_holding_time_s)

@@ -122,11 +122,6 @@ _TUNE_SHAPING_DEFAULTS: dict[str, object] = {
 }
 
 
-def _cli_engine_choices() -> list[str]:
-    """Engine names exposed on ``--engine`` (the registry's cli entries)."""
-    return [name for name in ENGINES.names() if ENGINES.get(name).cli]
-
-
 def _add_performance_flags(parser: argparse.ArgumentParser) -> None:
     """Attach the shared --executor/--workers/--engine flag group."""
     parser.add_argument(
@@ -145,7 +140,7 @@ def _add_performance_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=_cli_engine_choices(),
+        choices=list(ENGINES.names()),
         default=_SHARED_SHAPING_DEFAULTS["engine"],
         help="fuzzy inference engine for the FACS controllers: the vectorized "
         "compiled fast path (default) or the interpreted reference engine",
@@ -380,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     service_replay.add_argument(
         "--engine",
-        choices=_cli_engine_choices(),
+        choices=list(ENGINES.names()),
         default=_SERVICE_REPLAY_SHAPING_DEFAULTS["engine"],
         help="fuzzy inference engine for the FACS controller",
     )
@@ -496,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--engine",
-        choices=_cli_engine_choices(),
+        choices=list(ENGINES.names()),
         default="compiled",
         help="fuzzy inference engine for the FACS controller",
     )
@@ -709,10 +704,7 @@ def _registries_payload() -> dict[str, object]:
         "experiments": experiments,
         "scenario_kinds": list(SCENARIO_KINDS.names()),
         "controllers": list(CONTROLLERS.names()),
-        "engines": [
-            {"name": name, "cli": ENGINES.get(name).cli}
-            for name in ENGINES.names()
-        ],
+        "engines": list(ENGINES.names()),
         "executors": list(EXECUTORS.names()),
         "comparison_metrics": list(COMPARISON_METRICS.names()),
         "tuning_strategies": list(STRATEGIES.names()),

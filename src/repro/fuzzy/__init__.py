@@ -1,7 +1,7 @@
 """A self-contained fuzzy-logic toolkit (replacement for scikit-fuzzy).
 
-Provides membership functions, linguistic variables, a rule DSL, Mamdani
-inference and defuzzification — everything FLC1 and FLC2 of the
+Provides membership functions, linguistic variables, conjunctive rules,
+Mamdani inference and defuzzification — everything FLC1 and FLC2 of the
 paper's FACS system need, built from scratch.
 """
 
@@ -33,10 +33,8 @@ from .operators import (
     snorm_by_name,
     tnorm_by_name,
 )
-from .hedges import Hedge, hedge_by_name
 from .variables import FuzzificationResult, LinguisticVariable, Term
-from .rules import And, Antecedent, Consequent, FuzzyRule, Not, Or, Proposition, RuleBase
-from .parser import RuleSyntaxError, parse_rule, parse_rules
+from .rules import Consequent, FuzzyRule, Proposition, RuleBase
 from .defuzzification import (
     Bisector,
     Centroid,
@@ -54,12 +52,7 @@ from .inference import (
     MamdaniEngine,
     RuleActivation,
 )
-from .compiled import (
-    CacheInfo,
-    CompiledMamdaniEngine,
-    CrispInference,
-    RuleCompilationError,
-)
+from .compiled import CompiledMamdaniEngine, CrispInference
 from .controller import (
     ENGINES,
     EngineSpec,
@@ -93,25 +86,15 @@ __all__ = [
     "BOUNDED_SUM",
     "tnorm_by_name",
     "snorm_by_name",
-    # hedges
-    "Hedge",
-    "hedge_by_name",
     # variables
     "Term",
     "LinguisticVariable",
     "FuzzificationResult",
     # rules
-    "Antecedent",
     "Proposition",
-    "And",
-    "Or",
-    "Not",
     "Consequent",
     "FuzzyRule",
     "RuleBase",
-    "parse_rule",
-    "parse_rules",
-    "RuleSyntaxError",
     # defuzzification
     "Defuzzifier",
     "Centroid",
@@ -130,8 +113,6 @@ __all__ = [
     # compiled fast path
     "CompiledMamdaniEngine",
     "CrispInference",
-    "RuleCompilationError",
-    "CacheInfo",
     # controller
     "FuzzyController",
     "ENGINES",

@@ -24,42 +24,23 @@ The compiled engine is an exact drop-in: for the paper's minimum/maximum
 operators the results are bit-for-bit identical to the reference engine, and
 for every other registered operator family they agree to ~1 ulp (the only
 difference is floating-point reassociation).  This is locked down by the
-equivalence tests in ``tests/fuzzy/test_compiled_engine.py``.
-
-Only rule bases whose rules are pure conjunctions of unhedged propositions
-can be compiled (FRB1 and FRB2 both are); anything else raises
-:class:`RuleCompilationError` so callers can fall back to the reference
-engine.
-
-An optional LRU cache memoises crisp inferences, keyed on the (optionally
-quantized) input tuple.  With ``cache_quantization=None`` the keys are exact
-and cached results are indistinguishable from recomputation; with a
-quantization step the cache trades exactness for hit rate.
+equivalence tests in ``tests/fuzzy/test_compiled_engine.py``.  Every rule is
+a conjunction of propositions, so every rule base compiles.
 
 The engine is safe to share between threads: the scalar hot path keeps its
-scratch degree buffer in thread-local storage and the LRU cache takes a lock
-around its bookkeeping.  With exact cache keys the cached value equals
-recomputation bit for bit, so results stay deterministic under the
-thread-pool sweep executor; a *quantized* cache is the one knob that trades
-that determinism away (whichever representative lands in the bucket first
-wins), with or without threads.
+scratch degree buffer in thread-local storage, so results stay deterministic
+under the thread-pool sweep executor.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .defuzzification import (
-    DEFAULT_DEFUZZIFIER,
-    Centroid,
-    DefuzzificationError,
-    Defuzzifier,
-)
+from .defuzzification import Centroid, DefuzzificationError
 from .inference import (
     BatchInference,
     ImplicationMethod,
@@ -68,15 +49,12 @@ from .inference import (
     RuleActivation,
 )
 from .membership import Trapezoidal, Triangular
-from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
-from .rules import RuleBase, _is_pure_conjunction, _propositions
+from .operators import MAXIMUM
 from .variables import LinguisticVariable, Term
 
 __all__ = [
     "CompiledMamdaniEngine",
     "CrispInference",
-    "RuleCompilationError",
-    "CacheInfo",
 ]
 
 _EPS = 1e-12
@@ -84,10 +62,6 @@ _EPS = 1e-12
 # evaluation of Triangular bitwise.
 _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
-
-
-class RuleCompilationError(ValueError):
-    """Raised when a rule base cannot be lowered to the compiled form."""
 
 
 @dataclass(frozen=True)
@@ -105,16 +79,6 @@ class CrispInference:
 
     def __getitem__(self, variable: str) -> float:
         return self.outputs[variable]
-
-
-@dataclass(frozen=True)
-class CacheInfo:
-    """Hit/miss statistics of the engine's crisp-inference LRU cache."""
-
-    hits: int
-    misses: int
-    size: int
-    max_size: int
 
 
 def _isclose_scalar(x: float, target: float) -> bool:
@@ -174,57 +138,11 @@ def _term_evaluator(term: Term) -> Callable[[float], float]:
 class CompiledMamdaniEngine(MamdaniEngine):
     """Vectorized Mamdani engine, equivalent to :class:`MamdaniEngine`.
 
-    Parameters
-    ----------
-    rule_base, tnorm, snorm, implication, defuzzifier:
-        As for :class:`MamdaniEngine`.
-    cache_size:
-        Maximum number of crisp inferences memoised by the LRU cache;
-        ``0`` (the default) disables caching.
-    cache_quantization:
-        Optional quantization step applied to the cache key.  ``None`` keys
-        the cache on the exact input floats (cached results are then
-        identical to recomputation); a positive step buckets nearby inputs
-        together, trading exactness for hit rate.
-
-    Raises
-    ------
-    RuleCompilationError
-        When a rule uses OR/NOT connectives or hedges and therefore cannot
-        be lowered to the index-matrix form.
+    Takes the same arguments as :class:`MamdaniEngine`.
     """
 
-    def __init__(
-        self,
-        rule_base: RuleBase,
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-        implication: str = ImplicationMethod.CLIP,
-        defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        cache_size: int = 0,
-        cache_quantization: float | None = None,
-    ):
-        super().__init__(
-            rule_base,
-            tnorm=tnorm,
-            snorm=snorm,
-            implication=implication,
-            defuzzifier=defuzzifier,
-        )
-        if cache_size < 0:
-            raise ValueError(f"cache_size must be non-negative, got {cache_size}")
-        if cache_quantization is not None and cache_quantization <= 0.0:
-            raise ValueError(
-                f"cache_quantization must be positive, got {cache_quantization}"
-            )
-        self._cache_size = cache_size
-        self._cache_quantization = cache_quantization
-        self._cache: OrderedDict[tuple, CrispInference] | None = (
-            OrderedDict() if cache_size > 0 else None
-        )
-        self._cache_lock = threading.Lock()
-        self._cache_hits = 0
-        self._cache_misses = 0
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._compile()
 
     # ------------------------------------------------------------------
@@ -272,21 +190,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
         # thread-pool sweep executor.
         self._degree_local = threading.local()
 
-        rows: list[list[int]] = []
-        for rule in rule_base:
-            if not _is_pure_conjunction(rule.antecedent):
-                raise RuleCompilationError(
-                    f"rule {rule.label or rule} uses OR/NOT connectives; only pure "
-                    f"conjunctions can be compiled — use MamdaniEngine instead"
-                )
-            props = _propositions(rule.antecedent)
-            if any(prop.hedge is not None for prop in props):
-                raise RuleCompilationError(
-                    f"rule {rule.label or rule} uses hedges, which the compiled "
-                    f"engine does not support — use MamdaniEngine instead"
-                )
-            rows.append([slot_of[(prop.variable, prop.term)] for prop in props])
-
+        rows = [
+            [slot_of[(prop.variable, prop.term)] for prop in rule.antecedent]
+            for rule in rule_base
+        ]
         width = max(len(row) for row in rows)
         index = np.full((len(rows), width), self._identity_slot, dtype=np.intp)
         for i, row in enumerate(rows):
@@ -371,28 +278,6 @@ class CompiledMamdaniEngine(MamdaniEngine):
                     int(variable.grid.shape[0]),
                 )
         self._grouped_consequent_plans = grouped
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def cache_info(self) -> CacheInfo:
-        """Current statistics of the crisp-inference LRU cache."""
-        with self._cache_lock:
-            return CacheInfo(
-                hits=self._cache_hits,
-                misses=self._cache_misses,
-                size=len(self._cache) if self._cache is not None else 0,
-                max_size=self._cache_size,
-            )
-
-    def clear_cache(self) -> None:
-        """Drop every memoised inference and reset the hit/miss counters."""
-        with self._cache_lock:
-            if self._cache is not None:
-                self._cache.clear()
-            self._cache_hits = 0
-            self._cache_misses = 0
 
     # ------------------------------------------------------------------
     # Hot path
@@ -493,34 +378,12 @@ class CompiledMamdaniEngine(MamdaniEngine):
             return float((spacing * (moment[1:] + moment[:-1]) / 2.0).sum() / area)
         return self._defuzzifier(variable.grid, surface)
 
-    def _cache_key(self, inputs: Mapping[str, float]) -> tuple:
-        try:
-            values = tuple(float(inputs[name]) for name in self._input_order)
-        except KeyError:
-            missing = set(self._rule_base.input_variables) - set(inputs)
-            raise ValueError(
-                f"missing crisp inputs for variables: {sorted(missing)}"
-            ) from None
-        quantization = self._cache_quantization
-        if quantization is not None:
-            return tuple(round(value / quantization) for value in values)
-        return values
-
     def infer_crisp(self, inputs: Mapping[str, float]) -> CrispInference:
         """Crisp outputs plus dominant rule, skipping all diagnostics.
 
         This is the engine's hot path: identical numbers to :meth:`infer`
         without materialising per-rule activation records or surface dicts.
         """
-        cache = self._cache
-        if cache is not None:
-            key = self._cache_key(inputs)
-            with self._cache_lock:
-                hit = cache.get(key)
-                if hit is not None:
-                    cache.move_to_end(key)
-                    self._cache_hits += 1
-                    return hit
         buffer = self._fill_degrees(inputs)
         strengths = self._firing_strengths(buffer)
         outputs: dict[str, float] = {}
@@ -528,18 +391,11 @@ class CompiledMamdaniEngine(MamdaniEngine):
             aggregated = self._aggregate_output(strengths, entry_rules, tensor, var_name, inputs)
             outputs[var_name] = self._defuzzify_fast(var_name, variable, aggregated)
         dominant = int(np.argmax(strengths))
-        result = CrispInference(
+        return CrispInference(
             outputs=outputs,
             dominant_index=dominant,
             dominant_label=self._rule_base[dominant].label,
         )
-        if cache is not None:
-            with self._cache_lock:
-                self._cache_misses += 1
-                cache[key] = result
-                if len(cache) > self._cache_size:
-                    cache.popitem(last=False)
-        return result
 
     def infer(self, inputs: Mapping[str, float]) -> InferenceResult:
         """Full inference with the same diagnostics as the reference engine."""

@@ -9,16 +9,15 @@ outputs.  FLC1 and FLC2 of the FACS system are both instances of this class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..registry import Registry
-from .compiled import CompiledMamdaniEngine, CrispInference, RuleCompilationError
+from .compiled import CompiledMamdaniEngine, CrispInference
 from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier
 from .inference import ImplicationMethod, InferenceResult, MamdaniEngine
 from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
-from .parser import parse_rules
 from .rules import FuzzyRule, RuleBase
 from .variables import LinguisticVariable
 
@@ -31,16 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineSpec:
-    """One registered inference-engine mode.
-
-    ``cli`` marks the modes exposed through the CLI's ``--engine`` flag
-    (``"auto"`` is a library-only convenience: the CLI always makes the
-    choice explicit so runs are self-describing).
-    """
+    """One registered inference-engine mode."""
 
     name: str
     description: str
-    cli: bool = True
 
 
 #: Registry of inference-engine modes accepted by :class:`FuzzyController`
@@ -48,29 +41,16 @@ class EngineSpec:
 #: flag) — the single source of truth for the engine *name set* used in
 #: validation, CLI choices and error messages.  Unlike the controller and
 #: executor registries this one is metadata-only: adding a mode also
-#: requires a dispatch branch in ``FuzzyController.__init__``, which raises
-#: on registered-but-undispatched names rather than guessing.
+#: requires a dispatch branch in ``FuzzyController.__init__``.
 ENGINES: Registry[EngineSpec] = Registry("engine")
 
 ENGINES.register(
     "compiled",
-    EngineSpec(
-        "compiled",
-        "vectorized fast path lowered to numpy tensors; requires a "
-        "compilable (pure-conjunction) rule base",
-    ),
+    EngineSpec("compiled", "vectorized fast path lowered to numpy tensors"),
 )
 ENGINES.register(
     "reference",
     EngineSpec("reference", "interpreted per-rule Mamdani engine"),
-)
-ENGINES.register(
-    "auto",
-    EngineSpec(
-        "auto",
-        "compile when the rule base allows it, silently fall back otherwise",
-        cli=False,
-    ),
 )
 
 
@@ -84,15 +64,12 @@ class FuzzyController:
     inputs, outputs:
         Linguistic variables of the controller.
     rules:
-        Either pre-built :class:`FuzzyRule` objects or a rule-DSL string /
-        list of strings (see :mod:`repro.fuzzy.parser`).
+        The :class:`FuzzyRule` objects of the rule base.
     engine:
-        ``"auto"`` (default) uses the vectorized
-        :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine` whenever the
-        rule base is compilable and falls back to the interpreted
-        :class:`MamdaniEngine` otherwise; ``"compiled"`` requires the fast
-        path (raising :class:`RuleCompilationError` when impossible);
-        ``"reference"`` always interprets.
+        ``"compiled"`` (default) runs the vectorized
+        :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine`;
+        ``"reference"`` runs the interpreted :class:`MamdaniEngine`.  Under
+        the default operators the two agree bit for bit.
     """
 
     def __init__(
@@ -100,51 +77,27 @@ class FuzzyController:
         name: str,
         inputs: Sequence[LinguisticVariable],
         outputs: Sequence[LinguisticVariable],
-        rules: Sequence[FuzzyRule] | Iterable[str] | str,
+        rules: Sequence[FuzzyRule],
         tnorm: TNorm = MINIMUM,
         snorm: SNorm = MAXIMUM,
         implication: str = ImplicationMethod.CLIP,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        engine: str = "auto",
+        engine: str = "compiled",
     ):
-        if isinstance(rules, str):
-            rule_objs: Sequence[FuzzyRule] = parse_rules(rules)
-        else:
-            rules = list(rules)
-            if rules and isinstance(rules[0], str):
-                rule_objs = parse_rules([str(r) for r in rules])
-            else:
-                rule_objs = [r for r in rules if isinstance(r, FuzzyRule)]
-                if len(rule_objs) != len(rules):
-                    raise TypeError(
-                        "rules must be FuzzyRule objects or rule strings, not a mix"
-                    )
         if engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {tuple(sorted(ENGINES))}"
             )
         self._name = name
-        self._rule_base = RuleBase(rule_objs, inputs, outputs, name=f"{name}-rules")
-        engine_kwargs = dict(
+        self._rule_base = RuleBase(rules, inputs, outputs, name=f"{name}-rules")
+        engine_class = MamdaniEngine if engine == "reference" else CompiledMamdaniEngine
+        self._engine: MamdaniEngine = engine_class(
+            self._rule_base,
             tnorm=tnorm,
             snorm=snorm,
             implication=implication,
             defuzzifier=defuzzifier,
         )
-        if engine == "reference":
-            self._engine: MamdaniEngine = MamdaniEngine(self._rule_base, **engine_kwargs)
-        else:
-            if engine != "auto" and engine != "compiled":  # pragma: no cover
-                raise ValueError(
-                    f"engine {engine!r} is registered but has no dispatch "
-                    f"branch in FuzzyController"
-                )
-            try:
-                self._engine = CompiledMamdaniEngine(self._rule_base, **engine_kwargs)
-            except RuleCompilationError:
-                if engine == "compiled":
-                    raise
-                self._engine = MamdaniEngine(self._rule_base, **engine_kwargs)
 
     # ------------------------------------------------------------------
     @property
@@ -222,10 +175,6 @@ class FuzzyController:
             dominant_label=activations[dominant].rule.label,
         )
 
-    def compute_many(self, samples: Iterable[Mapping[str, float]]) -> list[float]:
-        """Evaluate a batch of crisp input mappings (single-output controllers)."""
-        return [self.compute(**dict(sample)) for sample in samples]
-
     def compute_batch(self, **inputs: np.ndarray) -> np.ndarray:
         """Crisp output vector for named ``(N,)`` input vectors.
 
@@ -242,26 +191,6 @@ class FuzzyController:
             )
         arrays = {name: np.asarray(values, dtype=float) for name, values in inputs.items()}
         return self._engine.infer_batch(arrays).outputs[outputs[0]]
-
-    def rule_table(self) -> list[dict[str, str]]:
-        """Render the rule base as a list of ``{column: value}`` rows.
-
-        Only meaningful for grid rule bases made of pure conjunctions (as
-        FRB1 and FRB2 are); each row contains one column per input variable
-        plus one per output variable, which is exactly the layout of Tables 1
-        and 2 of the paper.
-        """
-        rows: list[dict[str, str]] = []
-        for rule in self._rule_base:
-            row: dict[str, str] = {"Rule": rule.label}
-            from .rules import _propositions  # local import to avoid cycle at module load
-
-            for prop in _propositions(rule.antecedent):
-                row[prop.variable] = prop.term
-            for consequent in rule.consequents:
-                row[consequent.variable] = consequent.term
-            rows.append(row)
-        return rows
 
     def membership_table(
         self, variable: str, points: int = 11

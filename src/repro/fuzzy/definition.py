@@ -30,21 +30,14 @@ is downstream of this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
 from .controller import FuzzyController
 from .defuzzification import Defuzzifier, defuzzifier_by_name
 from .membership import MembershipFunction, Trapezoidal, Triangular
-from .rules import (
-    And,
-    Consequent,
-    FuzzyRule,
-    Proposition,
-    RuleBase,
-    _is_pure_conjunction,
-    _propositions,
-)
+from .rules import Consequent, FuzzyRule, Proposition, RuleBase
 from .variables import LinguisticVariable, Term
 
 __all__ = [
@@ -75,6 +68,8 @@ def _float_tuple(values: Iterable[Any], what: str) -> tuple[float, ...]:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DefinitionError(f"{what} must be numbers, got {value!r}")
+        if not math.isfinite(value):
+            raise DefinitionError(f"{what} must be finite numbers, got {value!r}")
         out.append(float(value))
     return tuple(out)
 
@@ -266,15 +261,10 @@ class RuleDef:
             raise DefinitionError(f"rule label must be a string, got {self.label!r}")
 
     def build(self) -> FuzzyRule:
-        """The live :class:`FuzzyRule` (pure AND of the antecedent pairs)."""
-        propositions = [Proposition(var, term) for var, term in self.antecedent]
-        antecedent = (
-            propositions[0] if len(propositions) == 1 else And(tuple(propositions))
-        )
-        consequents = tuple(Consequent(var, term) for var, term in self.consequents)
+        """The live :class:`FuzzyRule`, one proposition per antecedent pair."""
         return FuzzyRule(
-            antecedent=antecedent,
-            consequents=consequents,
+            antecedent=tuple(Proposition(var, term) for var, term in self.antecedent),
+            consequents=tuple(Consequent(var, term) for var, term in self.consequents),
             weight=self.weight,
             label=self.label,
         )
@@ -339,6 +329,12 @@ class FLCDefinition:
             defuzzifier_by_name(self.defuzzifier)
         except KeyError as exc:
             raise DefinitionError(str(exc)) from exc
+        labels = [rule.label for rule in self.rules if rule.label]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise DefinitionError(
+                    f"controller {self.name!r} has two rules labelled {label!r}"
+                )
         inputs = {v.name: set(v.term_names()) for v in self.inputs}
         outputs = {v.name: set(v.term_names()) for v in self.outputs}
         for rule in self.rules:
@@ -416,6 +412,8 @@ class FLCDefinition:
 
     def with_rule(self, rule: RuleDef) -> "FLCDefinition":
         """A copy with the same-labelled rule replaced."""
+        if not rule.label:
+            raise DefinitionError("with_rule needs a labelled rule")
         self.rule_by_label(rule.label)
         return replace(
             self,
@@ -428,7 +426,7 @@ class FLCDefinition:
     # -- compilation -----------------------------------------------------
 
     def build_controller(
-        self, engine: str = "auto", defuzzifier: Defuzzifier | None = None
+        self, engine: str = "compiled", defuzzifier: Defuzzifier | None = None
     ) -> FuzzyController:
         """Compile into a live :class:`FuzzyController`.
 
@@ -509,22 +507,8 @@ def _variable_def(variable: LinguisticVariable) -> VariableDef:
 
 
 def _rule_def(rule: FuzzyRule) -> RuleDef:
-    if not _is_pure_conjunction(rule.antecedent):
-        raise DefinitionError(
-            f"rule {rule.label!r} is not a pure conjunction; only AND-of-"
-            f"propositions rules have a serializable definition"
-        )
-    pairs = []
-    for proposition in _propositions(rule.antecedent):
-        if proposition.hedge is not None:
-            raise DefinitionError(
-                f"rule {rule.label!r} uses a hedge on "
-                f"{proposition.variable!r}; hedged rules have no "
-                f"serializable definition"
-            )
-        pairs.append((proposition.variable, proposition.term))
     return RuleDef(
-        antecedent=tuple(pairs),
+        antecedent=tuple((p.variable, p.term) for p in rule.antecedent),
         consequents=tuple((c.variable, c.term) for c in rule.consequents),
         weight=rule.weight,
         label=rule.label,

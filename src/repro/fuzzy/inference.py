@@ -6,8 +6,8 @@ fuzzifier, inference engine, fuzzy rule base and defuzzifier — into a single
 
 1. *Fuzzification*: crisp inputs are mapped to membership degrees of every
    input term.
-2. *Rule evaluation*: each rule's antecedent is evaluated with the configured
-   t-norm (default: minimum) and s-norm (default: maximum).
+2. *Rule evaluation*: each rule's proposition degrees are combined with the
+   configured t-norm (default: minimum).
 3. *Implication*: the rule's consequent set is clipped (Mamdani / minimum) or
    scaled (Larsen / product) by the firing strength.
 4. *Aggregation*: all clipped consequent surfaces for an output variable are
@@ -51,9 +51,6 @@ class RuleActivation:
     rule: FuzzyRule
     firing_strength: float
 
-    def fired(self, threshold: float = 0.0) -> bool:
-        return self.firing_strength > threshold
-
 
 @dataclass(frozen=True)
 class InferenceResult:
@@ -66,11 +63,6 @@ class InferenceResult:
 
     def __getitem__(self, variable: str) -> float:
         return self.outputs[variable]
-
-    def fired_rules(self, threshold: float = 0.0) -> list[RuleActivation]:
-        """Activations with firing strength above ``threshold``, strongest first."""
-        fired = [a for a in self.activations if a.fired(threshold)]
-        return sorted(fired, key=lambda a: a.firing_strength, reverse=True)
 
     def dominant_rule(self) -> RuleActivation:
         """The activation with the highest firing strength."""
@@ -195,7 +187,7 @@ class MamdaniEngine:
         any_fired: dict[str, bool] = {name: False for name in aggregated}
 
         for rule in self._rule_base:
-            strength = rule.firing_strength(degrees, self._tnorm, self._snorm)
+            strength = rule.firing_strength(degrees, self._tnorm)
             activations.append(RuleActivation(rule, strength))
             if strength <= 0.0:
                 continue
@@ -226,15 +218,6 @@ class MamdaniEngine:
             activations=tuple(activations),
             aggregated=aggregated,
         )
-
-    def output_surface(
-        self,
-        output: str,
-        inputs: Mapping[str, float],
-    ) -> np.ndarray:
-        """Return the aggregated fuzzy output surface for one inference."""
-        result = self.infer(inputs)
-        return np.asarray(result.aggregated[output])
 
     def _batch_matrix(
         self, inputs: np.ndarray | Mapping[str, np.ndarray]

@@ -1,81 +1,42 @@
-"""Fuzzy rules, antecedent expressions and rule bases.
+"""Fuzzy rules and rule bases.
 
 Rules have the paper's form ``IF "conditions" THEN "control action"``:
 
     IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3
 
-Antecedents are expression trees over atomic propositions
-(``variable IS [hedge] term``) combined with AND / OR / NOT, so arbitrary
-rule structures are supported even though FRB1/FRB2 only use conjunctions.
+A rule's antecedent is a conjunction: a tuple of :class:`Proposition`
+``variable IS term`` whose degrees the engine's t-norm combines.  Every row
+of FRB1 and FRB2 (Tables 1 and 2 of the paper) has this form.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .hedges import Hedge
-from .operators import SNorm, TNorm, MINIMUM, MAXIMUM
+from .operators import MINIMUM, TNorm
 from .variables import LinguisticVariable
 
 __all__ = [
-    "Antecedent",
     "Proposition",
-    "And",
-    "Or",
-    "Not",
     "Consequent",
     "FuzzyRule",
     "RuleBase",
 ]
 
 
-class Antecedent(ABC):
-    """Node of a rule antecedent expression tree."""
-
-    @abstractmethod
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        """Evaluate the antecedent given fuzzified input degrees.
-
-        ``degrees`` maps variable name -> term name -> membership degree.
-        """
-
-    @abstractmethod
-    def variables(self) -> set[str]:
-        """Names of the linguistic variables referenced by this expression."""
-
-    # Operator sugar so rules can be written programmatically:
-    # (Proposition(...) & Proposition(...)) | ~Proposition(...)
-    def __and__(self, other: "Antecedent") -> "And":
-        return And((self, other))
-
-    def __or__(self, other: "Antecedent") -> "Or":
-        return Or((self, other))
-
-    def __invert__(self) -> "Not":
-        return Not(self)
-
-
 @dataclass(frozen=True)
-class Proposition(Antecedent):
-    """Atomic antecedent ``variable IS [hedge] term``."""
+class Proposition:
+    """Atomic antecedent ``variable IS term``."""
 
     variable: str
     term: str
-    hedge: Hedge | None = None
 
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
+    def degree(self, degrees: Mapping[str, Mapping[str, float]]) -> float:
+        """This proposition's membership degree among fuzzified inputs.
+
+        ``degrees`` maps variable name -> term name -> membership degree.
+        """
         try:
             var_degrees = degrees[self.variable]
         except KeyError:
@@ -83,103 +44,19 @@ class Proposition(Antecedent):
                 f"no fuzzified degrees supplied for variable {self.variable!r}"
             ) from None
         try:
-            mu = float(var_degrees[self.term])
+            return float(var_degrees[self.term])
         except KeyError:
             raise KeyError(
                 f"variable {self.variable!r} has no fuzzified term {self.term!r}"
             ) from None
-        if self.hedge is not None:
-            mu = float(self.hedge(mu))
-        return mu
-
-    def variables(self) -> set[str]:
-        return {self.variable}
 
     def __str__(self) -> str:
-        hedge = f"{self.hedge.name} " if self.hedge else ""
-        return f"{self.variable} is {hedge}{self.term}"
-
-
-@dataclass(frozen=True)
-class And(Antecedent):
-    """Conjunction of sub-antecedents, combined with the engine's t-norm."""
-
-    operands: tuple[Antecedent, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.operands) < 2:
-            raise ValueError("And requires at least two operands")
-
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        return tnorm.reduce(op.firing_strength(degrees, tnorm, snorm) for op in self.operands)
-
-    def variables(self) -> set[str]:
-        names: set[str] = set()
-        for op in self.operands:
-            names |= op.variables()
-        return names
-
-    def __str__(self) -> str:
-        return "(" + " AND ".join(str(op) for op in self.operands) + ")"
-
-
-@dataclass(frozen=True)
-class Or(Antecedent):
-    """Disjunction of sub-antecedents, combined with the engine's s-norm."""
-
-    operands: tuple[Antecedent, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.operands) < 2:
-            raise ValueError("Or requires at least two operands")
-
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        return snorm.reduce(op.firing_strength(degrees, tnorm, snorm) for op in self.operands)
-
-    def variables(self) -> set[str]:
-        names: set[str] = set()
-        for op in self.operands:
-            names |= op.variables()
-        return names
-
-    def __str__(self) -> str:
-        return "(" + " OR ".join(str(op) for op in self.operands) + ")"
-
-
-@dataclass(frozen=True)
-class Not(Antecedent):
-    """Standard-complement negation of a sub-antecedent."""
-
-    operand: Antecedent
-
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm,
-        snorm: SNorm,
-    ) -> float:
-        return 1.0 - self.operand.firing_strength(degrees, tnorm, snorm)
-
-    def variables(self) -> set[str]:
-        return self.operand.variables()
-
-    def __str__(self) -> str:
-        return f"(NOT {self.operand})"
+        return f"{self.variable} is {self.term}"
 
 
 @dataclass(frozen=True)
 class Consequent:
-    """Rule consequent ``variable IS term`` with an optional rule weight."""
+    """Rule consequent ``variable IS term``."""
 
     variable: str
     term: str
@@ -190,19 +67,22 @@ class Consequent:
 
 @dataclass(frozen=True)
 class FuzzyRule:
-    """A single ``IF antecedent THEN consequent(s)`` rule.
+    """A single ``IF p1 AND p2 ... THEN consequent(s)`` rule.
 
     ``weight`` scales the firing strength (1.0 for all paper rules) and
     ``label`` carries the rule index so FRB1/FRB2 tables can be rendered and
     cross-checked against the paper.
     """
 
-    antecedent: Antecedent
+    antecedent: tuple[Proposition, ...]
     consequents: tuple[Consequent, ...]
     weight: float = 1.0
     label: str = ""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "antecedent", tuple(self.antecedent))
+        if not self.antecedent:
+            raise ValueError("a rule requires at least one proposition")
         if not self.consequents:
             raise ValueError("a rule requires at least one consequent")
         if not 0.0 <= self.weight <= 1.0:
@@ -212,21 +92,21 @@ class FuzzyRule:
         self,
         degrees: Mapping[str, Mapping[str, float]],
         tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
     ) -> float:
         """Weighted firing strength of the rule for fuzzified inputs."""
-        return self.weight * self.antecedent.firing_strength(degrees, tnorm, snorm)
+        return self.weight * tnorm.reduce(p.degree(degrees) for p in self.antecedent)
 
     def input_variables(self) -> set[str]:
-        return self.antecedent.variables()
+        return {p.variable for p in self.antecedent}
 
     def output_variables(self) -> set[str]:
         return {c.variable for c in self.consequents}
 
     def __str__(self) -> str:
+        conditions = " AND ".join(str(p) for p in self.antecedent)
         then = " AND ".join(str(c) for c in self.consequents)
         prefix = f"[{self.label}] " if self.label else ""
-        return f"{prefix}IF {self.antecedent} THEN {then}"
+        return f"{prefix}IF {conditions} THEN {then}"
 
 
 class RuleBase:
@@ -258,10 +138,14 @@ class RuleBase:
         if not self._rules:
             raise ValueError(f"rule base {name!r} requires at least one rule")
         for rule in self._rules:
+            if not isinstance(rule, FuzzyRule):
+                raise TypeError(
+                    f"rule base {name!r} takes FuzzyRule objects, got {rule!r}"
+                )
             self._validate_rule(rule)
 
     def _validate_rule(self, rule: FuzzyRule) -> None:
-        for prop in _propositions(rule.antecedent):
+        for prop in rule.antecedent:
             var = self._inputs.get(prop.variable)
             if var is None:
                 raise ValueError(
@@ -317,20 +201,15 @@ class RuleBase:
 
     # ------------------------------------------------------------------
     def completeness_gaps(self) -> list[dict[str, str]]:
-        """Return input-term combinations not covered by any conjunctive rule.
+        """Return input-term combinations not covered by any rule.
 
-        Only applicable to rule bases whose rules are pure conjunctions of one
-        proposition per input variable (as FRB1 and FRB2 are); rules with OR /
-        NOT / hedges are skipped.  A complete grid rule base returns ``[]``.
+        A rule covers a combination when it names one term of every input
+        variable (as each row of FRB1 and FRB2 does).  A complete grid rule
+        base returns ``[]``.
         """
         covered: set[tuple[tuple[str, str], ...]] = set()
         for rule in self._rules:
-            props = _propositions(rule.antecedent)
-            if any(p.hedge is not None for p in props):
-                continue
-            if not _is_pure_conjunction(rule.antecedent):
-                continue
-            key = tuple(sorted((p.variable, p.term) for p in props))
+            key = tuple(sorted((p.variable, p.term) for p in rule.antecedent))
             if len({var for var, _ in key}) == len(self._inputs):
                 covered.add(key)
 
@@ -353,24 +232,3 @@ class RuleBase:
         """True when every input-term combination is covered by a rule."""
         return not self.completeness_gaps()
 
-
-def _propositions(node: Antecedent) -> list[Proposition]:
-    """Flatten an antecedent tree into its atomic propositions."""
-    if isinstance(node, Proposition):
-        return [node]
-    if isinstance(node, Not):
-        return _propositions(node.operand)
-    if isinstance(node, (And, Or)):
-        props: list[Proposition] = []
-        for op in node.operands:
-            props.extend(_propositions(op))
-        return props
-    raise TypeError(f"unknown antecedent node type: {type(node)!r}")
-
-
-def _is_pure_conjunction(node: Antecedent) -> bool:
-    if isinstance(node, Proposition):
-        return True
-    if isinstance(node, And):
-        return all(_is_pure_conjunction(op) for op in node.operands)
-    return False

@@ -23,6 +23,7 @@ hashable, picklable and embed losslessly in scenario JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
@@ -73,6 +74,11 @@ class ParameterSpec:
                 raise TuningError(
                     f"parameter {self.target!r} needs at least one choice"
                 )
+            if not all(math.isfinite(v) for v in values):
+                raise TuningError(
+                    f"parameter {self.target!r} choices must be finite numbers, "
+                    f"got {list(values)}"
+                )
             object.__setattr__(self, "choices", values)
         else:
             if self.low is None or self.high is None:
@@ -82,6 +88,11 @@ class ParameterSpec:
                 )
             object.__setattr__(self, "low", float(self.low))
             object.__setattr__(self, "high", float(self.high))
+            if not (math.isfinite(self.low) and math.isfinite(self.high)):
+                raise TuningError(
+                    f"parameter {self.target!r} bounds must be finite numbers, "
+                    f"got low={self.low}, high={self.high}"
+                )
             if not self.low < self.high:
                 raise TuningError(
                     f"parameter {self.target!r} bounds must satisfy "

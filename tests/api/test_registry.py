@@ -18,6 +18,7 @@ from repro.api import (
     controller_factory,
 )
 from repro.cac import FuzzyAdmissionControlSystem
+from repro.cli import build_parser
 from repro.experiments import experiment_ids
 from repro.registry import Registry, RegistryError
 
@@ -116,9 +117,12 @@ class TestConcreteRegistries:
             controller_factory("Oracle")
 
     def test_engine_registry_drives_cli_choices(self):
-        assert ENGINES.names() == ("compiled", "reference", "auto")
-        cli = [name for name in ENGINES.names() if ENGINES.get(name).cli]
-        assert cli == ["compiled", "reference"]
+        assert ENGINES.names() == ("compiled", "reference")
+        parser = build_parser()
+        for name in ENGINES.names():
+            assert parser.parse_args(["run", "fig7-speed", "--engine", name]).engine == name
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run", "fig7-speed", "--engine", "auto"])
 
     def test_executor_registry_names_and_aliases(self):
         assert EXECUTORS.names() == ("serial", "process", "thread")

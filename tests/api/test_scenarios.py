@@ -32,7 +32,7 @@ request_count_tuples = st.lists(
 controller_subsets = st.lists(
     st.sampled_from(CONTROLLER_NAMES), min_size=1, max_size=5, unique=True
 ).map(tuple)
-engines = st.sampled_from(["compiled", "reference", "auto"])
+engines = st.sampled_from(["compiled", "reference"])
 
 
 @st.composite

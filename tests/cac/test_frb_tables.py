@@ -5,9 +5,22 @@ from __future__ import annotations
 import pytest
 
 from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
-from repro.cac.facs.frb1 import FRB1_TABLE, frb1_rule_strings, frb1_rules
-from repro.cac.facs.frb2 import FRB2_TABLE, frb2_rule_strings, frb2_rules
+from repro.cac.facs.frb1 import FRB1_TABLE, frb1_rules
+from repro.cac.facs.frb2 import FRB2_TABLE, frb2_rules
 from repro.fuzzy.rules import RuleBase
+
+
+def rule_rows(rules) -> list[tuple]:
+    """Each rule as (label, antecedent (variable, term) pairs, consequent pairs, weight)."""
+    return [
+        (
+            rule.label,
+            tuple((p.variable, p.term) for p in rule.antecedent),
+            tuple((c.variable, c.term) for c in rule.consequents),
+            rule.weight,
+        )
+        for rule in rules
+    ]
 
 
 class TestFRB1Table:
@@ -73,15 +86,18 @@ class TestFRB1Table:
         )
         assert len(base) == 42
         assert base.is_complete()
+        for rule, (index, s, a, d, cv) in zip(base, FRB1_TABLE):
+            assert str(rule) == f"[{index}] IF S is {s} AND A is {a} AND D is {d} THEN Cv is {cv}"
 
     def test_rule_labels_match_indices(self):
         for rule, (index, *_rest) in zip(frb1_rules(), FRB1_TABLE):
             assert rule.label == str(index)
 
     def test_rule_strings_mention_their_terms(self):
-        for text, (_, s, a, d, cv) in zip(frb1_rule_strings(), FRB1_TABLE):
-            for token in (s, a, d, cv):
-                assert f" {token}" in text
+        assert rule_rows(frb1_rules()) == [
+            (str(index), (("S", s), ("A", a), ("D", d)), (("Cv", cv),), 1.0)
+            for index, s, a, d, cv in FRB1_TABLE
+        ]
 
 
 class TestFRB2Table:
@@ -148,5 +164,7 @@ class TestFRB2Table:
             assert rule.label == str(index)
 
     def test_rule_strings_reference_decision_variable(self):
-        for text in frb2_rule_strings():
-            assert "THEN AR is" in text
+        assert rule_rows(frb2_rules()) == [
+            (str(index), (("Cv", cv), ("R", r), ("Cs", cs)), (("AR", ar),), 1.0)
+            for index, cv, r, cs, ar in FRB2_TABLE
+        ]

@@ -8,8 +8,6 @@ from repro.cellular.calls import Call, CallState, CallType
 from repro.cellular.metrics import MetricsCollector
 from repro.cellular.mobility import UserState
 from repro.cellular.traffic import (
-    ArrivalProcess,
-    HoldingTimeModel,
     PAPER_BANDWIDTH_UNITS,
     PAPER_TRAFFIC_MIX,
     ServiceClass,
@@ -84,25 +82,6 @@ class TestTrafficMix:
         video_share = samples.count(ServiceClass.VIDEO) / len(samples)
         assert text_share == pytest.approx(0.60, abs=0.05)
         assert video_share == pytest.approx(0.10, abs=0.03)
-
-
-class TestArrivalAndHolding:
-    def test_arrival_process_mean(self):
-        rng = RandomStream("arrivals", 3)
-        process = ArrivalProcess(rate_per_s=0.5, rng=rng)
-        gaps = [process.next_interarrival() for _ in range(3000)]
-        assert sum(gaps) / len(gaps) == pytest.approx(2.0, rel=0.1)
-
-    def test_arrival_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ArrivalProcess(0.0, RandomStream("x", 1))
-
-    def test_holding_time_model_uses_class_mean(self):
-        rng = RandomStream("holding", 5)
-        model = HoldingTimeModel(PAPER_TRAFFIC_MIX, rng)
-        samples = [model.sample(ServiceClass.VOICE) for _ in range(3000)]
-        expected = PAPER_TRAFFIC_MIX.spec(ServiceClass.VOICE).mean_holding_time_s
-        assert sum(samples) / len(samples) == pytest.approx(expected, rel=0.1)
 
 
 class TestCallLifecycle:

@@ -15,11 +15,7 @@ from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
 from repro.cac.facs.frb1 import frb1_rules
 from repro.cac.facs.frb2 import frb2_rules
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
-from repro.fuzzy.compiled import (
-    CompiledMamdaniEngine,
-    CrispInference,
-    RuleCompilationError,
-)
+from repro.fuzzy.compiled import CompiledMamdaniEngine, CrispInference
 from repro.fuzzy.controller import FuzzyController
 from repro.fuzzy.defuzzification import (
     Bisector,
@@ -36,7 +32,7 @@ from repro.fuzzy.operators import (
     PROBABILISTIC_SUM,
     PRODUCT,
 )
-from repro.fuzzy.rules import RuleBase
+from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
 
 # Paper operating points (the curve parameters of Figs. 7-9).
@@ -234,7 +230,7 @@ class TestErrorParity:
         # A one-rule base leaving most of the universe uncovered.
         x = LinguisticVariable("x", (0.0, 10.0), [Term("lo", Triangular(0, 0, 2))])
         y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
-        controller_rules = "IF x is lo THEN y is out"
+        controller_rules = [FuzzyRule((Proposition("x", "lo"),), (Consequent("y", "out"),))]
         reference = FuzzyController("t", [x], [y], controller_rules, engine="reference")
         compiled = FuzzyController("t", [x], [y], controller_rules, engine="compiled")
         with pytest.raises(DefuzzificationError):
@@ -245,36 +241,6 @@ class TestErrorParity:
 
 
 class TestCompilability:
-    def test_or_rules_are_rejected(self):
-        x = LinguisticVariable(
-            "x",
-            (0.0, 1.0),
-            [Term("lo", Triangular(0, 0, 1)), Term("hi", Triangular(0, 1, 1))],
-        )
-        y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
-        rules = "IF x is lo OR x is hi THEN y is out"
-        with pytest.raises(RuleCompilationError):
-            FuzzyController("t", [x], [y], rules, engine="compiled")
-
-    def test_hedged_rules_are_rejected(self):
-        x = LinguisticVariable("x", (0.0, 1.0), [Term("lo", Triangular(0, 0, 1))])
-        y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
-        rules = "IF x is very lo THEN y is out"
-        with pytest.raises(RuleCompilationError):
-            FuzzyController("t", [x], [y], rules, engine="compiled")
-
-    def test_auto_falls_back_to_reference(self):
-        x = LinguisticVariable(
-            "x",
-            (0.0, 1.0),
-            [Term("lo", Triangular(0, 0, 1)), Term("hi", Triangular(0, 1, 1))],
-        )
-        y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
-        rules = "IF x is lo OR x is hi THEN y is out"
-        controller = FuzzyController("t", [x], [y], rules, engine="auto")
-        assert controller.engine_kind == "reference"
-        assert 0.0 <= controller.compute(x=0.5) <= 1.0
-
     def test_auto_compiles_conjunctive_rules(self, rb1):
         engine = CompiledMamdaniEngine(rb1)
         assert isinstance(engine, MamdaniEngine)  # drop-in subclass
@@ -282,54 +248,9 @@ class TestCompilability:
     def test_unknown_engine_name_rejected(self):
         x = LinguisticVariable("x", (0.0, 1.0), [Term("lo", Triangular(0, 0, 1))])
         y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
+        rules = [FuzzyRule((Proposition("x", "lo"),), (Consequent("y", "out"),))]
         with pytest.raises(ValueError, match="unknown engine"):
-            FuzzyController("t", [x], [y], "IF x is lo THEN y is out", engine="turbo")
-
-
-class TestCrispCache:
-    def test_exact_cache_returns_identical_results(self, rb2):
-        plain = CompiledMamdaniEngine(rb2)
-        cached = CompiledMamdaniEngine(rb2, cache_size=64)
-        inputs = {"Cv": 0.4, "R": 5.0, "Cs": 17.0}
-        first = cached.infer_crisp(inputs)
-        second = cached.infer_crisp(inputs)
-        assert second is first  # memoised object
-        assert first.outputs == plain.infer_crisp(inputs).outputs
-        info = cached.cache_info
-        assert info.hits == 1 and info.misses == 1 and info.size == 1
-
-    def test_lru_eviction_bounds_size(self, rb2):
-        cached = CompiledMamdaniEngine(rb2, cache_size=4)
-        for counter in range(10):
-            cached.infer_crisp({"Cv": 0.5, "R": 5.0, "Cs": float(counter)})
-        assert cached.cache_info.size <= 4
-
-    def test_quantized_cache_buckets_nearby_inputs(self, rb2):
-        cached = CompiledMamdaniEngine(rb2, cache_size=16, cache_quantization=0.1)
-        first = cached.infer_crisp({"Cv": 0.50, "R": 5.0, "Cs": 20.0})
-        second = cached.infer_crisp({"Cv": 0.51, "R": 5.02, "Cs": 20.04})
-        assert second is first  # same bucket
-        assert cached.cache_info.hits == 1
-
-    def test_cache_disabled_by_default(self, rb2):
-        engine = CompiledMamdaniEngine(rb2)
-        engine.infer_crisp({"Cv": 0.4, "R": 5.0, "Cs": 17.0})
-        engine.infer_crisp({"Cv": 0.4, "R": 5.0, "Cs": 17.0})
-        info = engine.cache_info
-        assert info.hits == 0 and info.misses == 0 and info.max_size == 0
-
-    def test_clear_cache(self, rb2):
-        cached = CompiledMamdaniEngine(rb2, cache_size=8)
-        cached.infer_crisp({"Cv": 0.4, "R": 5.0, "Cs": 17.0})
-        cached.clear_cache()
-        info = cached.cache_info
-        assert info.size == 0 and info.hits == 0 and info.misses == 0
-
-    def test_invalid_cache_parameters(self, rb2):
-        with pytest.raises(ValueError):
-            CompiledMamdaniEngine(rb2, cache_size=-1)
-        with pytest.raises(ValueError):
-            CompiledMamdaniEngine(rb2, cache_size=8, cache_quantization=0.0)
+            FuzzyController("t", [x], [y], rules, engine="turbo")
 
 
 class TestControllerIntegration:

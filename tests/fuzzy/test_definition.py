@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -76,6 +77,11 @@ class TestMembershipDef:
         with pytest.raises(DefinitionError):
             MembershipDef("triangular", (0.0, "mid", 1.0))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite_break_points(self, value):
+        with pytest.raises(DefinitionError, match="triangular parameters must be finite"):
+            MembershipDef("triangular", (0.0, 1.0, value))
+
     def test_build_error_names_the_variable_term_and_params(self):
         bad = object.__new__(MembershipDef)
         object.__setattr__(bad, "kind", "triangular")
@@ -93,6 +99,11 @@ class TestVariableDef:
             VariableDef(name="x", universe=(1.0, 0.0), terms=(
                 TermDef("t", MembershipDef("triangular", (0.0, 0.5, 1.0))),
             ))
+
+    def test_rejects_non_finite_universe(self):
+        terms = tiny_definition().inputs[0].terms
+        with pytest.raises(DefinitionError, match="'x' universe must be finite"):
+            VariableDef(name="x", universe=(0.0, float("inf")), terms=terms)
 
     def test_rejects_duplicate_terms(self):
         term = TermDef("t", MembershipDef("triangular", (0.0, 0.5, 1.0)))
@@ -188,6 +199,23 @@ class TestFLCDefinition:
         assert updated.rule_by_label("1").weight == 0.25
         assert base.rule_by_label("1").weight == 1.0
 
+    def test_rejects_duplicate_rule_labels(self):
+        base = tiny_definition()
+        lo, hi = base.rules
+        with pytest.raises(DefinitionError, match="two rules labelled 'r'"):
+            FLCDefinition(
+                name=base.name,
+                inputs=base.inputs,
+                outputs=base.outputs,
+                rules=(replace(lo, label="r"), replace(hi, label="r")),
+            )
+        unlabelled = (replace(lo, label=""), replace(hi, label=""))
+        assert FLCDefinition(
+            name=base.name, inputs=base.inputs, outputs=base.outputs, rules=unlabelled
+        ).rules == unlabelled
+        with pytest.raises(DefinitionError, match="labelled rule"):
+            base.with_rule(replace(lo, label=""))
+
     def test_build_controller_evaluates(self):
         controller = tiny_definition().build_controller(engine="reference")
         assert 0.0 <= controller.compute(x=2.0) <= 1.0
@@ -222,6 +250,14 @@ class TestRoundTrips:
         with pytest.raises(DefinitionError, match="other"):
             read_flc_definition_json(path)
 
+    def test_read_rejects_infinity(self, tmp_path):
+        path = tmp_path / "infinite.json"
+        text = flc_definition_to_json(tiny_definition())
+        path.write_text(text.replace("10.0", "Infinity", 1))
+        assert "Infinity" in path.read_text()
+        with pytest.raises(DefinitionError, match="infinite.json.*must be finite"):
+            read_flc_definition_json(path)
+
     def test_read_reports_the_offending_path(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -241,7 +277,7 @@ class TestExtraction:
         )
         out = tiny_definition().outputs[0].build()
         rule = FuzzyRule(
-            antecedent=Proposition("x", "g"),
+            antecedent=(Proposition("x", "g"),),
             consequents=(Consequent("y", "yes"),),
         )
         rules = RuleBase([rule], inputs=[variable], outputs=[out])

@@ -1,10 +1,11 @@
 """The engine knob cannot change an answer: one property over definitions.
 
 Random :class:`FLCDefinition` s — triangular and trapezoidal terms, one to
-four weighted rules, every defuzzifier — are built on both engines, and for
-inputs inside and outside the universes the compiled scalar path, the
-compiled batch path on a one-row batch and the reference engine must return
-the same float, or all raise :class:`DefuzzificationError`.
+four weighted rules of one to three propositions, every defuzzifier — are
+built on both engines, and for inputs inside and outside the universes the
+compiled scalar path, the compiled batch path on a one-row batch and the
+reference engine must return the same float, or all raise
+:class:`DefuzzificationError`.
 """
 
 from __future__ import annotations
@@ -74,9 +75,8 @@ def definitions(draw) -> FLCDefinition:
     output = draw(variables("y"))
     rules = []
     for index in range(draw(st.integers(min_value=1, max_value=4))):
-        named = draw(
-            st.lists(st.sampled_from(inputs), min_size=1, max_size=len(inputs), unique=True)
-        )
+        # An antecedent may name one input twice ("x1 is a AND x1 is b").
+        named = draw(st.lists(st.sampled_from(inputs), min_size=1, max_size=3))
         rules.append(
             RuleDef(
                 antecedent=tuple(

@@ -19,9 +19,17 @@ from repro.fuzzy.defuzzification import (
 )
 from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
 from repro.fuzzy.membership import Triangular
-from repro.fuzzy.parser import parse_rules
-from repro.fuzzy.rules import RuleBase
+from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
+
+
+def rule(*pairs: tuple[str, str], then: tuple[str, str], label: str = "") -> FuzzyRule:
+    """``IF v1 is t1 AND ... THEN then[0] is then[1]``."""
+    return FuzzyRule(
+        tuple(Proposition(variable, term) for variable, term in pairs),
+        (Consequent(*then),),
+        label=label,
+    )
 
 
 def tip_controller(**kwargs) -> FuzzyController:
@@ -52,10 +60,13 @@ def tip_controller(**kwargs) -> FuzzyController:
             Term("high", Triangular(20.0, 25.0, 30.0)),
         ],
     )
+    # "service is poor OR food is bad -> tip is low" as two rules: under max
+    # aggregation they clip (or scale) the same surface as the disjunction.
     rules = [
-        "IF service is poor OR food is bad THEN tip is low",
-        "IF service is good THEN tip is medium",
-        "IF service is excellent AND food is tasty THEN tip is high",
+        rule(("service", "poor"), then=("tip", "low"), label="0"),
+        rule(("food", "bad"), then=("tip", "low"), label="1"),
+        rule(("service", "good"), then=("tip", "medium"), label="2"),
+        rule(("service", "excellent"), ("food", "tasty"), then=("tip", "high"), label="3"),
     ]
     return FuzzyController("tipping", [service, food], [tip], rules, **kwargs)
 
@@ -152,8 +163,9 @@ class TestMamdaniEngine:
         controller = tip_controller()
         result = controller.evaluate(service=9.0, food=9.0)
         assert result.dominant_rule().firing_strength > 0.0
-        assert len(result.activations) == 3
-        assert result.fired_rules()
+        assert len(result.activations) == 4
+        fired = [a.rule.label for a in result.activations if a.firing_strength > 0.0]
+        assert fired == ["1", "2", "3"]
         assert set(result.fuzzified_inputs) == {"service", "food"}
 
     def test_scale_implication_differs_from_clip(self):
@@ -172,7 +184,7 @@ class TestMamdaniEngine:
     def test_no_rule_coverage_raises(self):
         x = LinguisticVariable("x", (0.0, 10.0), [Term("low", Triangular(0.0, 0.0, 2.0))])
         y = LinguisticVariable("y", (0.0, 10.0), [Term("out", Triangular(0.0, 5.0, 10.0))])
-        base = RuleBase(parse_rules(["IF x is low THEN y is out"]), [x], [y])
+        base = RuleBase([rule(("x", "low"), then=("y", "out"))], [x], [y])
         engine = MamdaniEngine(base)
         with pytest.raises(DefuzzificationError):
             engine.infer({"x": 9.0})
@@ -191,11 +203,6 @@ class TestMamdaniEngine:
         with pytest.raises(KeyError):
             controller.engine.control_surface("nope", "food", "tip")
 
-    def test_output_surface_is_returned(self):
-        controller = tip_controller()
-        surface = controller.engine.output_surface("tip", {"service": 8.0, "food": 8.0})
-        assert surface.max() > 0.0
-
 
 class TestFuzzyControllerFacade:
     def test_compute_rejects_multi_output(self):
@@ -208,25 +215,17 @@ class TestFuzzyControllerFacade:
             "multi",
             [service],
             [out1, out2],
-            ["IF s is a THEN o1 is x AND o2 is y", "IF s is b THEN o1 is x AND o2 is y"],
+            [
+                FuzzyRule(
+                    (Proposition("s", term),), (Consequent("o1", "x"), Consequent("o2", "y"))
+                )
+                for term in ("a", "b")
+            ],
         )
         with pytest.raises(ValueError):
             controller.compute(s=0.5)
         result = controller.evaluate(s=0.5)
         assert set(result.outputs) == {"o1", "o2"}
-
-    def test_compute_many(self):
-        controller = tip_controller()
-        values = controller.compute_many(
-            [{"service": 1.0, "food": 1.0}, {"service": 9.0, "food": 9.0}]
-        )
-        assert len(values) == 2 and values[0] < values[1]
-
-    def test_rule_table_rendering(self):
-        controller = tip_controller()
-        table = controller.rule_table()
-        assert len(table) == 3
-        assert table[1]["tip"] == "medium"
 
     def test_membership_table(self):
         controller = tip_controller()
@@ -241,6 +240,6 @@ class TestFuzzyControllerFacade:
             "s", (0, 1), [Term("a", Triangular(0, 0, 1)), Term("b", Triangular(0, 1, 1))]
         )
         out = LinguisticVariable("o", (0, 1), [Term("x", Triangular(0, 0.5, 1))])
-        rules = parse_rules(["IF s is a THEN o is x"])
-        with pytest.raises(TypeError):
-            FuzzyController("bad", [service], [out], [rules[0], "IF s is b THEN o is x"])
+        rules = [rule(("s", "a"), then=("o", "x")), "IF s is b THEN o is x"]
+        with pytest.raises(TypeError, match="IF s is b"):
+            FuzzyController("bad", [service], [out], rules)

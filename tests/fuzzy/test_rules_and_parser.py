@@ -1,23 +1,22 @@
-"""Tests for rule objects, rule bases and the rule DSL parser."""
+"""Tests for propositions, conjunctive rules and rule bases."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.fuzzy.hedges import VERY, hedge_by_name, register_hedge, Hedge
 from repro.fuzzy.membership import Triangular
-from repro.fuzzy.operators import MAXIMUM, MINIMUM, PRODUCT
-from repro.fuzzy.parser import RuleSyntaxError, parse_rule, parse_rules
-from repro.fuzzy.rules import (
-    And,
-    Consequent,
-    FuzzyRule,
-    Not,
-    Or,
-    Proposition,
-    RuleBase,
-)
+from repro.fuzzy.operators import MINIMUM, PRODUCT
+from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
+
+
+def rule(*pairs: tuple[str, str], then: tuple[str, str], label: str = "") -> FuzzyRule:
+    """``IF v1 is t1 AND ... THEN then[0] is then[1]``."""
+    return FuzzyRule(
+        tuple(Proposition(variable, term) for variable, term in pairs),
+        (Consequent(*then),),
+        label=label,
+    )
 
 
 def temp_var(name: str, terms: list[str]) -> LinguisticVariable:
@@ -40,174 +39,55 @@ def degrees():
 
 class TestPropositions:
     def test_atomic_firing_strength(self, degrees):
-        assert Proposition("temp", "hot").firing_strength(degrees, MINIMUM, MAXIMUM) == 0.7
-
-    def test_hedged_proposition(self, degrees):
-        prop = Proposition("temp", "hot", hedge=VERY)
-        assert prop.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.49)
+        assert Proposition("temp", "hot").degree(degrees) == 0.7
+        assert rule(("temp", "hot"), then=("fan", "fast")).firing_strength(degrees) == 0.7
 
     def test_missing_variable_raises(self, degrees):
         with pytest.raises(KeyError):
-            Proposition("humidity", "x").firing_strength(degrees, MINIMUM, MAXIMUM)
+            Proposition("humidity", "x").degree(degrees)
 
     def test_missing_term_raises(self, degrees):
         with pytest.raises(KeyError):
-            Proposition("temp", "warm").firing_strength(degrees, MINIMUM, MAXIMUM)
+            Proposition("temp", "warm").degree(degrees)
 
     def test_and_uses_tnorm(self, degrees):
-        expr = And((Proposition("temp", "hot"), Proposition("load", "low")))
-        assert expr.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.7)
-        assert expr.firing_strength(degrees, PRODUCT, MAXIMUM) == pytest.approx(0.63)
-
-    def test_or_uses_snorm(self, degrees):
-        expr = Or((Proposition("temp", "hot"), Proposition("load", "high")))
-        assert expr.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.7)
-
-    def test_not_is_standard_complement(self, degrees):
-        expr = Not(Proposition("temp", "hot"))
-        assert expr.firing_strength(degrees, MINIMUM, MAXIMUM) == pytest.approx(0.3)
-
-    def test_operator_sugar(self, degrees):
-        expr = Proposition("temp", "hot") & Proposition("load", "low")
-        assert isinstance(expr, And)
-        expr2 = Proposition("temp", "hot") | Proposition("load", "low")
-        assert isinstance(expr2, Or)
-        expr3 = ~Proposition("temp", "hot")
-        assert isinstance(expr3, Not)
+        conjunction = rule(("temp", "hot"), ("load", "low"), then=("fan", "fast"))
+        assert conjunction.firing_strength(degrees) == pytest.approx(0.7)
+        assert conjunction.firing_strength(degrees, MINIMUM) == pytest.approx(0.7)
+        assert conjunction.firing_strength(degrees, PRODUCT) == pytest.approx(0.63)
 
     def test_variables_collection(self):
-        expr = And((Proposition("a", "x"), Or((Proposition("b", "y"), Proposition("a", "z")))))
-        assert expr.variables() == {"a", "b"}
-
-    def test_and_or_require_two_operands(self):
-        with pytest.raises(ValueError):
-            And((Proposition("a", "x"),))
-        with pytest.raises(ValueError):
-            Or((Proposition("a", "x"),))
+        conjunction = rule(("a", "x"), ("b", "y"), ("a", "z"), then=("out", "big"))
+        assert conjunction.input_variables() == {"a", "b"}
 
 
 class TestFuzzyRule:
     def test_weighted_firing_strength(self, degrees):
-        rule = FuzzyRule(
-            Proposition("temp", "hot"), (Consequent("fan", "fast"),), weight=0.5
+        weighted = FuzzyRule(
+            (Proposition("temp", "hot"),), (Consequent("fan", "fast"),), weight=0.5
         )
-        assert rule.firing_strength(degrees) == pytest.approx(0.35)
+        assert weighted.firing_strength(degrees) == pytest.approx(0.35)
 
     def test_requires_consequent(self):
         with pytest.raises(ValueError):
-            FuzzyRule(Proposition("a", "b"), ())
+            FuzzyRule((Proposition("a", "b"),), ())
+
+    def test_requires_a_proposition(self):
+        with pytest.raises(ValueError, match="proposition"):
+            FuzzyRule((), (Consequent("c", "d"),))
 
     def test_weight_bounds(self):
         with pytest.raises(ValueError):
-            FuzzyRule(Proposition("a", "b"), (Consequent("c", "d"),), weight=1.5)
+            FuzzyRule((Proposition("a", "b"),), (Consequent("c", "d"),), weight=1.5)
 
     def test_str_rendering(self):
-        rule = FuzzyRule(
-            And((Proposition("temp", "hot"), Proposition("load", "low"))),
-            (Consequent("fan", "fast"),),
-            label="3",
-        )
-        text = str(rule)
-        assert "IF" in text and "THEN" in text and "[3]" in text
+        text = str(rule(("temp", "hot"), ("load", "low"), then=("fan", "fast"), label="3"))
+        assert text == "[3] IF temp is hot AND load is low THEN fan is fast"
 
     def test_io_variable_sets(self):
-        rule = FuzzyRule(Proposition("temp", "hot"), (Consequent("fan", "fast"),))
-        assert rule.input_variables() == {"temp"}
-        assert rule.output_variables() == {"fan"}
-
-
-class TestParser:
-    def test_simple_rule(self):
-        rule = parse_rule("IF temp is hot THEN fan is fast")
-        assert isinstance(rule.antecedent, Proposition)
-        assert rule.consequents[0] == Consequent("fan", "fast")
-
-    def test_conjunction(self):
-        rule = parse_rule("IF a is x AND b is y AND c is z THEN out is big")
-        assert isinstance(rule.antecedent, And)
-        assert len(rule.antecedent.operands) == 3
-
-    def test_disjunction_and_precedence(self):
-        rule = parse_rule("IF a is x OR b is y AND c is z THEN out is big")
-        # AND binds tighter than OR.
-        assert isinstance(rule.antecedent, Or)
-        assert isinstance(rule.antecedent.operands[1], And)
-
-    def test_parentheses(self):
-        rule = parse_rule("IF (a is x OR b is y) AND c is z THEN out is big")
-        assert isinstance(rule.antecedent, And)
-        assert isinstance(rule.antecedent.operands[0], Or)
-
-    def test_negation(self):
-        rule = parse_rule("IF NOT a is x THEN out is big")
-        assert isinstance(rule.antecedent, Not)
-
-    def test_hedge(self):
-        rule = parse_rule("IF a is very x THEN out is big")
-        assert isinstance(rule.antecedent, Proposition)
-        assert rule.antecedent.hedge is not None
-        assert rule.antecedent.term == "x"
-
-    def test_multiple_consequents(self):
-        rule = parse_rule("IF a is x THEN out is big AND warn is on")
-        assert len(rule.consequents) == 2
-
-    def test_case_insensitive_keywords(self):
-        rule = parse_rule("if a is x then out is big")
-        assert rule.consequents[0].variable == "out"
-
-    def test_empty_rule_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rule("   ")
-
-    def test_missing_then_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rule("IF a is x")
-
-    def test_trailing_garbage_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rule("IF a is x THEN out is big banana split")
-
-    def test_unbalanced_parenthesis_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rule("IF (a is x THEN out is big")
-
-    def test_bad_character_rejected(self):
-        with pytest.raises(RuleSyntaxError):
-            parse_rule("IF a is x THEN out is big $$")
-
-    def test_parse_rules_skips_comments_and_blank_lines(self):
-        rules = parse_rules(
-            """
-            # header comment
-            IF a is x THEN out is big
-
-            IF a is y THEN out is small
-            """
-        )
-        assert len(rules) == 2
-        assert rules[0].label == "0" and rules[1].label == "1"
-
-    def test_parse_rules_accepts_list(self):
-        rules = parse_rules(["IF a is x THEN out is big"])
-        assert len(rules) == 1
-
-
-class TestHedges:
-    def test_lookup(self):
-        assert hedge_by_name("very") is VERY
-        with pytest.raises(KeyError):
-            hedge_by_name("super-duper")
-
-    def test_register_custom_hedge(self):
-        custom = Hedge("quite-test-only", lambda mu: mu**1.5)
-        register_hedge(custom)
-        assert hedge_by_name("quite-test-only") is custom
-        with pytest.raises(ValueError):
-            register_hedge(custom)
-
-    def test_hedge_clamps_output(self):
-        assert 0.0 <= VERY(0.9) <= 1.0
+        atomic = rule(("temp", "hot"), then=("fan", "fast"))
+        assert atomic.input_variables() == {"temp"}
+        assert atomic.output_variables() == {"fan"}
 
 
 class TestRuleBase:
@@ -220,62 +100,53 @@ class TestRuleBase:
         return RuleBase(rules, [self.temp, self.load], [self.fan])
 
     def test_valid_rule_base(self):
-        rules = parse_rules(
-            [
-                "IF temp is cold AND load is low THEN fan is slow",
-                "IF temp is cold AND load is high THEN fan is slow",
-                "IF temp is hot AND load is low THEN fan is fast",
-                "IF temp is hot AND load is high THEN fan is fast",
-            ]
-        )
+        rules = [
+            rule(("temp", "cold"), ("load", "low"), then=("fan", "slow")),
+            rule(("temp", "cold"), ("load", "high"), then=("fan", "slow")),
+            rule(("temp", "hot"), ("load", "low"), then=("fan", "fast")),
+            rule(("temp", "hot"), ("load", "high"), then=("fan", "fast")),
+        ]
         base = self.make(rules)
         assert len(base) == 4
         assert base.is_complete()
 
     def test_incomplete_rule_base_reports_gaps(self):
-        rules = parse_rules(["IF temp is cold AND load is low THEN fan is slow"])
-        base = self.make(rules)
+        base = self.make([rule(("temp", "cold"), ("load", "low"), then=("fan", "slow"))])
         gaps = base.completeness_gaps()
         assert not base.is_complete()
         assert {"temp": "hot", "load": "high"} in gaps
         assert len(gaps) == 3
 
     def test_unknown_input_variable_rejected(self):
-        rules = parse_rules(["IF humidity is low THEN fan is slow"])
         with pytest.raises(ValueError, match="unknown input"):
-            self.make(rules)
+            self.make([rule(("humidity", "low"), then=("fan", "slow"))])
 
     def test_unknown_input_term_rejected(self):
-        rules = parse_rules(["IF temp is lukewarm THEN fan is slow"])
         with pytest.raises(ValueError, match="unknown term"):
-            self.make(rules)
+            self.make([rule(("temp", "lukewarm"), then=("fan", "slow"))])
 
     def test_unknown_output_variable_rejected(self):
-        rules = parse_rules(["IF temp is cold THEN heater is on"])
         with pytest.raises(ValueError, match="unknown output"):
-            self.make(rules)
+            self.make([rule(("temp", "cold"), then=("heater", "on"))])
 
     def test_unknown_output_term_rejected(self):
-        rules = parse_rules(["IF temp is cold THEN fan is turbo"])
         with pytest.raises(ValueError, match="unknown term"):
-            self.make(rules)
+            self.make([rule(("temp", "cold"), then=("fan", "turbo"))])
 
     def test_empty_rules_rejected(self):
         with pytest.raises(ValueError):
             self.make([])
 
     def test_variable_cannot_be_input_and_output(self):
-        rules = parse_rules(["IF temp is cold THEN temp is hot"])
         with pytest.raises(ValueError):
-            RuleBase(rules, [self.temp], [self.temp])
+            RuleBase([rule(("temp", "cold"), then=("temp", "hot"))], [self.temp], [self.temp])
 
     def test_indexing_and_iteration(self):
-        rules = parse_rules(
+        base = self.make(
             [
-                "IF temp is cold THEN fan is slow",
-                "IF temp is hot THEN fan is fast",
+                rule(("temp", "cold"), then=("fan", "slow")),
+                rule(("temp", "hot"), then=("fan", "fast")),
             ]
         )
-        base = self.make(rules)
         assert base[0].consequents[0].term == "slow"
         assert len(list(base)) == 2

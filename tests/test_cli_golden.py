@@ -238,10 +238,7 @@ class TestListJson:
         assert definitions["suffix"] == ".json"
         for export in definitions["builtin_exports"]:
             assert (REPO_ROOT / export).is_file()
-        assert any(
-            engine["name"] == "compiled" and engine["cli"]
-            for engine in payload["engines"]
-        )
+        assert payload["engines"] == ["compiled", "reference"]
         workloads = {entry["name"]: entry for entry in payload["workloads"]}
         assert set(workloads) == {
             "poisson", "mmpp", "heavy-tail", "diurnal", "flash-crowd"

@@ -151,6 +151,15 @@ class TestTuneCommand:
             main(["tune", "--parameter", "mf.S.M.1"])
         assert "TARGET=" in capsys.readouterr().err
 
+    def test_tune_rejects_non_finite_bounds_as_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "tune", "--controller", "FLC1", "--parameter", "mf.S.M.2=60:inf:3",
+                "--strategy", "grid", "--requests", "20", "--replications", "1",
+            ])
+        assert excinfo.value.code == 2
+        assert "bounds must be finite" in capsys.readouterr().err
+
     def test_tune_reports_unknown_targets_cleanly(self, capsys):
         with pytest.raises(SystemExit):
             main([

@@ -32,6 +32,19 @@ class TestParameterSpec:
         with pytest.raises(TuningError, match="low < high"):
             ParameterSpec("weight.1", low=1.0, high=0.0)
 
+    @pytest.mark.parametrize("low,high", [
+        (60.0, float("inf")), (float("-inf"), 1.0), (float("nan"), 1.0),
+    ])
+    def test_rejects_non_finite_bounds(self, low, high):
+        with pytest.raises(TuningError, match="'mf.S.M.2' bounds must be finite"):
+            ParameterSpec("mf.S.M.2", low=low, high=high)
+
+    def test_rejects_non_finite_choices(self):
+        with pytest.raises(TuningError, match="'weight.1' choices must be finite"):
+            ParameterSpec("weight.1", choices=(0.5, float("nan")))
+        with pytest.raises(TuningError, match="choices must be finite"):
+            ParameterSpec("mf.S.M.2", choices=(60.0, float("inf")))
+
     @pytest.mark.parametrize("target", [
         "mf.S.M", "mf.S.M.x", "weight", "weight.", "speed.S.M.1", "",
     ])
