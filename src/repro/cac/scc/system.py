@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ...cellular.calls import Call
 from ...cellular.cell import BaseStation
-from ...des.rng import RandomStream, _mix_seed
+from ...des.rng import _mix_seed
 from ..base import AdmissionController, AdmissionDecision, DecisionOutcome
 from .demand import DemandEstimator
 from .projection import ProjectionConfig
@@ -136,26 +138,21 @@ class ShadowClusterController(AdmissionController):
         depend on what else ran in the process before this call.
         """
         failure = self._config.reservation_failure_probability
-        if failure <= 0.0:
+        count = self.required_reservations(call)
+        if failure <= 0.0 or count == 0:
             return True
+        # A call that needs reservations has a user state.
         user = call.user_state
         label = (
             f"{call.requested_at:.6f}:{user.speed_kmh:.3f}:"
             f"{user.angle_deg:.3f}:{user.distance_km:.3f}"
-            if user is not None
-            else f"{call.requested_at:.6f}"
         )
-        # Construct the derived stream directly (same seed derivation as
-        # RandomStream(...).spawn(label)) — building the intermediate parent
-        # stream would initialise a second generator that is never drawn from.
-        rng = RandomStream(
-            f"scc-reservation-{label}/{label}",
-            seed=_mix_seed(self._config.reservation_seed, label),
-        )
-        for _ in range(self.required_reservations(call)):
-            if rng.bernoulli(failure):
-                return False
-        return True
+        # One Bernoulli draw per reservation, bit for bit what a RandomStream
+        # seeded with ``seed`` draws: numpy's Generator.random() on PCG64 is
+        # the top 53 bits of one raw output, scaled to [0, 1).
+        seed = _mix_seed(self._config.reservation_seed, label)
+        raw = np.random.PCG64(seed).random_raw(count).tolist()
+        return not any((value >> 11) * 2.0**-53 < failure for value in raw)
 
     def decide(self, call: Call, station: BaseStation, now: float) -> AdmissionDecision:
         admission_capacity = self._config.admission_threshold * station.capacity_bu

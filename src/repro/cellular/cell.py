@@ -31,16 +31,20 @@ class BandwidthLedger:
     capacity_bu: int
     _allocations: dict[int, int] = field(default_factory=dict)
     _real_time: dict[int, bool] = field(default_factory=dict)
+    #: Running sum of ``_allocations``: allocations are whole BU, so the
+    #: total is exact and every read is O(1).
+    _used_bu: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.capacity_bu <= 0:
             raise ValueError(f"capacity must be positive, got {self.capacity_bu}")
+        self._used_bu = sum(self._allocations.values())
 
     # ------------------------------------------------------------------
     @property
     def used_bu(self) -> int:
         """Total allocated bandwidth units."""
-        return sum(self._allocations.values())
+        return self._used_bu
 
     @property
     def free_bu(self) -> int:
@@ -91,6 +95,7 @@ class BandwidthLedger:
             )
         self._allocations[call.call_id] = call.bandwidth_units
         self._real_time[call.call_id] = call.is_real_time
+        self._used_bu += call.bandwidth_units
 
     def release(self, call: Call) -> int:
         """Free the call's allocation, returning the amount released."""
@@ -98,6 +103,7 @@ class BandwidthLedger:
         if amount is None:
             raise KeyError(f"call {call.call_id} holds no allocation")
         self._real_time.pop(call.call_id, None)
+        self._used_bu -= amount
         return amount
 
 

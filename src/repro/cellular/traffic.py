@@ -14,6 +14,7 @@ system uses to route accepted calls to the RTC and NRTC counters.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
@@ -100,6 +101,10 @@ class TrafficMix:
         self._services: tuple[ServiceClass, ...] = tuple(self._classes)
         weights = np.asarray([self._classes[s].share for s in self._services], dtype=float)
         self._probabilities = weights / weights.sum()
+        # The cumulative table Generator.choice(n, p=...) builds per call.
+        cumulative = self._probabilities.cumsum()
+        cumulative /= cumulative[-1]
+        self._cumulative: list[float] = cumulative.tolist()
 
     @property
     def classes(self) -> dict[ServiceClass, TrafficClassSpec]:
@@ -116,8 +121,13 @@ class TrafficMix:
         return self.spec(service).bandwidth_units
 
     def sample_class(self, rng: "RandomStream") -> ServiceClass:
-        """Draw a service class according to the mix shares."""
-        return self._services[rng.choice_index(self._probabilities)]
+        """Draw a service class according to the mix shares.
+
+        Draw for draw what ``Generator.choice(n, p=shares)`` returns on the
+        same stream: numpy's ``choice`` draws one standard uniform and
+        finds it in the cumulative table (``side="right"``), as this does.
+        """
+        return self._services[bisect.bisect_right(self._cumulative, rng.random())]
 
     # -- columnar sampling tables (trace pipeline) ---------------------
     @property

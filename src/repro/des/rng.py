@@ -55,15 +55,9 @@ class RandomStream:
         index = int(self._rng.choice(len(options), p=probabilities))
         return options[index]
 
-    def choice_index(self, probabilities: np.ndarray) -> int:
-        """Draw an index according to pre-normalised probabilities.
-
-        The fast path of :meth:`choice` for hot loops: callers that already
-        hold a normalised probability vector skip the per-call validation and
-        normalisation.  Consumes the generator exactly like ``choice`` with
-        weights, so the two are interchangeable draw for draw.
-        """
-        return int(self._rng.choice(len(probabilities), p=probabilities))
+    def random(self) -> float:
+        """One standard uniform draw on ``[0, 1)``."""
+        return self._rng.random()
 
     # -- batch draws (bit-identical to the scalar loops) -------------------
     #
@@ -104,7 +98,7 @@ class RandomStream:
 
     def choice_indices(self, probabilities: np.ndarray, count: int) -> np.ndarray:
         """``count`` index draws from pre-normalised probabilities; same
-        stream as ``count`` calls of :meth:`choice_index`."""
+        stream as ``count`` calls of :meth:`choice` with those weights."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         return self._rng.choice(len(probabilities), size=count, p=probabilities)

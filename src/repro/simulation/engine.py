@@ -7,6 +7,17 @@ its own instance of the configured admission controller (as a real deployment
 would), and the run reports blocking, dropping and handoff statistics per
 controller.
 
+The run is one heap of ``(time, sequence, kind, payload)`` entries.  A kind
+is a cell's arrival stream starting, a cell's next arrival, an admitted call
+starting, a call's mobility tick, the occupancy sampler starting or an
+occupancy sample.  Entries pop in time order, and equal times pop in the
+order they were scheduled, so a run is the same event sequence as the
+generator-process engine on :mod:`repro.des` it replaced, and its output is
+that engine's byte for byte (``tests/simulation/network_oracle.py`` keeps
+that engine as the oracle).  Each cell's ``arrivals-``, ``class-``,
+``terminal-`` and ``holding-`` streams are drawn when its arrival pops, and
+the shared ``mobility`` stream in tick order.
+
 Every new call and every handoff is admitted through the controller's
 :meth:`~repro.cac.base.AdmissionController.accepts`, which returns
 ``decide(...).accepted`` without the score and diagnostics the engine never
@@ -19,10 +30,11 @@ controller pair has no screen.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..analysis.frame import FrameRow, network_output_row
 from ..cac.base import AdmissionController
@@ -32,8 +44,9 @@ from ..cellular.geometry import Point
 from ..cellular.metrics import CallMetrics, MetricsCollector
 from ..cellular.mobility import GaussMarkovModel, MobileTerminal, UserState
 from ..cellular.network import CellularNetwork
-from ..des.environment import Environment
+from ..cellular.traffic import TrafficMix
 from ..des.rng import RandomStream, StreamFactory
+from ..workloads.arrivals import InterarrivalSampler, PoissonArrival
 from .config import NetworkExperimentConfig
 from .results import RunResult
 
@@ -70,6 +83,33 @@ class NetworkRunOutput:
         return self.handoff_failures / self.handoff_attempts
 
 
+#: Kinds of the event heap's entries.
+_ARRIVALS_START, _ARRIVAL, _CALL_START, _TICK, _SAMPLER_START, _SAMPLE = range(6)
+
+
+class _CellArrivals(NamedTuple):
+    """One cell's new-call arrivals: its gap sampler and its random streams."""
+
+    cell: Cell
+    sampler: InterarrivalSampler
+    class_rng: RandomStream
+    terminal_rng: RandomStream
+    holding_rng: RandomStream
+
+
+class _ActiveCall:
+    """An admitted call between its mobility ticks."""
+
+    __slots__ = ("call", "terminal", "cell", "elapsed", "step")
+
+    def __init__(self, call: Call, terminal: MobileTerminal, cell: Cell):
+        self.call = call
+        self.terminal = terminal
+        self.cell = cell
+        self.elapsed = 0.0
+        self.step = 0.0
+
+
 class NetworkSimulation:
     """Drives one multi-cell simulation run."""
 
@@ -80,7 +120,6 @@ class NetworkSimulation:
         # outputs are a pure function of the config in any process, thread
         # or execution order — the same discipline as the batch experiment.
         self._call_ids = itertools.count(1)
-        self._env = Environment()
         self._network = CellularNetwork(
             rings=config.rings,
             cell_radius_km=config.cell_radius_km,
@@ -98,6 +137,10 @@ class NetworkSimulation:
             mean_speed_kmh=config.mean_speed_kmh,
             update_interval_s=config.mobility_update_s,
         )
+        self._mobility_rng = self._streams.stream("mobility")
+        self._heap: list[tuple[float, int, int, object]] = []
+        # Equal-time entries pop in the order they were scheduled.
+        self._sequence = itertools.count()
         self._handoff_attempts = 0
         self._handoff_failures = 0
         self._completed = 0
@@ -109,10 +152,6 @@ class NetworkSimulation:
     @property
     def network(self) -> CellularNetwork:
         return self._network
-
-    @property
-    def environment(self) -> Environment:
-        return self._env
 
     def controller_for(self, cell: Cell) -> AdmissionController:
         return self._controllers[cell.cell_id]
@@ -134,52 +173,13 @@ class NetworkSimulation:
         heading = rng.angle_degrees()
         return MobileTerminal(position=position, speed_kmh=speed, heading_deg=heading)
 
-    # -- processes -------------------------------------------------------
-    def _call_lifecycle(self, call: Call, terminal: MobileTerminal, cell: Cell):
-        """Process controlling one admitted call: mobility, handoffs, completion."""
-        mobility_rng = self._streams.stream("mobility")
-        elapsed = 0.0
-        current_cell = cell
-        while elapsed < call.holding_time_s:
-            step = min(self._config.mobility_update_s, call.holding_time_s - elapsed)
-            yield self._env.timeout(step)
-            elapsed += step
-            self._mobility.update(terminal, step, mobility_rng)
-            new_cell = self._network.serving_cell(terminal.position)
-            if new_cell is None:
-                # Out of coverage: treat as a dropped call.
-                current_cell.base_station.release(call)
-                call.drop(self._env.now, reason="left network coverage")
-                self._controllers[current_cell.cell_id].on_released(
-                    call, current_cell.base_station, self._env.now
-                )
-                self._dropped += 1
-                self._metrics.record_completion(call)
-                return
-            if new_cell.cell_id != current_cell.cell_id:
-                self._handoff_attempts += 1
-                outcome_cell = self._attempt_handoff(call, terminal, current_cell, new_cell)
-                if outcome_cell is None:
-                    self._handoff_failures += 1
-                    self._dropped += 1
-                    self._metrics.record_completion(call)
-                    return
-                current_cell = outcome_cell
-        # Holding time elapsed: normal completion.
-        current_cell.base_station.release(call)
-        call.complete(self._env.now)
-        self._controllers[current_cell.cell_id].on_released(
-            call, current_cell.base_station, self._env.now
-        )
-        self._completed += 1
-        self._metrics.record_completion(call)
-
     def _attempt_handoff(
         self,
         call: Call,
         terminal: MobileTerminal,
         source: Cell,
         target: Cell,
+        now: float,
     ) -> Cell | None:
         """Try to move an active call to ``target``; return the new cell or None if dropped."""
         controller = self._controllers[target.cell_id]
@@ -188,99 +188,153 @@ class NetworkSimulation:
             bandwidth_units=call.bandwidth_units,
             call_type=CallType.HANDOFF,
             user_state=self._observe(terminal, target),
-            requested_at=self._env.now,
+            requested_at=now,
             holding_time_s=call.holding_time_s,
             call_id=next(self._call_ids),
         )
         self._metrics.record_request(handoff_request)
-        verdict = controller.accepts(handoff_request, target.base_station, self._env.now)
+        verdict = controller.accepts(handoff_request, target.base_station, now)
         accepted = verdict and target.base_station.can_fit(call.bandwidth_units)
         self._metrics.record_decision(handoff_request, accepted)
         source_controller = self._controllers[source.cell_id]
         if accepted:
             source.base_station.release(call)
-            source_controller.on_released(call, source.base_station, self._env.now)
+            source_controller.on_released(call, source.base_station, now)
             target.base_station.allocate(call)
-            call.handoff(self._env.now, target.cell_id)
-            controller.on_admitted(call, target.base_station, self._env.now)
+            call.handoff(now, target.cell_id)
+            controller.on_admitted(call, target.base_station, now)
             return target
         source.base_station.release(call)
-        source_controller.on_released(call, source.base_station, self._env.now)
-        call.drop(self._env.now, reason=f"handoff to cell {target.cell_id} denied")
+        source_controller.on_released(call, source.base_station, now)
+        call.drop(now, reason=f"handoff to cell {target.cell_id} denied")
         return None
 
-    def _cell_arrival_process(self, cell: Cell):
-        """New-call arrivals at one cell (Poisson, or the workload's model)."""
-        arrival_rng = self._streams.stream(f"arrivals-{cell.cell_id}")
-        class_rng = self._streams.stream(f"class-{cell.cell_id}")
-        terminal_rng = self._streams.stream(f"terminal-{cell.cell_id}")
-        holding_rng = self._streams.stream(f"holding-{cell.cell_id}")
-        mix = self._config.effective_traffic_mix()
-        workload = self._config.workload
-        # workload=None keeps the exact legacy draw sequence; a workload
-        # swaps in its interarrival sampler on the same per-cell stream.
-        sampler = (
-            None
-            if workload is None
-            else workload.arrival.sampler(
-                arrival_rng, self._config.arrival_rate_per_cell_per_s
-            )
+    # -- the event heap ----------------------------------------------------
+    def _schedule(self, at: float, kind: int, payload: object) -> None:
+        heapq.heappush(self._heap, (at, next(self._sequence), kind, payload))
+
+    def _open_arrivals(self, cell: Cell, now: float) -> None:
+        """Start a cell's new-call arrivals: Poisson, or the workload's model."""
+        config, streams = self._config, self._streams
+        # PoissonArrival draws exponential(1 / rate) gaps, the no-workload
+        # sequence; a workload's model draws from the same per-cell stream.
+        model = PoissonArrival() if config.workload is None else config.workload.arrival
+        arrivals = _CellArrivals(
+            cell,
+            model.sampler(
+                streams.stream(f"arrivals-{cell.cell_id}"), config.arrival_rate_per_cell_per_s
+            ),
+            streams.stream(f"class-{cell.cell_id}"),
+            streams.stream(f"terminal-{cell.cell_id}"),
+            streams.stream(f"holding-{cell.cell_id}"),
         )
-        while True:
-            if sampler is None:
-                yield self._env.timeout(
-                    arrival_rng.exponential(1.0 / self._config.arrival_rate_per_cell_per_s)
-                )
-            else:
-                yield self._env.timeout(sampler.next_interarrival(self._env.now))
-            if self._env.now >= self._config.duration_s:
+        self._schedule(now + arrivals.sampler.next_interarrival(now), _ARRIVAL, arrivals)
+
+    def _arrive(self, arrivals: _CellArrivals, now: float, mix: TrafficMix) -> None:
+        """A new-call request at one cell; then that cell's next arrival."""
+        if now >= self._config.duration_s:
+            return
+        cell = arrivals.cell
+        service = mix.sample_class(arrivals.class_rng)
+        spec = mix.spec(service)
+        terminal = self._spawn_terminal(cell, arrivals.terminal_rng)
+        call = Call(
+            service=service,
+            bandwidth_units=spec.bandwidth_units,
+            call_type=CallType.NEW,
+            user_state=self._observe(terminal, cell),
+            requested_at=now,
+            holding_time_s=arrivals.holding_rng.exponential(spec.mean_holding_time_s),
+            call_id=next(self._call_ids),
+        )
+        controller = self._controllers[cell.cell_id]
+        self._metrics.record_request(call)
+        verdict = controller.accepts(call, cell.base_station, now)
+        accepted = verdict and cell.base_station.can_fit(call.bandwidth_units)
+        self._metrics.record_decision(call, accepted)
+        if accepted:
+            cell.base_station.allocate(call)
+            call.admit(now, cell.cell_id)
+            controller.on_admitted(call, cell.base_station, now)
+            self._schedule(now, _CALL_START, _ActiveCall(call, terminal, cell))
+        else:
+            call.block(now, cell.cell_id)
+        self._schedule(now + arrivals.sampler.next_interarrival(now), _ARRIVAL, arrivals)
+
+    def _hold(self, active: _ActiveCall, now: float) -> None:
+        """Schedule a call's next mobility tick, or complete it once its holding time is up."""
+        holding = active.call.holding_time_s
+        if active.elapsed < holding:
+            active.step = min(self._config.mobility_update_s, holding - active.elapsed)
+            self._schedule(now + active.step, _TICK, active)
+            return
+        cell = active.cell
+        cell.base_station.release(active.call)
+        active.call.complete(now)
+        self._controllers[cell.cell_id].on_released(active.call, cell.base_station, now)
+        self._completed += 1
+        self._metrics.record_completion(active.call)
+
+    def _tick(self, active: _ActiveCall, now: float) -> None:
+        """Move a call by one step; it then hands off, leaves coverage or holds on."""
+        active.elapsed += active.step
+        self._mobility.update(active.terminal, active.step, self._mobility_rng)
+        new_cell = self._network.serving_cell(active.terminal.position)
+        call, cell = active.call, active.cell
+        if new_cell is None:
+            # Out of coverage: treat as a dropped call.
+            cell.base_station.release(call)
+            call.drop(now, reason="left network coverage")
+            self._controllers[cell.cell_id].on_released(call, cell.base_station, now)
+            self._dropped += 1
+            self._metrics.record_completion(call)
+            return
+        if new_cell.cell_id != cell.cell_id:
+            self._handoff_attempts += 1
+            target = self._attempt_handoff(call, active.terminal, cell, new_cell, now)
+            if target is None:
+                self._handoff_failures += 1
+                self._dropped += 1
+                self._metrics.record_completion(call)
                 return
-            service = mix.sample_class(class_rng)
-            spec = mix.spec(service)
-            terminal = self._spawn_terminal(cell, terminal_rng)
-            call = Call(
-                service=service,
-                bandwidth_units=spec.bandwidth_units,
-                call_type=CallType.NEW,
-                user_state=self._observe(terminal, cell),
-                requested_at=self._env.now,
-                holding_time_s=holding_rng.exponential(spec.mean_holding_time_s),
-                call_id=next(self._call_ids),
-            )
-            controller = self._controllers[cell.cell_id]
-            self._metrics.record_request(call)
-            verdict = controller.accepts(call, cell.base_station, self._env.now)
-            accepted = verdict and cell.base_station.can_fit(call.bandwidth_units)
-            self._metrics.record_decision(call, accepted)
-            if accepted:
-                cell.base_station.allocate(call)
-                call.admit(self._env.now, cell.cell_id)
-                controller.on_admitted(call, cell.base_station, self._env.now)
-                self._env.process(
-                    self._call_lifecycle(call, terminal, cell),
-                    name=f"call-{call.call_id}",
-                )
-            else:
-                call.block(self._env.now, cell.cell_id)
+            active.cell = target
+        self._hold(active, now)
 
-    def _occupancy_sampler(self):
-        """Sample network occupancy every mobility interval for the time average."""
-        while self._env.now < self._config.duration_s:
-            yield self._env.timeout(self._config.mobility_update_s)
-            self._occupancy_time_integral += (
-                self._network.total_used_bu() * self._config.mobility_update_s
-            )
-            self._last_occupancy_sample = self._env.now
-
-    # ------------------------------------------------------------------
     def run(self) -> NetworkRunOutput:
-        """Execute the simulation and return aggregated results."""
-        for cell in self._network:
-            self._env.process(self._cell_arrival_process(cell), name=f"arrivals-{cell.cell_id}")
-        self._env.process(self._occupancy_sampler(), name="occupancy-sampler")
-        # Run well past the arrival horizon so in-flight calls finish.
-        self._env.run(until=self._config.duration_s * 3.0)
+        """Execute the simulation and return aggregated results.
 
+        Pops entries while the earliest is due at or before three times
+        the arrival horizon, so in-flight calls finish.
+        """
+        config = self._config
+        mix = config.effective_traffic_mix()
+        for cell in self._network:
+            self._schedule(0.0, _ARRIVALS_START, cell)
+        self._schedule(0.0, _SAMPLER_START, None)
+        heap, pop = self._heap, heapq.heappop
+        horizon = config.duration_s * 3.0
+        while heap and heap[0][0] <= horizon:
+            now, _, kind, payload = pop(heap)
+            if kind == _TICK:
+                self._tick(payload, now)
+            elif kind == _ARRIVAL:
+                self._arrive(payload, now, mix)
+            elif kind == _CALL_START:
+                self._hold(payload, now)
+            elif kind == _ARRIVALS_START:
+                self._open_arrivals(payload, now)
+            else:
+                # The occupancy sampler: one sample every mobility interval.
+                if kind == _SAMPLE:
+                    self._occupancy_time_integral += (
+                        self._network.total_used_bu() * config.mobility_update_s
+                    )
+                    self._last_occupancy_sample = now
+                if now < config.duration_s:
+                    self._schedule(now + config.mobility_update_s, _SAMPLE, None)
+        return self._output()
+
+    def _output(self) -> NetworkRunOutput:
         metrics: CallMetrics = self._metrics.snapshot()
         elapsed = max(self._last_occupancy_sample, self._config.mobility_update_s)
         result = RunResult(

@@ -1,7 +1,7 @@
 """Per-cell shard workers with message-passing handoffs.
 
 The coupled :class:`~repro.simulation.engine.NetworkSimulation` runs the
-whole hexagonal topology inside one discrete-event loop: a handoff is a
+whole hexagonal topology as one explicit event heap: a handoff is a
 synchronous method call that touches two cells' state in the same process.
 That is faithful but unscalable — the topology cannot be split across
 workers because every cell shares one event list, one mobility stream and
@@ -9,9 +9,10 @@ one call-id counter.
 
 This module is the distributed shape of the same experiment: every cell of
 the topology runs as its own *shard* — an actor owning its cell, its
-controller instance, its DES environment and its named random streams —
-and handoffs travel between shards as explicit :class:`HandoffMessage`
-values through per-edge queues.  No state is ever shared between shards.
+controller instance, its generator-process environment on :mod:`repro.des`
+and its named random streams — and handoffs travel between shards as
+explicit :class:`HandoffMessage` values through per-edge queues.  No state
+is ever shared between shards.
 
 Determinism is the headline guarantee, achieved with a conservative
 time-window protocol:

@@ -8,7 +8,7 @@ the two seams the simulators draw through —
 * :meth:`ArrivalModel.batch_arrival_times` — the single-cell batch path
   (Figs. 7–10, traces, service replay): ``count`` arrival instants spread
   over a window;
-* :meth:`ArrivalModel.sampler` — the multi-cell DES path (coupled engine
+* :meth:`ArrivalModel.sampler` — the multi-cell path (coupled engine
   and per-cell shards): a stateful per-cell sampler yielding successive
   inter-arrival gaps.
 

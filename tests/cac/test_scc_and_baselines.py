@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cac.complete_sharing import CompleteSharingController
 from repro.cac.guard_channel import GuardChannelConfig, GuardChannelController
@@ -14,9 +15,33 @@ from repro.cac.scc.projection import ProjectionConfig, expected_exit_time_s, pro
 from repro.cac.scc.system import SCCConfig, ShadowClusterController
 from repro.cac.threshold_policy import ThresholdPolicyConfig, ThresholdPolicyController
 from repro.cellular.calls import Call, CallType
+from repro.cellular.cell import BaseStation
 from repro.cellular.mobility import UserState
 from repro.cellular.traffic import ServiceClass
+from repro.des.rng import RandomStream, _mix_seed
 from tests.conftest import make_call
+
+
+def _stream_reservations(scc: ShadowClusterController, call: Call) -> bool:
+    """The reservation draw as a RandomStream seeded from the request makes it."""
+    failure = scc.config.reservation_failure_probability
+    if failure <= 0.0:
+        return True
+    user = call.user_state
+    label = (
+        f"{call.requested_at:.6f}:{user.speed_kmh:.3f}:"
+        f"{user.angle_deg:.3f}:{user.distance_km:.3f}"
+        if user is not None
+        else f"{call.requested_at:.6f}"
+    )
+    rng = RandomStream(
+        f"scc-reservation-{label}/{label}",
+        seed=_mix_seed(scc.config.reservation_seed, label),
+    )
+    for _ in range(scc.required_reservations(call)):
+        if rng.bernoulli(failure):
+            return False
+    return True
 
 
 class TestProjection:
@@ -260,6 +285,41 @@ class TestSCCController:
             scc_a.decide(call, station, 0.0).accepted
             == scc_b.decide(call, station, 0.0).accepted
         )
+
+    @given(
+        user=st.none()
+        | st.builds(
+            UserState,
+            # Below 1 km/h a user is stationary and needs no reservations.
+            speed_kmh=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 120.0),
+            angle_deg=st.floats(-180.0, 180.0),
+            distance_km=st.floats(0.0, 10.0),
+        ),
+        requested_at=st.floats(0.0, 10_000.0),
+        failure=st.sampled_from((0.0, 0.03)) | st.floats(0.0, 0.99),
+        per_user=st.integers(0, 4),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_reservations_draw_as_the_stream_does(
+        self, user, requested_at, failure, per_user, seed
+    ):
+        scc = ShadowClusterController(
+            SCCConfig(
+                reservations_per_mobile_user=per_user,
+                reservation_failure_probability=failure,
+                reservation_seed=seed,
+            )
+        )
+        call = Call(
+            service=ServiceClass.TEXT,
+            bandwidth_units=1,
+            user_state=user,
+            requested_at=requested_at,
+        )
+        decision = scc.decide(call, BaseStation(), requested_at)
+        expected = _stream_reservations(scc, call)
+        assert decision.diagnostics["reservations_ok"] == (1.0 if expected else 0.0)
 
     def test_stationary_calls_never_fail_reservations(self, station):
         scc = ShadowClusterController(SCCConfig(reservation_failure_probability=0.9))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.cellular.cell import BandwidthLedger, BaseStation, Cell, InsufficientBandwidthError
 from repro.cellular.calls import Call
@@ -67,6 +68,34 @@ class TestBandwidthLedger:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             BandwidthLedger(capacity_bu=0)
+
+    @given(
+        capacity=st.integers(1, 60),
+        steps=st.lists(
+            st.tuples(st.booleans(), st.integers(1, 12), st.sampled_from(list(ServiceClass))),
+            max_size=60,
+        ),
+    )
+    def test_running_total_equals_the_allocation_sums(self, capacity, steps):
+        # Each step allocates a new call when it fits, or releases the
+        # oldest one; every reader must agree with sums over the ledger.
+        ledger = BandwidthLedger(capacity_bu=capacity)
+        held: deque[Call] = deque()
+        for allocate, bandwidth, service in steps:
+            if allocate and ledger.can_fit(bandwidth):
+                held.append(make_call(bandwidth, service))
+                ledger.allocate(held[-1])
+            elif held:
+                call = held.popleft()
+                assert ledger.release(call) == call.bandwidth_units
+            used = sum(call.bandwidth_units for call in held)
+            real_time = sum(call.bandwidth_units for call in held if call.is_real_time)
+            assert ledger.used_bu == used
+            assert ledger.free_bu == capacity - used
+            assert ledger.occupancy == used / capacity
+            assert ledger.real_time_bu == real_time
+            assert ledger.non_real_time_bu == used - real_time
+            assert ledger.active_calls == len(held)
 
     def test_allocation_for(self):
         ledger = BandwidthLedger(capacity_bu=10)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cellular.calls import Call, CallState, CallType
 from repro.cellular.metrics import MetricsCollector
@@ -15,6 +17,7 @@ from repro.cellular.traffic import (
     TrafficMix,
 )
 from repro.des.rng import RandomStream
+from repro.workloads import WORKLOADS
 
 
 class TestPaperTrafficParameters:
@@ -82,6 +85,23 @@ class TestTrafficMix:
         video_share = samples.count(ServiceClass.VIDEO) / len(samples)
         assert text_share == pytest.approx(0.60, abs=0.05)
         assert video_share == pytest.approx(0.10, abs=0.03)
+
+    @pytest.mark.parametrize(
+        "mix", [PAPER_TRAFFIC_MIX, WORKLOADS.get("mmpp").traffic_mix()], ids=["paper", "mmpp"]
+    )
+    @given(seed=st.integers(0, 2**63 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sample_class_draws_as_generator_choice(self, mix, seed):
+        services = mix.services
+        shares = np.asarray([mix.spec(service).share for service in services])
+        probabilities = shares / shares.sum()
+        stream = RandomStream("class", seed)
+        generator = np.random.default_rng(seed)
+        for _ in range(250):
+            index = int(generator.choice(len(services), p=probabilities))
+            assert mix.sample_class(stream) is services[index]
+        # Both streams stand at the same position afterwards.
+        assert stream.random() == generator.random()
 
 
 class TestCallLifecycle:
