@@ -1,10 +1,10 @@
 """Wall-clock benchmark: per-cell shard workers vs the coupled topology.
 
-The coupled multi-cell engine runs the whole hex topology in one
-discrete-event loop, so a rings>=3 network (37+ cells) is a single
-serial bottleneck no sweep-level parallelism can touch.  The sharded
-engine (``repro.simulation.shard``) runs every cell as its own worker and
-passes handoffs between shards as explicit messages.  This bench runs the
+The coupled multi-cell engine runs the whole hex topology as one event
+heap, so a rings>=3 network (37+ cells) is a single serial bottleneck no
+sweep-level parallelism can touch.  The sharded engine
+(``repro.simulation.shard``) runs every cell as its own one-cell
+simulation and passes handoffs between shards as explicit messages.  This bench runs the
 same rings=3 FACS experiment twice —
 
 * the historical configuration: coupled engine, interpreted reference

@@ -25,7 +25,7 @@ Versioning policy
   ``baseline``/``deltas`` comparison fields.  All additive, so the v1→v2
   migration is the identity.
 * **v3** — Adds the ``network-sweep-coupled-sharded`` scenario
-  kind (per-cell shard workers with message-passing handoffs) with its
+  kind (per-cell shards with message-passing handoffs) with its
   ``window_s``/``cell_capacities`` fields, and the ``handoff_coupling``
   provenance key inside network-sweep ``RunReport`` metrics.  All
   additive — old payloads simply lack the kind and the keys — so the

@@ -54,7 +54,6 @@ __all__ = [
     "SurfaceScenario",
     "FigureSweepScenario",
     "NetworkSweepScenario",
-    "ShardedNetworkSweepScenario",
     "CoupledShardedNetworkSweepScenario",
     "AblationScenario",
     "NetworkIntegrationScenario",
@@ -472,41 +471,19 @@ class NetworkSweepScenario(Scenario):
         return "net-sweep"
 
 
-@scenario_kind("network-sweep-sharded")
-@dataclass(frozen=True)
-class ShardedNetworkSweepScenario(NetworkSweepScenario):
-    """Per-cell sharded variant of the multi-cell QoS sweep.
-
-    Instead of one coupled ``rings``-ring simulation per replication, every
-    cell of the topology runs as an *independent* single-cell simulation
-    (its own arrival stream, mobility and admission controller), and the
-    per-cell outputs are pooled into the point statistics.  The trade is
-    explicit: inter-cell handoff coupling is dropped, but the work
-    decomposes into ``cells x replications`` smaller tasks that fan over
-    the same executor backends — the scale-out path for large topologies
-    where a single coupled run is the bottleneck.  Cell 0 keeps the base
-    seed, so a ``rings=0`` sharded sweep reproduces the coupled sweep's
-    curves point for point (the result name carries a ``-sharded``
-    suffix).
-    """
-
-    @property
-    def slug(self) -> str:
-        return "net-sweep-sharded"
-
-
 @scenario_kind("network-sweep-coupled-sharded")
 @dataclass(frozen=True)
 class CoupledShardedNetworkSweepScenario(NetworkSweepScenario):
     """Message-passing sharded variant of the multi-cell QoS sweep.
 
-    Keeps the handoff coupling the independent-cell sharding drops: every
-    cell of the topology runs as its own shard worker and departing calls
+    Every cell of the topology runs as its own shard and departing calls
     travel between shards as explicit handoff messages, drained in a
     canonical order at conservative time-window barriers.  ``executor``
-    here selects the backend the *shards* run on within each replication
-    (serial / thread / process), not a replication pool; results are
-    byte-identical for every backend and worker count.  ``window_s``
+    here selects where the *shards* run within each replication, not a
+    replication pool: in-process for serial and thread (the shards are pure
+    Python, so threads would gain nothing under the GIL), or in blocks
+    owned by worker processes.  Results are byte-identical for every
+    backend and worker count.  ``window_s``
     overrides the barrier interval (default: the mobility update
     interval); ``cell_capacities`` optionally gives every cell its own
     capacity in spiral (cell-id) order.
@@ -948,11 +925,6 @@ def _surface_flc1_scenario() -> Scenario:
 @register_scenario("surface-flc2")
 def _surface_flc2_scenario() -> Scenario:
     return SurfaceScenario(surface="flc2")
-
-
-@register_scenario("net-sweep-sharded")
-def _net_sweep_sharded_scenario() -> Scenario:
-    return ShardedNetworkSweepScenario()
 
 
 @register_scenario("net-sweep-coupled-sharded")

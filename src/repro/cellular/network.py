@@ -2,8 +2,7 @@
 
 Builds a hexagonal layout of :class:`~repro.cellular.cell.Cell` objects,
 keeps each cell's neighbour ids and maps mobile-terminal positions to
-serving cells.  The Shadow Cluster Concept baseline also queries the network
-for the cells along a mobile's projected trajectory.
+serving cells.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .cell import Cell
-from .geometry import HexCoordinate, Point, Vector, hex_spiral
+from .geometry import HexCoordinate, Point, hex_spiral
 from .traffic import PAPER_BANDWIDTH_UNITS
 
 __all__ = ["CellularNetwork", "hex_cell_count"]
@@ -150,35 +149,6 @@ class CellularNetwork:
         between any two of its cells, so the hop count is the cube distance.
         """
         return self.cell(cell_a).coordinate.distance_to(self.cell(cell_b).coordinate)
-
-    # ------------------------------------------------------------------
-    def cells_along_heading(
-        self,
-        start: Point,
-        heading_deg: float,
-        distance_km: float,
-        step_km: float = 0.5,
-    ) -> list[Cell]:
-        """Cells crossed by a straight trajectory from ``start``.
-
-        Samples the ray every ``step_km`` and collects the distinct serving
-        cells in order of first crossing — the building block of the shadow
-        cluster projection.
-        """
-        if distance_km < 0:
-            raise ValueError(f"distance must be non-negative, got {distance_km}")
-        if step_km <= 0:
-            raise ValueError(f"step must be positive, got {step_km}")
-        visited: list[Cell] = []
-        seen: set[int] = set()
-        steps = max(int(distance_km / step_km), 1)
-        for i in range(steps + 1):
-            offset = Vector.from_polar(min(i * step_km, distance_km), heading_deg)
-            cell = self.serving_cell(start.translate(offset))
-            if cell is not None and cell.cell_id not in seen:
-                visited.append(cell)
-                seen.add(cell.cell_id)
-        return visited
 
     def total_used_bu(self) -> int:
         """Aggregate bandwidth in use across the whole network."""

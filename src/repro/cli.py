@@ -55,7 +55,6 @@ from .api.scenario import (
     FigureSweepScenario,
     NetworkSweepScenario,
     ServiceReplayScenario,
-    ShardedNetworkSweepScenario,
     SurfaceScenario,
     TraceArrivalsScenario,
     TuningScenario,
@@ -329,12 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     network.add_argument(
         "--mode",
-        choices=["coupled", "sharded", "coupled-sharded"],
+        choices=["coupled", "coupled-sharded"],
         default=_NETWORK_SHAPING_DEFAULTS["mode"],
         help="topology execution: one coupled simulation per replication "
-        "(default), independent per-cell runs with handoff coupling dropped "
-        "(sharded), or per-cell shard workers exchanging handoff messages "
-        "(coupled-sharded; --executor/--workers then place the shards)",
+        "(default), or per-cell shards exchanging handoff messages "
+        "(coupled-sharded; --executor process/--workers then place the "
+        "shards in worker processes, serial and thread step them in-process)",
     )
     network.add_argument(
         "--window",
@@ -635,8 +634,6 @@ def _scenario_from_network_flags(args: argparse.Namespace) -> NetworkSweepScenar
         return CoupledShardedNetworkSweepScenario(window_s=args.window, **shape)
     if args.window is not None:
         raise SystemExit("--window only applies to --mode coupled-sharded")
-    if args.mode == "sharded":
-        return ShardedNetworkSweepScenario(**shape)
     return NetworkSweepScenario(**shape)
 
 

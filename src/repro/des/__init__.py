@@ -1,15 +1,16 @@
 """A from-scratch discrete-event simulation kernel (replacement for SimPy).
 
 Provides an environment with a future-event list, generator-based processes,
-timeouts, composite events and reproducible named random streams — the
-substrate on which the cellular network simulator (:mod:`repro.cellular`)
-and the experiment engine (:mod:`repro.simulation`) are built.
+timeouts and reproducible named random streams.  The named streams seed
+every simulation in :mod:`repro.simulation`; the event loop runs the
+single-cell DES experiment (:func:`~repro.simulation.batch.run_des_experiment`),
+the oracle the admission loop is tested against.
 """
 
 from .environment import Environment, SimulationError
-from .events import AllOf, AnyOf, Event, EventState, Interruption, StopProcess, Timeout
+from .events import Event, EventState, Timeout
 from .process import Process
-from .queue import EmptyQueueError, EventQueue, Priority, ScheduledItem
+from .queue import EmptyQueueError, EventQueue, ScheduledItem
 from .rng import RandomStream, StreamFactory
 
 __all__ = [
@@ -18,15 +19,10 @@ __all__ = [
     "Event",
     "EventState",
     "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interruption",
-    "StopProcess",
     "Process",
     "EventQueue",
     "ScheduledItem",
     "EmptyQueueError",
-    "Priority",
     "RandomStream",
     "StreamFactory",
 ]

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable
+from typing import Any
 
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import Event, Timeout
 from .process import Process, ProcessGenerator
-from .queue import EmptyQueueError, EventQueue, Priority
+from .queue import EmptyQueueError, EventQueue
 
 __all__ = ["Environment", "SimulationError"]
 
@@ -35,7 +35,6 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue = EventQueue()
-        self._active_process: Process | None = None
         self._processed_events = 0
 
     # ------------------------------------------------------------------
@@ -43,11 +42,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed (None outside process steps)."""
-        return self._active_process
 
     @property
     def processed_events(self) -> int:
@@ -74,22 +68,14 @@ class Environment:
         """Start a new process from a generator function call."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event triggering when all given events have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event triggering when any given event has triggered."""
-        return AnyOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and the run loop
     # ------------------------------------------------------------------
-    def schedule(self, event: Event, delay: float = 0.0, priority: int = Priority.NORMAL) -> None:
+    def schedule(self, event: Event, delay: float = 0.0) -> None:
         """Place a triggered event on the future-event list."""
         if delay < 0:
             raise ValueError(f"cannot schedule an event in the past (delay={delay})")
-        self._queue.push(event, self._now + delay, priority)
+        self._queue.push(event, self._now + delay)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when none remain."""
@@ -118,27 +104,17 @@ class Environment:
         if not event.ok and not event.defused:
             raise event.exception  # type: ignore[misc]
 
-    def run(self, until: float | Event | None = None) -> Any:
+    def run(self, until: float | None = None) -> None:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run until no events remain), a number
-        (run until the clock reaches that time) or an :class:`Event` (run
-        until that event is processed, returning its value).
+        ``until`` may be ``None`` (run until no events remain) or a number
+        (run until the clock reaches that time; events due exactly then are
+        processed, and the clock is left there).
         """
         if until is None:
             while self._queue:
                 self.step()
             return None
-
-        if isinstance(until, Event):
-            stop_event = until
-            while not stop_event.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "simulation ran out of events before the 'until' event triggered"
-                    )
-                self.step()
-            return stop_event.value
 
         horizon = float(until)
         if horizon < self._now:

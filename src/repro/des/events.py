@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .environment import Environment
 
-__all__ = ["EventState", "Event", "Timeout", "AllOf", "AnyOf", "Interruption", "StopProcess"]
+__all__ = ["EventState", "Event", "Timeout"]
 
 _event_counter = itertools.count()
 
@@ -100,13 +100,6 @@ class Event:
         self.env.schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another event (chaining)."""
-        if event._exception is not None:
-            self.fail(event._exception)
-        else:
-            self.succeed(event._value)
-
     def _mark_processed(self) -> None:
         self._state = EventState.PROCESSED
 
@@ -128,102 +121,3 @@ class Timeout(Event):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Timeout #{self.eid} delay={self.delay}>"
-
-
-class ConditionValue:
-    """Mapping-like container of the values of the events a condition waited on."""
-
-    def __init__(self) -> None:
-        self.events: list[Event] = []
-
-    def __getitem__(self, event: Event) -> Any:
-        if event not in self.events:
-            raise KeyError(event)
-        return event._value
-
-    def __contains__(self, event: Event) -> bool:
-        return event in self.events
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def todict(self) -> dict[Event, Any]:
-        return {event: event._value for event in self.events}
-
-
-class _Condition(Event):
-    """Base class for AllOf / AnyOf composite events.
-
-    A child event counts as *done* once it has been processed by the
-    environment (its callbacks have run), not merely when it has been
-    triggered — a freshly created :class:`Timeout` is triggered immediately
-    but only happens at its scheduled time.
-    """
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._events = list(events)
-        if any(e.env is not env for e in self._events):
-            raise ValueError("all events of a condition must belong to the same environment")
-        if not self._events:
-            self.succeed(ConditionValue())
-            return
-        for event in self._events:
-            if event.processed:
-                self._on_child(event)
-            else:
-                event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-    def _children_done(self) -> bool:
-        return all(e.processed for e in self._events)
-
-    def _collect_value(self) -> ConditionValue:
-        value = ConditionValue()
-        value.events = [e for e in self._events if e.processed and e.ok]
-        return value
-
-
-class AllOf(_Condition):
-    """Composite event that triggers when *all* child events have happened."""
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event._exception)  # type: ignore[arg-type]
-            return
-        if self._children_done():
-            self.succeed(self._collect_value())
-
-
-class AnyOf(_Condition):
-    """Composite event that triggers when *any* child event has happened."""
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            event.defuse()
-            self.fail(event._exception)  # type: ignore[arg-type]
-            return
-        self.succeed(self._collect_value())
-
-
-class Interruption(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class StopProcess(Exception):
-    """Internal signal used by ``Environment.exit`` style early returns."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value

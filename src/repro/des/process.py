@@ -3,15 +3,14 @@
 A process wraps a Python generator that yields :class:`~repro.des.events.Event`
 objects; the environment resumes the generator with the event's value when it
 triggers.  Processes are themselves events, so processes can wait for one
-another, and they support interruption (used e.g. to cut short a call's
-holding time when the call is dropped at handoff).
+another.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from .events import Event, Interruption, StopProcess
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .environment import Environment
@@ -37,7 +36,6 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Event | None = None
         # Bootstrap: resume the generator as soon as the environment starts.
         self._start_event = Event(env)
         self._start_event.callbacks.append(self._resume)
@@ -45,39 +43,11 @@ class Process(Event):
 
     # ------------------------------------------------------------------
     @property
-    def target(self) -> Event | None:
-        """The event this process is currently waiting on (None when done)."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interruption` into the process at the current time.
-
-        Interrupting a finished process is an error; interrupting a process
-        that is waiting on an event detaches it from that event first.
-        """
-        if self.triggered:
-            raise RuntimeError(f"cannot interrupt finished process {self.name!r}")
-        interrupt_event = Event(self.env)
-        interrupt_event._interrupt_cause = cause  # type: ignore[attr-defined]
-        interrupt_event.callbacks.append(self._deliver_interrupt)
-        interrupt_event.succeed(cause)
-
-    def _deliver_interrupt(self, event: Event) -> None:
-        if self.triggered:
-            return  # the process finished before the interrupt was processed
-        if self._target is not None and self._resume in self._target.callbacks:
-            self._target.callbacks.remove(self._resume)
-        self._target = None
-        self._step(Interruption(event._value), is_exception=True)
-
-    # ------------------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Callback invoked when the awaited event is processed."""
-        self._target = None
         if event.ok:
             self._step(event._value, is_exception=False)
         else:
@@ -85,7 +55,6 @@ class Process(Event):
             self._step(event._exception, is_exception=True)
 
     def _step(self, value: Any, is_exception: bool) -> None:
-        self.env._active_process = self
         try:
             if is_exception:
                 next_event = self._generator.throw(value)
@@ -94,14 +63,9 @@ class Process(Event):
         except StopIteration as stop:
             self.succeed(stop.value)
             return
-        except StopProcess as stop:
-            self.succeed(stop.value)
-            return
         except BaseException as exc:  # noqa: BLE001 - process failures become event failures
             self.fail(exc)
             return
-        finally:
-            self.env._active_process = None
 
         if not isinstance(next_event, Event):
             error = TypeError(
@@ -116,7 +80,6 @@ class Process(Event):
                 )
             )
             return
-        self._target = next_event
         if next_event.processed:
             # The event already ran its callbacks; resume immediately via a
             # zero-delay event to preserve run-to-completion semantics.

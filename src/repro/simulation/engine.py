@@ -16,7 +16,18 @@ generator-process engine on :mod:`repro.des` it replaced, and its output is
 that engine's byte for byte (``tests/simulation/network_oracle.py`` keeps
 that engine as the oracle).  Each cell's ``arrivals-``, ``class-``,
 ``terminal-`` and ``holding-`` streams are drawn when its arrival pops, and
-the shared ``mobility`` stream in tick order.
+the simulation's ``mobility`` stream in tick order.
+
+A simulation owns a set of the layout's cells, all of them by default, and
+runs controllers and arrivals only there.  A call that crosses into a cell it
+does not own is released at the source and leaves as a
+:class:`HandoffMessage`; the simulation that owns the target admits or drops
+it when the message is delivered.  :meth:`NetworkSimulation.step_to` is the
+one way time advances: deliver the inbound messages, pop entries up to a
+barrier, hand back the outbox.  The coupled run is one step to three times
+the arrival horizon over all cells; the shard engine
+(:mod:`repro.simulation.shard`) steps one single-cell simulation per cell
+once per window.
 
 Every new call and every handoff is admitted through the controller's
 :meth:`~repro.cac.base.AdmissionController.accepts`, which returns
@@ -34,7 +45,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ..analysis.frame import FrameRow, network_output_row
 from ..cac.base import AdmissionController
@@ -43,21 +54,29 @@ from ..cellular.cell import Cell
 from ..cellular.geometry import Point
 from ..cellular.metrics import CallMetrics, MetricsCollector
 from ..cellular.mobility import GaussMarkovModel, MobileTerminal, UserState
-from ..cellular.network import CellularNetwork
-from ..cellular.traffic import TrafficMix
+from ..cellular.network import CellularNetwork, hex_cell_count
+from ..cellular.traffic import ServiceClass, TrafficMix
 from ..des.rng import RandomStream, StreamFactory
 from ..workloads.arrivals import InterarrivalSampler, PoissonArrival
 from .config import NetworkExperimentConfig
 from .results import RunResult
 
 __all__ = [
+    "HandoffMessage",
     "NetworkRunOutput",
     "NetworkSimulation",
+    "ShardOutcome",
     "run_network_experiment",
     "run_network_experiment_row",
 ]
 
 ControllerFactory = Callable[[], AdmissionController]
+
+#: Width of each simulation's call-id namespace.  A simulation whose first
+#: owned cell is ``k`` issues ids ``(k-1) * _CALL_ID_NAMESPACE + 1, 2, 3,
+#: ...``: globally unique across the shards of a run without coordination,
+#: and the plain ``1, 2, 3, ...`` sequence for a simulation of every cell.
+_CALL_ID_NAMESPACE = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -83,6 +102,56 @@ class NetworkRunOutput:
         return self.handoff_failures / self.handoff_attempts
 
 
+@dataclass(frozen=True)
+class HandoffMessage:
+    """A call crossing into a cell its simulation does not own, as a message.
+
+    Carries everything the target's simulation needs to re-materialise the
+    call and its mobile terminal: the call's identity and service demand, how
+    much holding time it has consumed, and the terminal's kinematic state
+    at the crossing instant.  ``(time, source_cell, call_id)`` is the
+    canonical drain order at the receiving simulation — a total order, since
+    a source emits at most one message per call per instant.
+    """
+
+    time: float
+    source_cell: int
+    target_cell: int
+    call_id: int
+    service: ServiceClass
+    bandwidth_units: int
+    holding_time_s: float
+    elapsed_s: float
+    requested_at: float
+    handoff_count: int
+    position_x: float
+    position_y: float
+    speed_kmh: float
+    heading_deg: float
+
+    @property
+    def sort_key(self) -> tuple[float, int, int]:
+        return (self.time, self.source_cell, self.call_id)
+
+
+@dataclass(frozen=True)
+class ShardOutcome:
+    """Final counters of one simulation, keyed by its first owned cell."""
+
+    cell_id: int
+    controller: str
+    counters: tuple[int, ...]
+    handoff_attempts: int
+    handoff_failures: int
+    completed_calls: int
+    dropped_calls: int
+    occupancy_time_integral: float
+    last_occupancy_sample: float
+    #: Per-service-class counters (workload runs only), flattened
+    #: class-major over :data:`repro.analysis.frame.CLASS_COUNTER_FIELDS`.
+    class_values: tuple[float, ...] = ()
+
+
 #: Kinds of the event heap's entries.
 _ARRIVALS_START, _ARRIVAL, _CALL_START, _TICK, _SAMPLER_START, _SAMPLE = range(6)
 
@@ -102,32 +171,50 @@ class _ActiveCall:
 
     __slots__ = ("call", "terminal", "cell", "elapsed", "step")
 
-    def __init__(self, call: Call, terminal: MobileTerminal, cell: Cell):
+    def __init__(self, call: Call, terminal: MobileTerminal, cell: Cell, elapsed: float = 0.0):
         self.call = call
         self.terminal = terminal
         self.cell = cell
-        self.elapsed = 0.0
+        self.elapsed = elapsed
         self.step = 0.0
 
 
 class NetworkSimulation:
-    """Drives one multi-cell simulation run."""
+    """Drives one multi-cell simulation run over the cells it owns.
 
-    def __init__(self, config: NetworkExperimentConfig, controller_factory: ControllerFactory):
+    ``cells`` lists the owned cell ids (default: every cell of the layout);
+    ``network`` is a :class:`~repro.cellular.network.CellularNetwork` of
+    the config's layout to share with other simulations (default: a new
+    one).  A simulation changes only its owned cells' base stations, so
+    simulations owning disjoint cells can share one network.
+    """
+
+    def __init__(
+        self,
+        config: NetworkExperimentConfig,
+        controller_factory: ControllerFactory,
+        cells: Sequence[int] | None = None,
+        network: CellularNetwork | None = None,
+    ):
         self._config = config
         self._streams = StreamFactory(master_seed=config.stream_master_seed)
+        if network is None:
+            network = CellularNetwork(
+                rings=config.rings,
+                cell_radius_km=config.cell_radius_km,
+                capacity_bu=config.capacity_bu,
+                cell_capacities=config.cell_capacities,
+            )
+        self._network = network
+        self._cells = network.cells if cells is None else [network.cell(c) for c in cells]
         # Per-run sequential ids (not the process-global counter), so run
         # outputs are a pure function of the config in any process, thread
         # or execution order — the same discipline as the batch experiment.
-        self._call_ids = itertools.count(1)
-        self._network = CellularNetwork(
-            rings=config.rings,
-            cell_radius_km=config.cell_radius_km,
-            capacity_bu=config.capacity_bu,
-            cell_capacities=config.cell_capacities,
+        self._call_ids = itertools.count(
+            (self._cells[0].cell_id - 1) * _CALL_ID_NAMESPACE + 1
         )
         self._controllers: dict[int, AdmissionController] = {}
-        for cell in self._network:
+        for cell in self._cells:
             controller = controller_factory()
             controller.reset()
             self._controllers[cell.cell_id] = controller
@@ -138,15 +225,21 @@ class NetworkSimulation:
             update_interval_s=config.mobility_update_s,
         )
         self._mobility_rng = self._streams.stream("mobility")
+        self._mix = config.effective_traffic_mix()
         self._heap: list[tuple[float, int, int, object]] = []
         # Equal-time entries pop in the order they were scheduled.
         self._sequence = itertools.count()
+        self._now = 0.0
+        self._outbox: list[HandoffMessage] = []
         self._handoff_attempts = 0
         self._handoff_failures = 0
         self._completed = 0
         self._dropped = 0
         self._occupancy_time_integral = 0.0
         self._last_occupancy_sample = 0.0
+        for cell in self._cells:
+            self._schedule(0.0, _ARRIVALS_START, cell)
+        self._schedule(0.0, _SAMPLER_START, None)
 
     # ------------------------------------------------------------------
     @property
@@ -155,6 +248,11 @@ class NetworkSimulation:
 
     def controller_for(self, cell: Cell) -> AdmissionController:
         return self._controllers[cell.cell_id]
+
+    @property
+    def busy(self) -> bool:
+        """True while entries remain on the heap."""
+        return bool(self._heap)
 
     # ------------------------------------------------------------------
     def _observe(self, terminal: MobileTerminal, cell: Cell) -> UserState:
@@ -173,16 +271,10 @@ class NetworkSimulation:
         heading = rng.angle_degrees()
         return MobileTerminal(position=position, speed_kmh=speed, heading_deg=heading)
 
-    def _attempt_handoff(
-        self,
-        call: Call,
-        terminal: MobileTerminal,
-        source: Cell,
-        target: Cell,
-        now: float,
-    ) -> Cell | None:
-        """Try to move an active call to ``target``; return the new cell or None if dropped."""
-        controller = self._controllers[target.cell_id]
+    def _handoff_admitted(
+        self, call: Call, terminal: MobileTerminal, target: Cell, now: float
+    ) -> bool:
+        """Ask ``target``'s controller to admit a handoff of ``call``; record the verdict."""
         handoff_request = Call(
             service=call.service,
             bandwidth_units=call.bandwidth_units,
@@ -193,21 +285,92 @@ class NetworkSimulation:
             call_id=next(self._call_ids),
         )
         self._metrics.record_request(handoff_request)
-        verdict = controller.accepts(handoff_request, target.base_station, now)
+        verdict = self._controllers[target.cell_id].accepts(
+            handoff_request, target.base_station, now
+        )
         accepted = verdict and target.base_station.can_fit(call.bandwidth_units)
         self._metrics.record_decision(handoff_request, accepted)
+        return accepted
+
+    def _attempt_handoff(
+        self,
+        call: Call,
+        terminal: MobileTerminal,
+        source: Cell,
+        target: Cell,
+        now: float,
+    ) -> Cell | None:
+        """Try to move an active call to ``target``; return the new cell or None if dropped."""
+        accepted = self._handoff_admitted(call, terminal, target, now)
         source_controller = self._controllers[source.cell_id]
         if accepted:
             source.base_station.release(call)
             source_controller.on_released(call, source.base_station, now)
             target.base_station.allocate(call)
             call.handoff(now, target.cell_id)
-            controller.on_admitted(call, target.base_station, now)
+            self._controllers[target.cell_id].on_admitted(call, target.base_station, now)
             return target
         source.base_station.release(call)
         source_controller.on_released(call, source.base_station, now)
         call.drop(now, reason=f"handoff to cell {target.cell_id} denied")
         return None
+
+    def _depart(self, active: _ActiveCall, target: Cell, now: float) -> None:
+        """Release a call crossing into a cell this simulation does not own; post it."""
+        call, cell, terminal = active.call, active.cell, active.terminal
+        cell.base_station.release(call)
+        self._controllers[cell.cell_id].on_released(call, cell.base_station, now)
+        self._outbox.append(
+            HandoffMessage(
+                time=now,
+                source_cell=cell.cell_id,
+                target_cell=target.cell_id,
+                call_id=call.call_id,
+                service=call.service,
+                bandwidth_units=call.bandwidth_units,
+                holding_time_s=call.holding_time_s,
+                elapsed_s=active.elapsed,
+                requested_at=call.requested_at,
+                handoff_count=call.handoff_count,
+                position_x=terminal.position.x,
+                position_y=terminal.position.y,
+                speed_kmh=terminal.speed_kmh,
+                heading_deg=terminal.heading_deg,
+            )
+        )
+
+    def _deliver(self, message: HandoffMessage) -> None:
+        """Admit (or drop) one inbound handoff at the current instant."""
+        now = self._now
+        cell = self._network.cell(message.target_cell)
+        terminal = MobileTerminal(
+            position=Point(message.position_x, message.position_y),
+            speed_kmh=message.speed_kmh,
+            heading_deg=message.heading_deg,
+        )
+        # Re-materialise the travelling call as it was when it left the
+        # source cell; its id (and therefore its ledger key) is preserved.
+        call = Call(
+            service=message.service,
+            bandwidth_units=message.bandwidth_units,
+            call_type=CallType.NEW,
+            requested_at=message.requested_at,
+            holding_time_s=message.holding_time_s,
+            call_id=message.call_id,
+        )
+        call.admit(message.time, message.source_cell)
+        call.handoff_count = message.handoff_count
+        self._handoff_attempts += 1
+        if self._handoff_admitted(call, terminal, cell, now):
+            cell.base_station.allocate(call)
+            call.handoff(now, cell.cell_id)
+            self._controllers[cell.cell_id].on_admitted(call, cell.base_station, now)
+            self._schedule(now, _CALL_START, _ActiveCall(call, terminal, cell, message.elapsed_s))
+        else:
+            self._handoff_failures += 1
+            self._dropped += 1
+            call.drop(now, reason=f"handoff to cell {cell.cell_id} denied")
+            self._metrics.record_completion(call)
 
     # -- the event heap ----------------------------------------------------
     def _schedule(self, at: float, kind: int, payload: object) -> None:
@@ -276,7 +439,7 @@ class NetworkSimulation:
         self._metrics.record_completion(active.call)
 
     def _tick(self, active: _ActiveCall, now: float) -> None:
-        """Move a call by one step; it then hands off, leaves coverage or holds on."""
+        """Move a call by one step; it then hands off, departs, leaves coverage or holds on."""
         active.elapsed += active.step
         self._mobility.update(active.terminal, active.step, self._mobility_rng)
         new_cell = self._network.serving_cell(active.terminal.position)
@@ -290,6 +453,9 @@ class NetworkSimulation:
             self._metrics.record_completion(call)
             return
         if new_cell.cell_id != cell.cell_id:
+            if new_cell.cell_id not in self._controllers:
+                self._depart(active, new_cell, now)
+                return
             self._handoff_attempts += 1
             target = self._attempt_handoff(call, active.terminal, cell, new_cell, now)
             if target is None:
@@ -300,20 +466,21 @@ class NetworkSimulation:
             active.cell = target
         self._hold(active, now)
 
-    def run(self) -> NetworkRunOutput:
-        """Execute the simulation and return aggregated results.
+    def step_to(
+        self, until: float, inbound: Iterable[HandoffMessage] = ()
+    ) -> list[HandoffMessage]:
+        """Deliver ``inbound`` now, pop entries due by ``until``, return the outbox.
 
-        Pops entries while the earliest is due at or before three times
-        the arrival horizon, so in-flight calls finish.
+        ``inbound`` must already be in canonical ``(time, source_cell,
+        call_id)`` order.  An entry due exactly at ``until`` pops in this
+        step, and the clock is left at ``until``: the rule of a window
+        ending at a barrier.
         """
-        config = self._config
-        mix = config.effective_traffic_mix()
-        for cell in self._network:
-            self._schedule(0.0, _ARRIVALS_START, cell)
-        self._schedule(0.0, _SAMPLER_START, None)
+        for message in inbound:
+            self._deliver(message)
+        config, mix = self._config, self._mix
         heap, pop = self._heap, heapq.heappop
-        horizon = config.duration_s * 3.0
-        while heap and heap[0][0] <= horizon:
+        while heap and heap[0][0] <= until:
             now, _, kind, payload = pop(heap)
             if kind == _TICK:
                 self._tick(payload, now)
@@ -327,39 +494,79 @@ class NetworkSimulation:
                 # The occupancy sampler: one sample every mobility interval.
                 if kind == _SAMPLE:
                     self._occupancy_time_integral += (
-                        self._network.total_used_bu() * config.mobility_update_s
+                        sum(cell.base_station.used_bu for cell in self._cells)
+                        * config.mobility_update_s
                     )
                     self._last_occupancy_sample = now
                 if now < config.duration_s:
                     self._schedule(now + config.mobility_update_s, _SAMPLE, None)
-        return self._output()
+        self._now = until
+        outbox, self._outbox = self._outbox, []
+        return outbox
 
-    def _output(self) -> NetworkRunOutput:
-        metrics: CallMetrics = self._metrics.snapshot()
-        elapsed = max(self._last_occupancy_sample, self._config.mobility_update_s)
-        result = RunResult(
-            controller=self._controller_name,
-            metrics=metrics,
-            parameters={
-                "rings": float(self._config.rings),
-                "cells": float(self._network.cell_count),
-                "arrival_rate_per_cell_per_s": self._config.arrival_rate_per_cell_per_s,
-                "duration_s": self._config.duration_s,
-            },
-            seed=self._config.seed,
-        )
+    def run(self) -> NetworkRunOutput:
+        """Execute the simulation and return aggregated results.
+
+        One step to three times the arrival horizon, so in-flight calls
+        finish.
+        """
+        self.step_to(self._config.duration_s * 3.0)
+        return merge_outcomes(self._config, [self.outcome()])
+
+    def outcome(self) -> ShardOutcome:
+        """This simulation's final counters, for :func:`merge_outcomes`."""
         workload = self._config.workload
         class_names = () if workload is None else workload.class_names()
-        return NetworkRunOutput(
-            result=result,
+        return ShardOutcome(
+            cell_id=self._cells[0].cell_id,
+            controller=self._controller_name,
+            counters=self._metrics.snapshot().as_counters(),
             handoff_attempts=self._handoff_attempts,
             handoff_failures=self._handoff_failures,
             completed_calls=self._completed,
             dropped_calls=self._dropped,
-            time_average_occupancy_bu=self._occupancy_time_integral / elapsed,
-            class_names=class_names,
+            occupancy_time_integral=self._occupancy_time_integral,
+            last_occupancy_sample=self._last_occupancy_sample,
             class_values=self._metrics.class_counter_values(class_names),
         )
+
+
+def merge_outcomes(
+    config: NetworkExperimentConfig, outcomes: Sequence[ShardOutcome]
+) -> NetworkRunOutput:
+    """Sum the outcomes of simulations that together own every cell of a run."""
+    counters = tuple(
+        sum(outcome.counters[index] for outcome in outcomes)
+        for index in range(len(CallMetrics.COUNTER_FIELDS))
+    )
+    last_sample = max(outcome.last_occupancy_sample for outcome in outcomes)
+    elapsed = max(last_sample, config.mobility_update_s)
+    result = RunResult(
+        controller=outcomes[0].controller,
+        metrics=CallMetrics.from_counters(counters),
+        parameters={
+            "rings": float(config.rings),
+            "cells": float(hex_cell_count(config.rings)),
+            "arrival_rate_per_cell_per_s": config.arrival_rate_per_cell_per_s,
+            "duration_s": config.duration_s,
+        },
+        seed=config.seed,
+    )
+    workload = config.workload
+    class_names = () if workload is None else workload.class_names()
+    class_values = tuple(
+        sum(values) for values in zip(*(outcome.class_values for outcome in outcomes))
+    )
+    return NetworkRunOutput(
+        result=result,
+        handoff_attempts=sum(o.handoff_attempts for o in outcomes),
+        handoff_failures=sum(o.handoff_failures for o in outcomes),
+        completed_calls=sum(o.completed_calls for o in outcomes),
+        dropped_calls=sum(o.dropped_calls for o in outcomes),
+        time_average_occupancy_bu=sum(o.occupancy_time_integral for o in outcomes) / elapsed,
+        class_names=class_names,
+        class_values=class_values,
+    )
 
 
 def run_network_experiment(

@@ -58,7 +58,7 @@ R = TypeVar("R")
 def default_chunksize(task_count: int, workers: int) -> int:
     """A few chunks per worker: amortise the per-task submit/pickle cost.
 
-    Thousand-task sharded sweeps used to pay one pool submission (and, on
+    Thousand-task sweeps used to pay one pool submission (and, on
     the process backend, one pickle round) per task; batching ~4 chunks
     per worker removes that overhead without starving the pool when task
     durations vary (heavier request counts take longer).

@@ -28,13 +28,12 @@ result carries the frame on its ``frame`` field.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..analysis.frame import FrameReducer, FrameRow, MetricsFrame
-from ..cellular.network import hex_cell_count
 from .batch import ControllerFactory, run_batch_experiment, run_batch_experiment_row
 from .config import BatchExperimentConfig, NetworkExperimentConfig, PAPER_REQUEST_COUNTS
 from .engine import run_network_experiment_row
@@ -54,7 +53,6 @@ __all__ = [
     "NetworkSweepCurve",
     "NetworkSweepResult",
     "run_network_sweep",
-    "run_sharded_network_sweep",
     "run_coupled_sharded_network_sweep",
     "PAPER_NETWORK_ARRIVAL_RATES",
 ]
@@ -445,21 +443,19 @@ class NetworkSweepResult:
 
 
 def _assemble_network_result(
-    spec: NetworkSweepSpec,
-    frame: MetricsFrame,
-    runs_per_point: int,
-    name: str,
+    spec: NetworkSweepSpec, frame: MetricsFrame, name: str
 ) -> NetworkSweepResult:
     """Reduce the sweep's frame (rows in task order) into point statistics.
 
-    Shared by the coupled and sharded sweeps; they differ only in how many
-    runs make up one point (``replications`` vs ``cells x replications``).
-    The (curve, point) ordinal grouping walks the rows in exactly the
-    nested task-generation order, so the statistics match the historical
-    aggregate_network_runs() walk bit for bit.
+    Shared by the coupled and coupled-sharded sweeps.  The (curve, point)
+    ordinal grouping walks the rows in exactly the nested task-generation
+    order, so the statistics match the historical aggregate_network_runs()
+    walk bit for bit.
     """
     frame = frame.with_ordinals(
-        *_sweep_ordinals(len(spec.controllers), len(spec.arrival_rates), runs_per_point)
+        *_sweep_ordinals(
+            len(spec.controllers), len(spec.arrival_rates), spec.replications
+        )
     )
     groups = frame.group_reduce(("curve", "point"))
     n_rates = len(spec.arrival_rates)
@@ -511,76 +507,7 @@ def run_network_sweep(
             f"executor {backend.name!r} returned {len(frame)} rows "
             f"for {len(tasks)} tasks"
         )
-    return _assemble_network_result(spec, frame, spec.replications, spec.name)
-
-
-# ----------------------------------------------------------------------
-# Per-cell sharded network sweeps
-# ----------------------------------------------------------------------
-#: Seed stride separating the per-cell shards of one replication.  Any
-#: fixed constant works — it only has to map distinct cells of the same
-#: replication onto distinct, deterministic stream seeds.  Shard 0 keeps
-#: the base seed, so a single-cell (rings=0) sharded sweep reproduces the
-#: coupled sweep's curves point for point.
-_SHARD_SEED_STRIDE = 97_001_003
-
-
-def run_sharded_network_sweep(
-    spec: NetworkSweepSpec,
-    executor: SweepExecutor | str | None = None,
-) -> NetworkSweepResult:
-    """Run the sweep of ``spec`` with every cell sharded into its own run.
-
-    The topology of ``spec.base_config`` (``rings``) is decomposed into
-    independent single-cell simulations: each cell draws its own arrival
-    stream and mobility from a per-cell seed and runs its own controller
-    instance, and the per-cell outputs are pooled into the point
-    statistics (``replications`` of a point therefore reports
-    ``cells x replications`` runs).  Inter-cell handoff coupling is
-    deliberately dropped — that is the sharding trade — in exchange for
-    ``cells``-way finer task granularity over the same executor backends.
-    Results remain byte-identical for every backend and worker count.
-    """
-    backend = _resolve_executor(executor)
-    cells = hex_cell_count(spec.base_config.rings)
-
-    tasks: list[NetworkReplicationTask] = []
-    for label, controller_factory in spec.controllers.items():
-        for rate in spec.arrival_rates:
-            for replication in range(spec.replications):
-                for cell_index in range(cells):
-                    config = spec.base_config.with_arrival_rate(rate)
-                    config = replace(
-                        config,
-                        rings=0,
-                        seed=config.seed + _SHARD_SEED_STRIDE * cell_index,
-                        replication=replication,
-                        # Each single-cell run keeps its own cell's capacity
-                        # from a heterogeneous topology.
-                        capacity_bu=spec.base_config.capacity_for(cell_index),
-                        cell_capacities=None,
-                    )
-                    tasks.append(
-                        NetworkReplicationTask(
-                            label=label,
-                            arrival_rate_per_cell_per_s=rate,
-                            replication=replication,
-                            config=config,
-                            controller_factory=controller_factory,
-                        )
-                    )
-
-    frame = backend.map_reduce(
-        _execute_network_replication_row, tasks, FrameReducer("network")
-    )
-    if len(frame) != len(tasks):  # pragma: no cover - defensive
-        raise RuntimeError(
-            f"executor {backend.name!r} returned {len(frame)} rows "
-            f"for {len(tasks)} tasks"
-        )
-    return _assemble_network_result(
-        spec, frame, spec.replications * cells, f"{spec.name}-sharded"
-    )
+    return _assemble_network_result(spec, frame, spec.name)
 
 
 def run_coupled_sharded_network_sweep(
@@ -590,16 +517,14 @@ def run_coupled_sharded_network_sweep(
 ) -> NetworkSweepResult:
     """Run the sweep of ``spec`` on the message-passing sharded engine.
 
-    Unlike :func:`run_sharded_network_sweep`, handoff coupling is
-    preserved: each replication runs the full multi-cell topology through
+    Each replication runs the full multi-cell topology through
     :class:`~repro.simulation.shard.CoupledShardedNetworkSimulation`, where
-    every cell is an independent shard worker and departing calls travel
-    between shards as explicit handoff messages.  Parallelism therefore
-    lives *inside* each run — ``executor`` selects the backend the shards
-    execute on (serial / thread pool / process-worker blocks) — and the
-    replications of the sweep run one after the other.  The conservative
-    window protocol keeps the result byte-identical for every backend and
-    worker count.
+    every cell is its own shard and departing calls travel between shards
+    as explicit handoff messages.  Parallelism therefore lives *inside*
+    each run — ``executor`` selects where the shards execute (in-process
+    for serial and thread, or process-worker blocks) — and the replications
+    of the sweep run one after the other.  The conservative window protocol
+    keeps the result byte-identical for every backend and worker count.
     """
     tasks = spec.tasks()
     reducer = FrameReducer("network")
@@ -618,6 +543,4 @@ def run_coupled_sharded_network_sweep(
         raise RuntimeError(
             f"sharded engine returned {len(frame)} rows for {len(tasks)} tasks"
         )
-    return _assemble_network_result(
-        spec, frame, spec.replications, f"{spec.name}-coupled-sharded"
-    )
+    return _assemble_network_result(spec, frame, f"{spec.name}-coupled-sharded")

@@ -132,7 +132,7 @@ class TestConcreteRegistries:
     def test_scenarios_cover_every_registered_experiment(self):
         # Every paper-artifact experiment has a default scenario; the
         # scenario registry may also hold scenario-only ids (trace-arrivals,
-        # net-sweep-sharded) that are not paper artifacts.
+        # net-sweep-coupled-sharded) that are not paper artifacts.
         assert set(experiment_ids()) <= set(SCENARIOS.names())
 
     def test_bench_only_ids_are_registered_scenarios(self):

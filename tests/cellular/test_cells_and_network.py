@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from repro.cellular.cell import BandwidthLedger, BaseStation, Cell, InsufficientBandwidthError
 from repro.cellular.calls import Call
 from repro.cellular.geometry import HexCoordinate, Point
-from repro.cellular.network import CellularNetwork
+from repro.cellular.network import CellularNetwork, hex_cell_count
 from repro.cellular.traffic import ServiceClass
 
 
@@ -196,20 +196,6 @@ class TestCellularNetwork:
             assert network.hop_distance(center, neighbor.cell_id) == 1
         assert network.hop_distance(center, center) == 0
 
-    def test_cells_along_heading(self):
-        network = CellularNetwork(rings=2, cell_radius_km=2.0)
-        start = network.center_cell.center
-        crossed = network.cells_along_heading(start, heading_deg=0.0, distance_km=8.0)
-        assert crossed[0] is network.center_cell
-        assert len(crossed) >= 2
-
-    def test_cells_along_heading_validation(self):
-        network = CellularNetwork(rings=1)
-        with pytest.raises(ValueError):
-            network.cells_along_heading(Point(0, 0), 0.0, -1.0)
-        with pytest.raises(ValueError):
-            network.cells_along_heading(Point(0, 0), 0.0, 1.0, step_km=0.0)
-
     def test_total_used_bu(self):
         network = CellularNetwork(rings=1)
         call = make_call(10)
@@ -266,3 +252,9 @@ class TestCellularNetwork:
     def test_iteration_and_len(self):
         network = CellularNetwork(rings=1)
         assert len(list(network)) == len(network) == 7
+
+
+@pytest.mark.parametrize("rings,cells", [(0, 1), (1, 7), (2, 19)])
+def test_cell_counts(rings, cells):
+    assert hex_cell_count(rings) == cells
+    assert CellularNetwork(rings=rings).cell_count == cells

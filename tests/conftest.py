@@ -17,6 +17,20 @@ def env() -> Environment:
 
 
 @pytest.fixture
+def des_runs(monkeypatch) -> list[Environment]:
+    """The environments that enter ``Environment.run``, in order."""
+    entered: list[Environment] = []
+    run = Environment.run
+
+    def counted(env, *args, **kwargs):
+        entered.append(env)
+        return run(env, *args, **kwargs)
+
+    monkeypatch.setattr(Environment, "run", counted)
+    return entered
+
+
+@pytest.fixture
 def streams() -> StreamFactory:
     """A deterministic random stream factory."""
     return StreamFactory(master_seed=424242)

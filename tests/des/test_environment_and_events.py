@@ -1,4 +1,4 @@
-"""Tests for the DES environment, events, timeouts and composite conditions."""
+"""Tests for the DES environment, events and timeouts."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from repro.des import (
     Event,
     SimulationError,
 )
-from repro.des.queue import EmptyQueueError, EventQueue, Priority
+from repro.des.queue import EmptyQueueError, EventQueue
 
 
 class TestEventQueue:
@@ -31,24 +31,6 @@ class TestEventQueue:
         popped = [queue.pop().event for _ in range(5)]
         assert popped == events
 
-    def test_priority_breaks_ties(self):
-        env = Environment()
-        queue = EventQueue()
-        normal, urgent = Event(env), Event(env)
-        queue.push(normal, 1.0, Priority.NORMAL)
-        queue.push(urgent, 1.0, Priority.URGENT)
-        assert queue.pop().event is urgent
-
-    def test_cancel_skips_item(self):
-        env = Environment()
-        queue = EventQueue()
-        a, b = Event(env), Event(env)
-        item = queue.push(a, 1.0)
-        queue.push(b, 2.0)
-        queue.cancel(item)
-        assert len(queue) == 1
-        assert queue.pop().event is b
-
     def test_empty_pop_raises(self):
         with pytest.raises(EmptyQueueError):
             EventQueue().pop()
@@ -58,13 +40,6 @@ class TestEventQueue:
         queue = EventQueue()
         queue.push(Event(env), 3.5)
         assert queue.peek_time() == 3.5
-
-    def test_clear(self):
-        env = Environment()
-        queue = EventQueue()
-        queue.push(Event(env), 1.0)
-        queue.clear()
-        assert not queue
 
 
 class TestEvents:
@@ -143,21 +118,6 @@ class TestRunSemantics:
         with pytest.raises(ValueError):
             env.run(until=2.0)
 
-    def test_run_until_event(self, env):
-        def proc(env):
-            yield env.timeout(4.0)
-            return "finished"
-
-        process = env.process(proc(env))
-        value = env.run(until=process)
-        assert value == "finished"
-        assert env.now == pytest.approx(4.0)
-
-    def test_run_until_untriggered_event_with_no_work_raises(self, env):
-        orphan = env.event()
-        with pytest.raises(SimulationError):
-            env.run(until=orphan)
-
     def test_step_without_events_raises(self, env):
         with pytest.raises(SimulationError):
             env.step()
@@ -175,42 +135,3 @@ class TestRunSemantics:
         event = env.event()
         with pytest.raises(ValueError):
             env.schedule(event, delay=-0.1)
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self, env):
-        def proc(env):
-            results = yield env.all_of([env.timeout(2.0, "a"), env.timeout(5.0, "b")])
-            return (env.now, len(results))
-
-        process = env.process(proc(env))
-        env.run()
-        assert process.value == (5.0, 2)
-
-    def test_any_of_fires_on_first(self, env):
-        def proc(env):
-            yield env.any_of([env.timeout(2.0), env.timeout(50.0)])
-            return env.now
-
-        process = env.process(proc(env))
-        env.run(until=process)
-        assert process.value == pytest.approx(2.0)
-
-    def test_empty_all_of_triggers_immediately(self, env):
-        condition = env.all_of([])
-        env.run()
-        assert condition.processed
-
-    def test_all_of_propagates_failure(self, env):
-        good = env.timeout(1.0)
-        bad = env.event()
-        condition = env.all_of([good, bad])
-        bad.fail(RuntimeError("child failed"))
-        condition.defuse()
-        env.run()
-        assert condition.triggered and not condition.ok
-
-    def test_condition_rejects_foreign_events(self, env):
-        other = Environment()
-        with pytest.raises(ValueError):
-            env.all_of([other.timeout(1.0)])

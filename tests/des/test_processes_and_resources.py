@@ -1,10 +1,8 @@
-"""Tests for generator processes and interrupts."""
+"""Tests for generator processes."""
 
 from __future__ import annotations
 
 import pytest
-
-from repro.des import Interruption
 
 
 class TestProcesses:
@@ -76,31 +74,6 @@ class TestProcesses:
         process = env.process(waiter(env))
         env.run()
         assert process.value == "caught inner"
-
-    def test_interrupt_raises_inside_process(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(100.0)
-            except Interruption as interruption:
-                return ("interrupted", interruption.cause, env.now)
-
-        def attacker(env, victim_proc):
-            yield env.timeout(5.0)
-            victim_proc.interrupt(cause="preempted")
-
-        victim_proc = env.process(victim(env))
-        env.process(attacker(env, victim_proc))
-        env.run()
-        assert victim_proc.value == ("interrupted", "preempted", 5.0)
-
-    def test_interrupt_finished_process_rejected(self, env):
-        def quick(env):
-            yield env.timeout(1.0)
-
-        process = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            process.interrupt()
 
     def test_is_alive_lifecycle(self, env):
         def proc(env):

@@ -4,9 +4,11 @@
 with ``run`` written as generator processes on :class:`repro.des.Environment`:
 one arrival process per cell, one process per admitted call (mobility ticks,
 handoffs, completion) and an occupancy sampler.  It shares the terminal
-placement, the observation and the handoff attempt with the engine, so a
-difference between the two is a difference in event order, timing or draw
-order.  ``tests/simulation/test_network_loop.py`` holds the two equal.
+placement, the observation, the handoff attempt and the output merge with the
+engine, so a difference between the two is a difference in event order,
+timing or draw order.  The heap entries the engine schedules on construction
+are never popped here.  ``tests/simulation/test_network_loop.py`` holds the
+two equal.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from repro.cellular.calls import Call, CallType
 from repro.cellular.cell import Cell
 from repro.cellular.mobility import MobileTerminal
 from repro.des.environment import Environment
-from repro.simulation.engine import NetworkRunOutput, NetworkSimulation
+from repro.simulation.engine import NetworkRunOutput, NetworkSimulation, merge_outcomes
 
 __all__ = ["DESNetworkSimulation"]
 
@@ -136,4 +138,4 @@ class DESNetworkSimulation(NetworkSimulation):
         self._env.process(self._occupancy_sampler(), name="occupancy-sampler")
         # Run well past the arrival horizon so in-flight calls finish.
         self._env.run(until=self._config.duration_s * 3.0)
-        return self._output()
+        return merge_outcomes(self._config, [self.outcome()])

@@ -21,7 +21,6 @@ from repro.api import CONTROLLERS
 from repro.cac.complete_sharing import CompleteSharingController
 from repro.cellular.calls import CallType
 from repro.cellular.network import hex_cell_count
-from repro.des.environment import Environment
 from repro.simulation.config import NetworkExperimentConfig
 from repro.simulation.engine import NetworkSimulation
 from repro.workloads import WORKLOADS, WorkloadSpec
@@ -152,18 +151,6 @@ def test_a_controller_error_leaves_both_runs_alike(fail_at, call_type):
 
 
 class TestRouting:
-    @pytest.fixture
-    def des_runs(self, monkeypatch) -> list[Environment]:
-        entered: list[Environment] = []
-        run = Environment.run
-
-        def counted(env, *args, **kwargs):
-            entered.append(env)
-            return run(env, *args, **kwargs)
-
-        monkeypatch.setattr(Environment, "run", counted)
-        return entered
-
     def test_a_coupled_run_never_enters_the_event_loop(self, des_runs):
         config = NetworkExperimentConfig(rings=1, duration_s=300.0)
         NetworkSimulation(config, CompleteSharingController).run()

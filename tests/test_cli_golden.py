@@ -220,7 +220,8 @@ class TestListJson:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema_version"] == SCHEMA_VERSION
         ids = {entry["id"] for entry in payload["experiments"]}
-        assert {"fig7-speed", "net-sweep", "trace-arrivals", "net-sweep-sharded"} <= ids
+        assert {"fig7-speed", "net-sweep", "trace-arrivals", "net-sweep-coupled-sharded"} <= ids
+        assert "net-sweep-sharded" not in ids
         fig7 = next(e for e in payload["experiments"] if e["id"] == "fig7-speed")
         assert fig7["kind"] == "figure-sweep"
         assert fig7["paper_artifact"] == "Figure 7"
@@ -229,9 +230,10 @@ class TestListJson:
         assert abl["bench_only"] is True
         assert "FACS" in payload["controllers"]
         assert "serial" in payload["executors"]
-        assert {"trace-arrivals", "network-sweep-sharded", "tuning"} <= set(
+        assert {"trace-arrivals", "network-sweep-coupled-sharded", "tuning"} <= set(
             payload["scenario_kinds"]
         )
+        assert "network-sweep-sharded" not in payload["scenario_kinds"]
         assert "mean_acceptance" in payload["comparison_metrics"]
         assert payload["tuning_strategies"] == ["grid", "evolutionary"]
         definitions = payload["controller_definitions"]

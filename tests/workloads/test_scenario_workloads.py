@@ -77,7 +77,6 @@ class TestScenarioField:
         for kind in (
             "figure-sweep",
             "network-sweep",
-            "network-sweep-sharded",
             "network-sweep-coupled-sharded",
             "trace-arrivals",
             "service-replay",
