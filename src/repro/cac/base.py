@@ -74,9 +74,11 @@ class AdmissionController(ABC):
     def accepts(self, call: Call, station: BaseStation, now: float) -> bool:
         """The verdict of :meth:`decide`, without its score, reason or diagnostics.
 
-        What the network engines ask per request.  A controller may answer
-        it faster than :meth:`decide`, but never differently: the result
-        (and any error raised) must equal ``decide(call, station,
+        What the network engine asks per handoff, and what it and the
+        admission loop ask per new call of every controller but an exact
+        FACS, whose new calls they decide in FACS blocks.  A controller may
+        answer it faster than :meth:`decide`, but never differently: the
+        result (and any error raised) must equal ``decide(call, station,
         now).accepted``.  The same no-mutation rule applies.
         """
         return self.decide(call, station, now).accepted

@@ -12,11 +12,12 @@ whose bounds straddle the threshold.  Decisions are therefore
 byte-identical to ``score_columns(...) > threshold`` by construction, never
 by tolerance.
 
-There are two ways in.  A block of trace rows goes through
-:meth:`DecisionScreen.columns`, which bounds FLC1 for the whole block.  A
-single request whose exact correction value is already known (the network
-engines' :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.accepts`,
-and a trace row the block bounds could not decide) goes through
+There are two ways in.  A block of rows (a trace's, or a network cell's new
+calls) goes through :meth:`DecisionScreen.columns`, which bounds FLC1 for
+the whole block.  A single request whose exact correction value is already
+known (a network handoff, through
+:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.accepts`, and a
+row the block bounds could not decide) goes through
 :meth:`DecisionScreen.verdict_at`: one bisect of the shared ``Cv`` grid and
 one read of the (R, Cs) cell table, with exact FLC2 only where that cell is
 ambiguous.  A process builds the screen once per controller pair.  Its
@@ -123,6 +124,12 @@ _TABLE_MIN_VERDICTS = 12
 #: sixth of a 20,000-request trace run's peak RSS.  At 64 rows it costs
 #: about 13 µs a row, against 35 µs for a row corrected alone.
 _FLC1_PASS_ROWS = 64
+#: Entries each process-wide memo of FLC controllers, screens and verdict
+#: tables keeps (here and in :mod:`repro.cac.facs.system`): room for the few
+#: FACS configurations one sweep interleaves.  A tuning search makes new
+#: controllers every trial and reads none of its past trials', so a larger
+#: memo would only keep them alive (about 0.3 MiB of tables a trial).
+_MEMO_ENTRIES = 4
 
 
 def _peak_interval(membership: object) -> tuple[float, float, list[float]]:
@@ -337,7 +344,7 @@ class VerdictTables:
         return np.clip(score_lo, -1.0, 1.0), np.clip(score_hi, -1.0, 1.0), fired & valid
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _shared_verdicts(flc2: FLC2, threshold: float) -> VerdictTables:
     """The process's :class:`VerdictTables` for one FLC2 and threshold."""
     return VerdictTables(flc2, threshold)

@@ -38,7 +38,7 @@ from ..counters import ServiceCounters
 from .config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from .flc1 import FLC1
 from .flc2 import FLC2
-from .screen import DecisionScreen, ScreenedColumns
+from .screen import _MEMO_ENTRIES, DecisionScreen, ScreenedColumns
 
 __all__ = [
     "BatchAdmissionDecision",
@@ -94,7 +94,7 @@ class FACSConfig:
         return int(self.flc2.counter_universe[1])
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _shared_flc1(config: FLC1Config, defuzzifier: Defuzzifier, engine: str) -> FLC1:
     """Build (or reuse) the FLC1 for a configuration.
 
@@ -109,13 +109,13 @@ def _shared_flc1(config: FLC1Config, defuzzifier: Defuzzifier, engine: str) -> F
     return FLC1(config, defuzzifier=defuzzifier, engine=engine)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _shared_flc2(config: FLC2Config, defuzzifier: Defuzzifier, engine: str) -> FLC2:
     """Build (or reuse) the FLC2 for a configuration (see :func:`_shared_flc1`)."""
     return FLC2(config, defuzzifier=defuzzifier, engine=engine)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _shared_flc1_from_definition(
     definition: FLCDefinition, defuzzifier: Defuzzifier, engine: str
 ) -> FLC1:
@@ -123,7 +123,7 @@ def _shared_flc1_from_definition(
     return FLC1(definition=definition, defuzzifier=defuzzifier, engine=engine)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _shared_flc2_from_definition(
     definition: FLCDefinition, defuzzifier: Defuzzifier, engine: str
 ) -> FLC2:
@@ -131,7 +131,7 @@ def _shared_flc2_from_definition(
     return FLC2(definition=definition, defuzzifier=defuzzifier, engine=engine)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def _shared_screen(flc1: FLC1, flc2: FLC2, threshold: float) -> DecisionScreen | None:
     """Build (or reuse) the decision screen for a controller pair.
 

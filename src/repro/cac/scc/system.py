@@ -154,7 +154,12 @@ class ShadowClusterController(AdmissionController):
         raw = np.random.PCG64(seed).random_raw(count).tolist()
         return not any((value >> 11) * 2.0**-53 < failure for value in raw)
 
-    def decide(self, call: Call, station: BaseStation, now: float) -> AdmissionDecision:
+    def _admission_test(self, call: Call, station: BaseStation) -> tuple[bool, float, float]:
+        """``(fits, projected peak, admission capacity)`` of a request.
+
+        Projects the candidate through the estimator's ``profile_for``,
+        whose profile :meth:`on_admitted` reuses when the call is tracked.
+        """
         admission_capacity = self._config.admission_threshold * station.capacity_bu
         fits = station.can_fit(call.bandwidth_units)
 
@@ -162,6 +167,20 @@ class ShadowClusterController(AdmissionController):
         envelope = self.projected_envelope(station)
         candidate_demand = candidate.in_cell_demand()
         peak = max(base + extra for base, extra in zip(envelope, candidate_demand))
+        return fits, peak, admission_capacity
+
+    def accepts(self, call: Call, station: BaseStation, now: float) -> bool:
+        """The verdict of :meth:`decide`, without its reason or diagnostics.
+
+        The reservation draw is a pure function of the call, so it is made
+        only for a call that fits and stays within the envelope, the only
+        calls whose verdict it can change.
+        """
+        fits, peak, admission_capacity = self._admission_test(call, station)
+        return fits and peak <= admission_capacity and self._establish_reservations(call)
+
+    def decide(self, call: Call, station: BaseStation, now: float) -> AdmissionDecision:
+        fits, peak, admission_capacity = self._admission_test(call, station)
         within_envelope = peak <= admission_capacity
         reservations_ok = self._establish_reservations(call)
         accepted = fits and within_envelope and reservations_ok

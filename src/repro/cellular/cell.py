@@ -9,6 +9,7 @@ state (Cs), Real Time Counter (RTC) and Non Real Time Counter (NRTC).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .calls import Call
@@ -18,6 +19,13 @@ from .traffic import PAPER_BANDWIDTH_UNITS
 __all__ = ["BandwidthLedger", "BaseStation", "Cell"]
 
 _cell_ids = itertools.count(1)
+
+#: Relative margin :meth:`Cell.inside_inscribed_circle` keeps inside the
+#: circle.  A point that far inside is about 1e-9 cell radii from every edge
+#: of the hexagon, far beyond the rounding of
+#: :meth:`~repro.cellular.geometry.HexCoordinate.from_point` (a few ulps of
+#: the ring count, in cell radii).
+_INSCRIBED_MARGIN = 1e-9
 
 
 class InsufficientBandwidthError(RuntimeError):
@@ -171,10 +179,26 @@ class Cell:
         self.base_station = BaseStation(
             position=self.center, capacity_bu=capacity_bu, station_id=self.cell_id
         )
+        # The inscribed circle of a hexagon of circumradius R has radius
+        # R * sqrt(3) / 2; squared, less the margin.
+        inscribed = radius_km * math.sqrt(3.0) / 2.0 * (1.0 - _INSCRIBED_MARGIN)
+        self._inscribed_sq = inscribed * inscribed
 
     def contains(self, point: Point) -> bool:
         """True when a planar point falls inside this cell's hexagon."""
         return HexCoordinate.from_point(point, self.radius_km) == self.coordinate
+
+    def inside_inscribed_circle(self, x: float, y: float) -> bool:
+        """True when ``(x, y)`` lies strictly inside this cell's inscribed
+        circle, shrunk by :data:`_INSCRIBED_MARGIN`.
+
+        There :meth:`~repro.cellular.network.CellularNetwork.serving_cell`
+        can only return this cell, so a caller may skip the hexagon
+        rounding.  False says nothing: the point may still be in the cell.
+        """
+        dx = x - self.center.x
+        dy = y - self.center.y
+        return dx * dx + dy * dy < self._inscribed_sq
 
     def distance_to(self, point: Point) -> float:
         """Distance from the cell centre (= base station) to a point, in km."""

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Point, Vector, heading_between, normalize_angle, relative_angle
+from .geometry import Point, heading_between, normalize_angle, relative_angle
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.rng import RandomStream
@@ -28,6 +28,7 @@ __all__ = [
     "UserState",
     "MobileTerminal",
     "MobilityModel",
+    "observation_at",
     "ConstantVelocityModel",
     "RandomWaypointModel",
     "GaussMarkovModel",
@@ -157,12 +158,28 @@ class UserPopulation:
         return [self._profile.sample(self._rng) for _ in range(count)]
 
 
+def observation_at(
+    x: float, y: float, heading_deg: float, station: Point
+) -> tuple[float, float]:
+    """``(angle, distance)`` that a terminal at ``(x, y)`` heading ``heading_deg``
+    shows a base station at ``station``: what :meth:`MobileTerminal.observe`
+    reports, from floats, so callers holding rows of floats build nothing."""
+    distance = math.hypot(x - station.x, y - station.y)
+    bearing = math.degrees(math.atan2(station.y - y, station.x - x))
+    return relative_angle(heading_deg, bearing), distance
+
+
 class MobileTerminal:
     """A mobile terminal with planar position and velocity.
 
     The terminal does not know about cells; the network layer maps positions
-    to serving cells and the handoff manager reacts to cell changes.
+    to serving cells and the handoff manager reacts to cell changes.  The
+    position is kept as two floats, :attr:`x` and :attr:`y` (km), so moving
+    a terminal builds no object; :attr:`position` reads and sets them as a
+    :class:`Point`.
     """
+
+    __slots__ = ("terminal_id", "x", "y", "speed_kmh", "heading_deg", "mean_heading_deg")
 
     def __init__(
         self,
@@ -174,23 +191,38 @@ class MobileTerminal:
         if speed_kmh < 0:
             raise ValueError(f"speed must be non-negative, got {speed_kmh}")
         self.terminal_id = terminal_id if terminal_id is not None else next(_terminal_ids)
-        self.position = position
+        self.x = position.x
+        self.y = position.y
         self.speed_kmh = speed_kmh
         self.heading_deg = normalize_angle(heading_deg)
+        #: The heading a :class:`GaussMarkovModel` pulls this terminal back
+        #: towards: its heading at its first update (``None`` before it).
+        self.mean_heading_deg: float | None = None
 
     # ------------------------------------------------------------------
     @property
-    def velocity(self) -> Vector:
-        """Velocity vector in km/h."""
-        return Vector.from_polar(self.speed_kmh, self.heading_deg)
+    def position(self) -> Point:
+        return Point(self.x, self.y)
 
-    def advance(self, duration_s: float) -> Point:
-        """Move the terminal along its heading for ``duration_s`` seconds."""
+    @position.setter
+    def position(self, point: Point) -> None:
+        self.x = point.x
+        self.y = point.y
+
+    def advance(self, duration_s: float) -> None:
+        """Move the terminal along its heading for ``duration_s`` seconds.
+
+        ``x + (speed * cos(heading)) * (duration_s / 3600)``, and ``sin``
+        for ``y``: the operations of
+        ``position.translate(Vector.from_polar(speed, heading).scale(...))``
+        in the same order, without building the vectors or the point.
+        """
         if duration_s < 0:
             raise ValueError(f"duration must be non-negative, got {duration_s}")
-        displacement = self.velocity.scale(duration_s / 3600.0)
-        self.position = self.position.translate(displacement)
-        return self.position
+        factor = duration_s / 3600.0
+        radians = math.radians(self.heading_deg)
+        self.x = self.x + self.speed_kmh * math.cos(radians) * factor
+        self.y = self.y + self.speed_kmh * math.sin(radians) * factor
 
     def observe(self, base_station_position: Point) -> UserState:
         """Produce the (speed, angle, distance) observation for FLC1.
@@ -199,15 +231,13 @@ class MobileTerminal:
         base station*: 0° means moving straight at the BS, ±180° means moving
         straight away — matching the paper's "Straight"/"Back" terms.
         """
-        distance = self.position.distance_to(base_station_position)
-        bearing = heading_between(self.position, base_station_position)
-        angle = relative_angle(self.heading_deg, bearing)
+        angle, distance = observation_at(self.x, self.y, self.heading_deg, base_station_position)
         return UserState(speed_kmh=self.speed_kmh, angle_deg=angle, distance_km=distance)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MobileTerminal(id={self.terminal_id}, pos=({self.position.x:.2f}, "
-            f"{self.position.y:.2f}), v={self.speed_kmh:.1f}km/h @ {self.heading_deg:.0f}°)"
+            f"MobileTerminal(id={self.terminal_id}, pos=({self.x:.2f}, "
+            f"{self.y:.2f}), v={self.speed_kmh:.1f}km/h @ {self.heading_deg:.0f}°)"
         )
 
 
@@ -321,23 +351,33 @@ class GaussMarkovModel(MobilityModel):
         self.speed_std_kmh = speed_std_kmh
         self.heading_std_deg = heading_std_deg
         self.update_interval_s = update_interval_s
-        self._mean_heading: dict[int, float] = {}
 
     def update(self, terminal: MobileTerminal, duration_s: float, rng: "RandomStream") -> None:
+        """Advance ``terminal`` by ``duration_s`` in steps of the update interval.
+
+        Each step moves the terminal, then draws two normals from ``rng``
+        (speed, then heading) with ``rng.normal(0.0, std)``, so a
+        :class:`~repro.des.rng.BufferedNormals` over a stream moves it
+        exactly as the stream itself does.  The terminal keeps its mean
+        heading (:attr:`MobileTerminal.mean_heading_deg`).
+        """
         remaining = duration_s
-        mean_heading = self._mean_heading.setdefault(terminal.terminal_id, terminal.heading_deg)
-        sqrt_term = math.sqrt(max(1.0 - self.alpha**2, 0.0))
+        if terminal.mean_heading_deg is None:
+            terminal.mean_heading_deg = terminal.heading_deg
+        mean_heading = terminal.mean_heading_deg
+        alpha = self.alpha
+        sqrt_term = math.sqrt(max(1.0 - alpha**2, 0.0))
         while remaining > 1e-9:
             step = min(self.update_interval_s, remaining)
             terminal.advance(step)
             new_speed = (
-                self.alpha * terminal.speed_kmh
-                + (1.0 - self.alpha) * self.mean_speed_kmh
+                alpha * terminal.speed_kmh
+                + (1.0 - alpha) * self.mean_speed_kmh
                 + sqrt_term * rng.normal(0.0, self.speed_std_kmh)
             )
             new_heading = (
-                self.alpha * terminal.heading_deg
-                + (1.0 - self.alpha) * mean_heading
+                alpha * terminal.heading_deg
+                + (1.0 - alpha) * mean_heading
                 + sqrt_term * rng.normal(0.0, self.heading_std_deg)
             )
             terminal.speed_kmh = max(new_speed, 0.0)

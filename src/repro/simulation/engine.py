@@ -14,9 +14,16 @@ occupancy sample.  Entries pop in time order, and equal times pop in the
 order they were scheduled, so a run is the same event sequence as the
 generator-process engine on :mod:`repro.des` it replaced, and its output is
 that engine's byte for byte (``tests/simulation/network_oracle.py`` keeps
-that engine as the oracle).  Each cell's ``arrivals-``, ``class-``,
-``terminal-`` and ``holding-`` streams are drawn when its arrival pops, and
-the simulation's ``mobility`` stream in tick order.
+that engine as the oracle).
+
+A cell's new-call requests come from its ``arrivals-``, ``class-``,
+``terminal-`` and ``holding-`` streams alone, never from the network's
+state.  So from its arrival stream's start a cell draws them ahead in blocks
+of up to :data:`_BLOCK_ROWS`, each stream in the order one arrival at a
+time would draw it.  A block keeps its rows as floats; a terminal is built
+only when its call is admitted, and call ids and heap sequence numbers are
+taken when the arrival pops.  The simulation's ``mobility`` stream is read
+in tick order, through a :class:`~repro.des.rng.BufferedNormals`.
 
 A simulation owns a set of the layout's cells, all of them by default, and
 runs controllers and arrivals only there.  A call that crosses into a cell it
@@ -29,34 +36,57 @@ the arrival horizon over all cells; the shard engine
 (:mod:`repro.simulation.shard`) steps one single-cell simulation per cell
 once per window.
 
-Every new call and every handoff is admitted through the controller's
-:meth:`~repro.cac.base.AdmissionController.accepts`, which returns
-``decide(...).accepted`` without the score and diagnostics the engine never
-reads.  For FACS that is exact FLC1, one lookup in the certified decision
-screen's (R, Cs) cell table, and exact FLC2 only where that cell is
-ambiguous, its table is not yet worth building (the screen builds an
-(R, Cs) table once that pair has been asked about a dozen times), or the
-controller pair has no screen.
+Decisions take one of two paths:
+
+* **FACS blocks.**  For an exact
+  :class:`~repro.cac.facs.system.FuzzyAdmissionControlSystem`, FLC1 runs
+  once per block through
+  :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`,
+  and the block answers each new call at the occupancy it meets: from the
+  certified decision screen's (R, Cs) table, by exact FLC2 where that table
+  is ambiguous or not yet built, by exact inference for a pair without a
+  screen.  A request that does not fit is rejected before its block is
+  asked, since the verdict is stateless.
+* **Per call.**  Every handoff, and every new call of any other controller,
+  is asked of the controller's
+  :meth:`~repro.cac.base.AdmissionController.accepts` on its
+  :class:`~repro.cellular.calls.Call`, which returns ``decide(...).accepted``
+  without the score and diagnostics.  For FACS that is exact FLC1 and one
+  screen lookup (``DecisionScreen.verdict_at``).
+
+:meth:`NetworkSimulation.outcome` logs how many requests took each path.  A
+mobility tick moves its terminal with
+:meth:`~repro.cellular.mobility.GaussMarkovModel.update`; while the terminal
+is strictly inside its cell's inscribed circle it can only be in that cell,
+so the hexagon rounding of
+:meth:`~repro.cellular.network.CellularNetwork.serving_cell` runs only
+outside it.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
+import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from ..analysis.frame import FrameRow, network_output_row
 from ..cac.base import AdmissionController
+from ..cac.facs.screen import ScreenedColumns
+from ..cac.facs.system import ExactColumns, FuzzyAdmissionControlSystem
 from ..cellular.calls import Call, CallType
 from ..cellular.cell import Cell
-from ..cellular.geometry import Point
+from ..cellular.geometry import Point, normalize_angle
 from ..cellular.metrics import CallMetrics, MetricsCollector
-from ..cellular.mobility import GaussMarkovModel, MobileTerminal, UserState
+from ..cellular.mobility import GaussMarkovModel, MobileTerminal, UserState, observation_at
 from ..cellular.network import CellularNetwork, hex_cell_count
-from ..cellular.traffic import ServiceClass, TrafficMix
-from ..des.rng import RandomStream, StreamFactory
+from ..cellular.traffic import ServiceClass
+from ..des.rng import BufferedNormals, RandomStream, StreamFactory
 from ..workloads.arrivals import InterarrivalSampler, PoissonArrival
 from .config import NetworkExperimentConfig
 from .results import RunResult
@@ -72,11 +102,19 @@ __all__ = [
 
 ControllerFactory = Callable[[], AdmissionController]
 
+_log = logging.getLogger(__name__)
+
 #: Width of each simulation's call-id namespace.  A simulation whose first
 #: owned cell is ``k`` issues ids ``(k-1) * _CALL_ID_NAMESPACE + 1, 2, 3,
 #: ...``: globally unique across the shards of a run without coordination,
 #: and the plain ``1, 2, 3, ...`` sequence for a simulation of every cell.
 _CALL_ID_NAMESPACE = 1 << 40
+
+#: New-call requests a cell draws ahead at a time.  At the paper's loads a
+#: cell meets a few dozen requests in a run, so one block usually covers its
+#: whole run, and FLC1 runs once for it; a long run holds at most this many
+#: drawn rows per cell.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -156,14 +194,70 @@ class ShardOutcome:
 _ARRIVALS_START, _ARRIVAL, _CALL_START, _TICK, _SAMPLER_START, _SAMPLE = range(6)
 
 
-class _CellArrivals(NamedTuple):
-    """One cell's new-call arrivals: its gap sampler and its random streams."""
+#: Rows of a block's ``columns``: a request's terminal (position, speed,
+#: raw heading), the observation it shows the cell's base station (angle,
+#: unclamped distance) and the call's holding time.
+_X, _Y, _SPEED, _HEADING, _ANGLE, _DISTANCE, _HOLDING = range(7)
 
-    cell: Cell
-    sampler: InterarrivalSampler
-    class_rng: RandomStream
-    terminal_rng: RandomStream
-    holding_rng: RandomStream
+
+class _CellArrivals:
+    """One cell's new-call arrivals: its gap sampler, its streams, and the
+    block of requests drawn ahead.
+
+    ``times`` holds the block's arrival instants; the last one may be the
+    first instant at or after the horizon, which carries no request.
+    Entry ``k`` of ``codes`` and column ``k`` of ``columns`` are the request
+    arriving at ``times[k]``: its class code and its floats.  ``verdicts``
+    answers the block's rows for an exact FACS controller, else is
+    ``None``; ``next`` is the row of the next arrival.
+    """
+
+    __slots__ = (
+        "cell", "controller", "blocks", "sampler", "class_rng", "terminal_rng",
+        "holding_rng", "times", "codes", "columns", "verdicts", "next",
+    )  # fmt: skip
+
+    def __init__(
+        self,
+        cell: Cell,
+        controller: AdmissionController,
+        sampler: InterarrivalSampler,
+        streams: tuple[RandomStream, RandomStream, RandomStream],
+    ):
+        self.cell = cell
+        self.controller = controller
+        # Only an exact FACS controller answers from blocks: a subclass may
+        # override ``decide``, so it is asked per call.
+        self.blocks = type(controller) is FuzzyAdmissionControlSystem
+        self.sampler = sampler
+        self.class_rng, self.terminal_rng, self.holding_rng = streams
+        self.verdicts: ScreenedColumns | ExactColumns | None = None
+
+
+class _DecisionPaths:
+    """How a simulation's requests were decided (see :meth:`NetworkSimulation.outcome`).
+
+    ``blocks`` and ``rows`` count the FACS blocks drawn and their rows;
+    ``screened``, ``exact_flc1`` and ``exact_flc2`` add up the counters of
+    the blocks already spent; ``unfit`` counts the new calls rejected before
+    their block was asked because they did not fit; ``asked_new`` and
+    ``asked_handoffs`` the requests asked per call.
+    """
+
+    __slots__ = (
+        "blocks", "rows", "screened", "exact_flc1", "exact_flc2", "unfit",
+        "asked_new", "asked_handoffs",
+    )  # fmt: skip
+
+    def __init__(self) -> None:
+        for name in self.__slots__:
+            setattr(self, name, 0)
+
+    def fold(self, verdicts: ScreenedColumns | ExactColumns) -> None:
+        """Add a spent block's counters."""
+        self.screened += verdicts.screened
+        self.exact_flc1 += verdicts.exact_flc1
+        self.exact_flc2 += verdicts.exact_flc2
 
 
 class _ActiveCall:
@@ -224,8 +318,11 @@ class NetworkSimulation:
             mean_speed_kmh=config.mean_speed_kmh,
             update_interval_s=config.mobility_update_s,
         )
-        self._mobility_rng = self._streams.stream("mobility")
-        self._mix = config.effective_traffic_mix()
+        # Drawn on first use, never here: the DES oracles share the factory.
+        self._normals = BufferedNormals(self._streams.stream("mobility"))
+        self._mix = mix = config.effective_traffic_mix()
+        self._bandwidths: list[int] = mix.bandwidth_by_code().tolist()
+        self._mean_holdings = mix.mean_holding_by_code()
         self._heap: list[tuple[float, int, int, object]] = []
         # Equal-time entries pop in the order they were scheduled.
         self._sequence = itertools.count()
@@ -237,6 +334,8 @@ class NetworkSimulation:
         self._dropped = 0
         self._occupancy_time_integral = 0.0
         self._last_occupancy_sample = 0.0
+        self._paths = _DecisionPaths()
+        self._arrivals: list[_CellArrivals] = []
         for cell in self._cells:
             self._schedule(0.0, _ARRIVALS_START, cell)
         self._schedule(0.0, _SAMPLER_START, None)
@@ -260,17 +359,6 @@ class NetworkSimulation:
         # Clamp the distance into the controllers' 0-10 km universe.
         return state.clamped()
 
-    def _spawn_terminal(self, cell: Cell, rng: RandomStream) -> MobileTerminal:
-        """Place a new mobile terminal uniformly within a cell."""
-        radius = self._config.cell_radius_km * math.sqrt(rng.uniform(0.0, 1.0))
-        angle = rng.uniform(-180.0, 180.0)
-        offset_x = radius * math.cos(math.radians(angle))
-        offset_y = radius * math.sin(math.radians(angle))
-        position = Point(cell.center.x + offset_x, cell.center.y + offset_y)
-        speed = max(rng.normal(self._config.mean_speed_kmh, self._config.mean_speed_kmh / 3.0), 0.0)
-        heading = rng.angle_degrees()
-        return MobileTerminal(position=position, speed_kmh=speed, heading_deg=heading)
-
     def _handoff_admitted(
         self, call: Call, terminal: MobileTerminal, target: Cell, now: float
     ) -> bool:
@@ -285,6 +373,7 @@ class NetworkSimulation:
             call_id=next(self._call_ids),
         )
         self._metrics.record_request(handoff_request)
+        self._paths.asked_handoffs += 1
         verdict = self._controllers[target.cell_id].accepts(
             handoff_request, target.base_station, now
         )
@@ -332,8 +421,8 @@ class NetworkSimulation:
                 elapsed_s=active.elapsed,
                 requested_at=call.requested_at,
                 handoff_count=call.handoff_count,
-                position_x=terminal.position.x,
-                position_y=terminal.position.y,
+                position_x=terminal.x,
+                position_y=terminal.y,
                 speed_kmh=terminal.speed_kmh,
                 heading_deg=terminal.heading_deg,
             )
@@ -384,45 +473,125 @@ class NetworkSimulation:
         model = PoissonArrival() if config.workload is None else config.workload.arrival
         arrivals = _CellArrivals(
             cell,
+            self._controllers[cell.cell_id],
             model.sampler(
                 streams.stream(f"arrivals-{cell.cell_id}"), config.arrival_rate_per_cell_per_s
             ),
-            streams.stream(f"class-{cell.cell_id}"),
-            streams.stream(f"terminal-{cell.cell_id}"),
-            streams.stream(f"holding-{cell.cell_id}"),
+            (
+                streams.stream(f"class-{cell.cell_id}"),
+                streams.stream(f"terminal-{cell.cell_id}"),
+                streams.stream(f"holding-{cell.cell_id}"),
+            ),
         )
-        self._schedule(now + arrivals.sampler.next_interarrival(now), _ARRIVAL, arrivals)
+        self._arrivals.append(arrivals)
+        self._draw_block(arrivals, now)
+        self._schedule(arrivals.times[0], _ARRIVAL, arrivals)
 
-    def _arrive(self, arrivals: _CellArrivals, now: float, mix: TrafficMix) -> None:
+    def _draw_block(self, arrivals: _CellArrivals, now: float) -> None:
+        """Draw a cell's next requests after ``now``, up to :data:`_BLOCK_ROWS`.
+
+        The requests depend on the cell's own streams alone, never on the
+        network's state, so drawing them ahead changes no value: each
+        stream yields what it would have yielded one arrival at a time.
+        Gaps are drawn until the first instant at or after the horizon,
+        and a class, terminal and holding time only for the instants
+        before it, as when each arrival popped.
+        """
+        if arrivals.verdicts is not None:
+            self._paths.fold(arrivals.verdicts)
+            arrivals.verdicts = None
+        horizon = self._config.duration_s
+        sampler = arrivals.sampler
+        times: list[float] = []
+        while len(times) < _BLOCK_ROWS:
+            now = now + sampler.next_interarrival(now)
+            times.append(now)
+            if now >= horizon:
+                break
+        count = len(times) - (times[-1] >= horizon)
+        codes = self._mix.sample_class_codes(arrivals.class_rng, count)
+        columns = np.empty((7, count))
+        columns[:_HOLDING] = self._draw_terminals(arrivals, count)
+        columns[_HOLDING] = arrivals.holding_rng.exponential_by_means(self._mean_holdings[codes])
+        arrivals.times = times
+        arrivals.codes = codes.tolist()
+        arrivals.columns = columns
+        arrivals.next = 0
+        if arrivals.blocks and count:
+            arrivals.verdicts = arrivals.controller.decide_columns(
+                columns[_SPEED],
+                columns[_ANGLE],
+                columns[_DISTANCE],
+                np.asarray(self._bandwidths, dtype=np.float64)[codes],
+            )
+            self._paths.blocks += 1
+            self._paths.rows += count
+
+    def _draw_terminals(self, arrivals: _CellArrivals, count: int) -> np.ndarray:
+        """Place ``count`` new terminals uniformly within the cell.
+
+        Returns the ``_X`` to ``_DISTANCE`` rows, one column per terminal.
+        """
+        config, cell = self._config, arrivals.cell
+        rng = arrivals.terminal_rng
+        center, station = cell.center, cell.base_station.position
+        mean_speed = config.mean_speed_kmh
+        values: list[float] = []
+        for _ in range(count):
+            radius = config.cell_radius_km * math.sqrt(rng.uniform(0.0, 1.0))
+            angle = rng.uniform(-180.0, 180.0)
+            x = center.x + radius * math.cos(math.radians(angle))
+            y = center.y + radius * math.sin(math.radians(angle))
+            speed = max(rng.normal(mean_speed, mean_speed / 3.0), 0.0)
+            heading = rng.angle_degrees()
+            seen, distance = observation_at(x, y, normalize_angle(heading), station)
+            values += (x, y, speed, heading, seen, distance)
+        return np.array(values).reshape(count, _HOLDING).T
+
+    def _arrive(self, arrivals: _CellArrivals, now: float) -> None:
         """A new-call request at one cell; then that cell's next arrival."""
         if now >= self._config.duration_s:
             return
+        k = arrivals.next
         cell = arrivals.cell
-        service = mix.sample_class(arrivals.class_rng)
-        spec = mix.spec(service)
-        terminal = self._spawn_terminal(cell, arrivals.terminal_rng)
+        station = cell.base_station
+        code = arrivals.codes[k]
+        bandwidth = self._bandwidths[code]
+        x, y, speed, heading, angle, distance, holding = arrivals.columns[:, k].tolist()
         call = Call(
-            service=service,
-            bandwidth_units=spec.bandwidth_units,
+            service=self._mix.services[code],
+            bandwidth_units=bandwidth,
             call_type=CallType.NEW,
-            user_state=self._observe(terminal, cell),
+            user_state=UserState(speed, angle, distance).clamped(),
             requested_at=now,
-            holding_time_s=arrivals.holding_rng.exponential(spec.mean_holding_time_s),
+            holding_time_s=holding,
             call_id=next(self._call_ids),
         )
-        controller = self._controllers[cell.cell_id]
+        controller = arrivals.controller
         self._metrics.record_request(call)
-        verdict = controller.accepts(call, cell.base_station, now)
-        accepted = verdict and cell.base_station.can_fit(call.bandwidth_units)
+        verdicts = arrivals.verdicts
+        if verdicts is None:
+            self._paths.asked_new += 1
+            accepted = controller.accepts(call, station, now) and station.can_fit(bandwidth)
+        elif station.can_fit(bandwidth):
+            # A block's verdict is stateless, so the fit is checked first.
+            accepted = verdicts.accepts(k, station.used_bu)
+        else:
+            self._paths.unfit += 1
+            accepted = False
         self._metrics.record_decision(call, accepted)
         if accepted:
-            cell.base_station.allocate(call)
+            station.allocate(call)
             call.admit(now, cell.cell_id)
-            controller.on_admitted(call, cell.base_station, now)
+            controller.on_admitted(call, station, now)
+            terminal = MobileTerminal(Point(x, y), speed, heading)
             self._schedule(now, _CALL_START, _ActiveCall(call, terminal, cell))
         else:
             call.block(now, cell.cell_id)
-        self._schedule(now + arrivals.sampler.next_interarrival(now), _ARRIVAL, arrivals)
+        arrivals.next = k = k + 1
+        if k == len(arrivals.times):
+            self._draw_block(arrivals, now)
+        self._schedule(arrivals.times[arrivals.next], _ARRIVAL, arrivals)
 
     def _hold(self, active: _ActiveCall, now: float) -> None:
         """Schedule a call's next mobility tick, or complete it once its holding time is up."""
@@ -441,9 +610,14 @@ class NetworkSimulation:
     def _tick(self, active: _ActiveCall, now: float) -> None:
         """Move a call by one step; it then hands off, departs, leaves coverage or holds on."""
         active.elapsed += active.step
-        self._mobility.update(active.terminal, active.step, self._mobility_rng)
-        new_cell = self._network.serving_cell(active.terminal.position)
-        call, cell = active.call, active.cell
+        terminal, cell = active.terminal, active.cell
+        self._mobility.update(terminal, active.step, self._normals)
+        if cell.inside_inscribed_circle(terminal.x, terminal.y):
+            # Deep inside its cell: serving_cell could return only this cell.
+            self._hold(active, now)
+            return
+        new_cell = self._network.serving_cell(terminal.position)
+        call = active.call
         if new_cell is None:
             # Out of coverage: treat as a dropped call.
             cell.base_station.release(call)
@@ -457,7 +631,7 @@ class NetworkSimulation:
                 self._depart(active, new_cell, now)
                 return
             self._handoff_attempts += 1
-            target = self._attempt_handoff(call, active.terminal, cell, new_cell, now)
+            target = self._attempt_handoff(call, terminal, cell, new_cell, now)
             if target is None:
                 self._handoff_failures += 1
                 self._dropped += 1
@@ -478,14 +652,14 @@ class NetworkSimulation:
         """
         for message in inbound:
             self._deliver(message)
-        config, mix = self._config, self._mix
+        config = self._config
         heap, pop = self._heap, heapq.heappop
         while heap and heap[0][0] <= until:
             now, _, kind, payload = pop(heap)
             if kind == _TICK:
                 self._tick(payload, now)
             elif kind == _ARRIVAL:
-                self._arrive(payload, now, mix)
+                self._arrive(payload, now)
             elif kind == _CALL_START:
                 self._hold(payload, now)
             elif kind == _ARRIVALS_START:
@@ -514,7 +688,30 @@ class NetworkSimulation:
         return merge_outcomes(self._config, [self.outcome()])
 
     def outcome(self) -> ShardOutcome:
-        """This simulation's final counters, for :func:`merge_outcomes`."""
+        """This simulation's final counters, for :func:`merge_outcomes`.
+
+        Logs the decision paths the run took at DEBUG on
+        ``repro.simulation.engine``: the new calls answered from FACS
+        blocks, by certified screen or exact FLC2 (and the rows whose FLC1
+        ran exactly), those rejected before their block was asked because
+        they did not fit, those asked per call, and the handoffs asked per
+        call.  Screened, exact-FLC2, unfitting and per-call new calls add
+        up to the new-call requests; handoffs asked to the handoff requests.
+        """
+        if _log.isEnabledFor(logging.DEBUG):
+            paths = copy.copy(self._paths)
+            for arrivals in self._arrivals:
+                if arrivals.verdicts is not None:
+                    paths.fold(arrivals.verdicts)
+            _log.debug(
+                "network decisions (%s, cells %d-%d): %d FACS blocks of %d rows, "
+                "%d screened, %d exact FLC1 rows, %d exact FLC2 rows, %d new calls "
+                "that did not fit, %d new calls asked per call, %d handoffs asked per call",
+                self._controller_name,
+                self._cells[0].cell_id,
+                self._cells[-1].cell_id,
+                *(getattr(paths, name) for name in _DecisionPaths.__slots__),
+            )
         workload = self._config.workload
         class_names = () if workload is None else workload.class_names()
         return ShardOutcome(

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.cac.base import AdmissionDecision, DecisionOutcome
 from repro.cac.counters import ServiceCounters
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
+from repro.cac.facs.screen import _MEMO_ENTRIES
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem, _shared_screen
 from repro.cellular.calls import Call
 from repro.cellular.mobility import UserState
 from repro.cellular.traffic import ServiceClass
+from repro.tuning.space import ParameterSpec, SearchSpace
 from tests.conftest import make_call
 
 
@@ -315,3 +320,42 @@ class TestScreenFallbackLogging:
         with caplog.at_level(logging.INFO, logger=self.LOGGER):
             FuzzyAdmissionControlSystem().decide_columns(*self._columns())
         assert self._screen_records(caplog) == []
+
+
+class TestSharedMemos:
+    """Process-wide memos share tables across trials without pinning dead ones."""
+
+    TRIALS = 10
+
+    @staticmethod
+    def _verdict_tables(config: FACSConfig):
+        screen = FuzzyAdmissionControlSystem(config)._decision_screen()
+        assert screen is not None
+        return screen._verdicts
+
+    def _search(self, target: str, low: float, high: float) -> list:
+        """Each trial's verdict tables, over a grid of one parameter."""
+        slot = "flc1" if target.split(".")[1] in ("S", "A", "D") else "flc2"
+        base = flc1_definition() if slot == "flc1" else flc2_definition()
+        spec = ParameterSpec(target, low=low, high=high, steps=self.TRIALS)
+        space = SearchSpace((spec,))
+        return [
+            self._verdict_tables(
+                FACSConfig(**{f"{slot}_definition": space.apply(base, (value,))})
+            )
+            for value in spec.grid_values()
+        ]
+
+    def test_an_flc2_search_keeps_only_a_few_verdict_tables_alive(self):
+        tables = self._search("mf.Cs.M.1", 15.0, 25.0)
+        assert len({id(trial) for trial in tables}) == self.TRIALS
+        trials = [weakref.ref(trial) for trial in tables]
+        del tables
+        gc.collect()
+        alive = sum(ref() is not None for ref in trials)
+        assert alive <= _MEMO_ENTRIES < self.TRIALS
+
+    def test_an_flc1_search_shares_one_flc2s_tables(self):
+        tables = self._search("mf.S.M.1", 20.0, 40.0)
+        assert all(trial is tables[0] for trial in tables)
+        assert tables[0] is self._verdict_tables(FACSConfig())

@@ -21,6 +21,14 @@ from repro.cellular.traffic import ServiceClass
 from repro.des.rng import RandomStream, _mix_seed
 from tests.conftest import make_call
 
+_USERS = st.none() | st.builds(
+    UserState,
+    # Below 1 km/h a user is stationary and needs no reservations.
+    speed_kmh=st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 120.0),
+    angle_deg=st.floats(-180.0, 180.0),
+    distance_km=st.floats(0.0, 10.0),
+)
+
 
 def _stream_reservations(scc: ShadowClusterController, call: Call) -> bool:
     """The reservation draw as a RandomStream seeded from the request makes it."""
@@ -320,6 +328,77 @@ class TestSCCController:
         decision = scc.decide(call, BaseStation(), requested_at)
         expected = _stream_reservations(scc, call)
         assert decision.diagnostics["reservations_ok"] == (1.0 if expected else 0.0)
+
+    def test_accepts_projects_an_admitted_call_once(self, station, monkeypatch):
+        projected = []
+        monkeypatch.setattr(
+            demand,
+            "project_residency",
+            lambda user, config: projected.append(user) or project_residency(user, config),
+        )
+        scc = ShadowClusterController()
+        call = make_call(ServiceClass.VOICE, speed=0.0)
+        assert scc.accepts(call, station, 0.0)
+        station.allocate(call)
+        scc.on_admitted(call, station, 0.0)
+        assert projected == [call.user_state]
+
+    def test_accepts_skips_the_reservation_draw_for_a_call_that_does_not_fit(
+        self, station, monkeypatch
+    ):
+        drawn = []
+        monkeypatch.setattr(
+            ShadowClusterController,
+            "_establish_reservations",
+            lambda self, call: drawn.append(call) or True,
+        )
+        scc = ShadowClusterController()
+        station.allocate(make_call(ServiceClass.VIDEO, bandwidth=38))
+        assert not scc.accepts(make_call(ServiceClass.VOICE), station, 0.0)
+        assert drawn == []
+        assert scc.accepts(make_call(ServiceClass.TEXT), station, 0.0)
+        assert len(drawn) == 1
+
+    @given(
+        candidate=st.builds(
+            Call,
+            service=st.just(ServiceClass.TEXT),
+            bandwidth_units=st.sampled_from((1, 5, 10)),
+            call_type=st.sampled_from(CallType),
+            user_state=_USERS,
+            requested_at=st.floats(0.0, 10_000.0),
+        ),
+        tracked=st.lists(
+            st.tuples(st.sampled_from((1, 5, 10)), _USERS, st.booleans()), max_size=12
+        ),
+        handoff_reservation=st.sampled_from((0.0, 8.0)) | st.floats(0.0, 30.0),
+        failure=st.sampled_from((0.0, 0.03)) | st.floats(0.0, 0.99),
+        threshold=st.sampled_from((1.0, 0.8)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_equals_decide(
+        self, candidate, tracked, handoff_reservation, failure, threshold
+    ):
+        # ``accepts`` skips the reservation draw where the call cannot be
+        # admitted anyway; the verdict must not move.
+        scc = ShadowClusterController(
+            SCCConfig(
+                handoff_reservation_bu=handoff_reservation,
+                reservation_failure_probability=failure,
+                admission_threshold=threshold,
+            )
+        )
+        station = BaseStation()
+        for bandwidth, user, known in tracked:
+            call = Call(service=ServiceClass.TEXT, bandwidth_units=bandwidth, user_state=user)
+            if not station.can_fit(bandwidth):
+                break
+            station.allocate(call)
+            # Some occupancy is not tracked by this controller's cluster.
+            if known:
+                scc.on_admitted(call, station, 0.0)
+        now = candidate.requested_at
+        assert scc.accepts(candidate, station, now) == scc.decide(candidate, station, now).accepted
 
     def test_stationary_calls_never_fail_reservations(self, station):
         scc = ShadowClusterController(SCCConfig(reservation_failure_probability=0.9))

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
+from repro.cac.base import AdmissionController
 from repro.cac.facs import FLC1, FLC2, FuzzyAdmissionControlSystem
 from repro.cac.scc import ShadowClusterController
 from repro.cellular import BaseStation, Call, CallType, ServiceClass, UserState
@@ -28,6 +31,30 @@ def des_runs(monkeypatch) -> list[Environment]:
 
     monkeypatch.setattr(Environment, "run", counted)
     return entered
+
+
+@pytest.fixture
+def controller_asks(monkeypatch) -> SimpleNamespace:
+    """What the controllers are asked, in order: ``accepts`` lists the call
+    type of each request asked on its call, ``decide_columns`` the row count
+    of each FACS block."""
+    asked = SimpleNamespace(accepts=[], decide_columns=[])
+    for owner in (AdmissionController, FuzzyAdmissionControlSystem):
+        accepts = owner.__dict__["accepts"]
+
+        def counted(self, call, station, now, _accepts=accepts):
+            asked.accepts.append(call.call_type)
+            return _accepts(self, call, station, now)
+
+        monkeypatch.setattr(owner, "accepts", counted)
+    decide_columns = FuzzyAdmissionControlSystem.decide_columns
+
+    def blocked(self, speeds, angles, distances, request_bus):
+        asked.decide_columns.append(len(request_bus))
+        return decide_columns(self, speeds, angles, distances, request_bus)
+
+    monkeypatch.setattr(FuzzyAdmissionControlSystem, "decide_columns", blocked)
+    return asked
 
 
 @pytest.fixture

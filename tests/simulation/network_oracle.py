@@ -3,20 +3,29 @@
 :class:`DESNetworkSimulation` is :class:`~repro.simulation.engine.NetworkSimulation`
 with ``run`` written as generator processes on :class:`repro.des.Environment`:
 one arrival process per cell, one process per admitted call (mobility ticks,
-handoffs, completion) and an occupancy sampler.  It shares the terminal
-placement, the observation, the handoff attempt and the output merge with the
-engine, so a difference between the two is a difference in event order,
-timing or draw order.  The heap entries the engine schedules on construction
-are never popped here.  ``tests/simulation/test_network_loop.py`` holds the
-two equal.
+handoffs, completion) and an occupancy sampler.  Each arrival draws its
+class, terminal and holding time when it happens, asks the controller's
+``accepts`` on its call, and each tick moves a terminal with scalar draws on
+the ``mobility`` stream and maps it to a cell by hexagon rounding; the engine
+draws requests ahead in blocks, answers an exact FACS controller's new calls
+from FACS blocks, reads mobility normals from a buffer and skips the rounding
+deep inside a cell.  The two share the observation, the handoff attempt and
+the output merge, so a difference between them is a difference in event
+order, timing, draw order or one of those fast paths.  The heap entries the
+engine schedules on construction are never popped here.
+``tests/simulation/test_network_loop.py`` holds the two equal.
 """
 
 from __future__ import annotations
 
+import math
+
 from repro.cellular.calls import Call, CallType
 from repro.cellular.cell import Cell
+from repro.cellular.geometry import Point
 from repro.cellular.mobility import MobileTerminal
 from repro.des.environment import Environment
+from repro.des.rng import RandomStream
 from repro.simulation.engine import NetworkRunOutput, NetworkSimulation, merge_outcomes
 
 __all__ = ["DESNetworkSimulation"]
@@ -28,6 +37,17 @@ class DESNetworkSimulation(NetworkSimulation):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._env = Environment()
+
+    def _spawn_terminal(self, cell: Cell, rng: RandomStream) -> MobileTerminal:
+        """Place a new mobile terminal uniformly within a cell."""
+        radius = self._config.cell_radius_km * math.sqrt(rng.uniform(0.0, 1.0))
+        angle = rng.uniform(-180.0, 180.0)
+        offset_x = radius * math.cos(math.radians(angle))
+        offset_y = radius * math.sin(math.radians(angle))
+        position = Point(cell.center.x + offset_x, cell.center.y + offset_y)
+        speed = max(rng.normal(self._config.mean_speed_kmh, self._config.mean_speed_kmh / 3.0), 0.0)
+        heading = rng.angle_degrees()
+        return MobileTerminal(position=position, speed_kmh=speed, heading_deg=heading)
 
     def _call_lifecycle(self, call: Call, terminal: MobileTerminal, cell: Cell):
         """Process controlling one admitted call: mobility, handoffs, completion."""
