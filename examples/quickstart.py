@@ -76,7 +76,11 @@ def main() -> None:
             title="FACS admission decisions (Cv from FLC1, A/R from FLC2)",
         )
     )
-    print("\nRTC/NRTC counters:", facs.counters)
+    ledger = station.ledger
+    print(
+        f"\nCounter state Cs (RTC + NRTC): {ledger.real_time_bu} + "
+        f"{ledger.non_real_time_bu} = {station.used_bu}/{station.capacity_bu} BU"
+    )
 
     # Every paper experiment is also a declarative scenario; this JSON is
     # all `Runner().run(Scenario.from_json(...))` needs to reproduce Fig. 10

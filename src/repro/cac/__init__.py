@@ -1,7 +1,6 @@
 """Call admission control algorithms: FACS, SCC and classic baselines."""
 
 from .base import AdmissionController, AdmissionDecision, DecisionOutcome
-from .counters import CounterSnapshot, ServiceCounters
 from .complete_sharing import CompleteSharingController
 from .guard_channel import GuardChannelConfig, GuardChannelController
 from .threshold_policy import ThresholdPolicyConfig, ThresholdPolicyController
@@ -19,8 +18,6 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "DecisionOutcome",
-    "ServiceCounters",
-    "CounterSnapshot",
     "CompleteSharingController",
     "GuardChannelController",
     "GuardChannelConfig",

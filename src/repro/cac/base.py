@@ -3,8 +3,8 @@
 Every controller answers the same question the paper poses during the call
 setup phase: *given a connection request and the current state of the base
 station, should the call be admitted?*  Controllers additionally receive
-lifecycle notifications (admitted / released) so stateful schemes — the FACS
-counters, SCC's shadow-cluster bookkeeping — can track ongoing calls.
+lifecycle notifications (admitted / released) so stateful schemes — SCC's
+shadow-cluster bookkeeping, for one — can track ongoing calls.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""FACS — the paper's Fuzzy Admission Control System (FLC1 + FLC2 + counters)."""
+"""FACS — the paper's Fuzzy Admission Control System (FLC1 + FLC2)."""
 
 from .config import (
     DEFAULT_FLC1_CONFIG,

@@ -452,9 +452,7 @@ class DecisionScreen:
         this replays), whether one row is passed or a whole block.
         """
         eng1 = self._eng1
-        aggregated = eng1._aggregate_output_batch_grouped(
-            strengths, eng1._grouped_consequent_plans["Cv"], "Cv", 0
-        )
+        aggregated = eng1._aggregate_output_batch(strengths, "Cv")
         cv_variable = eng1._consequent_plans["Cv"][2]
         centroids = eng1._defuzzify_fast_batch("Cv", cv_variable, aggregated)
         return np.clip(centroids, 0.0, 1.0)

@@ -5,10 +5,13 @@ The system cascades the two controllers of Fig. 4:
 1. **FLC1** turns the GPS observation of the requesting user (speed, angle,
    distance) into a correction value ``Cv``;
 2. **FLC2** combines ``Cv`` with the requested bandwidth ``R`` and the
-   counter state ``Cs`` (base-station occupancy) into the soft accept/reject
-   score ``A/R``;
-3. the **Differentiated service** block routes admitted calls into the
-   Real-Time / Non-Real-Time counters (RTC / NRTC).
+   counter state ``Cs`` into the soft accept/reject score ``A/R``.
+
+In the paper ``Cs`` is the sum of the Real-Time / Non-Real-Time counters
+(RTC / NRTC) that the Differentiated service block feeds; here it is the
+base station's occupancy, ``station.used_bu``, which every verdict reads.
+FLC2 clamps it into its ``Cs`` universe, so a cell larger than that
+universe scores a fuller cell like a full one.
 
 The crisp admission decision accepts a call when the defuzzified A/R score
 exceeds ``acceptance_threshold`` *and* the base station physically has the
@@ -34,7 +37,6 @@ from ...fuzzy.controller import ENGINES
 from ...fuzzy.defuzzification import DefuzzificationError, Defuzzifier, DEFAULT_DEFUZZIFIER
 from ...fuzzy.definition import FLCDefinition
 from ..base import AdmissionController, AdmissionDecision
-from ..counters import ServiceCounters
 from .config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from .flc1 import FLC1
 from .flc2 import FLC2
@@ -66,8 +68,8 @@ class FACSConfig:
     #: "weak accept" and above, mirroring the paper's soft decision scale.
     acceptance_threshold: float = 0.0
     #: Inference engine for FLC1/FLC2: ``"compiled"`` (vectorized fast path,
-    #: the default — bit-identical to the reference for the paper operators)
-    #: or ``"reference"`` (interpreted per-rule loop).
+    #: the default — bit-identical to the reference) or ``"reference"``
+    #: (interpreted per-rule loop).
     engine: str = "compiled"
     #: Declarative overrides for the two pipeline stages.  When set, the
     #: stage is built from the definition (see :mod:`repro.fuzzy.definition`)
@@ -85,13 +87,6 @@ class FACSConfig:
         if self.engine not in ENGINES:
             choices = "', '".join(sorted(ENGINES))
             raise ValueError(f"engine must be '{choices}', got {self.engine!r}")
-
-    @property
-    def counter_capacity_bu(self) -> int:
-        """Base-station capacity implied by FLC2's counter (``Cs``) universe."""
-        if self.flc2_definition is not None:
-            return int(self.flc2_definition.variable("Cs").universe[1])
-        return int(self.flc2.counter_universe[1])
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -242,7 +237,6 @@ class FuzzyAdmissionControlSystem(AdmissionController):
                 engine=cfg.engine,
                 definition=cfg.flc2_definition,
             )
-        self._counters = ServiceCounters(capacity_bu=cfg.counter_capacity_bu)
         # Looked up lazily on the first screened verdict (see
         # _decision_screen).
         self._screen: DecisionScreen | object | None = None
@@ -259,11 +253,6 @@ class FuzzyAdmissionControlSystem(AdmissionController):
     @property
     def flc2(self) -> FLC2:
         return self._flc2
-
-    @property
-    def counters(self) -> ServiceCounters:
-        """The Ds/RTC/NRTC counters tracking calls admitted by this controller."""
-        return self._counters
 
     def _decision_screen(self) -> DecisionScreen | None:
         """The process-wide screen of this controller pair, or ``None`` for a
@@ -365,9 +354,9 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         shares: most rows are decided by one lookup in the (R, Cs) cell
         table and only the undecidable remainder pays for exact dense-grid
         inference.  Configurations outside the certified regime (reference
-        engine, custom operators or membership shapes, non-unit rule
-        weights, …) get :class:`ExactColumns`: exact FLC1 once per block and
-        exact FLC2 per verdict.
+        engine, non-unit rule weights, a non-centroid defuzzifier, …) get
+        :class:`ExactColumns`: exact FLC1 once per block and exact FLC2 per
+        verdict.
         """
         speeds = np.clip(speeds_kmh, *PAPER_SPEED_RANGE_KMH)
         distances = np.clip(distances_km, *PAPER_DISTANCE_RANGE_KM)
@@ -393,8 +382,8 @@ class FuzzyAdmissionControlSystem(AdmissionController):
 
         The batched admission path: the cascaded FLC1 → FLC2 evaluation runs
         once over the whole candidate vector through the engines'
-        tensorized ``infer_batch``.  No candidate is admitted and no counter
-        moves, so this answers "which of these would be accepted *right
+        tensorized ``infer_batch``.  No candidate is admitted and nothing
+        changes, so this answers "which of these would be accepted *right
         now*" — element for element identical to calling :meth:`decide` on
         the unchanged station.
         """
@@ -480,15 +469,3 @@ class FuzzyAdmissionControlSystem(AdmissionController):
             score = self._flc2.evaluate(correction, bandwidth, occupancy).score
             accepted = score > self._config.acceptance_threshold
         return accepted and station.can_fit(call.bandwidth_units)
-
-    # -- lifecycle -------------------------------------------------------
-    def on_admitted(self, call: Call, station: BaseStation, now: float) -> None:
-        if not self._counters.is_tracking(call):
-            self._counters.admit(call)
-
-    def on_released(self, call: Call, station: BaseStation, now: float) -> None:
-        if self._counters.is_tracking(call):
-            self._counters.release(call)
-
-    def reset(self) -> None:
-        self._counters.reset()

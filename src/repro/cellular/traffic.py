@@ -8,8 +8,10 @@ The paper's simulation parameters (Section 4):
 * base-station capacity 40 BU.
 
 Text is non-real-time (queueable/delay-tolerant), voice and video are
-real-time — this is the "Differentiated service" (Ds) distinction the FACS
-system uses to route accepted calls to the RTC and NRTC counters.
+real-time — this is the "Differentiated service" (Ds) distinction the paper's
+FACS uses to route accepted calls to its RTC and NRTC counters; a
+:class:`~repro.cellular.cell.BandwidthLedger` reports both parts of a
+station's occupancy.
 """
 
 from __future__ import annotations
@@ -179,4 +181,3 @@ PAPER_TRAFFIC_MIX = TrafficMix(
         ),
     }
 )
-

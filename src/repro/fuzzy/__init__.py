@@ -1,37 +1,18 @@
-"""A self-contained fuzzy-logic toolkit (replacement for scikit-fuzzy).
+"""The fuzzy-logic core of FLC1 and FLC2, built from scratch.
 
-Provides membership functions, linguistic variables, conjunctive rules,
-Mamdani inference and defuzzification — everything FLC1 and FLC2 of the
-paper's FACS system need, built from scratch.
+Provides exactly what an :class:`~repro.fuzzy.definition.FLCDefinition` can
+say: triangular and trapezoidal membership functions, linguistic variables,
+conjunctive rules with weights, Mamdani inference (MIN conjunction, each
+consequent CLIPped at its rule's strength, MAX aggregation: the paper's
+operators, and the only ones the engines run) and defuzzification.
 """
 
 from .membership import (
-    ConstantMF,
-    Gaussian,
-    GeneralizedBell,
     MembershipFunction,
-    PiShape,
-    PiecewiseLinear,
-    Sigmoid,
-    Singleton,
-    SShape,
     Trapezoidal,
     Triangular,
-    ZShape,
     paper_trapezoidal,
     paper_triangular,
-)
-from .operators import (
-    BOUNDED_SUM,
-    LUKASIEWICZ_AND,
-    MAXIMUM,
-    MINIMUM,
-    PROBABILISTIC_SUM,
-    PRODUCT,
-    SNorm,
-    TNorm,
-    snorm_by_name,
-    tnorm_by_name,
 )
 from .variables import FuzzificationResult, LinguisticVariable, Term
 from .rules import Consequent, FuzzyRule, Proposition, RuleBase
@@ -47,7 +28,6 @@ from .defuzzification import (
     defuzzifier_by_name,
 )
 from .inference import (
-    ImplicationMethod,
     InferenceResult,
     MamdaniEngine,
     RuleActivation,
@@ -64,28 +44,8 @@ __all__ = [
     "MembershipFunction",
     "Triangular",
     "Trapezoidal",
-    "Gaussian",
-    "GeneralizedBell",
-    "Sigmoid",
-    "ZShape",
-    "SShape",
-    "PiShape",
-    "Singleton",
-    "PiecewiseLinear",
-    "ConstantMF",
     "paper_triangular",
     "paper_trapezoidal",
-    # operators
-    "TNorm",
-    "SNorm",
-    "MINIMUM",
-    "PRODUCT",
-    "LUKASIEWICZ_AND",
-    "MAXIMUM",
-    "PROBABILISTIC_SUM",
-    "BOUNDED_SUM",
-    "tnorm_by_name",
-    "snorm_by_name",
     # variables
     "Term",
     "LinguisticVariable",
@@ -109,7 +69,6 @@ __all__ = [
     "MamdaniEngine",
     "InferenceResult",
     "RuleActivation",
-    "ImplicationMethod",
     # compiled fast path
     "CompiledMamdaniEngine",
     "CrispInference",

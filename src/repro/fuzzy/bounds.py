@@ -13,12 +13,12 @@ The bounds are *certified*: they hold for the bit-exact value the engine's
 batch path produces, not merely for the underlying real number.  Three
 facts make that possible:
 
-1. **Exact decomposition.**  With the MINIMUM t-norm, CLIP implication and
-   MAXIMUM s-norm the aggregated surface is ``max_t min(T_t, s_t)`` over
-   the distinct consequent terms (``s_t`` = the term's maximal firing
-   strength).  When no grid point is covered by three or more term
-   supports — true for every standard fuzzy partition, and verified at
-   build time — the pointwise identity
+1. **Exact decomposition.**  With MIN conjunction, CLIPped consequents and
+   MAX aggregation (the only operators the engines run) the aggregated
+   surface is ``max_t min(T_t, s_t)`` over the distinct consequent terms
+   (``s_t`` = the term's maximal firing strength).  When no grid point is
+   covered by three or more term supports — true for every standard fuzzy
+   partition, and verified at build time — the pointwise identity
    ``max(f_1, …, f_k) = Σ f_t − Σ min(f_t, f_u)`` over support-adjacent
    pairs ``(t, u)`` holds exactly, and
    ``min(min(T, s_t), min(U, s_u)) = min(min(T, U), min(s_t, s_u))``.  So
@@ -53,8 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .compiled import CompiledMamdaniEngine, ImplicationMethod
-from .operators import MAXIMUM, MINIMUM
+from .compiled import CompiledMamdaniEngine
 
 __all__ = ["CentroidBoundTables"]
 
@@ -69,9 +68,8 @@ class CentroidBoundTables:
 
     Build via :meth:`for_engine`, which returns ``None`` when the engine or
     rule base falls outside the certified regime (anything but a compiled
-    engine with the MINIMUM t-norm, CLIP implication, MAXIMUM s-norm, unit
-    rule weights and the centroid defuzzifier, or a term geometry with
-    triple overlaps).
+    engine with unit rule weights and the centroid defuzzifier, or a term
+    geometry with triple overlaps).
     """
 
     def __init__(self, engine: CompiledMamdaniEngine, var_name: str):
@@ -145,9 +143,6 @@ class CentroidBoundTables:
         """
         if not (
             isinstance(engine, CompiledMamdaniEngine)
-            and engine._tnorm is MINIMUM
-            and engine._implication == ImplicationMethod.CLIP
-            and engine._snorm is MAXIMUM
             and engine._trivial_weights
             and engine._fast_centroid
             and var_name in engine._grouped_consequent_plans

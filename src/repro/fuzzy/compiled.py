@@ -10,22 +10,22 @@ time into
 * an *antecedent index matrix* ``A`` of shape ``(n_rules, max_props)`` whose
   entries point into a flat vector of fuzzified membership degrees (rules
   with fewer propositions are padded with a slot pinned to ``1.0``, the
-  identity of every t-norm), and
+  identity of the minimum), and
 * one *consequent surface tensor* ``C`` of shape ``(n_entries, resolution)``
   per output variable, stacking the pre-sampled consequent term surfaces in
   rule order.
 
 One inference is then: fill the degree vector (scalar fast paths for the
 triangular/trapezoidal shapes the paper uses), gather ``A`` and fold the
-t-norm across its columns to get all firing strengths at once, clip/scale the
-fired rows of ``C`` and reduce them with the s-norm, and defuzzify.
+minimum across its columns to get all firing strengths at once, clip the
+fired rows of ``C`` at their strengths and reduce them with the maximum, and
+defuzzify.  The batch path clips one surface per distinct consequent term
+instead of one per rule (see :meth:`CompiledMamdaniEngine._compile`).
 
-The compiled engine is an exact drop-in: for the paper's minimum/maximum
-operators the results are bit-for-bit identical to the reference engine, and
-for every other registered operator family they agree to ~1 ulp (the only
-difference is floating-point reassociation).  This is locked down by the
-equivalence tests in ``tests/fuzzy/test_compiled_engine.py``.  Every rule is
-a conjunction of propositions, so every rule base compiles.
+The compiled engine is an exact drop-in: its results are bit-for-bit
+identical to the reference engine's, which
+``tests/fuzzy/test_engine_equivalence.py`` checks over random definitions.
+Every rule is a conjunction of propositions, so every rule base compiles.
 
 The engine is safe to share between threads: the scalar hot path keeps its
 scratch degree buffer in thread-local storage, so results stay deterministic
@@ -43,13 +43,11 @@ import numpy as np
 from .defuzzification import Centroid, DefuzzificationError
 from .inference import (
     BatchInference,
-    ImplicationMethod,
     InferenceResult,
     MamdaniEngine,
     RuleActivation,
 )
 from .membership import Trapezoidal, Triangular
-from .operators import MAXIMUM
 from .variables import LinguisticVariable, Term
 
 __all__ = [
@@ -154,7 +152,7 @@ class CompiledMamdaniEngine(MamdaniEngine):
 
         # Flat degree vector layout: one slot per (variable, term) in
         # variable order, plus a trailing slot pinned to 1.0 — the identity
-        # of every t-norm — used to pad rules with fewer propositions.
+        # of the minimum — used to pad rules with fewer propositions.
         slot_of: dict[tuple[str, str], int] = {}
         fuzzify_plan: list[
             tuple[str, float, float, int, list[Callable[[float], float]]]
@@ -239,44 +237,42 @@ class CompiledMamdaniEngine(MamdaniEngine):
             plans[var_name] = (np.asarray(entry_rules, dtype=np.intp), tensor, variable)
         self._consequent_plans = plans
 
-        # Term-grouped consequent plans: the batched MAXIMUM-s-norm fast
-        # path.  Rules sharing a consequent term have *identical* implication
-        # surfaces, and with max as the s-norm the per-entry fold
-        # ``max_e f(T, s_e)`` equals ``f(T, max_e s_e)`` for both
-        # implications (min and scaling by a non-negative surface are
-        # monotone selections/operations, so this is exact, not just
-        # algebraically true) — the implication tensor shrinks from one row
-        # per rule to one row per distinct term.  Each term's clipped
-        # surface is exactly zero outside its membership support — the
-        # identity of max — so aggregation touches only the support slice.
+        # Term-grouped consequent plans, which the batch path runs.  Rules
+        # sharing a consequent term have *identical* clipped surfaces, and
+        # the per-entry fold ``max_e min(T, s_e)`` equals
+        # ``min(T, max_e s_e)`` (clipping against a fixed surface is a
+        # monotone selection, so this is exact, not just algebraically true)
+        # — the clip tensor shrinks from one row per rule to one row per
+        # distinct term.  Each term's clipped surface is exactly zero
+        # outside its membership support — the identity of max — so
+        # aggregation touches only the support slice.
         grouped: dict[
             str, tuple[list[np.ndarray], list[np.ndarray], list[tuple[int, int]], int]
         ] = {}
-        if self._snorm is MAXIMUM:
-            for var_name, variable in rule_base.output_variables.items():
-                term_rules: dict[str, list[int]] = {}
-                for rule_index, rule in enumerate(rule_base):
-                    for consequent in rule.consequents:
-                        if consequent.variable == var_name:
-                            term_rules.setdefault(consequent.term, []).append(rule_index)
-                term_surfaces: list[np.ndarray] = []
-                term_columns: list[np.ndarray] = []
-                supports: list[tuple[int, int]] = []
-                for term, rule_indices in term_rules.items():
-                    surface = self._output_term_surfaces[var_name][term]
-                    nonzero = np.flatnonzero(surface != 0.0)
-                    start, stop = (
-                        (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
-                    )
-                    term_surfaces.append(np.ascontiguousarray(surface[start:stop]))
-                    term_columns.append(np.asarray(rule_indices, dtype=np.intp))
-                    supports.append((start, stop))
-                grouped[var_name] = (
-                    term_surfaces,
-                    term_columns,
-                    supports,
-                    int(variable.grid.shape[0]),
+        for var_name, variable in rule_base.output_variables.items():
+            term_rules: dict[str, list[int]] = {}
+            for rule_index, rule in enumerate(rule_base):
+                for consequent in rule.consequents:
+                    if consequent.variable == var_name:
+                        term_rules.setdefault(consequent.term, []).append(rule_index)
+            term_surfaces: list[np.ndarray] = []
+            term_columns: list[np.ndarray] = []
+            supports: list[tuple[int, int]] = []
+            for term, rule_indices in term_rules.items():
+                surface = self._output_term_surfaces[var_name][term]
+                nonzero = np.flatnonzero(surface != 0.0)
+                start, stop = (
+                    (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
                 )
+                term_surfaces.append(np.ascontiguousarray(surface[start:stop]))
+                term_columns.append(np.asarray(rule_indices, dtype=np.intp))
+                supports.append((start, stop))
+            grouped[var_name] = (
+                term_surfaces,
+                term_columns,
+                supports,
+                int(variable.grid.shape[0]),
+            )
         self._grouped_consequent_plans = grouped
 
     # ------------------------------------------------------------------
@@ -313,9 +309,8 @@ class CompiledMamdaniEngine(MamdaniEngine):
     def _firing_strengths(self, buffer: np.ndarray) -> np.ndarray:
         picked = buffer[self._antecedent_index]
         strengths = picked[:, 0]
-        tnorm = self._tnorm
         for column in range(1, self._antecedent_width):
-            strengths = np.asarray(tnorm(strengths, picked[:, column]))
+            strengths = np.minimum(strengths, picked[:, column])
         if not self._trivial_weights:
             strengths = self._weights * strengths
         return strengths
@@ -339,19 +334,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
             surfaces, fired_strengths = tensor, entry_strengths
         else:
             surfaces, fired_strengths = tensor[fired], entry_strengths[fired]
-        if self._implication == ImplicationMethod.CLIP:
-            clipped = np.minimum(surfaces, fired_strengths[:, None])
-        else:
-            clipped = surfaces * fired_strengths[:, None]
-        if self._snorm is MAXIMUM:
-            # Clipped surfaces are non-negative, so the axis reduction equals
-            # the reference engine's fold from a zero surface bit-for-bit.
-            return clipped.max(axis=0)
-        aggregated = np.zeros(tensor.shape[1])
-        snorm = self._snorm
-        for row in clipped:
-            aggregated = np.asarray(snorm(aggregated, row))
-        return aggregated
+        clipped = np.minimum(surfaces, fired_strengths[:, None])
+        # Clipped surfaces are non-negative, so the axis reduction equals
+        # the reference engine's fold from a zero surface bit-for-bit.
+        return clipped.max(axis=0)
 
     def _defuzzify_fast(
         self, var_name: str, variable: LinguisticVariable, surface: np.ndarray
@@ -428,9 +414,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
     # ------------------------------------------------------------------
     # Batched hot path
     # ------------------------------------------------------------------
-    #: Upper bound on elements of the (rows, entries, grid) implication
-    #: tensor materialised per block; rows are independent, so chunking
-    #: changes peak memory but not a single bit of the results.
+    #: Upper bound on the array elements one block's aggregation holds (per
+    #: row: one aggregated surface plus one support-sliced contribution);
+    #: rows are independent, so chunking changes peak memory but not a
+    #: single bit of the results.
     _BATCH_BLOCK_ELEMENTS = 8_000_000
 
     def _fill_degrees_batch(self, matrix: np.ndarray) -> np.ndarray:
@@ -452,54 +439,11 @@ class CompiledMamdaniEngine(MamdaniEngine):
         """All rules' firing strengths for all rows: ``(N, n_rules)``."""
         picked = degrees[:, self._antecedent_index]
         strengths = picked[:, :, 0]
-        tnorm = self._tnorm
         for column in range(1, self._antecedent_width):
-            strengths = np.asarray(tnorm(strengths, picked[:, :, column]))
+            strengths = np.minimum(strengths, picked[:, :, column])
         if not self._trivial_weights:
             strengths = self._weights * strengths
         return strengths
-
-    def _aggregate_output_batch(
-        self,
-        strengths: np.ndarray,
-        entry_rules: np.ndarray,
-        tensor: np.ndarray,
-        var_name: str,
-        row_offset: int = 0,
-    ) -> np.ndarray:
-        """Aggregated output surfaces for all rows: ``(N, resolution)``.
-
-        Rows where no entry fired would defuzzify garbage, so they raise just
-        like the scalar path (``row_offset`` maps a block-local row back to
-        its index in the caller's full batch).  Non-fired entries contribute
-        an all-zero clipped surface, the identity of every s-norm, so folding
-        over *all* entries equals the scalar path's fold over the fired
-        subset.
-        """
-        grouped = self._grouped_consequent_plans.get(var_name)
-        if grouped is not None:
-            return self._aggregate_output_batch_grouped(
-                strengths, grouped, var_name, row_offset
-            )
-        entry_strengths = strengths[:, entry_rules]
-        fired_any = (entry_strengths > 0.0).any(axis=1)
-        if not fired_any.all():
-            row = row_offset + int(np.flatnonzero(~fired_any)[0])
-            raise DefuzzificationError(
-                f"no rule fired for output variable {var_name!r} at batch row "
-                f"{row}; the rule base does not cover this input region"
-            )
-        if self._implication == ImplicationMethod.CLIP:
-            clipped = np.minimum(tensor[None, :, :], entry_strengths[:, :, None])
-        else:
-            clipped = tensor[None, :, :] * entry_strengths[:, :, None]
-        if self._snorm is MAXIMUM:
-            return clipped.max(axis=1)
-        aggregated = np.zeros((clipped.shape[0], clipped.shape[2]))
-        snorm = self._snorm
-        for entry in range(clipped.shape[1]):
-            aggregated = np.asarray(snorm(aggregated, clipped[:, entry, :]))
-        return aggregated
 
     @staticmethod
     def _term_strengths_batch(
@@ -507,9 +451,9 @@ class CompiledMamdaniEngine(MamdaniEngine):
     ) -> np.ndarray:
         """Per-consequent-term maximum firing strengths: ``(N, n_terms)``.
 
-        With the MAXIMUM s-norm a term's effective clip level is the maximum
-        strength over the rules concluding in it; strengths are non-negative,
-        so ``any(term > 0)`` is also exactly the per-entry fired check.
+        A term's effective clip level is the maximum strength over the rules
+        concluding in it; strengths are non-negative, so ``any(term > 0)`` is
+        also exactly the per-entry fired check.
         """
         count = strengths.shape[0]
         term_strengths = np.empty((count, len(term_columns)))
@@ -520,25 +464,23 @@ class CompiledMamdaniEngine(MamdaniEngine):
                 strengths[:, columns].max(axis=1, out=term_strengths[:, t])
         return term_strengths
 
-    def _aggregate_output_batch_grouped(
-        self,
-        strengths: np.ndarray,
-        grouped: tuple[
-            list[np.ndarray], list[np.ndarray], list[tuple[int, int]], int
-        ],
-        var_name: str,
-        row_offset: int,
+    def _aggregate_output_batch(
+        self, strengths: np.ndarray, var_name: str, row_offset: int = 0
     ) -> np.ndarray:
-        """:meth:`_aggregate_output_batch` via the term-grouped plan.
+        """Aggregated output surfaces for all rows: ``(N, resolution)``.
 
-        Bit-identical to the per-entry fold: strengths are non-negative, so
-        the term strength ``max_e s_e`` selects the entry that would win the
-        element-wise maximum anyway (min against a fixed surface and scaling
-        by a non-negative surface are both monotone in the strength), and
-        outside a term's support its clipped surface is exactly ``0.0`` —
-        the identity the zero-initialised accumulator already holds.
+        Runs the term-grouped plan, bit-identical to the scalar path's
+        per-entry fold: strengths are non-negative, so the term strength
+        ``max_e s_e`` selects the entry that would win the element-wise
+        maximum anyway (min against a fixed surface is monotone in the
+        strength), and outside a term's support its clipped surface is
+        exactly ``0.0`` — the identity the zero-initialised accumulator
+        already holds.  Rows where no entry fired would defuzzify garbage,
+        so they raise just like the scalar path (``row_offset`` maps a
+        block-local row back to its index in the caller's full batch).
         """
-        term_surfaces, term_columns, supports, grid_length = grouped
+        plan = self._grouped_consequent_plans[var_name]
+        term_surfaces, term_columns, supports, grid_length = plan
         count = strengths.shape[0]
         term_strengths = self._term_strengths_batch(strengths, term_columns)
         fired_any = (term_strengths > 0.0).any(axis=1)
@@ -549,15 +491,10 @@ class CompiledMamdaniEngine(MamdaniEngine):
                 f"{row}; the rule base does not cover this input region"
             )
         aggregated = np.zeros((count, grid_length))
-        clip = self._implication == ImplicationMethod.CLIP
         for t, (start, stop) in enumerate(supports):
             if start == stop:
                 continue
-            column = term_strengths[:, t, None]
-            if clip:
-                contribution = np.minimum(term_surfaces[t], column)
-            else:
-                contribution = term_surfaces[t] * column
+            contribution = np.minimum(term_surfaces[t], term_strengths[:, t, None])
             window = aggregated[:, start:stop]
             np.maximum(window, contribution, out=window)
         return aggregated
@@ -596,10 +533,8 @@ class CompiledMamdaniEngine(MamdaniEngine):
         degrees = self._fill_degrees_batch(matrix)
         strengths = self._firing_strengths_batch(degrees)
         outputs: dict[str, np.ndarray] = {}
-        for var_name, (entry_rules, tensor, variable) in self._consequent_plans.items():
-            aggregated = self._aggregate_output_batch(
-                strengths, entry_rules, tensor, var_name, row_offset=row_offset
-            )
+        for var_name, (_, _, variable) in self._consequent_plans.items():
+            aggregated = self._aggregate_output_batch(strengths, var_name, row_offset)
             outputs[var_name] = self._defuzzify_fast_batch(var_name, variable, aggregated)
         return outputs, np.argmax(strengths, axis=1)
 
@@ -615,22 +550,17 @@ class CompiledMamdaniEngine(MamdaniEngine):
         """
         matrix = self._batch_matrix(inputs)
         count = matrix.shape[0]
-        max_entries = max(
-            (plan[1].shape[0] * plan[1].shape[1] for plan in self._consequent_plans.values()),
+        # The grouped path never materialises the full clip tensor; its
+        # per-row footprint is one aggregated surface plus one
+        # support-sliced contribution.
+        row_elements = max(
+            (
+                grid_length + max((stop - start for start, stop in supports), default=0)
+                for _, _, supports, grid_length in self._grouped_consequent_plans.values()
+            ),
             default=1,
         )
-        if self._grouped_consequent_plans:
-            # The grouped path never materialises the full implication
-            # tensor; its per-row footprint is one aggregated surface plus
-            # one support-sliced contribution.
-            max_entries = max(
-                (
-                    grid_length + max((stop - start for start, stop in supports), default=0)
-                    for _, _, supports, grid_length in self._grouped_consequent_plans.values()
-                ),
-                default=1,
-            )
-        block = max(1, self._BATCH_BLOCK_ELEMENTS // max(max_entries, 1))
+        block = max(1, self._BATCH_BLOCK_ELEMENTS // max(row_elements, 1))
         if count <= block:
             outputs, dominant = self._infer_batch_block(matrix)
             return BatchInference(outputs=outputs, dominant_indices=dominant)

@@ -16,8 +16,7 @@ import numpy as np
 from ..registry import Registry
 from .compiled import CompiledMamdaniEngine, CrispInference
 from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier
-from .inference import ImplicationMethod, InferenceResult, MamdaniEngine
-from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
+from .inference import InferenceResult, MamdaniEngine
 from .rules import FuzzyRule, RuleBase
 from .variables import LinguisticVariable
 
@@ -65,11 +64,13 @@ class FuzzyController:
         Linguistic variables of the controller.
     rules:
         The :class:`FuzzyRule` objects of the rule base.
+    defuzzifier:
+        Strategy reducing the aggregated output set to a crisp value.
     engine:
         ``"compiled"`` (default) runs the vectorized
         :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine`;
-        ``"reference"`` runs the interpreted :class:`MamdaniEngine`.  Under
-        the default operators the two agree bit for bit.
+        ``"reference"`` runs the interpreted :class:`MamdaniEngine`.  The two
+        agree bit for bit.
     """
 
     def __init__(
@@ -78,9 +79,6 @@ class FuzzyController:
         inputs: Sequence[LinguisticVariable],
         outputs: Sequence[LinguisticVariable],
         rules: Sequence[FuzzyRule],
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-        implication: str = ImplicationMethod.CLIP,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
         engine: str = "compiled",
     ):
@@ -91,13 +89,7 @@ class FuzzyController:
         self._name = name
         self._rule_base = RuleBase(rules, inputs, outputs, name=f"{name}-rules")
         engine_class = MamdaniEngine if engine == "reference" else CompiledMamdaniEngine
-        self._engine: MamdaniEngine = engine_class(
-            self._rule_base,
-            tnorm=tnorm,
-            snorm=snorm,
-            implication=implication,
-            defuzzifier=defuzzifier,
-        )
+        self._engine: MamdaniEngine = engine_class(self._rule_base, defuzzifier=defuzzifier)
 
     # ------------------------------------------------------------------
     @property
@@ -111,13 +103,6 @@ class FuzzyController:
     @property
     def engine(self) -> MamdaniEngine:
         return self._engine
-
-    @property
-    def engine_kind(self) -> str:
-        """``"compiled"`` when the fast path is active, else ``"reference"``."""
-        return (
-            "compiled" if isinstance(self._engine, CompiledMamdaniEngine) else "reference"
-        )
 
     @property
     def input_names(self) -> list[str]:

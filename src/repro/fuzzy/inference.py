@@ -1,4 +1,4 @@
-"""Mamdani (and Larsen) fuzzy inference engine.
+"""Mamdani fuzzy inference engine.
 
 The engine combines the four FLC blocks shown in Fig. 2 of the paper —
 fuzzifier, inference engine, fuzzy rule base and defuzzifier — into a single
@@ -7,12 +7,15 @@ fuzzifier, inference engine, fuzzy rule base and defuzzifier — into a single
 1. *Fuzzification*: crisp inputs are mapped to membership degrees of every
    input term.
 2. *Rule evaluation*: each rule's proposition degrees are combined with the
-   configured t-norm (default: minimum).
-3. *Implication*: the rule's consequent set is clipped (Mamdani / minimum) or
-   scaled (Larsen / product) by the firing strength.
+   minimum (MIN conjunction) and scaled by the rule weight.
+3. *Implication*: the rule's consequent set is clipped at the firing
+   strength (CLIP, Mamdani's minimum).
 4. *Aggregation*: all clipped consequent surfaces for an output variable are
-   aggregated with the s-norm.
+   combined with the element-wise maximum (MAX).
 5. *Defuzzification*: the aggregated surface is reduced to a crisp output.
+
+MIN, CLIP and MAX are the paper's operators and the only ones the engines
+run; they are also what :mod:`repro.fuzzy.bounds` certifies.
 """
 
 from __future__ import annotations
@@ -23,25 +26,14 @@ from typing import Mapping
 import numpy as np
 
 from .defuzzification import DEFAULT_DEFUZZIFIER, DefuzzificationError, Defuzzifier
-from .operators import MAXIMUM, MINIMUM, SNorm, TNorm
 from .rules import FuzzyRule, RuleBase
 
 __all__ = [
-    "ImplicationMethod",
     "RuleActivation",
     "InferenceResult",
     "BatchInference",
     "MamdaniEngine",
 ]
-
-
-class ImplicationMethod:
-    """Implication operators supported by :class:`MamdaniEngine`."""
-
-    CLIP = "clip"  # Mamdani: min(firing strength, mu)
-    SCALE = "scale"  # Larsen: firing strength * mu
-
-    ALL = (CLIP, SCALE)
 
 
 @dataclass(frozen=True)
@@ -96,11 +88,6 @@ class MamdaniEngine:
     ----------
     rule_base:
         Validated rule base with its input and output variables.
-    tnorm, snorm:
-        Conjunction and disjunction/aggregation operators (paper default:
-        minimum / maximum).
-    implication:
-        ``"clip"`` (Mamdani) or ``"scale"`` (Larsen).
     defuzzifier:
         Strategy reducing the aggregated output set to a crisp value
         (paper default: centroid).
@@ -109,20 +96,9 @@ class MamdaniEngine:
     def __init__(
         self,
         rule_base: RuleBase,
-        tnorm: TNorm = MINIMUM,
-        snorm: SNorm = MAXIMUM,
-        implication: str = ImplicationMethod.CLIP,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
     ):
-        if implication not in ImplicationMethod.ALL:
-            raise ValueError(
-                f"unknown implication method {implication!r}; "
-                f"expected one of {ImplicationMethod.ALL}"
-            )
         self._rule_base = rule_base
-        self._tnorm = tnorm
-        self._snorm = snorm
-        self._implication = implication
         self._defuzzifier = defuzzifier
         # Pre-sample every output term on its variable grid once; inference
         # then only clips/aggregates arrays (hot path for the simulator).
@@ -151,18 +127,6 @@ class MamdaniEngine:
     def defuzzifier(self) -> Defuzzifier:
         return self._defuzzifier
 
-    @property
-    def tnorm(self) -> TNorm:
-        return self._tnorm
-
-    @property
-    def snorm(self) -> SNorm:
-        return self._snorm
-
-    @property
-    def implication(self) -> str:
-        return self._implication
-
     # ------------------------------------------------------------------
     def fuzzify(self, inputs: Mapping[str, float]) -> dict[str, dict[str, float]]:
         """Fuzzify crisp inputs against every input variable's term set."""
@@ -187,7 +151,7 @@ class MamdaniEngine:
         any_fired: dict[str, bool] = {name: False for name in aggregated}
 
         for rule in self._rule_base:
-            strength = rule.firing_strength(degrees, self._tnorm)
+            strength = rule.firing_strength(degrees)
             activations.append(RuleActivation(rule, strength))
             if strength <= 0.0:
                 continue
@@ -195,12 +159,9 @@ class MamdaniEngine:
                 term_surface = self._output_term_surfaces[consequent.variable][
                     consequent.term
                 ]
-                if self._implication == ImplicationMethod.CLIP:
-                    clipped = np.minimum(term_surface, strength)
-                else:
-                    clipped = term_surface * strength
+                clipped = np.minimum(term_surface, strength)
                 current = aggregated[consequent.variable]
-                aggregated[consequent.variable] = np.asarray(self._snorm(current, clipped))
+                aggregated[consequent.variable] = np.maximum(current, clipped)
                 any_fired[consequent.variable] = True
 
         outputs: dict[str, float] = {}

@@ -11,12 +11,11 @@ The paper uses triangular and trapezoidal membership functions exclusively
     trapezoidal function with left edge ``x0``, right edge ``x1``, left width
     ``a0`` and right width ``a1``.
 
-This module provides those two shapes under both the conventional break-point
-parameterisation (:class:`Triangular`, :class:`Trapezoidal`) and the paper's
-width parameterisation (:func:`paper_triangular`, :func:`paper_trapezoidal`),
-plus a collection of additional shapes (Gaussian, bell, sigmoid, Z/S/Pi,
-singleton, piecewise-linear) so the toolkit is usable beyond the paper's two
-controllers.
+This module provides those two shapes, and only those, under both the
+conventional break-point parameterisation (:class:`Triangular`,
+:class:`Trapezoidal`) and the paper's width parameterisation
+(:func:`paper_triangular`, :func:`paper_trapezoidal`); they are also the two
+kinds an :class:`~repro.fuzzy.definition.FLCDefinition` can carry.
 
 All membership functions are immutable callables mapping a crisp value (or a
 NumPy array of values) to a membership degree in ``[0, 1]``.
@@ -24,10 +23,9 @@ NumPy array of values) to a membership degree in ``[0, 1]``.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,15 +33,6 @@ __all__ = [
     "MembershipFunction",
     "Triangular",
     "Trapezoidal",
-    "Gaussian",
-    "GeneralizedBell",
-    "Sigmoid",
-    "ZShape",
-    "SShape",
-    "PiShape",
-    "Singleton",
-    "PiecewiseLinear",
-    "ConstantMF",
     "paper_triangular",
     "paper_trapezoidal",
 ]
@@ -79,11 +68,7 @@ class MembershipFunction(ABC):
     @property
     @abstractmethod
     def support(self) -> tuple[float, float]:
-        """Return the closed interval outside which membership is zero.
-
-        Unbounded shapes (e.g. :class:`Gaussian`) return the interval where
-        the membership exceeds a negligible tolerance.
-        """
+        """Return the closed interval outside which membership is zero."""
 
     def __call__(self, x: float | np.ndarray) -> float | np.ndarray:
         arr = _as_array(x)
@@ -92,36 +77,9 @@ class MembershipFunction(ABC):
             return float(result)
         return result
 
-    # ------------------------------------------------------------------
-    # Generic helpers shared by the inference/defuzzification machinery.
-    # ------------------------------------------------------------------
     def sample(self, universe: Sequence[float] | np.ndarray) -> np.ndarray:
         """Evaluate the membership function over a discretised universe."""
         return np.clip(self.evaluate(_as_array(universe)), 0.0, 1.0)
-
-    def centroid(self, resolution: int = 501) -> float:
-        """Return the centroid of the membership function over its support."""
-        lo, hi = self.support
-        if hi <= lo:
-            return lo
-        xs = np.linspace(lo, hi, resolution)
-        mu = self.sample(xs)
-        total = float(np.trapezoid(mu, xs))
-        if total < _EPS:
-            return 0.5 * (lo + hi)
-        return float(np.trapezoid(mu * xs, xs) / total)
-
-    def height(self, resolution: int = 501) -> float:
-        """Return the maximum membership degree over the support."""
-        lo, hi = self.support
-        if hi <= lo:
-            return float(self(lo))
-        xs = np.linspace(lo, hi, resolution)
-        return float(np.max(self.sample(xs)))
-
-    def is_normal(self, tolerance: float = 1e-9) -> bool:
-        """Return ``True`` when the membership function reaches 1."""
-        return self.height() >= 1.0 - tolerance
 
 
 @dataclass(frozen=True)
@@ -174,10 +132,6 @@ class Triangular(MembershipFunction):
         """Crisp value with full membership."""
         return self.b
 
-    def height(self, resolution: int = 501) -> float:
-        # The analytic peak is exact; grid sampling can miss it slightly.
-        return float(self(self.b))
-
 
 @dataclass(frozen=True)
 class Trapezoidal(MembershipFunction):
@@ -222,241 +176,6 @@ class Trapezoidal(MembershipFunction):
     def core(self) -> tuple[float, float]:
         """Interval of full membership."""
         return (self.b, self.c)
-
-    def height(self, resolution: int = 501) -> float:
-        # The plateau value is exact; grid sampling can miss it slightly.
-        return float(self(0.5 * (self.b + self.c)))
-
-
-@dataclass(frozen=True)
-class Gaussian(MembershipFunction):
-    """Gaussian membership function ``exp(-(x - mean)^2 / (2 sigma^2))``."""
-
-    mean: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError(f"Gaussian sigma must be positive, got {self.sigma}")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        return np.exp(-((x - self.mean) ** 2) / (2.0 * self.sigma**2))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        # 6 sigma captures > 1 - 1e-8 of the mass.
-        return (self.mean - 6.0 * self.sigma, self.mean + 6.0 * self.sigma)
-
-
-@dataclass(frozen=True)
-class GeneralizedBell(MembershipFunction):
-    """Generalised bell membership function ``1 / (1 + |(x-c)/a|^(2b))``."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError(f"Bell width 'a' must be positive, got {self.a}")
-        if self.b <= 0:
-            raise ValueError(f"Bell slope 'b' must be positive, got {self.b}")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        return 1.0 / (1.0 + np.abs((x - self.c) / self.a) ** (2.0 * self.b))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        # Membership drops below ~1e-6 at roughly a * 10^(3/b) from the centre.
-        reach = self.a * 10.0 ** (3.0 / self.b)
-        return (self.c - reach, self.c + reach)
-
-
-@dataclass(frozen=True)
-class Sigmoid(MembershipFunction):
-    """Sigmoidal membership function ``1 / (1 + exp(-slope (x - inflection)))``."""
-
-    inflection: float
-    slope: float
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        return 1.0 / (1.0 + np.exp(-self.slope * (x - self.inflection)))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if abs(self.slope) < _EPS:
-            return (-math.inf, math.inf)
-        reach = 20.0 / abs(self.slope)
-        return (self.inflection - reach, self.inflection + reach)
-
-
-@dataclass(frozen=True)
-class ZShape(MembershipFunction):
-    """Z-shaped (smooth falling) membership function between ``a`` and ``b``."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
-            raise ValueError(f"ZShape requires a < b, got a={self.a}, b={self.b}")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        mu = np.ones_like(x)
-        mid = 0.5 * (self.a + self.b)
-        width = self.b - self.a
-        first = (x >= self.a) & (x <= mid)
-        second = (x > mid) & (x <= self.b)
-        mu[first] = 1.0 - 2.0 * ((x[first] - self.a) / width) ** 2
-        mu[second] = 2.0 * ((x[second] - self.b) / width) ** 2
-        mu[x > self.b] = 0.0
-        return mu
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, self.b)
-
-
-@dataclass(frozen=True)
-class SShape(MembershipFunction):
-    """S-shaped (smooth rising) membership function between ``a`` and ``b``."""
-
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
-            raise ValueError(f"SShape requires a < b, got a={self.a}, b={self.b}")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        mu = np.zeros_like(x)
-        mid = 0.5 * (self.a + self.b)
-        width = self.b - self.a
-        first = (x >= self.a) & (x <= mid)
-        second = (x > mid) & (x <= self.b)
-        mu[first] = 2.0 * ((x[first] - self.a) / width) ** 2
-        mu[second] = 1.0 - 2.0 * ((x[second] - self.b) / width) ** 2
-        mu[x > self.b] = 1.0
-        return mu
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, math.inf)
-
-
-@dataclass(frozen=True)
-class PiShape(MembershipFunction):
-    """Pi-shaped membership: S-shape rise on ``[a, b]``, Z-shape fall on ``[c, d]``."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if not (self.a < self.b <= self.c < self.d):
-            raise ValueError(
-                f"PiShape requires a < b <= c < d, got "
-                f"a={self.a}, b={self.b}, c={self.c}, d={self.d}"
-            )
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        rise = SShape(self.a, self.b).evaluate(x)
-        fall = ZShape(self.c, self.d).evaluate(x)
-        return np.minimum(rise, fall)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.a, self.d)
-
-
-@dataclass(frozen=True)
-class Singleton(MembershipFunction):
-    """Singleton membership: 1 at ``value`` and 0 elsewhere."""
-
-    value: float
-    tolerance: float = 1e-9
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        return np.where(np.abs(x - self.value) <= self.tolerance, 1.0, 0.0)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.value, self.value)
-
-
-class PiecewiseLinear(MembershipFunction):
-    """Membership function interpolated linearly through ``(x, mu)`` points."""
-
-    def __init__(self, points: Iterable[tuple[float, float]]):
-        pts = sorted((float(x), float(mu)) for x, mu in points)
-        if len(pts) < 2:
-            raise ValueError("PiecewiseLinear requires at least two points")
-        xs = [p[0] for p in pts]
-        if len(set(xs)) != len(xs):
-            raise ValueError("PiecewiseLinear x coordinates must be distinct")
-        for _, mu in pts:
-            if not 0.0 <= mu <= 1.0:
-                raise ValueError(f"membership degrees must lie in [0, 1], got {mu}")
-        self._xs = np.array(xs)
-        self._mus = np.array([p[1] for p in pts])
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        return np.interp(x, self._xs, self._mus, left=0.0, right=0.0)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (float(self._xs[0]), float(self._xs[-1]))
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return [(float(x), float(mu)) for x, mu in zip(self._xs, self._mus)]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PiecewiseLinear({self.points!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiecewiseLinear):
-            return NotImplemented
-        return np.array_equal(self._xs, other._xs) and np.array_equal(self._mus, other._mus)
-
-    def __hash__(self) -> int:
-        return hash((tuple(self._xs), tuple(self._mus)))
-
-
-@dataclass(frozen=True)
-class ConstantMF(MembershipFunction):
-    """Constant membership degree over a given interval.
-
-    Used internally to represent clipped rule consequents and as a neutral
-    element in aggregation tests.
-    """
-
-    level: float
-    lo: float
-    hi: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= 1.0:
-            raise ValueError(f"level must lie in [0, 1], got {self.level}")
-        if self.lo > self.hi:
-            raise ValueError(f"interval must satisfy lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = _as_array(x)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, self.level, 0.0)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ Rules have the paper's form ``IF "conditions" THEN "control action"``:
     IF S is Sl AND A is B1 AND D is N THEN Cv is Cv3
 
 A rule's antecedent is a conjunction: a tuple of :class:`Proposition`
-``variable IS term`` whose degrees the engine's t-norm combines.  Every row
+``variable IS term`` whose degrees combine by their minimum.  Every row
 of FRB1 and FRB2 (Tables 1 and 2 of the paper) has this form.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .operators import MINIMUM, TNorm
 from .variables import LinguisticVariable
 
 __all__ = [
@@ -88,13 +87,10 @@ class FuzzyRule:
         if not 0.0 <= self.weight <= 1.0:
             raise ValueError(f"rule weight must lie in [0, 1], got {self.weight}")
 
-    def firing_strength(
-        self,
-        degrees: Mapping[str, Mapping[str, float]],
-        tnorm: TNorm = MINIMUM,
-    ) -> float:
-        """Weighted firing strength of the rule for fuzzified inputs."""
-        return self.weight * tnorm.reduce(p.degree(degrees) for p in self.antecedent)
+    def firing_strength(self, degrees: Mapping[str, Mapping[str, float]]) -> float:
+        """Weighted firing strength: the weight times the minimum of the
+        antecedent's proposition degrees."""
+        return self.weight * min(p.degree(degrees) for p in self.antecedent)
 
     def input_variables(self) -> set[str]:
         return {p.variable for p in self.antecedent}
@@ -231,4 +227,3 @@ class RuleBase:
     def is_complete(self) -> bool:
         """True when every input-term combination is covered by a rule."""
         return not self.completeness_gaps()
-

@@ -45,14 +45,6 @@ class FuzzificationResult:
     def __getitem__(self, term: str) -> float:
         return self.degrees[term]
 
-    def best_term(self) -> str:
-        """Return the term with the highest membership degree."""
-        return max(self.degrees, key=lambda name: self.degrees[name])
-
-    def active_terms(self, threshold: float = 0.0) -> dict[str, float]:
-        """Return terms whose membership degree strictly exceeds ``threshold``."""
-        return {name: mu for name, mu in self.degrees.items() if mu > threshold}
-
 
 class LinguisticVariable:
     """A named variable over a crisp universe with a set of linguistic terms.

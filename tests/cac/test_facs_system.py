@@ -1,4 +1,4 @@
-"""Tests of the complete FACS controller (cascade + counters) and ServiceCounters."""
+"""Tests of the complete FACS controller (the FLC1 → FLC2 cascade)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.cac.base import AdmissionDecision, DecisionOutcome
-from repro.cac.counters import ServiceCounters
 from repro.cac.facs.definitions import flc1_definition, flc2_definition
 from repro.cac.facs.screen import _MEMO_ENTRIES
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem, _shared_screen
@@ -19,63 +18,6 @@ from repro.cellular.mobility import UserState
 from repro.cellular.traffic import ServiceClass
 from repro.tuning.space import ParameterSpec, SearchSpace
 from tests.conftest import make_call
-
-
-class TestServiceCounters:
-    def test_ds_classification(self):
-        assert ServiceCounters.classify(make_call(ServiceClass.VOICE))
-        assert ServiceCounters.classify(make_call(ServiceClass.VIDEO))
-        assert not ServiceCounters.classify(make_call(ServiceClass.TEXT))
-
-    def test_rtc_nrtc_accounting(self):
-        counters = ServiceCounters(capacity_bu=40)
-        voice = make_call(ServiceClass.VOICE)
-        text = make_call(ServiceClass.TEXT)
-        video = make_call(ServiceClass.VIDEO)
-        for call in (voice, text, video):
-            counters.admit(call)
-        assert counters.real_time_bu == 15
-        assert counters.non_real_time_bu == 1
-        assert counters.counter_state == 16
-        counters.release(video)
-        assert counters.real_time_bu == 5
-        assert counters.counter_state == 6
-
-    def test_snapshot(self):
-        counters = ServiceCounters(capacity_bu=40)
-        counters.admit(make_call(ServiceClass.VOICE))
-        snap = counters.snapshot()
-        assert snap.total_bu == 5
-        assert snap.free_bu == 35
-        assert snap.occupancy == pytest.approx(5 / 40)
-
-    def test_double_admit_rejected(self):
-        counters = ServiceCounters()
-        call = make_call(ServiceClass.TEXT)
-        counters.admit(call)
-        with pytest.raises(ValueError):
-            counters.admit(call)
-
-    def test_release_untracked_rejected(self):
-        with pytest.raises(KeyError):
-            ServiceCounters().release(make_call(ServiceClass.TEXT))
-
-    def test_capacity_overflow_rejected(self):
-        counters = ServiceCounters(capacity_bu=12)
-        counters.admit(make_call(ServiceClass.VIDEO))
-        with pytest.raises(ValueError):
-            counters.admit(make_call(ServiceClass.VOICE))
-
-    def test_reset(self):
-        counters = ServiceCounters()
-        counters.admit(make_call(ServiceClass.VOICE))
-        counters.reset()
-        assert counters.counter_state == 0
-        assert counters.tracked_calls == 0
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ServiceCounters(capacity_bu=0)
 
 
 class TestFACSDecisions:
@@ -144,36 +86,6 @@ class TestFACSDecisions:
 
 
 class TestFACSLifecycle:
-    def test_counters_track_admitted_calls(self, facs, station):
-        call = make_call(ServiceClass.VOICE, speed=60.0, angle=0.0, distance=1.0)
-        decision = facs.decide(call, station, 0.0)
-        assert decision.accepted
-        station.allocate(call)
-        facs.on_admitted(call, station, 0.0)
-        assert facs.counters.counter_state == 5
-        assert facs.counters.real_time_bu == 5
-        station.release(call)
-        facs.on_released(call, station, 10.0)
-        assert facs.counters.counter_state == 0
-
-    def test_on_admitted_is_idempotent(self, facs, station):
-        call = make_call(ServiceClass.TEXT)
-        station.allocate(call)
-        facs.on_admitted(call, station, 0.0)
-        facs.on_admitted(call, station, 0.0)
-        assert facs.counters.counter_state == 1
-
-    def test_on_released_ignores_untracked_calls(self, facs, station):
-        facs.on_released(make_call(ServiceClass.TEXT), station, 0.0)
-        assert facs.counters.counter_state == 0
-
-    def test_reset_clears_counters(self, facs, station):
-        call = make_call(ServiceClass.VIDEO)
-        station.allocate(call)
-        facs.on_admitted(call, station, 0.0)
-        facs.reset()
-        assert facs.counters.counter_state == 0
-
     def test_name(self, facs):
         assert facs.name == "FACS"
 
@@ -247,14 +159,11 @@ class TestBatchAdmission:
 
     def test_decide_batch_does_not_mutate_state(self, facs, station):
         calls = self._candidates(20)
-        used_before = station.used_bu
-        counters_before = (facs.counters.real_time_bu, facs.counters.non_real_time_bu)
+        station.allocate(make_call(ServiceClass.VOICE))
+        ledger = station.ledger
+        before = (station.used_bu, ledger.real_time_bu, ledger.active_calls)
         facs.decide_batch(calls, station, now=0.0)
-        assert station.used_bu == used_before
-        assert (
-            facs.counters.real_time_bu,
-            facs.counters.non_real_time_bu,
-        ) == counters_before
+        assert (station.used_bu, ledger.real_time_bu, ledger.active_calls) == before
 
     def test_missing_observations_get_neutral_correction(self, facs):
         values = facs.correction_values([None, None])

@@ -143,6 +143,15 @@ class TestFLC2Behaviour:
         scores = [flc2.decision_score(0.5, 5.0, cs) for cs in (2.0, 10.0, 20.0, 30.0, 38.0)]
         assert all(earlier >= later - 1e-9 for earlier, later in zip(scores, scores[1:]))
 
+    def test_occupancy_above_the_universe_scores_as_a_full_universe(self, flc2):
+        """FACS feeds a cell's occupancy as Cs; a cell larger than FLC2's
+        40 BU universe is scored at 40 BU once it fills past it."""
+        for correction in (0.1, 0.5, 0.9):
+            for request in (1.0, 5.0, 10.0):
+                full = flc2.decision_score(correction, request, 40.0)
+                for counter in (41.0, 47.5, 60.0):
+                    assert flc2.decision_score(correction, request, counter) == full
+
     def test_good_correction_beats_bad_correction_under_load(self, flc2):
         """The core of Fig. 7: under load, favourable trajectories are preferred."""
         good = flc2.decision_score(0.9, 1.0, 25.0)

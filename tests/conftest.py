@@ -77,7 +77,7 @@ def flc2() -> FLC2:
 
 @pytest.fixture
 def facs() -> FuzzyAdmissionControlSystem:
-    """A fresh FACS controller (it is stateful via its counters)."""
+    """A fresh FACS controller."""
     return FuzzyAdmissionControlSystem()
 
 

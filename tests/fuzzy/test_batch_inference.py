@@ -110,13 +110,8 @@ class TestInferBatchBitIdentity:
         whole = engine.infer_batch(matrix)
         original = CompiledMamdaniEngine._BATCH_BLOCK_ELEMENTS
         try:
-            # Force ~10-row blocks through the chunked path.
-            engine._BATCH_BLOCK_ELEMENTS = (
-                10 * max(
-                    plan[1].shape[0] * plan[1].shape[1]
-                    for plan in engine._consequent_plans.values()
-                )
-            )
+            # One-row blocks: every row goes through the chunked path.
+            engine._BATCH_BLOCK_ELEMENTS = 1
             chunked = engine.infer_batch(matrix)
         finally:
             engine._BATCH_BLOCK_ELEMENTS = original

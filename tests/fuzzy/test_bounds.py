@@ -13,8 +13,7 @@ from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.bounds import CentroidBoundTables
 from repro.fuzzy.compiled import CompiledMamdaniEngine
 from repro.fuzzy.defuzzification import Bisector
-from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
-from repro.fuzzy.operators import PRODUCT
+from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.rules import RuleBase
 
 STAGES = [("flc1", "Cv"), ("flc2", "AR")]
@@ -102,9 +101,7 @@ def test_intervals_contain_engine_centroid(facs, stage, variable):
     fired = (terms > 0.0).any(axis=1)
     strengths, terms = strengths[fired], terms[fired]
 
-    aggregated = engine._aggregate_output_batch_grouped(
-        strengths, engine._grouped_consequent_plans[variable], variable, 0
-    )
+    aggregated = engine._aggregate_output_batch(strengths, variable)
     variable_def = engine._consequent_plans[variable][2]
     centroid = engine._defuzzify_fast_batch(variable, variable_def, aggregated)
 
@@ -129,15 +126,11 @@ def _half_weight_first_rule(rb: RuleBase) -> RuleBase:
 @pytest.mark.parametrize(
     "make_engine",
     [
-        lambda rb: CompiledMamdaniEngine(rb, implication=ImplicationMethod.SCALE),
-        lambda rb: CompiledMamdaniEngine(rb, tnorm=PRODUCT),
         lambda rb: CompiledMamdaniEngine(rb, defuzzifier=Bisector()),
         lambda rb: CompiledMamdaniEngine(_half_weight_first_rule(rb)),
         lambda rb: MamdaniEngine(rb),
     ],
     ids=[
-        "scale-implication",
-        "product-tnorm",
         "bisector-defuzzifier",
         "rule-weights",
         "reference-engine",
@@ -148,7 +141,8 @@ def test_for_engine_rejects_uncertified_regimes(facs, make_engine):
     assert CentroidBoundTables.for_engine(engine, "AR") is None
 
 
-@pytest.mark.parametrize("occupancy_bu", [0, 20, 21, 30, 34, 39])
+# 47 and 60 BU lie above FLC2's 40 BU Cs universe, as in a larger cell.
+@pytest.mark.parametrize("occupancy_bu", [0, 20, 21, 30, 34, 39, 47, 60])
 def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
     rng = np.random.default_rng(20070628)
     count = 400

@@ -1,9 +1,8 @@
 """Equivalence regression tests: CompiledMamdaniEngine vs MamdaniEngine.
 
 The compiled engine is the default fast path for FLC1/FLC2, so these tests
-lock down the guarantee it is built on: for the paper's minimum/maximum
-operators it reproduces the reference engine bit for bit, and for every
-other registered operator family it agrees to well within 1e-9.
+lock down the guarantee it is built on: it reproduces the reference engine
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,16 +21,8 @@ from repro.fuzzy.defuzzification import (
     DefuzzificationError,
     MeanOfMaximum,
 )
-from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
+from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.membership import Triangular
-from repro.fuzzy.operators import (
-    BOUNDED_SUM,
-    LUKASIEWICZ_AND,
-    MAXIMUM,
-    MINIMUM,
-    PROBABILISTIC_SUM,
-    PRODUCT,
-)
 from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
 
@@ -170,40 +161,7 @@ class TestPaperOperatingPoints:
             assert compiled.infer_crisp(inputs).dominant_label == expected
 
 
-class TestOperatorFamilies:
-    """Non-default operator families agree to 1e-9 (reassociation only)."""
-
-    @pytest.mark.parametrize(
-        "tnorm,snorm,implication",
-        [
-            (PRODUCT, MAXIMUM, ImplicationMethod.CLIP),
-            (PRODUCT, PROBABILISTIC_SUM, ImplicationMethod.SCALE),
-            (MINIMUM, BOUNDED_SUM, ImplicationMethod.CLIP),
-            (LUKASIEWICZ_AND, MAXIMUM, ImplicationMethod.SCALE),
-        ],
-    )
-    def test_flc2_operator_families(self, rb2, tnorm, snorm, implication):
-        reference = MamdaniEngine(rb2, tnorm=tnorm, snorm=snorm, implication=implication)
-        compiled = CompiledMamdaniEngine(rb2, tnorm=tnorm, snorm=snorm, implication=implication)
-        rng = np.random.default_rng(11)
-        for _ in range(40):
-            inputs = {
-                "Cv": float(rng.uniform(0, 1)),
-                "R": float(rng.uniform(0, 10)),
-                "Cs": float(rng.uniform(0, 40)),
-            }
-            try:
-                expected = reference.infer(inputs)["AR"]
-            except DefuzzificationError:
-                # Strict conjunctions (e.g. Lukasiewicz) may fire no rule at
-                # all; the fast path must agree on the failure too.
-                with pytest.raises(DefuzzificationError):
-                    compiled.infer_crisp(inputs)
-                continue
-            assert compiled.infer_crisp(inputs)["AR"] == pytest.approx(
-                expected, abs=1e-9
-            )
-
+class TestAlternativeDefuzzifiers:
     @pytest.mark.parametrize("defuzzifier", [Bisector(), MeanOfMaximum()])
     def test_alternative_defuzzifiers(self, rb2, defuzzifier):
         reference = MamdaniEngine(rb2, defuzzifier=defuzzifier)
@@ -256,13 +214,13 @@ class TestCompilability:
 class TestControllerIntegration:
     def test_flc_controllers_default_to_compiled(self):
         facs = FuzzyAdmissionControlSystem()
-        assert facs.flc1.controller.engine_kind == "compiled"
-        assert facs.flc2.controller.engine_kind == "compiled"
+        assert isinstance(facs.flc1.controller.engine, CompiledMamdaniEngine)
+        assert isinstance(facs.flc2.controller.engine, CompiledMamdaniEngine)
 
     def test_reference_engine_selectable_through_config(self):
         facs = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
-        assert facs.flc1.controller.engine_kind == "reference"
-        assert facs.flc2.controller.engine_kind == "reference"
+        assert not isinstance(facs.flc1.controller.engine, CompiledMamdaniEngine)
+        assert not isinstance(facs.flc2.controller.engine, CompiledMamdaniEngine)
 
     def test_invalid_engine_rejected_by_config(self):
         with pytest.raises(ValueError, match="engine"):

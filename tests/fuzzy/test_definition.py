@@ -28,7 +28,7 @@ from repro.fuzzy.definition import (
     definition_from_controller,
     definition_from_rule_base,
 )
-from repro.fuzzy.membership import Gaussian
+from repro.fuzzy.membership import MembershipFunction
 from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
 
@@ -272,9 +272,17 @@ class TestExtraction:
             assert definition_from_controller(controller) == definition
 
     def test_unsupported_membership_kind_is_rejected(self):
-        variable = LinguisticVariable(
-            "x", (0.0, 1.0), [Term("g", Gaussian(0.5, 0.1))]
-        )
+        class Flat(MembershipFunction):
+            """Full membership everywhere: no definition kind says this."""
+
+            def evaluate(self, x):
+                return x * 0.0 + 1.0
+
+            @property
+            def support(self):
+                return (0.0, 1.0)
+
+        variable = LinguisticVariable("x", (0.0, 1.0), [Term("g", Flat())])
         out = tiny_definition().outputs[0].build()
         rule = FuzzyRule(
             antecedent=(Proposition("x", "g"),),
@@ -282,7 +290,7 @@ class TestExtraction:
         )
         rules = RuleBase([rule], inputs=[variable], outputs=[out])
         with pytest.raises(DefinitionError, match="no serializable definition"):
-            definition_from_rule_base(rules, name="gauss")
+            definition_from_rule_base(rules, name="flat")
 
 
 # -- property tests -------------------------------------------------------

@@ -6,7 +6,6 @@ and checks the algebraic properties the engines rely on:
 * membership degrees always lie in [0, 1], and the compiled engine's scalar
   fast paths agree exactly with the array evaluation they mirror;
 * defuzzified outputs always lie inside the output variable's universe;
-* every registered t-norm/s-norm is monotone with the right identities;
 * ``infer`` is invariant under rule-order permutation (for both engines).
 """
 
@@ -27,7 +26,6 @@ from repro.fuzzy.compiled import (
 )
 from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.membership import Trapezoidal, Triangular
-from repro.fuzzy.operators import _SNORMS, _TNORMS
 from repro.fuzzy.rules import RuleBase
 
 COMMON = settings(
@@ -37,7 +35,6 @@ COMMON = settings(
 )
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
-unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False)
 
 
 def _flc2_rule_base() -> RuleBase:
@@ -112,40 +109,6 @@ class TestDefuzzifiedOutputInsideUniverse:
     def test_flc1_correction_inside_unit_universe(self, speed, angle, distance, flc1):
         value = flc1.correction_value(speed, angle, distance)
         assert 0.0 <= value <= 1.0
-
-
-class TestNormProperties:
-    @COMMON
-    @given(a=unit, b=unit, larger=unit)
-    def test_tnorms_monotone_and_bounded(self, a, b, larger):
-        lo, hi = min(a, larger), max(a, larger)
-        for norm in _TNORMS.values():
-            low_result = float(norm(lo, b))
-            high_result = float(norm(hi, b))
-            assert low_result <= high_result + 1e-12, norm.name
-            assert -1e-12 <= low_result <= 1.0 + 1e-12, norm.name
-            # 1 is the neutral element of every t-norm.
-            assert float(norm(a, 1.0)) == pytest.approx(a, abs=1e-9), norm.name
-
-    @COMMON
-    @given(a=unit, b=unit, larger=unit)
-    def test_snorms_monotone_and_bounded(self, a, b, larger):
-        lo, hi = min(a, larger), max(a, larger)
-        for norm in _SNORMS.values():
-            low_result = float(norm(lo, b))
-            high_result = float(norm(hi, b))
-            assert low_result <= high_result + 1e-12, norm.name
-            assert -1e-12 <= low_result <= 1.0 + 1e-12, norm.name
-            # 0 is the neutral element of every s-norm.
-            assert float(norm(a, 0.0)) == pytest.approx(a, abs=1e-9), norm.name
-
-    @COMMON
-    @given(a=unit, b=unit)
-    def test_tnorm_below_min_and_snorm_above_max(self, a, b):
-        for norm in _TNORMS.values():
-            assert float(norm(a, b)) <= min(a, b) + 1e-12, norm.name
-        for norm in _SNORMS.values():
-            assert float(norm(a, b)) >= max(a, b) - 1e-12, norm.name
 
 
 class TestRulePermutationInvariance:

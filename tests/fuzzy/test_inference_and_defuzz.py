@@ -17,7 +17,7 @@ from repro.fuzzy.defuzzification import (
     WeightedAverage,
     defuzzifier_by_name,
 )
-from repro.fuzzy.inference import ImplicationMethod, MamdaniEngine
+from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.membership import Triangular
 from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
@@ -167,19 +167,6 @@ class TestMamdaniEngine:
         fired = [a.rule.label for a in result.activations if a.firing_strength > 0.0]
         assert fired == ["1", "2", "3"]
         assert set(result.fuzzified_inputs) == {"service", "food"}
-
-    def test_scale_implication_differs_from_clip(self):
-        clip = tip_controller(implication=ImplicationMethod.CLIP)
-        scale = tip_controller(implication=ImplicationMethod.SCALE)
-        # Same ordering, slightly different values.
-        assert clip.compute(service=7.0, food=6.0) == pytest.approx(
-            scale.compute(service=7.0, food=6.0), abs=2.0
-        )
-
-    def test_invalid_implication_rejected(self):
-        rule_base = tip_controller().rule_base
-        with pytest.raises(ValueError):
-            MamdaniEngine(rule_base, implication="banana")
 
     def test_no_rule_coverage_raises(self):
         x = LinguisticVariable("x", (0.0, 10.0), [Term("low", Triangular(0.0, 0.0, 2.0))])

@@ -108,12 +108,12 @@ class TestFuzzification:
         with pytest.raises(ValueError):
             var.fuzzify(500.0, strict=True)
 
-    def test_best_term_and_active_terms(self):
+    def test_degrees_cover_every_term(self):
         var = make_speed_variable()
         result = var.fuzzify(100.0)
-        assert result.best_term() == "fast"
-        active = result.active_terms()
-        assert set(active) == {"middle", "fast"}
+        assert set(result.degrees) == {"slow", "middle", "fast"}
+        assert max(result.degrees, key=result.degrees.get) == "fast"
+        assert {name for name, mu in result.degrees.items() if mu > 0.0} == {"middle", "fast"}
 
     def test_result_getitem(self):
         var = make_speed_variable()

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import CONTROLLERS
 from repro.cac.complete_sharing import CompleteSharingController
+from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.cellular.calls import CallType
 from repro.cellular.network import hex_cell_count
 from repro.simulation.config import NetworkExperimentConfig
@@ -79,6 +80,24 @@ def test_net_mobility_regime_equals_the_des_oracle(seed):
     loop, oracle = _pickled_runs(config, CONTROLLERS.get("FACS")(engine="compiled"))
     assert loop == oracle
     assert pickle.loads(loop).handoff_attempts > 0
+
+
+def test_facs_cells_above_the_cs_universe_equal_the_des_oracle(monkeypatch):
+    # FLC2's Cs universe ends at 40 BU; these 60 BU cells fill past it.
+    config = NetworkExperimentConfig(
+        rings=1, capacity_bu=60, arrival_rate_per_cell_per_s=0.5, duration_s=300.0, seed=1
+    )
+    admitted_occupancy = []
+    on_admitted = FuzzyAdmissionControlSystem.on_admitted
+
+    def noted(self, call, station, now):
+        on_admitted(self, call, station, now)
+        admitted_occupancy.append(station.used_bu)
+
+    monkeypatch.setattr(FuzzyAdmissionControlSystem, "on_admitted", noted)
+    loop, oracle = _pickled_runs(config, CONTROLLERS.get("FACS")(engine="compiled"))
+    assert loop == oracle
+    assert max(admitted_occupancy) > 40
 
 
 @dataclass(frozen=True)
