@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
 from repro.cac.facs.frb1 import FRB1_TABLE, frb1_rules
 from repro.cac.facs.frb2 import FRB2_TABLE, frb2_rules
+from repro.fuzzy.compiled import CompiledMamdaniEngine
+from repro.fuzzy.defuzzification import Centroid
+from repro.fuzzy.inference import MamdaniEngine
+from repro.fuzzy.membership import Trapezoidal
 from repro.fuzzy.rules import RuleBase
 
 
@@ -21,6 +26,71 @@ def rule_rows(rules) -> list[tuple]:
         )
         for rule in rules
     ]
+
+
+def prototype(variable, term_name: str) -> float:
+    """The middle of a term's core, where it alone has full membership."""
+    membership = variable.term(term_name).membership
+    if isinstance(membership, Trapezoidal):
+        low, high = membership.core
+        return 0.5 * (low + high)
+    return membership.peak
+
+
+def assert_row_decides_alone(base: RuleBase, index: int) -> None:
+    """At its terms' prototypes, row ``index`` fires at 1 and every other
+    row at 0, so MIN, CLIP and MAX leave its consequent term unchanged and
+    the output is that term's centroid, on both engines and both paths."""
+    rule = base[index]
+    inputs = {
+        p.variable: prototype(base.input_variables[p.variable], p.term)
+        for p in rule.antecedent
+    }
+    (consequent,) = rule.consequents
+    output = base.output_variables[consequent.variable]
+    surface = output.sample_term(consequent.term)
+    expected = Centroid()(output.grid, surface)
+    strengths = [1.0 if i == index else 0.0 for i in range(len(base))]
+    columns = {name: np.array([value]) for name, value in inputs.items()}
+    for engine in (MamdaniEngine(base), CompiledMamdaniEngine(base)):
+        result = engine.infer(inputs)
+        assert [a.firing_strength for a in result.activations] == strengths
+        np.testing.assert_array_equal(result.aggregated[output.name], surface)
+        assert result.outputs[output.name] == expected
+        batch = engine.infer_batch(columns)
+        assert batch.outputs[output.name][0] == expected
+        assert batch.dominant_indices[0] == index
+    crisp = CompiledMamdaniEngine(base).infer_crisp(inputs)
+    assert crisp.dominant_label == rule.label == str(index)
+    assert crisp[output.name] == expected
+
+
+def frb1_base() -> RuleBase:
+    config = DEFAULT_FLC1_CONFIG
+    return RuleBase(
+        frb1_rules(),
+        inputs=[
+            config.speed_variable(),
+            config.angle_variable(),
+            config.distance_variable(),
+        ],
+        outputs=[config.correction_variable()],
+        name="frb1",
+    )
+
+
+def frb2_base() -> RuleBase:
+    config = DEFAULT_FLC2_CONFIG
+    return RuleBase(
+        frb2_rules(),
+        inputs=[
+            config.correction_variable(),
+            config.request_variable(),
+            config.counter_variable(),
+        ],
+        outputs=[config.decision_variable()],
+        name="frb2",
+    )
 
 
 class TestFRB1Table:
@@ -73,17 +143,7 @@ class TestFRB1Table:
                 assert cv == "Cv1"
 
     def test_rule_strings_parse_and_validate_against_variables(self):
-        config = DEFAULT_FLC1_CONFIG
-        base = RuleBase(
-            frb1_rules(),
-            inputs=[
-                config.speed_variable(),
-                config.angle_variable(),
-                config.distance_variable(),
-            ],
-            outputs=[config.correction_variable()],
-            name="frb1",
-        )
+        base = frb1_base()
         assert len(base) == 42
         assert base.is_complete()
         for rule, (index, s, a, d, cv) in zip(base, FRB1_TABLE):
@@ -98,6 +158,10 @@ class TestFRB1Table:
             (str(index), (("S", s), ("A", a), ("D", d)), (("Cv", cv),), 1.0)
             for index, s, a, d, cv in FRB1_TABLE
         ]
+
+    @pytest.mark.parametrize("index", range(42))
+    def test_row_decides_alone_at_its_prototype(self, index):
+        assert_row_decides_alone(frb1_base(), index)
 
 
 class TestFRB2Table:
@@ -145,17 +209,7 @@ class TestFRB2Table:
         assert rejects == [("G", "Vi", "F")]
 
     def test_rules_validate_against_flc2_variables(self):
-        config = DEFAULT_FLC2_CONFIG
-        base = RuleBase(
-            frb2_rules(),
-            inputs=[
-                config.correction_variable(),
-                config.request_variable(),
-                config.counter_variable(),
-            ],
-            outputs=[config.decision_variable()],
-            name="frb2",
-        )
+        base = frb2_base()
         assert len(base) == 27
         assert base.is_complete()
 
@@ -168,3 +222,7 @@ class TestFRB2Table:
             (str(index), (("Cv", cv), ("R", r), ("Cs", cs)), (("AR", ar),), 1.0)
             for index, cv, r, cs, ar in FRB2_TABLE
         ]
+
+    @pytest.mark.parametrize("index", range(27))
+    def test_row_decides_alone_at_its_prototype(self, index):
+        assert_row_decides_alone(frb2_base(), index)

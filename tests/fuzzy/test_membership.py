@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
+from repro.fuzzy.compiled import _term_evaluator
 from repro.fuzzy.membership import (
     Trapezoidal,
     Triangular,
@@ -147,3 +149,44 @@ class TestGenericHelpers:
         mf = Triangular(0.0, 1.0, 2.0)
         xs = np.linspace(0.0, 2.0, 9)
         np.testing.assert_allclose(mf.sample(xs), mf(xs))
+
+
+def paper_terms() -> list:
+    """Every term of Figs. 5 and 6, with the variable whose grid it is on."""
+    flc1, flc2 = DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
+    variables = [
+        ("FLC1", flc1.speed_variable()),
+        ("FLC1", flc1.angle_variable()),
+        ("FLC1", flc1.distance_variable()),
+        ("FLC1", flc1.correction_variable()),
+        ("FLC2", flc2.correction_variable()),
+        ("FLC2", flc2.request_variable()),
+        ("FLC2", flc2.counter_variable()),
+        ("FLC2", flc2.decision_variable()),
+    ]
+    return [
+        pytest.param(variable, term, id=f"{controller}-{variable.name}-{term.name}")
+        for controller, variable in variables
+        for term in variable
+    ]
+
+
+class TestPaperTerms:
+    @pytest.mark.parametrize("variable,term", paper_terms())
+    def test_term_on_its_grid(self, variable, term):
+        """Full membership on the core, zero off the support, values in
+        [0, 1], and the compiled engine's scalar closure equal to the array
+        evaluation at every grid point and break point."""
+        mf = term.membership
+        core = mf.core if isinstance(mf, Trapezoidal) else (mf.peak, mf.peak)
+        assert mf(core[0]) == mf(core[1]) == 1.0
+        grid = variable.grid
+        degrees = mf.sample(grid)
+        assert ((degrees >= 0.0) & (degrees <= 1.0)).all()
+        low, high = mf.support
+        assert not degrees[(grid < low) | (grid > high)].any()
+        assert degrees[(grid > low) & (grid < high)].all()
+        evaluator = _term_evaluator(term)
+        points = np.concatenate([grid, [low, high, *core]])
+        for x, mu in zip(points, mf.evaluate(points)):
+            assert evaluator(float(x)) == mf(float(x)) == mu

@@ -1,4 +1,13 @@
-"""Tests for t-norms, s-norms and complements, including algebraic properties."""
+"""MIN conjunction, CLIP implication and MAX aggregation.
+
+These are the paper's Mamdani operators and the only ones the engines run:
+a rule fires at its weight times the minimum of its proposition degrees,
+each consequent term is clipped at that strength, and an output's clipped
+terms combine by their element-wise maximum.  The tests state each step as
+an oracle, first on :meth:`FuzzyRule.firing_strength` alone and then over
+FLC1 and FLC2, where both engines, on the scalar and the batch paths, must
+meet it bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -6,185 +15,218 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fuzzy.operators import (
-    BOUNDED_SUM,
-    DRASTIC_AND,
-    DRASTIC_OR,
-    EINSTEIN_OR,
-    HAMACHER_AND,
-    LUKASIEWICZ_AND,
-    MAXIMUM,
-    MINIMUM,
-    NILPOTENT_AND,
-    NILPOTENT_OR,
-    PROBABILISTIC_SUM,
-    PRODUCT,
-    STANDARD_COMPLEMENT,
-    SUGENO_COMPLEMENT,
-    YAGER_COMPLEMENT,
-    aggregate,
-    snorm_by_name,
-    tnorm_by_name,
-)
+from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
+from repro.cac.facs.frb1 import frb1_rules
+from repro.cac.facs.frb2 import frb2_rules
+from repro.fuzzy.compiled import CompiledMamdaniEngine
+from repro.fuzzy.defuzzification import Centroid
+from repro.fuzzy.inference import MamdaniEngine
+from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 
-unit = st.floats(0.0, 1.0)
-
-ALL_TNORMS = [MINIMUM, PRODUCT, LUKASIEWICZ_AND, DRASTIC_AND, NILPOTENT_AND, HAMACHER_AND]
-ALL_SNORMS = [MAXIMUM, PROBABILISTIC_SUM, BOUNDED_SUM, DRASTIC_OR, NILPOTENT_OR, EINSTEIN_OR]
+degree = st.floats(min_value=0.0, max_value=1.0)
+degree_lists = st.lists(degree, min_size=1, max_size=4)
 
 
-class TestTNormProperties:
-    @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.name)
-    @given(a=unit, b=unit)
-    @settings(max_examples=50)
-    def test_commutativity(self, tnorm, a, b):
-        assert tnorm(a, b) == pytest.approx(tnorm(b, a), abs=1e-12)
-
-    @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.name)
-    @given(a=unit)
-    @settings(max_examples=50)
-    def test_identity_element_one(self, tnorm, a):
-        assert tnorm(a, 1.0) == pytest.approx(a, abs=1e-12)
-
-    @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.name)
-    @given(a=unit, b=unit)
-    @settings(max_examples=50)
-    def test_result_in_unit_interval(self, tnorm, a, b):
-        assert -1e-12 <= float(tnorm(a, b)) <= 1.0 + 1e-12
-
-    @pytest.mark.parametrize("tnorm", ALL_TNORMS, ids=lambda t: t.name)
-    @given(a=unit, b=unit)
-    @settings(max_examples=50)
-    def test_bounded_above_by_minimum(self, tnorm, a, b):
-        assert float(tnorm(a, b)) <= min(a, b) + 1e-12
-
-    def test_minimum_values(self):
-        assert MINIMUM(0.3, 0.7) == pytest.approx(0.3)
-
-    def test_product_values(self):
-        assert PRODUCT(0.5, 0.4) == pytest.approx(0.2)
-
-    def test_lukasiewicz_values(self):
-        assert LUKASIEWICZ_AND(0.7, 0.5) == pytest.approx(0.2)
-        assert LUKASIEWICZ_AND(0.3, 0.4) == pytest.approx(0.0)
-
-    def test_drastic_values(self):
-        assert DRASTIC_AND(1.0, 0.4) == pytest.approx(0.4)
-        assert DRASTIC_AND(0.9, 0.4) == pytest.approx(0.0)
-
-    def test_reduce(self):
-        assert MINIMUM.reduce([0.9, 0.4, 0.6]) == pytest.approx(0.4)
-        assert PRODUCT.reduce([0.5, 0.5, 0.5]) == pytest.approx(0.125)
-
-    def test_reduce_empty_raises(self):
-        with pytest.raises(ValueError):
-            MINIMUM.reduce([])
+def conjunction(count: int, weight: float = 1.0) -> FuzzyRule:
+    """``IF x0 is t AND ... AND x{count-1} is t THEN y is t``."""
+    return FuzzyRule(
+        tuple(Proposition(f"x{i}", "t") for i in range(count)),
+        (Consequent("y", "t"),),
+        weight=weight,
+    )
 
 
-class TestSNormProperties:
-    @pytest.mark.parametrize("snorm", ALL_SNORMS, ids=lambda s: s.name)
-    @given(a=unit, b=unit)
-    @settings(max_examples=50)
-    def test_commutativity(self, snorm, a, b):
-        assert snorm(a, b) == pytest.approx(snorm(b, a), abs=1e-12)
-
-    @pytest.mark.parametrize("snorm", ALL_SNORMS, ids=lambda s: s.name)
-    @given(a=unit)
-    @settings(max_examples=50)
-    def test_identity_element_zero(self, snorm, a):
-        assert snorm(a, 0.0) == pytest.approx(a, abs=1e-12)
-
-    @pytest.mark.parametrize("snorm", ALL_SNORMS, ids=lambda s: s.name)
-    @given(a=unit, b=unit)
-    @settings(max_examples=50)
-    def test_bounded_below_by_maximum(self, snorm, a, b):
-        assert float(snorm(a, b)) >= max(a, b) - 1e-12
-
-    def test_maximum_values(self):
-        assert MAXIMUM(0.3, 0.7) == pytest.approx(0.7)
-
-    def test_probabilistic_sum_values(self):
-        assert PROBABILISTIC_SUM(0.5, 0.5) == pytest.approx(0.75)
-
-    def test_bounded_sum_values(self):
-        assert BOUNDED_SUM(0.7, 0.5) == pytest.approx(1.0)
-        assert BOUNDED_SUM(0.3, 0.4) == pytest.approx(0.7)
-
-    def test_reduce(self):
-        assert MAXIMUM.reduce([0.1, 0.8, 0.3]) == pytest.approx(0.8)
-
-    def test_reduce_empty_raises(self):
-        with pytest.raises(ValueError):
-            MAXIMUM.reduce([])
+def degrees_of(values: list[float]) -> dict[str, dict[str, float]]:
+    return {f"x{i}": {"t": value} for i, value in enumerate(values)}
 
 
-class TestDuality:
-    @given(a=unit, b=unit)
-    @settings(max_examples=100)
-    def test_min_max_de_morgan(self, a, b):
-        """min and max are dual under the standard complement."""
-        lhs = 1.0 - MINIMUM(a, b)
-        rhs = MAXIMUM(1.0 - a, 1.0 - b)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+class TestMinConjunction:
+    @given(values=degree_lists, data=st.data())
+    def test_commutativity(self, values, data):
+        rule = conjunction(len(values))
+        order = data.draw(st.permutations(range(len(values))))
+        permuted = FuzzyRule(tuple(rule.antecedent[i] for i in order), rule.consequents)
+        degrees = degrees_of(values)
+        assert permuted.firing_strength(degrees) == rule.firing_strength(degrees)
 
-    @given(a=unit, b=unit)
-    @settings(max_examples=100)
-    def test_product_probsum_de_morgan(self, a, b):
-        lhs = 1.0 - PRODUCT(a, b)
-        rhs = PROBABILISTIC_SUM(1.0 - a, 1.0 - b)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+    @given(values=degree_lists)
+    def test_selects_the_smallest_degree(self, values):
+        strength = conjunction(len(values)).firing_strength(degrees_of(values))
+        assert strength in values
+        assert all(strength <= value for value in values)
 
+    @given(values=degree_lists)
+    def test_identity_element_one(self, values):
+        strength = conjunction(len(values)).firing_strength(degrees_of(values))
+        extended = conjunction(len(values) + 1)
+        assert extended.firing_strength(degrees_of([*values, 1.0])) == strength
 
-class TestComplements:
-    @given(a=unit)
-    @settings(max_examples=50)
-    def test_standard_complement_involution(self, a):
-        assert STANDARD_COMPLEMENT(STANDARD_COMPLEMENT(a)) == pytest.approx(a, abs=1e-12)
+    @given(values=degree_lists, data=st.data())
+    def test_zero_annihilates(self, values, data):
+        position = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+        values[position] = 0.0
+        assert conjunction(len(values)).firing_strength(degrees_of(values)) == 0.0
 
-    def test_sugeno_requires_lambda_above_minus_one(self):
-        with pytest.raises(ValueError):
-            SUGENO_COMPLEMENT(-1.0)
+    @given(values=degree_lists, raised=degree, data=st.data())
+    def test_monotone_in_every_degree(self, values, raised, data):
+        position = data.draw(st.integers(min_value=0, max_value=len(values) - 1))
+        higher = list(values)
+        higher[position] = max(values[position], raised)
+        rule = conjunction(len(values))
+        assert rule.firing_strength(degrees_of(higher)) >= rule.firing_strength(degrees_of(values))
 
-    @given(a=unit, lam=st.floats(-0.9, 5.0))
-    @settings(max_examples=50)
-    def test_sugeno_boundary_conditions(self, a, lam):
-        comp = SUGENO_COMPLEMENT(lam)
-        assert comp(0.0) == pytest.approx(1.0)
-        assert comp(1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_yager_requires_positive_w(self):
-        with pytest.raises(ValueError):
-            YAGER_COMPLEMENT(0.0)
-
-    def test_yager_reduces_to_standard_for_w_one(self):
-        comp = YAGER_COMPLEMENT(1.0)
-        for a in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert comp(a) == pytest.approx(1.0 - a)
+    @given(values=degree_lists, weight=degree)
+    def test_weight_scales_the_minimum(self, values, weight):
+        strength = conjunction(len(values), weight).firing_strength(degrees_of(values))
+        assert strength == weight * min(values)
 
 
-class TestRegistryAndAggregation:
-    def test_lookup_by_name(self):
-        assert tnorm_by_name("minimum") is MINIMUM
-        assert snorm_by_name("maximum") is MAXIMUM
+# ----------------------------------------------------------------------
+# FLC1 and FLC2 against the oracle, on both engines
+# ----------------------------------------------------------------------
+def _flc1_variables():
+    config = DEFAULT_FLC1_CONFIG
+    inputs = [config.speed_variable(), config.angle_variable(), config.distance_variable()]
+    return inputs, [config.correction_variable()]
 
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            tnorm_by_name("nope")
-        with pytest.raises(KeyError):
-            snorm_by_name("nope")
 
-    def test_aggregate_max(self):
-        a = np.array([0.1, 0.5, 0.9])
-        b = np.array([0.3, 0.2, 0.8])
-        np.testing.assert_allclose(aggregate(MAXIMUM, [a, b]), [0.3, 0.5, 0.9])
+def _flc2_variables():
+    config = DEFAULT_FLC2_CONFIG
+    inputs = [
+        config.correction_variable(),
+        config.request_variable(),
+        config.counter_variable(),
+    ]
+    return inputs, [config.decision_variable()]
 
-    def test_aggregate_single_surface_returns_copy(self):
-        a = np.array([0.1, 0.2])
-        result = aggregate(MAXIMUM, [a])
-        np.testing.assert_allclose(result, a)
-        result[0] = 0.9
-        assert a[0] == pytest.approx(0.1)
 
-    def test_aggregate_empty_raises(self):
-        with pytest.raises(ValueError):
-            aggregate(MAXIMUM, [])
+VARIABLES = {"FLC1": _flc1_variables(), "FLC2": _flc2_variables()}
+RULES = {"FLC1": tuple(frb1_rules()), "FLC2": tuple(frb2_rules())}
+ENGINE_CLASSES = {"reference": MamdaniEngine, "compiled": CompiledMamdaniEngine}
+CONTROLLERS = pytest.mark.parametrize("controller", sorted(VARIABLES))
+ENGINES = pytest.mark.parametrize("kind", sorted(ENGINE_CLASSES))
+
+
+def rule_base(controller: str, rules=None) -> RuleBase:
+    inputs, outputs = VARIABLES[controller]
+    chosen = RULES[controller] if rules is None else rules
+    return RuleBase(chosen, inputs, outputs, name=controller)
+
+
+def engine_for(controller: str, kind: str, rules=None) -> MamdaniEngine:
+    return ENGINE_CLASSES[kind](rule_base(controller, rules))
+
+
+def oracle_strengths(base: RuleBase, inputs: dict[str, float]) -> list[float]:
+    """Each rule's weight times the minimum of its fuzzified propositions."""
+    degrees = {
+        name: variable.fuzzify(float(inputs[name])).degrees
+        for name, variable in base.input_variables.items()
+    }
+    return [
+        rule.weight * min(degrees[p.variable][p.term] for p in rule.antecedent)
+        for rule in base
+    ]
+
+
+def oracle_surface(base: RuleBase, inputs: dict[str, float], output: str) -> np.ndarray:
+    """MAX over every rule of its consequent term CLIPped at its strength."""
+    variable = base.output_variables[output]
+    surface = np.zeros(variable.resolution)
+    for rule, strength in zip(base, oracle_strengths(base, inputs)):
+        for consequent in rule.consequents:
+            if consequent.variable == output:
+                clipped = np.minimum(variable.sample_term(consequent.term), strength)
+                surface = np.maximum(surface, clipped)
+    return surface
+
+
+@st.composite
+def crisp_inputs(draw, controller: str) -> dict[str, float]:
+    inputs, _ = VARIABLES[controller]
+    return {variable.name: draw(st.floats(*variable.universe)) for variable in inputs}
+
+
+def input_rows(controller: str, count: int, seed: int) -> dict[str, np.ndarray]:
+    """``count`` rows spread over every input universe, edges included."""
+    rng = np.random.default_rng(seed)
+    inputs, _ = VARIABLES[controller]
+    columns = {}
+    for variable in inputs:
+        low, high = variable.universe
+        column = rng.uniform(low, high, count)
+        column[:2] = (low, high)
+        columns[variable.name] = column
+    return columns
+
+
+class TestEngineStrengths:
+    @CONTROLLERS
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_engines_fire_every_rule_at_its_minimum(self, controller, data):
+        inputs = data.draw(crisp_inputs(controller))
+        base = rule_base(controller)
+        expected = oracle_strengths(base, inputs)
+        for kind in ENGINE_CLASSES:
+            result = engine_for(controller, kind).infer(inputs)
+            assert [a.firing_strength for a in result.activations] == expected
+
+
+class TestClipAndMaxAggregation:
+    @CONTROLLERS
+    @ENGINES
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_aggregated_surface_is_the_max_of_clipped_consequents(self, controller, kind, data):
+        inputs = data.draw(crisp_inputs(controller))
+        base = rule_base(controller)
+        result = engine_for(controller, kind).infer(inputs)
+        for name, variable in base.output_variables.items():
+            surface = oracle_surface(base, inputs, name)
+            np.testing.assert_array_equal(result.aggregated[name], surface)
+            assert result.outputs[name] == Centroid()(variable.grid, surface)
+
+    @CONTROLLERS
+    @ENGINES
+    def test_batch_rows_defuzzify_the_oracle_surface(self, controller, kind):
+        base = rule_base(controller)
+        columns = input_rows(controller, 48, seed=30)
+        batch = engine_for(controller, kind).infer_batch(columns)
+        for i in range(len(batch)):
+            row = {name: float(column[i]) for name, column in columns.items()}
+            for name, variable in base.output_variables.items():
+                expected = Centroid()(variable.grid, oracle_surface(base, row, name))
+                assert batch.outputs[name][i] == expected
+            assert batch.dominant_indices[i] == int(np.argmax(oracle_strengths(base, row)))
+
+    @CONTROLLERS
+    @ENGINES
+    def test_repeating_every_rule_changes_nothing(self, controller, kind):
+        """MAX is idempotent: a rule base listed twice infers the same."""
+        columns = input_rows(controller, 32, seed=31)
+        single = engine_for(controller, kind)
+        doubled = engine_for(controller, kind, RULES[controller] * 2)
+        once, twice = single.infer_batch(columns), doubled.infer_batch(columns)
+        for name in once.outputs:
+            np.testing.assert_array_equal(twice.outputs[name], once.outputs[name])
+        np.testing.assert_array_equal(twice.dominant_indices, once.dominant_indices)
+        row = {name: float(column[5]) for name, column in columns.items()}
+        assert doubled.infer(row).outputs == single.infer(row).outputs
+
+    @CONTROLLERS
+    @ENGINES
+    def test_a_zero_weight_rule_changes_nothing(self, controller, kind):
+        """A zero strength clips its term to zero, the identity of MAX."""
+        base = rule_base(controller)
+        (output,) = base.output_variables.values()
+        first = RULES[controller][0]
+        silent = tuple(
+            FuzzyRule(first.antecedent, (Consequent(output.name, term),), weight=0.0)
+            for term in output.term_names
+        )
+        columns = input_rows(controller, 32, seed=32)
+        plain = engine_for(controller, kind).infer_batch(columns)
+        padded = engine_for(controller, kind, silent + RULES[controller]).infer_batch(columns)
+        np.testing.assert_array_equal(padded.outputs[output.name], plain.outputs[output.name])
+        np.testing.assert_array_equal(padded.dominant_indices, plain.dominant_indices + len(silent))
