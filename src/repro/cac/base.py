@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from ..cellular.calls import Call
 from ..cellular.cell import BaseStation
@@ -92,6 +92,15 @@ class AdmissionController(ABC):
 
     def reset(self) -> None:
         """Clear any internal state between simulation replications."""
+
+    def warm_up(self, bandwidths_bu: Iterable[int]) -> None:
+        """Build now, in this process, what deciding requests of these bandwidths reads.
+
+        Called once per controller configuration in the parent of a process
+        pool that forks its workers, so they inherit what it builds instead
+        of each building it.  It must change no verdict.  The default builds
+        nothing.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

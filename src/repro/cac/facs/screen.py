@@ -24,11 +24,22 @@ ambiguous.  A process builds the screen once per controller pair.  Its
 FLC2 half, :class:`VerdictTables` (the ``Cv`` grid and the cell tables),
 depends on FLC2 and the threshold alone and is shared by every pair with
 the same FLC2 and threshold, so a rule-base tuning search over FLC1 builds
-each table once for all its trials.  Tables are built lazily, by one rule
-for both ways in: an (R, Cs) pair's table is built on the
-:data:`_TABLE_MIN_VERDICTS`-th verdict asked there, and the verdicts
-before it are scored exactly.  A pair met only a few times never pays for
-a table.
+each table once for all its trials.
+
+Tables are built per bandwidth, in one batch: every table of that
+bandwidth, one per integer ``Cs`` of FLC2's ``Cs`` universe (a key above
+it reads the table at the universe's end, where FLC2 clamps it).  The
+batch bounds coarse groups of ``Cv`` cells first and single cells only
+inside the groups it left ambiguous, so it builds the tables cell for
+cell equal to building them one at a time, in a fraction of the time.
+One rule builds a bandwidth's batch, for both ways in: on the
+:data:`_BATCH_MIN_VERDICTS`-th verdict asked at that bandwidth, the
+verdicts before it being scored exactly, so a process that asks few
+verdicts never pays for tables.  A parent that forks worker processes
+builds the batches of its requests' bandwidths first instead
+(:meth:`DecisionScreen.warm_up`, through
+:meth:`~repro.cac.base.AdmissionController.warm_up`), and its workers
+inherit them.
 
 How a block of trace rows flows through the screen
 (:meth:`DecisionScreen.columns` runs steps 1–2 once per block;
@@ -44,10 +55,10 @@ row's request meets):
    (FLC1's defuzzified, [0, 1]-clipped output).
 3. **FLC2 cell lookup.**  FLC2's other two inputs are effectively discrete
    in every caller (bandwidth ∈ {1, 5, 10} BU, occupancy an integer),
-   so for each ``(R, Cs)`` pair the screen lazily builds one verdict per
-   cell of a ``Cv`` grid that every pair shares: uniform points plus every
-   membership breakpoint, once the pair has been asked often enough (until
-   then the row takes step 4).  One bounding pass gives each cell interval
+   so for each ``(R, Cs)`` pair the screen holds one verdict per cell of a
+   ``Cv`` grid that every pair shares: uniform points plus every
+   membership breakpoint, once the bandwidth's batch is built (until then
+   the row takes step 4).  Bounding gives each cell (or group) interval
    rule strengths (degree endpoints are certified because
    triangular/trapezoidal memberships are quasiconcave — including
    ``Triangular``'s ``np.isclose`` peak band, which gets its own guard
@@ -69,13 +80,14 @@ row's request meets):
    exactly, once — reusing the firing strengths from step 1, and
    bit-identical because the engine's batch rows are independent and equal
    its scalar path — and reads its verdict at that exact correction in the
-   cell table, running exact FLC2 at that occupancy where the pair has no
-   table yet or the correction lands in an *ambiguous* cell.  A warm
-   block, most of whose rows the lookup decides, finishes FLC1 for its few
-   undecided rows one at a time.  A cold block, whose pairs have no tables
-   yet, finishes it in vectorized passes over the row and the next ones,
-   as exact scoring would: a block counts as cold while it has finished
-   FLC1 for at least as many rows as the lookup has decided.
+   cell table, running exact FLC2 at that occupancy where the bandwidth
+   has no tables yet or the correction lands in an *ambiguous* cell.  A
+   warm block, most of whose rows the lookup decides, finishes FLC1 for
+   its few undecided rows one at a time.  A cold block, most of whose rows
+   meet a bandwidth without tables (every block of a run too short to
+   build them), finishes it in vectorized passes over the row and the
+   next ones, as exact scoring would: a block counts as cold while it has
+   finished FLC1 for at least as many rows as the lookup has decided.
    Rows where FLC1's rule base did not fire make the screen defer the
    whole block to the exact path so the diagnostic error is raised with
    its canonical wording.
@@ -84,8 +96,11 @@ row's request meets):
 from __future__ import annotations
 
 import logging
+import math
+import time
 from bisect import bisect_right
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -110,19 +125,31 @@ _ISCLOSE_RTOL = 1e-5
 _ISCLOSE_ATOL = 1e-8
 #: Number of uniform points in the shared ``Cv`` cell grid.
 _CV_SEED_CELLS = 257
-#: Verdicts asked at one (R, Cs), through a block or through
-#: :meth:`VerdictTables.verdict_at`, before that pair's cell table is
-#: built.  A table costs 0.5-0.7 ms, about a dozen exact FLC2 evaluations
-#: (46-65 µs each), so paying exact FLC2 until a pair has been asked this
-#: often, and building its table then, never costs much more than twice
-#: the cheaper choice, however many verdicts the process goes on to ask
-#: there.
-_TABLE_MIN_VERDICTS = 12
+#: Verdicts asked at one bandwidth, through a block or through
+#: :meth:`VerdictTables.verdict_at`, before that bandwidth's tables are
+#: built.  One bandwidth's batch (its 41 tables on the paper's FLC2) costs
+#: about 4 ms, as much as about 110 exact FLC2 evaluations (about 37 µs
+#: each; both on a 2-vCPU host), so paying exact FLC2 until a bandwidth has
+#: been asked this often, and building its tables then, never costs much
+#: more than twice the cheaper choice, however many verdicts the process
+#: goes on to ask there.
+_BATCH_MIN_VERDICTS = 110
+#: Shared cells per group of the batch's coarse pass.  The paper FLC2's
+#: three batches took about 17 ms with groups of 16 cells, against about
+#: 22 ms with 4 and 29 ms with 64.
+_GROUP_CELLS = 16
+#: Rows (one group or one cell of a table each) the batch bounds at once,
+#: which bounds its temporaries: three batches allocate at most about
+#: 0.5 MiB at once, against 2 MiB with the fine pass unchunked.
+_PASS_ROWS = 256
 #: Rows a cold block corrects in one exact FLC1 pass (see
 #: :meth:`ScreenedColumns.accepts`).  A pass holds a few (rows × Cv grid)
 #: arrays at once, about 16 KiB a row: 8 MiB for a whole 512-row block, a
 #: sixth of a 20,000-request trace run's peak RSS.  At 64 rows it costs
-#: about 13 µs a row, against 35 µs for a row corrected alone.
+#: about 13 µs a row, against 35 µs for a row corrected alone.  A process
+#: whose runs are too short to build tables, such as a tuning trial of a
+#: few hundred requests, finishes FLC1 for every row: without the passes
+#: a cold 50-trial FLC2 grid ran 13% slower on a 2-vCPU host.
 _FLC1_PASS_ROWS = 64
 #: Entries each process-wide memo of FLC controllers, screens and verdict
 #: tables keeps (here and in :mod:`repro.cac.facs.system`): room for the few
@@ -154,7 +181,10 @@ class VerdictTables:
     FLC2 and the threshold alone, so every controller pair with the same
     FLC2 and threshold reads one instance (:func:`_shared_verdicts`).  A
     rule-base tuning search over FLC1 thus builds each table once for all
-    its trials.
+    its trials.  The tables of one bandwidth are built together, in one
+    batch (:meth:`_build`): one table per integer ``Cs`` of FLC2's ``Cs``
+    universe, which a key above (or below) the universe shares with the
+    end FLC2 clamps it to.
     """
 
     def __init__(self, flc2: FLC2, threshold: float):
@@ -178,6 +208,17 @@ class VerdictTables:
         self._cv_low = cv_low
         self._cv_high = cv_high
         self._cv_memberships = cv_memberships
+        _, cs_low, cs_high, _, _ = plan_by_name["Cs"]
+        self._cs_low = cs_low
+        self._cs_high = cs_high
+        #: The Cs of each table of a bandwidth: every integer of FLC2's Cs
+        #: universe, and its ends.
+        self._cs_values = sorted(
+            {
+                min(max(float(cs), cs_low), cs_high)
+                for cs in range(math.floor(cs_low), math.ceil(cs_high) + 1)
+            }
+        )
 
         # The Cv cell grid every (R, Cs) table shares: universe ends, every
         # membership breakpoint (and isclose guard band), plus uniform points
@@ -199,9 +240,9 @@ class VerdictTables:
         # is an exact selection, so the fold splits bit for bit into its Cv
         # part, which depends on the shared cell grid alone and is folded
         # here once, and its R/Cs part, constant within a table and folded
-        # per table (see _cell_scores): ``(cells, rules)``.  Rules are laid
-        # out grouped by consequent term, so one maximum.reduceat gives every
-        # term's strength (max is exact too).
+        # per batch (see _constant_strengths): ``(cells, rules)``.  Rules are
+        # laid out grouped by consequent term, so one maximum.reduceat gives
+        # every term's strength (max is exact too).
         deg_lo, deg_hi = self._degree_intervals(self._edges[:-1], self._edges[1:])
         term_rules = self._term_columns2
         self._term_starts2 = np.cumsum([0] + [len(rules) for rules in term_rules[:-1]])
@@ -215,13 +256,26 @@ class VerdictTables:
             slots = cv_slot[rules, column]
             lo[:, rules] = np.minimum(lo[:, rules], deg_lo[slots].T)
             hi[:, rules] = np.minimum(hi[:, rules], deg_hi[slots].T)
+        # The coarse pass's groups of consecutive cells.  A group's Cv
+        # strengths span its cells' (min and max are exact selections), so
+        # its interval contains each of its cells' intervals.
+        cells = self._edges.size - 1
+        self._group_starts = np.arange(0, cells, _GROUP_CELLS)
+        self._group_sizes = np.diff(np.append(self._group_starts, cells))
+        self._group_lo = np.minimum.reduceat(lo, self._group_starts, axis=0)
+        self._group_hi = np.maximum.reduceat(hi, self._group_starts, axis=0)
 
         #: (bandwidth, occupancy) -> verdict per shared cell: 1 accept,
         #: 0 reject, -1 ambiguous.
         self._cells: dict[tuple[float, float], np.ndarray] = {}
-        #: (bandwidth, occupancy) -> verdicts asked there without a table,
-        #: by every screen that shares these tables.
-        self._asked: dict[tuple[float, float], int] = {}
+        #: bandwidth -> table Cs -> its table, once the batch is built.
+        self._batches: dict[float, dict[float, np.ndarray]] = {}
+        #: bandwidth -> verdicts asked there before its batch, by every
+        #: screen that shares these tables.
+        self._waiting: dict[float, int] = {}
+        #: Batches built on these tables in this process or, for a forked
+        #: worker, in its parent before the fork.
+        self.batches = 0
 
     def _degree_intervals(
         self, cell_lo: np.ndarray, cell_hi: np.ndarray
@@ -248,40 +302,43 @@ class VerdictTables:
             deg_hi[j] = np.clip(hi, 0.0, 1.0)
         return deg_lo, deg_hi
 
-    def _cell_table(self, bandwidth: float, occupancy: float) -> np.ndarray:
-        """Verdicts of one (R, Cs) pair over the shared cells, built once."""
-        key = (float(bandwidth), float(occupancy))
-        decision = self._cells.get(key)
-        if decision is None:
-            score_lo, score_hi, certain = self._cell_scores(*key)
-            decision = np.full(score_lo.size, -1, dtype=np.int8)
-            decision[certain & (score_lo > self._threshold)] = 1
-            decision[certain & (score_hi <= self._threshold)] = 0
-            ambiguous = decision == -1
-            _log.debug(
-                "cell table R=%g Cs=%g: %d cells, %d ambiguous, ambiguous Cv width %.4g",
-                *key,
-                decision.size,
-                np.count_nonzero(ambiguous),
-                float(np.diff(self._edges)[ambiguous].sum()),
-            )
-            self._cells[key] = decision
-        return decision
-
     def _table(self, bandwidth: float, occupancy: float) -> np.ndarray | None:
         """The (R, Cs) pair's cell table for one verdict asked there.
 
-        ``None`` until the pair has been asked :data:`_TABLE_MIN_VERDICTS`
-        times; that ask builds the table.  A count lost to a racing thread
-        only delays the build.
+        ``None`` until the bandwidth has been asked
+        :data:`_BATCH_MIN_VERDICTS` times (that ask builds its batch), and
+        for a ``Cs`` between two integers of FLC2's universe.
         """
         key = (float(bandwidth), float(occupancy))
         table = self._cells.get(key)
         if table is None:
-            asked = self._asked[key] = self._asked.get(key, 0) + 1
-            if asked >= _TABLE_MIN_VERDICTS:
-                table = self._cell_table(*key)
+            table = self._lookup(*key)
         return table
+
+    def _lookup(self, bandwidth: float, occupancy: float) -> np.ndarray | None:
+        """:meth:`_table` for a key not yet in ``_cells``.
+
+        Counts the verdict toward the bandwidth's batch while it has none.
+        A built key outside the universe is remembered with the table of
+        the end it clamps to.  A count lost to a racing thread only delays
+        the build; a batch built twice by racing threads is built equal.
+        """
+        batch = self._batches.get(bandwidth)
+        if batch is None:
+            waiting = self._waiting[bandwidth] = self._waiting.get(bandwidth, 0) + 1
+            if waiting < _BATCH_MIN_VERDICTS:
+                return None
+            batch = self._build(bandwidth, "verdict")
+        table = batch.get(min(max(occupancy, self._cs_low), self._cs_high))
+        if table is not None:
+            self._cells[(bandwidth, occupancy)] = table
+        return table
+
+    def warm_up(self, bandwidths: Iterable[float]) -> None:
+        """Build the tables of every bandwidth given that has none yet."""
+        for bandwidth in bandwidths:
+            if float(bandwidth) not in self._batches:
+                self._build(float(bandwidth), "warm-up")
 
     def verdict_at(
         self, correction: float, bandwidth: float, occupancy: float
@@ -289,9 +346,9 @@ class VerdictTables:
         """Whether the A/R score at an exact correction value is above the threshold.
 
         Reads the cell holding ``correction`` in the (R, Cs) cell table.
-        Exact FLC2 decides instead where that cell is ambiguous, and until
-        the (R, Cs) pair has been asked :data:`_TABLE_MIN_VERDICTS` times
-        without a table, when the table is built.  Returns
+        Exact FLC2 decides instead where that cell is ambiguous, and while
+        the bandwidth has no tables: until it has been asked
+        :data:`_BATCH_MIN_VERDICTS` times, when they are built.  Returns
         ``(accepted, exact)``, ``exact`` telling whether exact FLC2 ran.  A
         certified cell implies that some FLC2 rule fires at every Cv in
         it, so exact FLC2 runs, and raises, wherever the oracle's would.
@@ -311,37 +368,108 @@ class VerdictTables:
         decision = self._flc2.evaluate(correction, float(bandwidth), float(occupancy))
         return decision.score > self._threshold, True
 
-    def _cell_scores(
-        self, bandwidth: float, occupancy: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Certified FLC2 score bounds at one (R, Cs) over every shared Cv cell.
+    def _build(self, bandwidth: float, trigger: str) -> dict[float, np.ndarray]:
+        """Every table of one bandwidth, in one coarse-to-fine bounding pass.
 
-        Returns ``(lo, hi, certain)``; the bounds mean nothing where
-        ``certain`` is False (no rule certainly fired, or no positive area
-        bound).
+        The coarse pass bounds each table over groups of
+        :data:`_GROUP_CELLS` cells, and a group certified there gives its
+        verdict to each of its cells: a cell's interval lies inside its
+        group's, so its own bounds would certify it too.  The fine pass
+        bounds the cells of the groups left ambiguous, one cell at a time,
+        as one table at a time would.
+        """
+        began = time.perf_counter()
+        constant = self._constant_strengths(bandwidth)
+        count, groups = constant.shape[0], self._group_starts.size
+        coarse = self._bounded_verdicts(
+            constant,
+            np.repeat(np.arange(count), groups),
+            self._group_lo,
+            self._group_hi,
+            np.tile(np.arange(groups), count),
+        ).reshape(count, groups)
+        tables = np.repeat(coarse, self._group_sizes, axis=1)
+        # One fine row per cell of each ambiguous (table, group): the group's
+        # first cell plus the row's offset within the group's run of rows.
+        table_index, group_index = np.nonzero(coarse == -1)
+        sizes = self._group_sizes[group_index]
+        table_index = np.repeat(table_index, sizes)
+        cell_index = np.repeat(self._group_starts[group_index] - np.cumsum(sizes) + sizes, sizes)
+        cell_index += np.arange(cell_index.size)
+        tables[table_index, cell_index] = self._bounded_verdicts(
+            constant, table_index, self._cv_strength_lo, self._cv_strength_hi, cell_index
+        )
+        batch = {cs: tables[i] for i, cs in enumerate(self._cs_values)}
+        self._cells.update(((bandwidth, cs), table) for cs, table in batch.items())
+        self._batches[bandwidth] = batch
+        self.batches += 1
+        if _log.isEnabledFor(logging.DEBUG):
+            ambiguous = tables == -1
+            _log.debug(
+                "verdict tables R=%g (%s): %d tables, %d coarse rows, %d fine rows, "
+                "%d ambiguous cells over Cv width %.4g, %.2f ms",
+                bandwidth,
+                trigger,
+                count,
+                coarse.size,
+                cell_index.size,
+                np.count_nonzero(ambiguous),
+                float((ambiguous * np.diff(self._edges)).sum()),
+                1e3 * (time.perf_counter() - began),
+            )
+        return batch
+
+    def _constant_strengths(self, bandwidth: float) -> np.ndarray:
+        """The R/Cs part of every FLC2 rule strength at each table's Cs.
+
+        ``(tables, rules)``: R and Cs degrees exactly as the engine's batched
+        fuzzification gives them, every Cv slot (and the padding slot)
+        holding the min identity 1, folded per rule.
         """
         eng = self._eng2
-        # R and Cs degrees exactly as the engine's batched fuzzification
-        # gives them; every Cv slot (and the padding slot) holds the min
-        # identity 1, so the fold below keeps only the R/Cs part.
-        degrees = np.ones(eng._n_degree_slots)
-        scalars = {"R": bandwidth, "Cs": occupancy}
+        occupancy = np.array(self._cs_values)
+        degrees = np.ones((occupancy.size, eng._n_degree_slots))
+        columns = {"R": np.full(occupancy.size, float(bandwidth)), "Cs": occupancy}
         for name, low, high, offset, memberships in eng._batch_fuzzify_plan:
             if name == "Cv":
                 continue
-            value = np.clip(np.array([scalars[name]]), low, high)
+            value = np.clip(columns[name], low, high)
             for j, membership in enumerate(memberships):
-                degrees[offset + j] = float(np.clip(membership.evaluate(value), 0.0, 1.0)[0])
-        constant = degrees[self._rule_index2].min(axis=1)
-        starts = self._term_starts2
-        t_lo = np.maximum.reduceat(np.minimum(self._cv_strength_lo, constant), starts, axis=1)
-        t_hi = np.maximum.reduceat(np.minimum(self._cv_strength_hi, constant), starts, axis=1)
+                degrees[:, offset + j] = np.clip(membership.evaluate(value), 0.0, 1.0)
+        return degrees[:, self._rule_index2].min(axis=2)
 
-        fired = (t_lo > 0.0).any(axis=1)
-        score_lo, score_hi, valid = self._tables2.score_interval(t_lo, t_hi)
-        # The oracle clips the defuzzified score into the output range
-        # before comparing; clipping is monotone, so the bounds follow.
-        return np.clip(score_lo, -1.0, 1.0), np.clip(score_hi, -1.0, 1.0), fired & valid
+    def _bounded_verdicts(
+        self,
+        constant: np.ndarray,
+        tables: np.ndarray,
+        cv_lo: np.ndarray,
+        cv_hi: np.ndarray,
+        cv_index: np.ndarray,
+    ) -> np.ndarray:
+        """Certified verdicts for rows of FLC2 rule-strength intervals.
+
+        Row ``k``'s rule strengths fold the R/Cs part ``constant[tables[k]]``
+        with a Cv part in ``[cv_lo[cv_index[k]], cv_hi[cv_index[k]]]``.
+        Returns 1 (accept), 0 (reject) or -1 (ambiguous: the score bounds
+        straddle the threshold, no rule certainly fired, or the area bound
+        is not positive) per row, bounding :data:`_PASS_ROWS` rows at a time.
+        """
+        starts = self._term_starts2
+        verdicts = np.empty(tables.size, dtype=np.int8)
+        for start in range(0, tables.size, _PASS_ROWS):
+            rows = slice(start, start + _PASS_ROWS)
+            fixed, cv = constant[tables[rows]], cv_index[rows]
+            t_lo = np.maximum.reduceat(np.minimum(cv_lo[cv], fixed), starts, axis=1)
+            t_hi = np.maximum.reduceat(np.minimum(cv_hi[cv], fixed), starts, axis=1)
+            score_lo, score_hi, valid = self._tables2.score_interval(t_lo, t_hi)
+            certain = valid & (t_lo > 0.0).any(axis=1)
+            # The oracle clips the defuzzified score into the output range
+            # before comparing; clipping is monotone, so the bounds follow.
+            verdict = np.full(score_lo.size, -1, dtype=np.int8)
+            verdict[certain & (np.clip(score_lo, -1.0, 1.0) > self._threshold)] = 1
+            verdict[certain & (np.clip(score_hi, -1.0, 1.0) <= self._threshold)] = 0
+            verdicts[rows] = verdict
+        return verdicts
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -393,6 +521,10 @@ class DecisionScreen:
     ) -> tuple[bool, bool]:
         """:meth:`VerdictTables.verdict_at` for the pair's FLC2 and threshold."""
         return self._verdicts.verdict_at(correction, bandwidth, occupancy)
+
+    def warm_up(self, bandwidths: Iterable[float]) -> None:
+        """:meth:`VerdictTables.warm_up` for the pair's FLC2 and threshold."""
+        self._verdicts.warm_up(bandwidths)
 
     # ------------------------------------------------------------------
     def columns(
@@ -472,8 +604,8 @@ class ScreenedColumns:
 
     Built by :meth:`DecisionScreen.columns`.  :meth:`accepts` reads row
     ``k``'s verdict from the (R, Cs) cell table at the occupancy it is
-    given; a row the table cannot decide, or whose pair has no table yet,
-    runs exact FLC1 and, where its pair has no table or its exact
+    given; a row the table cannot decide, or whose bandwidth has no tables
+    yet, runs exact FLC1 and, where there is no table or its exact
     correction lands in an ambiguous cell, exact FLC2.  The counters tell
     how each verdict was reached: ``screened`` verdicts came from a cell
     table, ``exact_flc2`` from exact FLC2, and ``exact_flc1`` counts the

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -266,6 +266,21 @@ class FuzzyAdmissionControlSystem(AdmissionController):
             self._screen = shared if shared is not None else _SCREEN_UNAVAILABLE
         return shared if isinstance(shared, DecisionScreen) else None
 
+    def warm_up(self, bandwidths_bu: Iterable[int]) -> None:
+        """Build the screen's verdict tables for requests of these bandwidths.
+
+        Every table of each bandwidth, in one batch per bandwidth (see
+        :meth:`~repro.cac.facs.screen.VerdictTables.warm_up`), instead of on
+        the bandwidth's :data:`~repro.cac.facs.screen._BATCH_MIN_VERDICTS`-th
+        verdict.  A pair without a screen, and a subclass, which answers
+        through its own :meth:`decide`, have nothing to build.
+        """
+        if type(self) is not FuzzyAdmissionControlSystem:
+            return
+        screen = self._decision_screen()
+        if screen is not None:
+            screen.warm_up(bandwidths_bu)
+
     # ------------------------------------------------------------------
     def correction_value(self, user: UserState | None) -> float:
         """FLC1 stage: correction value for a user observation.
@@ -450,9 +465,10 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         the same way.  FLC2's verdict at that exact correction value then
         comes from the screen
         (:meth:`~repro.cac.facs.screen.DecisionScreen.verdict_at`), which
-        runs exact FLC2 where the (R, Cs) cell is ambiguous or its table is
-        not yet worth building, and so raises wherever :meth:`decide`'s
-        FLC2 would.  For a pair without a screen, FLC2 runs exactly.
+        runs exact FLC2 where the (R, Cs) cell is ambiguous or the
+        bandwidth's tables are not yet worth building, and so raises
+        wherever :meth:`decide`'s FLC2 would.  For a pair without a screen,
+        FLC2 runs exactly.
         Only an exact ``FuzzyAdmissionControlSystem`` reads the screen: a
         subclass may override :meth:`decide`, so it answers through its
         own.

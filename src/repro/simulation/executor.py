@@ -29,8 +29,11 @@ with a pointer to the picklable alternatives.
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
 import os
 import pickle
+import time
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import partial
@@ -47,12 +50,15 @@ __all__ = [
     "TaskReducer",
     "default_chunksize",
     "executor_by_name",
+    "warm_up_before_fork",
     "EXECUTORS",
     "EXECUTOR_CHOICES",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+_log = logging.getLogger(__name__)
 
 
 def default_chunksize(task_count: int, workers: int) -> int:
@@ -111,6 +117,38 @@ def _map_reduce_chunk(fn, reducer, chunk):
     return reducer.fold([fn(task) for task in chunk])
 
 
+def warm_up_before_fork(
+    site: str, controllers: Sequence[tuple[Callable[[], Any], Iterable[int]]]
+) -> None:
+    """Warm each controller configuration up before workers fork from this process.
+
+    ``controllers`` pairs a controller factory with the bandwidths (BU) its
+    requests ask for.  Under the ``fork`` start method every worker
+    inherits, copy on write, what ``factory().warm_up(bandwidths)`` builds
+    here, so none of them builds it again.  Under any other start method a
+    worker would inherit nothing, so nothing is built.  Logs one DEBUG
+    record on ``repro.simulation.executor`` naming ``site``: what was warmed
+    and how long it took, or why nothing was.
+    """
+    method = multiprocessing.get_start_method()
+    if method != "fork":
+        _log.debug("%s: no warm-up, workers start by %r, not fork", site, method)
+        return
+    began = time.perf_counter()
+    bandwidths: set[int] = set()
+    for factory, wanted in controllers:
+        wanted = sorted(set(wanted))
+        factory().warm_up(wanted)
+        bandwidths.update(wanted)
+    _log.debug(
+        "%s: warmed %d controllers up for bandwidths %s before forking, %.2f ms",
+        site,
+        len(controllers),
+        sorted(bandwidths),
+        1e3 * (time.perf_counter() - began),
+    )
+
+
 #: Registry of executor backends: name → builder ``(workers) -> SweepExecutor``.
 #: Registration order defines the CLI ``--executor`` choices; aliases
 #: ("parallel", "threads") resolve but stay out of the choices list.
@@ -143,6 +181,16 @@ class SweepExecutor(ABC):
         identical for every backend and worker count.
         """
         return reducer.merge([reducer.fold(fn(task) for task in tasks)])
+
+    def warm_up(
+        self, site: str, controllers: Sequence[tuple[Callable[[], Any], Iterable[int]]]
+    ) -> None:
+        """Warm controllers up in this process before tasks that build them run.
+
+        Only a backend whose workers inherit this process's state does
+        anything (see :func:`warm_up_before_fork`); in-process backends
+        build what they need on the way, as a single run does.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -198,6 +246,13 @@ class ProcessPoolSweepExecutor(SweepExecutor):
             pickle.dumps(payload)
         except Exception as exc:
             raise SweepExecutionError(f"{self._PICKLE_HINT} ({exc})") from exc
+
+    def warm_up(
+        self, site: str, controllers: Sequence[tuple[Callable[[], Any], Iterable[int]]]
+    ) -> None:
+        """:func:`warm_up_before_fork`, once the factories are known to pickle."""
+        self._preflight(*(factory for factory, _ in controllers))
+        warm_up_before_fork(site, controllers)
 
     def map(self, fn: Callable[[T], R], tasks: Sequence[T]) -> list[R]:
         tasks = list(tasks)

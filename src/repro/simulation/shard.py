@@ -43,9 +43,12 @@ and its holding clock freezes until delivery).
 ``tests/simulation/test_shard.py`` quantifies the delta: per-cell new-call
 arrival schedules are stream-identical to the coupled run at any rings.
 
-Each worker process builds its own decision screen, and builds an (R, Cs)
-table only once that pair has been asked about a dozen times, so a worker
-that asks few verdicts mostly scores them exactly.
+Under the ``fork`` start method the coordinator warms the controller up
+before it starts the shard workers (a FACS builds its decision screen's
+verdict tables for the run's bandwidths), so every worker inherits them.
+Under any other start method each worker builds its own screen, and a
+bandwidth's tables only on the hundred-odd-th verdict asked there, so a
+worker that asks few verdicts mostly scores them exactly.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ from .executor import (
     SweepExecutor,
     ThreadPoolSweepExecutor,
     executor_by_name,
+    warm_up_before_fork,
 )
 
 __all__ = [
@@ -227,6 +231,10 @@ class CoupledShardedNetworkSimulation:
                 "controller factories; use the module-level factories in "
                 f"repro.simulation.scenario ({exc})"
             ) from exc
+        warm_up_before_fork(
+            "coupled-sharded run",
+            [(factory, config.effective_traffic_mix().bandwidth_by_code().tolist())],
+        )
         cell_ids = list(range(1, hex_cell_count(config.rings) + 1))
         blocks = _partition(cell_ids, self._pool_size())
         context = multiprocessing.get_context()

@@ -239,6 +239,13 @@ def run_acceptance_sweep(
                     )
                 )
 
+    backend.warm_up(
+        f"acceptance sweep {name!r}",
+        [
+            (factory, config.effective_traffic_mix().bandwidth_by_code().tolist())
+            for config, factory in variants.values()
+        ],
+    )
     frame = backend.map_reduce(_execute_replication_row, tasks, FrameReducer("batch"))
     if len(frame) != len(tasks):  # pragma: no cover - defensive
         raise RuntimeError(
@@ -499,6 +506,11 @@ def run_network_sweep(
     """
     backend = _resolve_executor(executor)
     tasks = spec.tasks()
+    bandwidths = spec.base_config.effective_traffic_mix().bandwidth_by_code().tolist()
+    backend.warm_up(
+        f"network sweep {spec.name!r}",
+        [(factory, bandwidths) for factory in spec.controllers.values()],
+    )
     frame = backend.map_reduce(
         _execute_network_replication_row, tasks, FrameReducer("network")
     )

@@ -4,15 +4,16 @@ The network engines ask every controller ``accepts(call, station, now)``.
 For FACS that is exact FLC1, one lookup in the certified decision screen's
 (R, Cs) cell table, and exact FLC2 only where the cell is ambiguous, the
 controller pair has no screen, or the screen has not yet been asked often
-enough at that (R, Cs) to build its table.  These tests hold the verdict
+enough at that bandwidth to build its tables.  These tests hold the verdict
 to ``decide(...).accepted``, errors included, per request and over whole
-network runs, with and without tables, and pin when a table is built and
-which paths still call scalar ``decide``.
+network runs, with and without tables, and pin when a bandwidth's tables
+are built and which paths still call scalar ``decide``.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import lru_cache, partial
@@ -47,7 +48,7 @@ CONTROLLER_DIR = Path(__file__).resolve().parents[2] / "examples" / "controllers
 
 THRESHOLDS = (-0.25, 0.0, 0.123, 0.5)
 
-#: Table minimums: build a table on its first verdict, and never.
+#: Batch minimums: build a bandwidth's tables on its first verdict, and never.
 MINIMUMS = (1, sys.maxsize)
 
 
@@ -97,8 +98,8 @@ def _fresh(memo):
 
 
 def _tables_from(patch, minimum: int) -> None:
-    """Fresh screens that build an (R, Cs) table on its ``minimum``-th verdict."""
-    patch.setattr(screen_module, "_TABLE_MIN_VERDICTS", minimum)
+    """Fresh screens that build a bandwidth's tables on its ``minimum``-th verdict."""
+    patch.setattr(screen_module, "_BATCH_MIN_VERDICTS", minimum)
     patch.setattr(system, "_shared_screen", _fresh(system._shared_screen))
     patch.setattr(screen_module, "_shared_verdicts", _fresh(screen_module._shared_verdicts))
 
@@ -230,7 +231,9 @@ def _network_config(rings: int, **overrides) -> NetworkExperimentConfig:
     return NetworkExperimentConfig(**defaults)
 
 
-@pytest.fixture(params=[1, 12, sys.maxsize], ids=["tables", "default", "exact"])
+@pytest.fixture(
+    params=[1, screen_module._BATCH_MIN_VERDICTS, sys.maxsize], ids=["tables", "default", "exact"]
+)
 def minimum(request, monkeypatch):
     """Tables from the first verdict, at the default minimum, and never."""
     _tables_from(monkeypatch, request.param)
@@ -264,7 +267,7 @@ def test_coupled_sharded_run_equals_the_decide_oracle(minimum):
 
 def test_threads_sharing_a_cold_screen_equal_the_decide_oracle(monkeypatch):
     # A fresh screen cache, so the threads race to build the screen, to
-    # count the verdicts at each (R, Cs) and to build its table; a short
+    # count the verdicts at each bandwidth and to build its tables; a short
     # switch interval makes them interleave often.
     _tables_from(monkeypatch, 3)
     configs = [_network_config(1, duration_s=150.0, seed=seed) for seed in range(8)]
@@ -304,59 +307,102 @@ def test_only_the_des_oracle_calls_scalar_decide(monkeypatch):
     assert len(decided) == batch.result.metrics.requested == 50
 
 
-def test_a_table_is_built_on_its_pairs_minimum_verdict(monkeypatch):
+def _counting_exact_flc2(patch, controller) -> list:
+    """The (Cv, R, Cs) of every exact FLC2 evaluation ``controller`` makes."""
+    exact = []
+    evaluate = controller.flc2.evaluate
+
+    def counting(*args, **kwargs):
+        exact.append(args)
+        return evaluate(*args, **kwargs)
+
+    patch.setattr(controller.flc2, "evaluate", counting)
+    return exact
+
+
+def test_a_bandwidths_tables_are_built_on_its_minimum_verdict(monkeypatch):
     _tables_from(monkeypatch, 3)
     # Two controllers of one pair share one screen and its counts.
     first, second = FuzzyAdmissionControlSystem(), FuzzyAdmissionControlSystem()
     screen = first._decision_screen()
     assert second._decision_screen() is screen
-    call = _request(UserState(10.0, 0.0, 1.0), 1)
-    empty, busy = _station(40, 0), _station(40, 5)
-    for controller in (first, second):
-        assert controller.accepts(call, empty, 0.0)
-        assert controller.accepts(call, busy, 0.0)
-    assert screen._verdicts._cells == {}
-    assert first.accepts(call, empty, 0.0)
-    assert list(screen._verdicts._cells) == [(1.0, 0.0)]
-    assert screen._verdicts._asked == {(1.0, 0.0): 3, (1.0, 5.0): 2}
+    verdicts = screen._verdicts
+    user = UserState(10.0, 0.0, 1.0)
+    text, video = _request(user, 1), _request(user, 10)
+    # Three verdicts at R=1 (the third at a Cs never asked before, above
+    # FLC2's universe), one at R=10, then R=1 at any Cs.
+    asks = [(first, text, 0), (second, text, 5), (first, video, 0), (first, text, 47)]
+    asks += [(second, text, occupancy) for occupancy in (0, 5, 33, 60)]
+    expected = [
+        controller.decide(call, _station(60, occupancy), 0.0).accepted
+        for controller, call, occupancy in asks
+    ]
+    exact = _counting_exact_flc2(monkeypatch, first)
+    answers = [
+        controller.accepts(call, _station(60, occupancy), 0.0)
+        for controller, call, occupancy in asks[:3]
+    ]
+    # No table before the third verdict at R=1: every verdict is exact.
+    assert len(exact) == 3
+    assert verdicts._cells == {}
+    assert verdicts._waiting == {1.0: 2, 10.0: 1}
+    # The third builds every table of R=1, and it and every later R=1
+    # verdict read one: exact FLC2 runs only where its cell is ambiguous.
+    answers += [
+        controller.accepts(call, _station(60, occupancy), 0.0)
+        for controller, call, occupancy in asks[3:]
+    ]
+    assert answers == expected
+    assert verdicts.batches == 1
+    assert set(verdicts._cells) == {(1.0, float(cs)) for cs in (*range(41), 47, 60)}
+    cell = bisect_right(verdicts._edge_list, first.correction_value(user)) - 1
+    ambiguous = [verdicts._table(1.0, cs)[cell] == -1 for cs in (47, 0, 5, 33, 60)]
+    assert len(exact) == 3 + sum(ambiguous)
 
 
-def test_block_rows_follow_the_same_table_rule(monkeypatch):
+def test_block_rows_count_toward_their_bandwidths_batch(monkeypatch):
     _tables_from(monkeypatch, 3)
     controller = FuzzyAdmissionControlSystem()
-    screen = controller._decision_screen()
+    verdicts = controller._decision_screen()._verdicts
     count = 4
-    columns = (np.full(count, 10.0), np.zeros(count), np.ones(count), np.ones(count))
-    call = _request(UserState(10.0, 0.0, 1.0), 1)
+    speeds, angles, distances = np.full(count, 10.0), np.zeros(count), np.ones(count)
+    user = UserState(10.0, 0.0, 1.0)
+    text = _request(user, 1)
     expected = {
-        occupancy: controller.decide(call, _station(40, occupancy), 0.0).accepted
-        for occupancy in (0, 7)
+        (bandwidth, occupancy): controller.decide(
+            _request(user, bandwidth), _station(40, occupancy), 0.0
+        ).accepted
+        for bandwidth in (1, 10)
+        for occupancy in (0, 3, 7)
     }
     # A cold block finishes FLC1 in one pass over the row and the next ones,
-    # and a block row and a single verdict count toward one table.
-    cold = controller.decide_columns(*columns)
-    assert cold.accepts(0, 0) == expected[0]
-    assert controller.accepts(call, _station(40, 0), 0.0) == expected[0]
-    assert screen._verdicts._cells == {}
-    assert cold.accepts(1, 0) == expected[0]
-    assert list(screen._verdicts._cells) == [(1.0, 0.0)]
-    assert cold.accepts(2, 0) == expected[0]
+    # and a block row and a single verdict count toward one batch.
+    cold = controller.decide_columns(speeds, angles, distances, np.ones(count))
+    assert cold.accepts(0, 0) == expected[1, 0]
+    assert controller.accepts(text, _station(40, 7), 0.0) == expected[1, 7]
+    assert verdicts._cells == {}
+    assert (cold.screened, cold.exact_flc1, cold.exact_flc2) == (0, count, 1)
+    # The third verdict at R=1 builds every R=1 table and reads its own.
+    assert cold.accepts(1, 7) == expected[1, 7]
+    assert verdicts.batches == 1
+    assert cold.accepts(2, 0) == expected[1, 0]
     assert (cold.screened, cold.exact_flc1, cold.exact_flc2) == (2, count, 1)
-    # A warm block finishes FLC1 one row at a time, for a row whose pair has
-    # no table yet.
-    warm = controller.decide_columns(*columns)
-    assert warm.accepts(0, 0) == expected[0]
-    assert warm.accepts(1, 7) == expected[7]
-    assert (warm.screened, warm.exact_flc1, warm.exact_flc2) == (1, 1, 1)
-    assert screen._verdicts._asked == {(1.0, 0.0): 3, (1.0, 7.0): 1}
+    # A warm block finishes FLC1 one row at a time, for a row whose
+    # bandwidth has no tables yet.
+    warm = controller.decide_columns(speeds, angles, distances, np.array([1.0, 1.0, 1.0, 10.0]))
+    assert [warm.accepts(k, 7) for k in range(count)] == [expected[1, 7]] * 3 + [expected[10, 7]]
+    assert (warm.screened, warm.exact_flc1, warm.exact_flc2) == (3, 1, 1)
     # A cold pass covers a bounded run of rows, not the whole block.
-    wide = controller.decide_columns(*(column.repeat(50) for column in columns))
-    assert wide.accepts(0, 3) == controller.decide(call, _station(40, 3), 0.0).accepted
+    wide = controller.decide_columns(
+        *(column.repeat(50) for column in (speeds, angles, distances)), np.full(4 * 50, 10.0)
+    )
+    assert wide.accepts(0, 3) == expected[10, 3]
     assert wide.exact_flc1 == screen_module._FLC1_PASS_ROWS < 4 * 50
+    assert verdicts._waiting[10.0] == 2 and verdicts.batches == 1
 
 
 def test_pairs_of_one_flc2_and_threshold_share_their_tables(monkeypatch):
-    _tables_from(monkeypatch, 12)
+    _tables_from(monkeypatch, screen_module._BATCH_MIN_VERDICTS)
     space = SearchSpace((ParameterSpec("mf.S.M.1", choices=(35.0,)),))
     tuned = FACSConfig(flc1_definition=space.apply(flc1_definition(), (35.0,)))
     paper = FuzzyAdmissionControlSystem()._decision_screen()
@@ -367,11 +413,17 @@ def test_pairs_of_one_flc2_and_threshold_share_their_tables(monkeypatch):
     assert stricter._decision_screen()._verdicts is not paper._verdicts
 
 
-def test_network_run_builds_tables_only_for_often_asked_pairs(monkeypatch):
-    _tables_from(monkeypatch, 12)
+def test_network_run_builds_tables_only_for_often_asked_bandwidths(monkeypatch):
+    minimum = screen_module._BATCH_MIN_VERDICTS
+    _tables_from(monkeypatch, minimum)
     config = _network_config(1, duration_s=600.0)
     NetworkSimulation(config, FuzzyAdmissionControlSystem).run()
-    screen = FuzzyAdmissionControlSystem()._decision_screen()
-    assert screen._verdicts._cells
-    assert all(screen._verdicts._asked[key] == 12 for key in screen._verdicts._cells)
-    assert any(asked < 12 for asked in screen._verdicts._asked.values())
+    verdicts = FuzzyAdmissionControlSystem()._decision_screen()._verdicts
+    built = set(verdicts._batches)
+    # Text calls (60% of them) reach the minimum; video calls (10%) do not.
+    assert 1.0 in built and 10.0 not in built
+    assert {bandwidth for bandwidth, _ in verdicts._cells} == built
+    assert all(verdicts._waiting[bandwidth] == minimum for bandwidth in built)
+    assert all(
+        asked < minimum for bandwidth, asked in verdicts._waiting.items() if bandwidth not in built
+    )

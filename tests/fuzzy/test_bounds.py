@@ -15,6 +15,7 @@ from repro.fuzzy.compiled import CompiledMamdaniEngine
 from repro.fuzzy.defuzzification import Bisector
 from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.rules import RuleBase
+from tests.cac.verdict_table_oracle import pair_scores
 
 STAGES = [("flc1", "Cv"), ("flc2", "AR")]
 
@@ -24,10 +25,12 @@ def facs() -> FuzzyAdmissionControlSystem:
     return FuzzyAdmissionControlSystem()
 
 
-@pytest.fixture
-def tables(facs) -> VerdictTables:
-    # Private verdict tables per test, so no test sees cell tables built elsewhere.
-    return VerdictTables(facs.flc2, facs.config.acceptance_threshold)
+@pytest.fixture(scope="module")
+def batched(facs) -> VerdictTables:
+    # Private verdict tables with every paper bandwidth's batch built.
+    tables = VerdictTables(facs.flc2, facs.config.acceptance_threshold)
+    tables.warm_up([1.0, 5.0, 10.0])
+    return tables
 
 
 def _tables(facs, stage, variable) -> tuple[CompiledMamdaniEngine, CentroidBoundTables]:
@@ -162,32 +165,36 @@ def test_screen_verdicts_equal_exact_scores(facs, occupancy_bu):
 # Every default (R, Cs) table: R in {1, 5, 10} BU, Cs 0..40 BU.
 @pytest.mark.parametrize("occupancy_bu", range(41))
 @pytest.mark.parametrize("bandwidth", [1.0, 5.0, 10.0])
-def test_cell_table_verdicts_hold_at_edges_and_midpoints(facs, tables, bandwidth, occupancy_bu):
+def test_batched_table_verdicts_hold_at_edges_and_midpoints(facs, batched, bandwidth, occupancy_bu):
     occupancy = float(occupancy_bu)
     threshold = facs.config.acceptance_threshold
-    cell_lo, cell_hi = tables._edges[:-1], tables._edges[1:]
+    cell_lo, cell_hi = batched._edges[:-1], batched._edges[1:]
     fill = np.ones(cell_lo.size)
-    decision = tables._cell_table(bandwidth, occupancy)
+    decision = batched._table(bandwidth, occupancy)
     assert decision.shape == cell_lo.shape
-    score_lo, score_hi, certain = tables._cell_scores(bandwidth, occupancy)
+    # The per-pair bounds the batch reproduces cell for cell.
+    score_lo, score_hi, certain = pair_scores(batched, bandwidth, occupancy)
     decided = decision != -1
+    assert np.all(certain[decided])
     for points in (cell_lo, 0.5 * (cell_lo + cell_hi), cell_hi):
         scores = facs.flc2.decision_scores(points, bandwidth * fill, occupancy * fill)
         assert np.all(~certain | ((score_lo <= scores) & (scores <= score_hi)))
         assert np.array_equal((scores > threshold)[decided], (decision == 1)[decided])
 
 
-def test_cell_table_build_is_logged_at_debug(tables, caplog):
+def test_batch_build_is_logged_at_debug(facs, caplog):
+    tables = VerdictTables(facs.flc2, facs.config.acceptance_threshold)
     with caplog.at_level(logging.DEBUG, logger="repro.cac.facs.screen"):
-        tables._cell_table(5.0, 22.0)
-        tables._cell_table(5.0, 22.0)  # cached: no second record
+        tables.warm_up([5.0])
+        tables.warm_up([5.0])  # built: no second record
     records = [r for r in caplog.records if r.name == "repro.cac.facs.screen"]
     assert len(records) == 1
     assert records[0].levelno == logging.DEBUG
-    bandwidth, occupancy, cells, ambiguous, width = records[0].args
-    decision = tables._cell_table(5.0, 22.0)
-    assert (bandwidth, occupancy) == (5.0, 22.0)
-    assert cells == decision.size == tables._edges.size - 1
-    assert ambiguous == np.count_nonzero(decision == -1) > 0
-    assert width == np.diff(tables._edges)[decision == -1].sum()
-    assert "R=5 Cs=22" in records[0].getMessage()
+    bandwidth, trigger, count, _, _, ambiguous, width, _ = records[0].args
+    decision = tables._table(5.0, 22.0)
+    assert (bandwidth, trigger, count) == (5.0, "warm-up", 41)
+    assert decision.size == tables._edges.size - 1
+    assert np.count_nonzero(decision == -1) > 0
+    assert ambiguous == sum(np.count_nonzero(tables._table(5.0, cs) == -1) for cs in range(41))
+    assert width > np.diff(tables._edges)[decision == -1].sum()
+    assert "R=5 (warm-up)" in records[0].getMessage()

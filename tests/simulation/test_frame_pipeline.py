@@ -4,6 +4,7 @@ the no-pickled-run-outputs guarantee of the process backend."""
 from __future__ import annotations
 
 import pickle
+import time
 from multiprocessing.reduction import ForkingPickler
 
 import pytest
@@ -45,8 +46,11 @@ def _square(x):
     return x * x
 
 
-def _explode_on_five(x):
-    """Worker fn for the shm-leak regression: one task fails, others pack."""
+def _explode_on_two_and_five(x):
+    """Worker fn whose tasks 2 and 5 fail, task 2 last of all."""
+    if x == 2:
+        time.sleep(0.3)
+        raise ValueError(f"boom {x}")
     if x == 5:
         raise ValueError(f"boom {x}")
     return run_result_row(
@@ -92,21 +96,13 @@ class TestMapReduce:
                 _square, [lambda: None], ListReducer()
             )
 
-    def test_failing_task_releases_completed_shared_memory_chunks(self):
-        # A raising task must not strand the already-packed chunks of its
-        # siblings in /dev/shm (their segments were unregistered from the
-        # resource tracker, so only the parent can unlink them).
-        import pathlib
-
-        shm_dir = pathlib.Path("/dev/shm")
-        if not shm_dir.is_dir():  # pragma: no cover - non-POSIX-shm platform
-            pytest.skip("no /dev/shm on this platform")
-        before = {p.name for p in shm_dir.glob("psm_*")}
+    def test_first_failing_chunk_in_task_order_raises(self):
+        # Task 5 fails while task 2 is still running; task 2's error is the
+        # one raised, however the pool scheduled them.
         executor = ProcessPoolSweepExecutor(max_workers=2, chunksize=1)
-        with pytest.raises(ValueError, match="boom 5"):
-            executor.map_reduce(_explode_on_five, list(range(8)), FrameReducer("batch"))
-        leaked = {p.name for p in shm_dir.glob("psm_*")} - before
-        assert leaked == set()
+        tasks = list(range(8))
+        with pytest.raises(ValueError, match="boom 2"):
+            executor.map_reduce(_explode_on_two_and_five, tasks, FrameReducer("batch"))
 
 
 class TestChunking:

@@ -100,7 +100,8 @@ class TestRunTraceArrivals:
     def test_kernel_logs_its_paths_once_per_run(self, caplog, monkeypatch):
         # A certified controller pair reads the screen at any run size; the
         # reference engine's pair has no screen and scores exactly.  A fresh
-        # screen has no cell tables yet, so the first run's one block is cold.
+        # screen has no tables yet, and the first run asks no bandwidth often
+        # enough to build them.
         for module, memo in ((system, "_shared_screen"), (screen, "_shared_verdicts")):
             fresh = lru_cache(maxsize=64)(getattr(module, memo).__wrapped__)
             monkeypatch.setattr(module, memo, fresh)
@@ -127,8 +128,9 @@ class TestRunTraceArrivals:
             if path == "exact":
                 assert (screened, exact_flc1) == (0, requests)
             elif request_count == 100:
-                # A cold block finishes FLC1 for most of its rows.
-                assert exact_flc1 > screened
+                # No table yet: every verdict ran exact FLC2.
+                assert requests < screen._BATCH_MIN_VERDICTS
+                assert screened == 0
             else:
                 assert screened > exact_flc2
             assert f"({path}): {request_count} requests" in records[0].getMessage()
