@@ -2,10 +2,10 @@
 
 Following Levine, Akyildiz and Naghshineh (IEEE/ACM ToN 1997), every active
 mobile terminal projects, for a sequence of future time intervals, the
-probability of being *active in* each cell of its shadow cluster.  The
-projection here is derived from the same GPS observation FACS uses — speed,
-heading relative to the serving base station and distance — plus an
-exponential call-holding-time assumption:
+probability of still being *active in* its cell.  The projection here is
+derived from the same GPS observation FACS uses — speed, heading relative
+to the serving base station and distance — plus an exponential
+call-holding-time assumption:
 
 * **Residency**: a user moving towards the base station (|angle| small) at
   distance ``d`` and speed ``v`` is expected to remain in the cell for at
@@ -14,13 +14,13 @@ exponential call-holding-time assumption:
   the expected exit time is passed.
 * **Activity**: the probability that the call is still in progress after
   ``t`` seconds is ``exp(-t / mean_holding_time)``.
-* **Neighbour influence**: probability mass that leaves the current cell is
-  attributed to the neighbouring cells inside a direction cone around the
-  user's heading (the "shadow" of the cluster), fading with hop distance.
 
-The paper under reproduction does not restate these formulas; they are the
-standard SCC behaviour and the Fig. 10 crossover is robust to the constants
-(see the threshold ablation bench).
+The neighbouring cells enter only through the controller's reservations
+(``handoff_reservation_bu`` plus ``incoming_projection_factor`` times the
+cell's occupancy, see :class:`~repro.cac.scc.system.SCCConfig`); no demand
+is projected onto them.  The paper under reproduction does not restate
+these formulas; they are the standard SCC behaviour and the Fig. 10
+crossover is robust to the constants (see the threshold ablation bench).
 """
 
 from __future__ import annotations
@@ -30,7 +30,14 @@ from dataclasses import dataclass
 
 from ...cellular.mobility import UserState
 
-__all__ = ["ProjectionConfig", "ResidencyProjection", "project_residency"]
+__all__ = [
+    "ProjectionConfig",
+    "ResidencyProjection",
+    "exit_time_s",
+    "expected_exit_time_s",
+    "in_cell_active",
+    "project_residency",
+]
 
 
 @dataclass(frozen=True)
@@ -83,29 +90,29 @@ class ResidencyProjection:
     """Per-interval probabilities that a call remains active in its cell."""
 
     in_cell_active: tuple[float, ...]
-    departed_active: tuple[float, ...]
     expected_exit_s: float
 
     def __post_init__(self) -> None:
-        for series in (self.in_cell_active, self.departed_active):
-            for p in series:
-                if not 0.0 <= p <= 1.0 + 1e-9:
-                    raise ValueError(f"projection probabilities must lie in [0, 1], got {p}")
+        for p in self.in_cell_active:
+            if not 0.0 <= p <= 1.0 + 1e-9:
+                raise ValueError(f"projection probabilities must lie in [0, 1], got {p}")
 
 
-def expected_exit_time_s(user: UserState, config: ProjectionConfig) -> float:
-    """Expected time (s) until the user leaves the serving cell.
+def exit_time_s(
+    speed_kmh: float, angle_deg: float, distance_km: float, config: ProjectionConfig
+) -> float:
+    """Expected time (s) until a user with this observation leaves its cell.
 
     A user heading towards the base station must cross to the far edge of the
     cell (distance ``d + R`` along its heading component); a user heading away
     exits after covering ``R - d``.  Stationary users never exit.
     """
-    speed_km_per_s = user.speed_kmh / 3600.0
-    if user.speed_kmh < config.stationary_speed_kmh or speed_km_per_s <= 0.0:
+    speed_km_per_s = speed_kmh / 3600.0
+    if speed_kmh < config.stationary_speed_kmh or speed_km_per_s <= 0.0:
         return math.inf
     radius = config.cell_radius_km
-    distance = min(user.distance_km, radius)
-    heading = math.radians(abs(user.angle_deg))
+    distance = min(distance_km, radius)
+    heading = math.radians(abs(angle_deg))
     # Component of motion towards (+) or away from (-) the base station.
     radial = math.cos(heading)
     if radial >= 0:
@@ -117,22 +124,20 @@ def expected_exit_time_s(user: UserState, config: ProjectionConfig) -> float:
     return travel_km / speed_km_per_s
 
 
-def project_residency(user: UserState | None, config: ProjectionConfig) -> ResidencyProjection:
-    """Project the probability that a call is active in / out of its cell.
+def expected_exit_time_s(user: UserState, config: ProjectionConfig) -> float:
+    """Expected time (s) until the user leaves the serving cell (see
+    :func:`exit_time_s`)."""
+    return exit_time_s(user.speed_kmh, user.angle_deg, user.distance_km, config)
 
-    Returns per-interval probabilities of (a) the call still being active and
-    inside the serving cell and (b) the call being active but having moved to
-    a neighbouring cell (the demand it projects onto the rest of its shadow
-    cluster).
+
+def in_cell_active(exit_s: float, config: ProjectionConfig) -> tuple[float, ...]:
+    """Per-interval probability that a call is still active and inside its
+    cell, for a user expected to leave it after ``exit_s`` seconds.
+
+    The one projection arithmetic: :func:`project_residency` and the SCC
+    column blocks of the single-cell admission loop both call it.
     """
-    if user is None:
-        # Fixed terminal: always in the cell while the call lasts.
-        exit_s = math.inf
-    else:
-        exit_s = expected_exit_time_s(user, config)
-
     in_cell: list[float] = []
-    departed: list[float] = []
     for t in config.interval_times():
         active = math.exp(-t / config.mean_holding_time_s)
         if math.isinf(exit_s):
@@ -145,9 +150,11 @@ def project_residency(user: UserState | None, config: ProjectionConfig) -> Resid
             overshoot_intervals = (t - exit_s) / config.interval_s
             stay = max(config.residual_probability, 0.5**overshoot_intervals)
         in_cell.append(active * stay)
-        departed.append(active * (1.0 - stay))
-    return ResidencyProjection(
-        in_cell_active=tuple(in_cell),
-        departed_active=tuple(departed),
-        expected_exit_s=exit_s,
-    )
+    return tuple(in_cell)
+
+
+def project_residency(user: UserState | None, config: ProjectionConfig) -> ResidencyProjection:
+    """Project the probability that a call is still active in its cell, per
+    interval.  A fixed terminal (no user state) never leaves its cell."""
+    exit_s = math.inf if user is None else expected_exit_time_s(user, config)
+    return ResidencyProjection(in_cell_active(exit_s, config), exit_s)

@@ -23,18 +23,21 @@ differences the paper reports in Fig. 10:
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from ...cellular.calls import Call
 from ...cellular.cell import BaseStation
-from ...des.rng import _mix_seed
+from ...des.rng import _mix_seed, mix_seeds, pcg64_random_raw
 from ..base import AdmissionController, AdmissionDecision, DecisionOutcome
-from .demand import DemandEstimator
-from .projection import ProjectionConfig
+from .demand import DemandEstimator, in_cell_demand
+from .projection import ProjectionConfig, exit_time_s, in_cell_active
 
-__all__ = ["SCCConfig", "ShadowClusterController"]
+__all__ = ["SCCColumns", "SCCConfig", "ShadowClusterController"]
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,56 @@ class SCCConfig:
             )
 
 
+def _reservation_label(
+    requested_at: float, speed_kmh: float, angle_deg: float, distance_km: float
+) -> str:
+    """The text a request's reservation draw is seeded from."""
+    return f"{requested_at:.6f}:{speed_kmh:.3f}:{angle_deg:.3f}:{distance_km:.3f}"
+
+
+class SCCColumns:
+    """SCC's verdicts for one block of rows of the single-cell admission loop.
+
+    What :meth:`ShadowClusterController.decide_columns` returns.  It holds
+    each row's in-cell demand tuple (``demands``) and reservation verdict,
+    and reads the controller's :class:`~repro.cac.scc.demand.DemandEstimator`
+    as the envelope ledger, which the loop keeps: it adds an admitted row's
+    demand under the row's index and removes it at the row's departure.
+    ``accepts(k, occupancy)`` is then what ``accepts`` answers on row
+    ``k``'s :class:`~repro.cellular.calls.Call` at a station of that
+    occupancy that it fits, the loop checking the fit first.
+    """
+
+    def __init__(
+        self,
+        ledger: DemandEstimator,
+        demands: list[tuple[float, ...]],
+        reserved: list[bool],
+        config: SCCConfig,
+        capacity_bu: int,
+    ):
+        self.demands = demands
+        self._reserved = reserved
+        self._ledger = ledger
+        self._reservation_bu = config.handoff_reservation_bu
+        self._incoming_factor = config.incoming_projection_factor
+        self._admission_capacity = config.admission_threshold * capacity_bu
+        #: Rows that needed reservations, and those whose draw failed.
+        self.reservation_rows = 0
+        self.failed_rows = 0
+        #: Kernel calls (0 or 1) that drew the reservations, and their time.
+        self.kernel_calls = 0
+        self.kernel_ms = 0.0
+
+    def accepts(self, k: int, occupancy_bu: int) -> bool:
+        """Row ``k``'s verdict at ``occupancy_bu``, for a request that fits."""
+        if not self._reserved[k]:
+            return False
+        incoming = self._reservation_bu + self._incoming_factor * occupancy_bu
+        envelope = [total + incoming for total in self._ledger.projected_in_cell_demand()]
+        return max(map(add, envelope, self.demands[k])) <= self._admission_capacity
+
+
 class ShadowClusterController(AdmissionController):
     """SCC admission control based on projected shadow-cluster demand."""
 
@@ -136,6 +189,10 @@ class ShadowClusterController(AdmissionController):
         deliberately excludes ``call_id``: ids are an artifact of object
         creation order, and seeding from them would make SCC's decisions
         depend on what else ran in the process before this call.
+
+        This scalar draw is the definition: :meth:`decide_columns` draws a
+        whole block's reservations in one call of
+        :func:`~repro.des.rng.pcg64_random_raw`, bit for bit the same.
         """
         failure = self._config.reservation_failure_probability
         count = self.required_reservations(call)
@@ -143,9 +200,8 @@ class ShadowClusterController(AdmissionController):
             return True
         # A call that needs reservations has a user state.
         user = call.user_state
-        label = (
-            f"{call.requested_at:.6f}:{user.speed_kmh:.3f}:"
-            f"{user.angle_deg:.3f}:{user.distance_km:.3f}"
+        label = _reservation_label(
+            call.requested_at, user.speed_kmh, user.angle_deg, user.distance_km
         )
         # One Bernoulli draw per reservation, bit for bit what a RandomStream
         # seeded with ``seed`` draws: numpy's Generator.random() on PCG64 is
@@ -153,6 +209,71 @@ class ShadowClusterController(AdmissionController):
         seed = _mix_seed(self._config.reservation_seed, label)
         raw = np.random.PCG64(seed).random_raw(count).tolist()
         return not any((value >> 11) * 2.0**-53 < failure for value in raw)
+
+    def decide_columns(
+        self,
+        arrival_times_s: np.ndarray,
+        speeds_kmh: np.ndarray,
+        angles_deg: np.ndarray,
+        distances_km: np.ndarray,
+        bandwidth_units: np.ndarray,
+        capacity_bu: int,
+    ) -> SCCColumns:
+        """Verdicts for a block of pre-drawn request columns at one cell.
+
+        Each row's demand tuple comes from the projection arithmetic
+        :meth:`accepts` runs, and each row's reservation verdict from one
+        call of :func:`~repro.des.rng.pcg64_random_raw` over the block's
+        mobile rows (``speed_kmh >= stationary_speed_kmh``), seeded as
+        :meth:`_establish_reservations` seeds one.  No ``Call``,
+        ``DemandProfile`` or generator is built.  The returned block reads
+        this controller's estimator as its ledger.
+        """
+        config = self._config
+        projection = config.projection
+        arrivals = arrival_times_s.tolist()
+        speeds = speeds_kmh.tolist()
+        angles = angles_deg.tolist()
+        distances = distances_km.tolist()
+        # A user who stays past the horizon stays in every interval, as a
+        # stationary one does, so its demand depends on its bandwidth alone.
+        staying = in_cell_active(math.inf, projection)
+        staying_demands: dict[int, tuple[float, ...]] = {}
+        demands = []
+        for bandwidth, speed, angle, distance in zip(
+            bandwidth_units.tolist(), speeds, angles, distances
+        ):
+            exit_s = exit_time_s(speed, angle, distance, projection)
+            if exit_s < projection.horizon_s:
+                demands.append(in_cell_demand(bandwidth, in_cell_active(exit_s, projection)))
+            else:
+                demand = staying_demands.get(bandwidth)
+                if demand is None:
+                    demand = staying_demands[bandwidth] = in_cell_demand(bandwidth, staying)
+                demands.append(demand)
+        reserved = [True] * len(demands)
+        block = SCCColumns(self._estimator, demands, reserved, config, capacity_bu)
+        failure = config.reservation_failure_probability
+        count = config.reservations_per_mobile_user
+        if failure <= 0.0 or count == 0:
+            return block
+        mobile = np.flatnonzero(speeds_kmh >= projection.stationary_speed_kmh)
+        if not len(mobile):
+            return block
+        labels = [
+            _reservation_label(arrivals[row], speeds[row], angles[row], distances[row])
+            for row in mobile.tolist()
+        ]
+        started = time.perf_counter()
+        raw = pcg64_random_raw(mix_seeds(config.reservation_seed, labels), count)
+        failed = mobile[((raw >> 11) * 2.0**-53 < failure).any(axis=1)].tolist()
+        block.kernel_ms = (time.perf_counter() - started) * 1e3
+        block.kernel_calls = 1
+        block.reservation_rows = len(labels)
+        block.failed_rows = len(failed)
+        for row in failed:
+            reserved[row] = False
+        return block
 
     def _admission_test(self, call: Call, station: BaseStation) -> tuple[bool, float, float]:
         """``(fits, projected peak, admission capacity)`` of a request.
@@ -174,7 +295,10 @@ class ShadowClusterController(AdmissionController):
 
         The reservation draw is a pure function of the call, so it is made
         only for a call that fits and stays within the envelope, the only
-        calls whose verdict it can change.
+        calls whose verdict it can change.  What the network engines ask,
+        and the single-cell admission loop for a subclass or a run that
+        collects the per-call trace; the loop answers an exact
+        :class:`ShadowClusterController` from :meth:`decide_columns`.
         """
         fits, peak, admission_capacity = self._admission_test(call, station)
         return fits and peak <= admission_capacity and self._establish_reservations(call)

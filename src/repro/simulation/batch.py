@@ -13,24 +13,38 @@ before that instant is released, in the order (departure instant, admission
 order) the DES's event queue uses.  Instants are computed the way the DES
 clock computes them (``now + (t − now)``, then ``now + holding``), so the
 departure order is the DES's bit for bit.  Row ``k``'s verdict comes from
-one of two places:
+one of three places:
 
 * **FACS blocks.**  FLC1 does not depend on the base station, so for an
   exact FACS controller it runs once per fixed block of rows through
   :meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_columns`,
   and the block answers each row at the occupancy its request meets (FLC2's
   ``Cs`` input): from the certified decision screen where the controller
-  pair has one, by exact inference where it has none.  A request that does
-  not fit the free bandwidth is rejected before the block is asked, since
-  the verdict is stateless.  Neither the block size nor the path changes an
-  answer, and no ``Call`` or ``BaseStation`` is built.
-* **The controller.**  Every other controller, and every run that collects
-  the per-call trace, is asked about each request's :class:`Call` at a
-  :class:`BaseStation` whose ledger holds the admitted calls, and hears
-  ``on_admitted`` and ``on_released`` at the admission and departure
-  instants.  It is asked before the fit check, as the DES asks it, because
-  asking may change its state (MPCLookahead updates its load estimates on
-  every new call).  A trace run calls ``decide`` and records its score.
+  pair has one, by exact inference where it has none.
+* **SCC blocks.**  For an exact SCC controller,
+  :meth:`~repro.cac.scc.system.ShadowClusterController.decide_columns`
+  gives each row of a block its in-cell demand tuple and its reservation
+  verdict, the block's reservations drawn in one kernel call.  The
+  controller's demand estimator is the envelope ledger: the loop adds a
+  row's demand at its admission and removes it at its departure, and the
+  block answers each row at the occupancy and ledger its request meets.
+
+  A request that does not fit the free bandwidth is rejected before either
+  kind of block is asked, since asking changes nothing.  Neither the block
+  size nor the path changes an answer, and no ``Call`` or ``BaseStation``
+  is built.
+* **The controller.**  Every other controller (a subclass of either too),
+  and every run that collects the per-call trace, is asked about each
+  request's :class:`Call` at a :class:`BaseStation` whose ledger holds the
+  admitted calls, and hears ``on_admitted`` and ``on_released`` at the
+  admission and departure instants.  It is asked before the fit check, as
+  the DES asks it, because asking may change its state (MPCLookahead
+  updates its load estimates on every new call).  A trace run calls
+  ``decide`` and records its score.
+
+Each column run logs one DEBUG record on ``repro.simulation.batch``: the
+paths FACS blocks took, or SCC's reservation rows, failed draws, kernel
+calls and envelope sums recomputed against extended.
 
 The discrete-event loop (:func:`run_des_experiment`, on :mod:`repro.des`)
 replays the same trace with one generator process and a departure process
@@ -50,6 +64,7 @@ import numpy as np
 from ..analysis.frame import FrameRow, run_result_row
 from ..cac.base import AdmissionController
 from ..cac.facs.system import ExactColumns, FuzzyAdmissionControlSystem
+from ..cac.scc.system import ShadowClusterController
 from ..cellular.calls import Call, CallType
 from ..cellular.cell import BaseStation
 from ..cellular.metrics import CallMetrics, MetricsCollector
@@ -75,10 +90,18 @@ ControllerFactory = Callable[[], AdmissionController]
 
 _log = logging.getLogger(__name__)
 
-#: Rows per FLC1 pass of a FACS block.  Smaller blocks pay more per-call
-#: overhead; larger ones hold more FLC1 intermediates at once (a whole
-#: 20k-request trace in one block about doubles the process's peak RSS).
+#: Rows per FLC1 pass of a FACS block (and per SCC block).  Smaller blocks
+#: pay more per-call overhead; larger ones hold more FLC1 intermediates at
+#: once (a whole 20k-request trace in one block about doubles the process's
+#: peak RSS).
 _BLOCK_ROWS = 512
+
+#: The counters each kind of column block keeps, summed over a run's blocks
+#: for its DEBUG record.
+_COUNTERS = {
+    FuzzyAdmissionControlSystem: ("screened", "exact_flc1", "exact_flc2"),
+    ShadowClusterController: ("reservation_rows", "failed_rows", "kernel_calls", "kernel_ms"),
+}
 
 
 @dataclass(frozen=True)
@@ -242,8 +265,10 @@ def run_batch_experiment(
     Every controller runs through the one admission loop (see the module
     docstring).  Only an exact
     :class:`~repro.cac.facs.system.FuzzyAdmissionControlSystem` reads FACS
-    blocks, since a subclass may override ``decide``; any other controller,
-    and ``collect_trace=True``, is asked per request.  Each
+    blocks and only an exact
+    :class:`~repro.cac.scc.system.ShadowClusterController` SCC blocks, since
+    a subclass may override ``decide``; any other controller, and
+    ``collect_trace=True``, is asked per request.  Each
     :class:`BatchCallRecord` of the trace carries its request's ``decide``
     score.  The output equals :func:`run_des_experiment`'s.
     """
@@ -252,9 +277,13 @@ def run_batch_experiment(
         config, StreamFactory(master_seed=config.stream_master_seed)
     )
     capacity = config.capacity_bu
-    asked = None
-    if collect_trace or type(controller) is not FuzzyAdmissionControlSystem:
+    kind = type(controller)
+    asked = ledger = None
+    if collect_trace or kind not in (FuzzyAdmissionControlSystem, ShadowClusterController):
         asked = _AskedController(controller, arrays.to_calls(), capacity, collect_trace)
+    elif kind is ShadowClusterController:
+        controller.reset()
+        ledger = controller.estimator
     arrivals = arrays.arrival_time_s.tolist()
     holdings = arrays.holding_time_s.tolist()
     bandwidths = arrays.bandwidth_units.tolist()
@@ -267,11 +296,20 @@ def run_batch_experiment(
     admitted = np.zeros(total, dtype=bool)
     now = 0.0
     used = peak_occupancy = 0
-    screened = exact_flc1 = exact_flc2 = 0
+    counters = dict.fromkeys(_COUNTERS[kind] if asked is None else (), 0)
     path = "exact"
     for start in range(0, total, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, total)
-        if asked is None:
+        if ledger is not None:
+            block = controller.decide_columns(
+                arrays.arrival_time_s[start:stop],
+                arrays.speed_kmh[start:stop],
+                arrays.angle_deg[start:stop],
+                arrays.distance_km[start:stop],
+                arrays.bandwidth_units[start:stop],
+                capacity,
+            )
+        elif asked is None:
             block = controller.decide_columns(
                 arrays.speed_kmh[start:stop],
                 arrays.angle_deg[start:stop],
@@ -289,22 +327,25 @@ def run_batch_experiment(
                 used -= bandwidth
                 if asked is not None:
                     asked.release(done, instant)
+                elif ledger is not None:
+                    ledger.remove(done)
             bandwidth = bandwidths[row]
             if asked is not None:
                 # The controller is asked first and the fit checked after.
                 if not asked.admits(row, now):
                     continue
-            # A FACS block's verdict is stateless, so the fit is checked first.
+            # Asking a block changes nothing, so the fit is checked first.
             elif used + bandwidth > capacity or not block.accepts(row - start, used):
                 continue
+            elif ledger is not None:
+                # The admitted row's demand joins SCC's envelope.
+                ledger.add(row, block.demands[row - start])
             used += bandwidth
             admitted[row] = True
             peak_occupancy = max(peak_occupancy, used)
             heapq.heappush(departures, (now + holdings[row], row, bandwidth))
-        if asked is None:
-            screened += block.screened
-            exact_flc1 += block.exact_flc1
-            exact_flc2 += block.exact_flc2
+        for name in counters:
+            counters[name] += getattr(block, name)
 
     records: tuple[BatchCallRecord, ...] = ()
     if asked is not None:
@@ -313,15 +354,29 @@ def run_batch_experiment(
             instant, done, _ = heapq.heappop(departures)
             asked.release(done, instant)
         records = tuple(asked.records or ())
+    elif ledger is not None:
+        _log.debug(
+            "SCC columns: %d requests, %d needed reservations, %d failed their "
+            "draw; %d kernel calls in %.3f ms; envelope sums recomputed %d times "
+            "after a departure, extended %d times by an admission",
+            total,
+            counters["reservation_rows"],
+            counters["failed_rows"],
+            counters["kernel_calls"],
+            counters["kernel_ms"],
+            ledger.recomputed,
+            ledger.extended,
+        )
+        controller.reset()
     else:
         _log.debug(
             "FACS blocks (%s): %d requests, %d screened, %d exact FLC1 rows, "
             "%d exact FLC2 rows",
             path,
             total,
-            screened,
-            exact_flc1,
-            exact_flc2,
+            counters["screened"],
+            counters["exact_flc1"],
+            counters["exact_flc2"],
         )
     accepted = int(admitted.sum())
     metrics = CallMetrics(

@@ -85,21 +85,25 @@ class TestProjection:
 
     def test_projection_probabilities_valid_and_decaying(self):
         config = ProjectionConfig()
-        projection = project_residency(UserState(30.0, 45.0, 5.0), config)
+        # Heading away at 120 km/h from 9 km out: exits after 30 s.
+        projection = project_residency(UserState(120.0, 180.0, 9.0), config)
         assert len(projection.in_cell_active) == config.horizon_intervals
-        for p in projection.in_cell_active + projection.departed_active:
+        for p in projection.in_cell_active:
             assert 0.0 <= p <= 1.0
-        # Activity decays monotonically over the horizon.
-        totals = [
-            in_cell + departed
-            for in_cell, departed in zip(projection.in_cell_active, projection.departed_active)
-        ]
-        assert all(a >= b for a, b in zip(totals, totals[1:]))
+        # In-cell activity decays monotonically over the horizon, and faster
+        # once the user has left than activity alone.
+        in_cell = projection.in_cell_active
+        assert all(a >= b for a, b in zip(in_cell, in_cell[1:]))
+        staying = project_residency(None, config).in_cell_active
+        assert in_cell[:3] == staying[:3]
+        assert all(p < q for p, q in zip(in_cell[3:], staying[3:]))
 
     def test_projection_for_fixed_terminal(self):
         config = ProjectionConfig()
         projection = project_residency(None, config)
-        assert all(p == 0.0 for p in projection.departed_active)
+        assert projection.in_cell_active == tuple(
+            math.exp(-t / config.mean_holding_time_s) for t in config.interval_times()
+        )
         assert math.isinf(projection.expected_exit_s)
 
 
@@ -109,10 +113,10 @@ class TestDemandEstimator:
         call = make_call(ServiceClass.VIDEO)
         estimator.track(call)
         assert estimator.tracked_calls == 1
-        assert estimator.peak_projected_demand() > 0.0
+        assert max(estimator.projected_in_cell_demand()) > 0.0
         estimator.untrack(call)
         assert estimator.tracked_calls == 0
-        assert estimator.peak_projected_demand() == 0.0
+        assert max(estimator.projected_in_cell_demand()) == 0.0
 
     def test_double_track_rejected(self):
         estimator = DemandEstimator(ProjectionConfig())
@@ -195,6 +199,34 @@ class TestDemandEstimator:
             for index, value in enumerate(profile.in_cell_demand()):
                 expected[index] += value
         assert estimator.projected_in_cell_demand() == expected
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(("add", "remove", "read")),
+                st.integers(0, 6),
+                st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cached_totals_are_the_sums_from_zero_in_tracking_order(self, steps):
+        estimator = DemandEstimator(ProjectionConfig(horizon_intervals=3))
+        tracked: dict[int, tuple[float, ...]] = {}
+        for step, key, demand in steps:
+            if step == "add" and key not in tracked:
+                tracked[key] = tuple(demand)
+                estimator.add(key, tracked[key])
+            elif step == "remove":
+                tracked.pop(key, None)
+                estimator.remove(key)
+            elif step == "read":
+                expected = [0.0] * 3
+                for values in tracked.values():
+                    expected = [total + value for total, value in zip(expected, values)]
+                assert estimator.projected_in_cell_demand() == expected
+        assert estimator.tracked_calls == len(tracked)
 
 
 class TestSCCController:
