@@ -134,7 +134,7 @@ class UrgencyControllerFactory:
 
 
 @register_controller("Urgency")
-def _urgency_controller(engine: str = "compiled") -> UrgencyControllerFactory:
+def _urgency_controller() -> UrgencyControllerFactory:
     return UrgencyControllerFactory()
 
 

@@ -27,7 +27,7 @@ Package layout
     Statistics, ASCII tables/plots, CSV/JSON export.
 ``repro.api``
     The canonical entry point: declarative, serializable ``Scenario``
-    objects, string-keyed registries (controllers, engines, executors,
+    objects, string-keyed registries (controllers, executors,
     scenarios) and the ``Runner`` facade returning ``RunReport`` objects.
 """
 

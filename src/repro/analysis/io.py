@@ -47,12 +47,16 @@ Versioning policy
   :func:`repro.simulation.trace.run_trace_arrivals`).  Additive —
   ``stream`` is omitted from payloads while ``False`` — so the v5→v6
   migration is the identity.
-* **v7** — current.  ``trace-arrivals`` admits every request at its own
+* **v7** — ``trace-arrivals`` admits every request at its own
   arrival, as the discrete-event batch experiment does, so its results
   no longer depend on ``batch_size`` (still accepted, now without
   effect), and its run-report metrics drop the ``batch_size`` and
   ``batches`` keys.  No payload field changes meaning on read, so the
   v6→v7 migration is the identity.
+* **v8** — current.  Fuzzy inference has one engine, so scenario and
+  campaign payloads lose their ``engine`` field.  The v7→v8 migration
+  drops it: ``"compiled"`` and ``"reference"`` named engines that agreed
+  bit for bit, so either value decodes to the same run.
 * Future breaking field changes must bump :data:`SCHEMA_VERSION` and add a
   migration step to :data:`_MIGRATIONS`; decoding a payload newer than the
   running build always fails loudly rather than guessing.
@@ -114,7 +118,7 @@ __all__ = [
 # Payload schema versioning
 # ----------------------------------------------------------------------
 #: Version stamped into every newly serialized API payload.
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 class PayloadVersionError(ValueError):
@@ -197,6 +201,17 @@ def _migrate_v6_to_v7(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
+def _migrate_v7_to_v8(payload: dict[str, Any]) -> dict[str, Any]:
+    """v7 → v8: drop the ``engine`` field of scenario and campaign payloads.
+
+    Scenario and campaign payloads are the only ones with a top-level
+    ``engine`` key.  Its two values selected engines that agree bit for
+    bit, so dropping it keeps the run the payload describes.
+    """
+    payload.pop("engine", None)
+    return payload
+
+
 #: Migration steps: version ``n`` → the function upgrading ``n`` to ``n+1``.
 _MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
     0: _migrate_v0_to_v1,
@@ -206,6 +221,7 @@ _MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
     4: _migrate_v4_to_v5,
     5: _migrate_v5_to_v6,
     6: _migrate_v6_to_v7,
+    7: _migrate_v7_to_v8,
 }
 
 

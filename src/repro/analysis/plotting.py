@@ -1,8 +1,8 @@
 """ASCII line plots (matplotlib is not available offline).
 
-The benches use these to render the shape of each figure directly in the
-terminal, so "who wins and where the crossover falls" is visible without any
-plotting dependency.
+The figure renderers use these to draw the shape of each figure directly in
+the terminal, so "who wins and where the crossover falls" is visible without
+any plotting dependency.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """repro.api — the canonical entry point for running experiments.
 
 Every experiment in this repository is a *data object*: a
-:class:`Scenario` describing workload, topology, controllers, engine,
-executor, seeds and replications, with a lossless
+:class:`Scenario` describing workload, topology, controllers, executor,
+seeds and replications, with a lossless
 ``to_dict``/``from_dict``/JSON round-trip.  The :class:`Runner` facade
 turns any scenario into a :class:`RunReport` carrying both the rendered
 ASCII artifact and machine-readable metrics, persistable as a single JSON
@@ -38,8 +38,8 @@ unknown ones loudly.
 Extension points are string-keyed registries (see
 :mod:`repro.api.registry`): :data:`CONTROLLERS` for admission controllers,
 :data:`SCENARIOS` for experiment defaults, :data:`COMPARISON_METRICS` for
-cross-scenario comparison columns, plus the engine and executor registries
-re-exported here.  Registering a controller makes it addressable from
+cross-scenario comparison columns, plus the executor registry re-exported
+here.  Registering a controller makes it addressable from
 scenario JSON immediately — the coupled-sharded sweep and the
 trace-driven workload kinds plug in through the same seams.
 """
@@ -51,7 +51,6 @@ from ..analysis.io import (
     metrics_frame_from_dict,
     metrics_frame_to_dict,
 )
-from ..fuzzy.controller import ENGINES, EngineSpec
 from ..registry import Registry, RegistryError
 from ..simulation.executor import EXECUTORS
 from ..workloads import (
@@ -75,7 +74,6 @@ from .campaign import (
 from .registry import (
     ABLATIONS,
     ARTIFACTS,
-    BENCH_ONLY_EXPERIMENTS,
     CONTROLLERS,
     DEFAULT_NETWORK_CONTROLLERS,
     FIGURES,
@@ -162,8 +160,6 @@ __all__ = [
     "Registry",
     "RegistryError",
     "CONTROLLERS",
-    "ENGINES",
-    "EngineSpec",
     "EXECUTORS",
     "FIGURES",
     "FigureDef",
@@ -178,7 +174,6 @@ __all__ = [
     "scenario_for",
     "scenario_ids",
     "DEFAULT_NETWORK_CONTROLLERS",
-    "BENCH_ONLY_EXPERIMENTS",
     # workloads
     "WORKLOADS",
     "WorkloadSpec",

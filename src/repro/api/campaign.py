@@ -3,7 +3,7 @@
 The paper's results are not single runs but *studies* — CBP/CDP curves per
 controller across arrival rates, figure sweeps per attribute, ablations —
 and a :class:`Campaign` describes one study end to end: an ordered list of
-named member scenarios, shared overrides (engine/seed applied to every
+named member scenarios, shared overrides (a seed applied to every
 member, executor/workers selecting the shared pool), and a
 :class:`ComparisonSpec` naming the metrics to tabulate across scenarios.
 Campaigns carry the same contract as scenarios: strict validation, loud
@@ -36,7 +36,6 @@ from ..analysis.io import (
     versioned_payload,
     write_guarded_json,
 )
-from ..fuzzy.controller import ENGINES
 from ..simulation.executor import EXECUTORS, executor_by_name
 from .report import COMPARISON_METRICS, build_comparison
 from .runner import Runner, RunReport, execution_normalized, report_stem
@@ -158,16 +157,15 @@ class CampaignMember:
 class Campaign:
     """A declarative multi-scenario study.
 
-    ``engine`` and ``seed`` of ``None`` leave every member scenario's own
-    value in place; a non-``None`` override is applied to every member
-    that has the corresponding field.  ``executor``/``workers`` select the
-    shared pool the members fan over — member-level executors are always
-    normalized to serial, because the campaign owns the parallelism.
+    ``seed`` of ``None`` leaves every member scenario's own seed in place;
+    a non-``None`` override is applied to every member that has a seed.
+    ``executor``/``workers`` select the shared pool the members fan over —
+    member-level executors are always normalized to serial, because the
+    campaign owns the parallelism.
     """
 
     name: str
     members: tuple[CampaignMember, ...]
-    engine: str | None = None
     executor: str = "serial"
     workers: int | None = None
     seed: int | None = None
@@ -186,10 +184,6 @@ class Campaign:
         ids = [member.id for member in self.members]
         duplicates = sorted({i for i in ids if ids.count(i) > 1})
         _require(not duplicates, f"duplicate member ids: {', '.join(duplicates)}")
-        _require(
-            self.engine is None or self.engine in ENGINES,
-            f"unknown engine {self.engine!r}; available: {list(ENGINES)}",
-        )
         _require(
             self.executor in EXECUTORS,
             f"unknown executor {self.executor!r}; available: {list(EXECUTORS)}",
@@ -225,7 +219,7 @@ class Campaign:
     def resolved_scenarios(self) -> tuple[Scenario, ...]:
         """Member scenarios with the shared overrides applied.
 
-        A pure function of the campaign alone: engine/seed overrides are
+        A pure function of the campaign alone: the seed override is
         written into every member that has the field, and member-level
         executors are normalized to serial (the campaign pool owns the
         parallelism) — so the resolved scenarios, and therefore the
@@ -237,8 +231,6 @@ class Campaign:
             scenario = member.scenario
             names = {spec.name for spec in dataclasses.fields(scenario)}
             updates: dict[str, Any] = {}
-            if self.engine is not None and "engine" in names:
-                updates["engine"] = self.engine
             if self.seed is not None and "seed" in names:
                 updates["seed"] = self.seed
             if "executor" in names:
@@ -266,7 +258,6 @@ class Campaign:
                 "type": "campaign",
                 "name": self.name,
                 "members": [member.to_dict() for member in self.members],
-                "engine": self.engine,
                 "executor": self.executor,
                 "workers": self.workers,
                 "seed": self.seed,
@@ -293,7 +284,7 @@ class Campaign:
             type_tag == "campaign",
             f"expected a 'campaign' payload, got type={type_tag!r}",
         )
-        known = {"name", "members", "engine", "executor", "workers", "seed", "comparison"}
+        known = {"name", "members", "executor", "workers", "seed", "comparison"}
         unknown = sorted(set(data) - known)
         _require(
             not unknown,
@@ -315,7 +306,6 @@ class Campaign:
             return Campaign(
                 name=data["name"],
                 members=members,
-                engine=data.get("engine"),
                 executor=data.get("executor", "serial"),
                 workers=data.get("workers"),
                 seed=data.get("seed"),

@@ -3,8 +3,7 @@
 Every name a :class:`~repro.api.scenario.Scenario` can reference — an
 admission controller, a figure sweep, a static paper artifact, a control
 surface, an ablation study or a whole experiment id — resolves through one
-of the registries below.  Together with the engine registry
-(:data:`repro.fuzzy.ENGINES`) and the executor registry
+of the registries below.  Together with the executor registry
 (:data:`repro.simulation.EXECUTORS`) they replace the string literals that
 used to be duplicated across the CLI, ``FACSConfig`` and the experiment
 dispatch ladder.
@@ -14,7 +13,7 @@ immediately:
 
 >>> from repro.api import register_controller
 >>> @register_controller("AlwaysAccept")
-... def _always_accept(engine="compiled"):
+... def _always_accept():
 ...     return MyControllerFactory()
 """
 
@@ -75,16 +74,13 @@ __all__ = [
     "scenario_for",
     "scenario_ids",
     "DEFAULT_NETWORK_CONTROLLERS",
-    "BENCH_ONLY_EXPERIMENTS",
 ]
 
 # ----------------------------------------------------------------------
 # Controllers
 # ----------------------------------------------------------------------
-#: Builder signature: ``(engine: str) -> ControllerFactory``.  The engine
-#: selects the fuzzy inference fast path for controllers that run one
-#: (FACS); non-fuzzy controllers ignore it.
-ControllerBuilder = Callable[..., ControllerFactory]
+#: Builder signature: ``() -> ControllerFactory``.
+ControllerBuilder = Callable[[], ControllerFactory]
 
 CONTROLLERS: Registry[ControllerBuilder] = Registry("controller")
 
@@ -96,7 +92,7 @@ DEFAULT_NETWORK_CONTROLLERS: tuple[str, ...] = ("FACS", "SCC", "CS")
 def register_controller(name: str, *, replace: bool = False):
     """Decorator registering a controller builder under ``name``.
 
-    The builder receives ``engine=<name>`` and must return a picklable
+    The builder takes no arguments and must return a picklable
     zero-argument controller factory (see
     :mod:`repro.simulation.scenario`).
     """
@@ -116,9 +112,7 @@ def is_definition_controller(name: str) -> bool:
     )
 
 
-def definition_controller_factory(
-    path: str, engine: str = "compiled"
-) -> ControllerFactory:
+def definition_controller_factory(path: str) -> ControllerFactory:
     """FACS factory for a standalone FLC-definition JSON file.
 
     The file holds one stage of the two-stage FACS pipeline; which stage is
@@ -133,9 +127,9 @@ def definition_controller_factory(
     definition = read_flc_definition_json(path)
     signature = (definition.input_names(), definition.output_names())
     if signature == FLC1_VARIABLES:
-        config = FACSConfig(engine=engine, flc1_definition=definition)
+        config = FACSConfig(flc1_definition=definition)
     elif signature == FLC2_VARIABLES:
-        config = FACSConfig(engine=engine, flc2_definition=definition)
+        config = FACSConfig(flc2_definition=definition)
     else:
         raise DefinitionError(
             f"controller definition {path} fits neither FACS slot: "
@@ -146,49 +140,49 @@ def definition_controller_factory(
     return facs_factory(config)
 
 
-def controller_factory(name: str, engine: str = "compiled") -> ControllerFactory:
+def controller_factory(name: str) -> ControllerFactory:
     """Resolve a controller id into a fresh-instance factory.
 
     ``name`` is either a registered controller name or the path of an
     FLC-definition JSON file (any id ending in ``.json``).
     """
     if is_definition_controller(name):
-        return definition_controller_factory(name, engine=engine)
-    return CONTROLLERS.get(name)(engine=engine)
+        return definition_controller_factory(name)
+    return CONTROLLERS.get(name)()
 
 
 @register_controller("FACS")
-def _facs_controller(engine: str = "compiled") -> ControllerFactory:
-    return facs_factory(FACSConfig(engine=engine))
+def _facs_controller() -> ControllerFactory:
+    return facs_factory(FACSConfig())
 
 
 @register_controller("SCC")
-def _scc_controller(engine: str = "compiled") -> ControllerFactory:
+def _scc_controller() -> ControllerFactory:
     return scc_factory()
 
 
 @register_controller("CS")
-def _complete_sharing_controller(engine: str = "compiled") -> ControllerFactory:
+def _complete_sharing_controller() -> ControllerFactory:
     return CompleteSharingController
 
 
 @register_controller("GuardChannel")
-def _guard_channel_controller(engine: str = "compiled") -> ControllerFactory:
+def _guard_channel_controller() -> ControllerFactory:
     return GuardChannelController
 
 
 @register_controller("Threshold")
-def _threshold_controller(engine: str = "compiled") -> ControllerFactory:
+def _threshold_controller() -> ControllerFactory:
     return ThresholdPolicyController
 
 
 @register_controller("AdaptiveThreshold")
-def _adaptive_threshold_controller(engine: str = "compiled") -> ControllerFactory:
+def _adaptive_threshold_controller() -> ControllerFactory:
     return AdaptiveThresholdController
 
 
 @register_controller("MPCLookahead")
-def _mpc_lookahead_controller(engine: str = "compiled") -> ControllerFactory:
+def _mpc_lookahead_controller() -> ControllerFactory:
     return MPCLookaheadController
 
 
@@ -267,12 +261,6 @@ ABLATIONS.register("baselines", baseline_ablation)
 #: built-in factories are registered in :mod:`repro.api.scenario`, one per
 #: entry of ``python -m repro list``.
 SCENARIOS: Registry[Callable[[], "Scenario"]] = Registry("scenario")
-
-#: Experiments the CLI refuses to `run` directly (their full-fidelity form
-#: is a benchmark); they remain runnable through :class:`repro.api.Runner`.
-BENCH_ONLY_EXPERIMENTS = frozenset(
-    {"abl-defuzz", "abl-threshold", "abl-baselines", "net-integration"}
-)
 
 
 def register_scenario(experiment_id: str, *, replace: bool = False):

@@ -311,11 +311,7 @@ def _run_surface(scenario: SurfaceScenario) -> tuple[str, dict[str, Any]]:
         else scenario.fixed_value
     )
     xs, ys, values = definition.grid(
-        **{
-            definition.fixed_kwarg: fixed,
-            "resolution": scenario.resolution,
-            "engine": scenario.engine,
-        }
+        **{definition.fixed_kwarg: fixed, "resolution": scenario.resolution}
     )
     text = definition.render_grid(xs, ys, values, **{definition.fixed_kwarg: fixed})
     metrics = {
@@ -335,7 +331,7 @@ def _run_figure_sweep(scenario: FigureSweepScenario) -> tuple[str, dict[str, Any
     kwargs: dict[str, Any] = {
         "request_counts": scenario.request_counts,
         "replications": scenario.replications,
-        "facs_config": FACSConfig(engine=scenario.engine),
+        "facs_config": FACSConfig(),
         "executor": _build_executor(scenario),
     }
     if scenario.seed is not None:
@@ -351,8 +347,7 @@ def _run_figure_sweep(scenario: FigureSweepScenario) -> tuple[str, dict[str, Any
 def _network_sweep_spec_for(scenario: NetworkSweepScenario):
     """Shared spec construction of the coupled and coupled-sharded network sweeps."""
     controllers = {
-        name: controller_factory(name, engine=scenario.engine)
-        for name in scenario.controllers
+        name: controller_factory(name) for name in scenario.controllers
     }
     base_config = replace(
         DEFAULT_NETWORK_BASE_CONFIG,
@@ -444,7 +439,7 @@ def _run_network_integration(
     outputs = []
     rows = []
     for name in scenario.controllers:
-        output = run_network_experiment(config, controller_factory(name, engine=scenario.engine))
+        output = run_network_experiment(config, controller_factory(name))
         outputs.append(output)
         numbers = _network_run_metrics(output)
         per_controller[name] = numbers
@@ -512,7 +507,7 @@ def _run_trace_arrivals(scenario: TraceArrivalsScenario) -> tuple[str, dict[str,
     )
     result = run_trace_arrivals(
         config,
-        facs_config=FACSConfig(engine=scenario.engine),
+        facs_config=FACSConfig(),
         stream=scenario.stream,
     )
     frame = MetricsFrame.from_run_results([result.to_run_result(seed=scenario.seed)])
@@ -575,7 +570,7 @@ def _run_service_replay(scenario: ServiceReplayScenario) -> tuple[str, dict[str,
             max_wait_ms=scenario.max_wait_ms,
             queue_capacity=scenario.queue_capacity,
         ),
-        facs_config=FACSConfig(engine=scenario.engine),
+        facs_config=FACSConfig(),
     )
     frame = MetricsFrame.from_run_results([_service_run_result(report, scenario.seed)])
     metrics = {"type": "service-replay", **report.to_dict()}
@@ -594,7 +589,6 @@ def _run_tuning(scenario: TuningScenario) -> tuple[str, dict[str, Any]]:
         request_counts=scenario.request_counts,
         replications=scenario.replications,
         seed=scenario.seed,
-        engine=scenario.engine,
         executor=_build_executor(scenario),
         population=scenario.population,
         generations=scenario.generations,

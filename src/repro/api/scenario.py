@@ -1,8 +1,8 @@
 """Declarative, serializable experiment scenarios.
 
 A :class:`Scenario` is a frozen dataclass describing *everything* needed to
-reproduce one experiment — workload, topology, controllers, engine,
-executor, seeds and replications — with no behaviour attached.  Scenarios
+reproduce one experiment — workload, topology, controllers, executor,
+seeds and replications — with no behaviour attached.  Scenarios
 round-trip losslessly through ``to_dict``/``from_dict`` (and JSON), so an
 experiment can live in a config file, travel over a queue, or be archived
 next to its results.  :class:`repro.api.Runner` turns a scenario into a
@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Any, ClassVar, Mapping
 
 from ..analysis.io import PayloadVersionError, migrate_payload, versioned_payload
-from ..fuzzy.controller import ENGINES
 from ..registry import Registry, RegistryError
 from ..cellular.network import hex_cell_count
 from ..simulation.config import PAPER_REQUEST_COUNTS
@@ -103,13 +102,6 @@ def _check_seed(seed: object) -> None:
     _require(
         seed is None or (isinstance(seed, int) and not isinstance(seed, bool)),
         f"seed must be an integer or null, got {seed!r}",
-    )
-
-
-def _check_engine(engine: str) -> None:
-    _require(
-        engine in ENGINES,
-        f"unknown engine {engine!r}; available: {list(ENGINES)}",
     )
 
 
@@ -320,7 +312,6 @@ class SurfaceScenario(Scenario):
     surface: str
     resolution: int = 31
     fixed_value: float | None = None
-    engine: str = "compiled"
 
     def __post_init__(self) -> None:
         _require(
@@ -333,7 +324,6 @@ class SurfaceScenario(Scenario):
         )
         if self.fixed_value is not None:
             _check_finite(self.fixed_value, "fixed_value")
-        _check_engine(self.engine)
 
     @property
     def slug(self) -> str:
@@ -359,7 +349,6 @@ class FigureSweepScenario(Scenario):
     replications: int = 10
     seed: int | None = None
     curve_values: tuple[float, ...] | None = None
-    engine: str = "compiled"
     executor: str = "serial"
     workers: int | None = None
     workload: str | None = None
@@ -396,7 +385,6 @@ class FigureSweepScenario(Scenario):
             )
             for value in self.curve_values:
                 _check_finite(value, "curve values")
-        _check_engine(self.engine)
         _check_executor(self.executor, self.workers)
 
     @property
@@ -424,7 +412,6 @@ class NetworkSweepScenario(Scenario):
     cell_radius_km: float = 1.5
     mean_speed_kmh: float = 60.0
     seed: int = 20070627
-    engine: str = "compiled"
     executor: str = "serial"
     workers: int | None = None
     workload: str | None = None
@@ -463,7 +450,6 @@ class NetworkSweepScenario(Scenario):
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an integer, got {self.seed!r}",
         )
-        _check_engine(self.engine)
         _check_executor(self.executor, self.workers)
 
     @property
@@ -570,7 +556,6 @@ class NetworkIntegrationScenario(Scenario):
     cell_radius_km: float = 2.0
     mean_speed_kmh: float = 40.0
     seed: int = 20070626
-    engine: str = "compiled"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "controllers", tuple(self.controllers))
@@ -601,7 +586,6 @@ class NetworkIntegrationScenario(Scenario):
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an integer, got {self.seed!r}",
         )
-        _check_engine(self.engine)
 
     @property
     def slug(self) -> str:
@@ -642,7 +626,6 @@ class TraceArrivalsScenario(Scenario):
     angle_deg: float | None = None
     distance_km: float | None = None
     seed: int = 20070625
-    engine: str = "compiled"
     workload: str | None = None
     stream: bool = False
 
@@ -670,7 +653,6 @@ class TraceArrivalsScenario(Scenario):
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an integer, got {self.seed!r}",
         )
-        _check_engine(self.engine)
 
     @property
     def slug(self) -> str:
@@ -703,7 +685,6 @@ class ServiceReplayScenario(Scenario):
     angle_deg: float | None = None
     distance_km: float | None = None
     seed: int = 20070628
-    engine: str = "compiled"
     workload: str | None = None
 
     _OMIT_WHEN_NONE: ClassVar[frozenset[str]] = frozenset({"workload"})
@@ -731,7 +712,6 @@ class ServiceReplayScenario(Scenario):
             isinstance(self.seed, int) and not isinstance(self.seed, bool),
             f"seed must be an integer, got {self.seed!r}",
         )
-        _check_engine(self.engine)
 
     @property
     def slug(self) -> str:
@@ -773,7 +753,6 @@ class TuningScenario(Scenario):
     generations: int = 6
     max_trials: int | None = None
     seed: int = 20070801
-    engine: str = "compiled"
     executor: str = "serial"
     workers: int | None = None
 
@@ -822,7 +801,6 @@ class TuningScenario(Scenario):
         _check_int(self.generations, "generations", 1)
         _check_optional_int(self.max_trials, "max_trials", 1)
         _check_seed(self.seed)
-        _check_engine(self.engine)
         _check_executor(self.executor, self.workers)
 
     def search_space(self) -> SearchSpace:

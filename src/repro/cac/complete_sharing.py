@@ -3,8 +3,7 @@
 The simplest CAC technique discussed in the paper's introduction: an arriving
 call is served whenever enough free channels exist for it; otherwise it is
 lost.  "Easy to implement but not fair to customers with large bandwidth
-requirements" — the baseline the ablation benches use as the acceptance upper
-bound.
+requirements" — the acceptance upper bound of the baseline ablation.
 """
 
 from __future__ import annotations

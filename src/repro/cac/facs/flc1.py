@@ -61,7 +61,6 @@ class FLC1:
         self,
         config: FLC1Config = DEFAULT_FLC1_CONFIG,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        engine: str = "compiled",
         definition: FLCDefinition | None = None,
     ):
         self._config = config
@@ -69,7 +68,6 @@ class FLC1:
         if definition is not None:
             _check_definition_shape(definition, ("S", "A", "D"), ("Cv",), "FLC1")
             self._controller = definition.build_controller(
-                engine=engine,
                 defuzzifier=(
                     None if defuzzifier is DEFAULT_DEFUZZIFIER else defuzzifier
                 ),
@@ -85,7 +83,6 @@ class FLC1:
                 outputs=[config.correction_variable()],
                 rules=frb1_rules(),
                 defuzzifier=defuzzifier,
-                engine=engine,
             )
 
     # ------------------------------------------------------------------
@@ -123,9 +120,8 @@ class FLC1:
         """Cv for whole vectors of observations in one tensorized pass.
 
         Bit-identical to calling :meth:`evaluate` per element (including its
-        [0, 1] clip): the compiled engine evaluates the batch through its
-        antecedent/consequent tensors, the reference engine falls back to a
-        per-row loop.
+        [0, 1] clip): the engine evaluates the batch through its
+        antecedent/consequent tensors.
         """
         return np.clip(
             self._controller.compute_batch(S=speeds_kmh, A=angles_deg, D=distances_km),

@@ -49,7 +49,6 @@ class FLC2:
         self,
         config: FLC2Config = DEFAULT_FLC2_CONFIG,
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        engine: str = "compiled",
         definition: FLCDefinition | None = None,
     ):
         self._config = config
@@ -57,7 +56,6 @@ class FLC2:
         if definition is not None:
             _check_definition_shape(definition, ("Cv", "R", "Cs"), ("AR",), "FLC2")
             self._controller = definition.build_controller(
-                engine=engine,
                 defuzzifier=(
                     None if defuzzifier is DEFAULT_DEFUZZIFIER else defuzzifier
                 ),
@@ -73,7 +71,6 @@ class FLC2:
                 outputs=[config.decision_variable()],
                 rules=frb2_rules(),
                 defuzzifier=defuzzifier,
-                engine=engine,
             )
 
     # ------------------------------------------------------------------

@@ -105,7 +105,6 @@ from typing import Iterable
 import numpy as np
 
 from ...fuzzy.bounds import CentroidBoundTables
-from ...fuzzy.compiled import CompiledMamdaniEngine
 from ...fuzzy.defuzzification import DefuzzificationError
 from ...fuzzy.membership import Trapezoidal, Triangular
 from .flc1 import FLC1
@@ -192,7 +191,6 @@ class VerdictTables:
         tables2 = CentroidBoundTables.for_engine(eng2, "AR")
         if tables2 is None:
             raise ValueError("controller pair outside the certified regime")
-        assert isinstance(eng2, CompiledMamdaniEngine)
         self._eng2 = eng2
         self._flc2 = flc2
         self._tables2 = tables2
@@ -492,7 +490,6 @@ class DecisionScreen:
         tables1 = CentroidBoundTables.for_engine(eng1, "Cv")
         if tables1 is None:
             raise ValueError("controller pair outside the certified regime")
-        assert isinstance(eng1, CompiledMamdaniEngine)
         self._eng1 = eng1
         self._tables1 = tables1
         self._term_columns1 = eng1._grouped_consequent_plans["Cv"][1]

@@ -33,7 +33,6 @@ from ...cellular.mobility import (
     PAPER_SPEED_RANGE_KMH,
     UserState,
 )
-from ...fuzzy.controller import ENGINES
 from ...fuzzy.defuzzification import DefuzzificationError, Defuzzifier, DEFAULT_DEFUZZIFIER
 from ...fuzzy.definition import FLCDefinition
 from ..base import AdmissionController, AdmissionDecision
@@ -67,10 +66,6 @@ class FACSConfig:
     #: Minimum defuzzified A/R score for acceptance.  The default 0 accepts
     #: "weak accept" and above, mirroring the paper's soft decision scale.
     acceptance_threshold: float = 0.0
-    #: Inference engine for FLC1/FLC2: ``"compiled"`` (vectorized fast path,
-    #: the default — bit-identical to the reference) or ``"reference"``
-    #: (interpreted per-rule loop).
-    engine: str = "compiled"
     #: Declarative overrides for the two pipeline stages.  When set, the
     #: stage is built from the definition (see :mod:`repro.fuzzy.definition`)
     #: instead of the corresponding ``FLC1Config``/``FLC2Config`` builders;
@@ -84,13 +79,10 @@ class FACSConfig:
             raise ValueError(
                 f"acceptance_threshold must lie in [-1, 1], got {self.acceptance_threshold}"
             )
-        if self.engine not in ENGINES:
-            choices = "', '".join(sorted(ENGINES))
-            raise ValueError(f"engine must be '{choices}', got {self.engine!r}")
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc1(config: FLC1Config, defuzzifier: Defuzzifier, engine: str) -> FLC1:
+def _shared_flc1(config: FLC1Config, defuzzifier: Defuzzifier) -> FLC1:
     """Build (or reuse) the FLC1 for a configuration.
 
     Controller construction — rule parsing, membership sampling, rule-base
@@ -101,29 +93,25 @@ def _shared_flc1(config: FLC1Config, defuzzifier: Defuzzifier, engine: str) -> F
     its scratch buffer in thread-local storage, so the thread-pool sweep
     executor can share one memoised controller between workers.
     """
-    return FLC1(config, defuzzifier=defuzzifier, engine=engine)
+    return FLC1(config, defuzzifier=defuzzifier)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc2(config: FLC2Config, defuzzifier: Defuzzifier, engine: str) -> FLC2:
+def _shared_flc2(config: FLC2Config, defuzzifier: Defuzzifier) -> FLC2:
     """Build (or reuse) the FLC2 for a configuration (see :func:`_shared_flc1`)."""
-    return FLC2(config, defuzzifier=defuzzifier, engine=engine)
+    return FLC2(config, defuzzifier=defuzzifier)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc1_from_definition(
-    definition: FLCDefinition, defuzzifier: Defuzzifier, engine: str
-) -> FLC1:
+def _shared_flc1_from_definition(definition: FLCDefinition, defuzzifier: Defuzzifier) -> FLC1:
     """Build (or reuse) a definition-backed FLC1 (see :func:`_shared_flc1`)."""
-    return FLC1(definition=definition, defuzzifier=defuzzifier, engine=engine)
+    return FLC1(definition=definition, defuzzifier=defuzzifier)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc2_from_definition(
-    definition: FLCDefinition, defuzzifier: Defuzzifier, engine: str
-) -> FLC2:
+def _shared_flc2_from_definition(definition: FLCDefinition, defuzzifier: Defuzzifier) -> FLC2:
     """Build (or reuse) a definition-backed FLC2 (see :func:`_shared_flc1`)."""
-    return FLC2(definition=definition, defuzzifier=defuzzifier, engine=engine)
+    return FLC2(definition=definition, defuzzifier=defuzzifier)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -211,32 +199,18 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         cfg = self._config
         try:
             if cfg.flc1_definition is not None:
-                self._flc1 = _shared_flc1_from_definition(
-                    cfg.flc1_definition, defuzzifier, cfg.engine
-                )
+                self._flc1 = _shared_flc1_from_definition(cfg.flc1_definition, defuzzifier)
             else:
-                self._flc1 = _shared_flc1(cfg.flc1, defuzzifier, cfg.engine)
+                self._flc1 = _shared_flc1(cfg.flc1, defuzzifier)
             if cfg.flc2_definition is not None:
-                self._flc2 = _shared_flc2_from_definition(
-                    cfg.flc2_definition, defuzzifier, cfg.engine
-                )
+                self._flc2 = _shared_flc2_from_definition(cfg.flc2_definition, defuzzifier)
             else:
-                self._flc2 = _shared_flc2(cfg.flc2, defuzzifier, cfg.engine)
+                self._flc2 = _shared_flc2(cfg.flc2, defuzzifier)
         except TypeError:
             # Unhashable custom config/defuzzifier: skip the memo and build
             # directly, preserving the pre-memoisation contract.
-            self._flc1 = FLC1(
-                cfg.flc1,
-                defuzzifier=defuzzifier,
-                engine=cfg.engine,
-                definition=cfg.flc1_definition,
-            )
-            self._flc2 = FLC2(
-                cfg.flc2,
-                defuzzifier=defuzzifier,
-                engine=cfg.engine,
-                definition=cfg.flc2_definition,
-            )
+            self._flc1 = FLC1(cfg.flc1, defuzzifier=defuzzifier, definition=cfg.flc1_definition)
+            self._flc2 = FLC2(cfg.flc2, defuzzifier=defuzzifier, definition=cfg.flc2_definition)
         # Looked up lazily on the first screened verdict (see
         # _decision_screen).
         self._screen: DecisionScreen | object | None = None
@@ -368,8 +342,8 @@ class FuzzyAdmissionControlSystem(AdmissionController):
         certified :class:`~repro.cac.facs.screen.DecisionScreen` the process
         shares: most rows are decided by one lookup in the (R, Cs) cell
         table and only the undecidable remainder pays for exact dense-grid
-        inference.  Configurations outside the certified regime (reference
-        engine, non-unit rule weights, a non-centroid defuzzifier, …) get
+        inference.  Configurations outside the certified regime (non-unit
+        rule weights, a non-centroid defuzzifier, …) get
         :class:`ExactColumns`: exact FLC1 once per block and exact FLC2 per
         verdict.
         """

@@ -20,7 +20,7 @@ The neighbouring cells enter only through the controller's reservations
 cell's occupancy, see :class:`~repro.cac.scc.system.SCCConfig`); no demand
 is projected onto them.  The paper under reproduction does not restate
 these formulas; they are the standard SCC behaviour and the Fig. 10
-crossover is robust to the constants (see the threshold ablation bench).
+crossover is robust to the constants (see the threshold ablation).
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 ``python -m repro list`` shows every registered paper artifact
 (``--format json`` dumps every registry machine-readably);
 ``python -m repro run <experiment-id>`` regenerates one of them and prints
-the same tables/plots the benchmarks produce.  The figure experiments accept
+its tables/plots.  The figure experiments and ablations accept
 ``--replications`` and ``--requests`` so quick looks and full-fidelity runs
 use the same entry point.  ``python -m repro network-sweep`` drives the
 multi-cell QoS sweep with full control over load points, topology and the
-executor/engine fast paths.  ``python -m repro campaign`` runs a whole
+executor.  ``python -m repro campaign`` runs a whole
 multi-scenario study from one campaign JSON (or a directory of scenario
 JSONs) and renders the cross-scenario comparison.
 
@@ -29,12 +29,10 @@ from typing import Sequence
 from .analysis.io import SCHEMA_VERSION
 from .analysis.tables import format_table
 from .api import (
-    BENCH_ONLY_EXPERIMENTS,
     COMPARISON_METRICS,
     CONTROLLERS,
     DEFAULT_NETWORK_CONTROLLERS,
     DEFAULT_SERVICE_CLASSES,
-    ENGINES,
     EXECUTORS,
     SCENARIO_KINDS,
     WORKLOADS,
@@ -50,9 +48,11 @@ from .api import (
 )
 from .api.registry import DEFINITION_CONTROLLER_SUFFIX
 from .api.scenario import (
+    AblationScenario,
     ArtifactScenario,
     CoupledShardedNetworkSweepScenario,
     FigureSweepScenario,
+    NetworkIntegrationScenario,
     NetworkSweepScenario,
     ServiceReplayScenario,
     SurfaceScenario,
@@ -76,7 +76,6 @@ NETWORK_CONTROLLER_CHOICES = DEFAULT_NETWORK_CONTROLLERS
 _SHARED_SHAPING_DEFAULTS: dict[str, object] = {
     "executor": "serial",
     "workers": None,
-    "engine": "compiled",
 }
 _RUN_SHAPING_DEFAULTS: dict[str, object] = {
     "replications": 5,
@@ -103,7 +102,6 @@ _SERVICE_REPLAY_SHAPING_DEFAULTS: dict[str, object] = {
     "max_wait_ms": 2000.0,
     "queue_capacity": 64,
     "seed": 20070628,
-    "engine": "compiled",
 }
 _TUNE_SHAPING_DEFAULTS: dict[str, object] = {
     "controller": "FLC1",
@@ -122,7 +120,7 @@ _TUNE_SHAPING_DEFAULTS: dict[str, object] = {
 
 
 def _add_performance_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared --executor/--workers/--engine flag group."""
+    """Attach the shared --executor/--workers flag group."""
     parser.add_argument(
         "--executor",
         choices=list(EXECUTORS.names()),
@@ -136,13 +134,6 @@ def _add_performance_flags(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=_SHARED_SHAPING_DEFAULTS["workers"],
         help="pool size for --executor process/thread (default: all cores)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=list(ENGINES.names()),
-        default=_SHARED_SHAPING_DEFAULTS["engine"],
-        help="fuzzy inference engine for the FACS controllers: the vectorized "
-        "compiled fast path (default) or the interpreted reference engine",
     )
 
 
@@ -250,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["text", "json"],
         default="text",
         help="the experiment table (text, default) or every registry — "
-        "experiments, scenario kinds, controllers, engines, executors, "
+        "experiments, scenario kinds, controllers, executors, "
         "comparison metrics — as machine-readable JSON",
     )
 
@@ -265,14 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--replications",
         type=int,
         default=_RUN_SHAPING_DEFAULTS["replications"],
-        help="independent replications per sweep point (sweep experiments only)",
+        help="independent replications per sweep point (figure sweeps, ablations "
+        "and net-sweep)",
     )
     run.add_argument(
         "--requests",
         type=int,
         nargs="+",
         default=list(_RUN_SHAPING_DEFAULTS["requests"]),
-        help="numbers of requesting connections to sweep (figure experiments only)",
+        help="numbers of requesting connections to sweep (figure sweeps and "
+        "ablations; an ablation keeps its own x axis unless this is given)",
     )
     run.add_argument(
         "--stream",
@@ -371,12 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=_SERVICE_REPLAY_SHAPING_DEFAULTS["seed"],
         help="master seed of the arrival trace",
-    )
-    service_replay.add_argument(
-        "--engine",
-        choices=list(ENGINES.names()),
-        default=_SERVICE_REPLAY_SHAPING_DEFAULTS["engine"],
-        help="fuzzy inference engine for the FACS controller",
     )
     _add_report_flags(service_replay)
 
@@ -489,12 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
         "within a seconds-long session",
     )
     serve.add_argument(
-        "--engine",
-        choices=list(ENGINES.names()),
-        default="compiled",
-        help="fuzzy inference engine for the FACS controller",
-    )
-    serve.add_argument(
         "--format",
         choices=["text", "json"],
         default="text",
@@ -556,14 +537,10 @@ def _scenario_from_run_flags(
     """Build the scenario for ``run <experiment>`` from the CLI flags.
 
     Starts from the experiment's registered default scenario and overlays
-    the flags each scenario kind understands — artifacts take none, the
-    surfaces take the engine, the sweeps take the full performance group.
+    the flags each scenario kind understands — artifacts and surfaces take
+    none, the ablations take the sweep shape, the sweeps also take the
+    performance group.
     """
-    if args.experiment in BENCH_ONLY_EXPERIMENTS:
-        raise SystemExit(
-            f"experiment {args.experiment!r} is benchmark-only; run its bench "
-            f"target instead (see `python -m repro list`)"
-        )
     scenario = scenario_for(args.experiment)
     if args.stream and not isinstance(scenario, TraceArrivalsScenario):
         raise SystemExit(
@@ -575,7 +552,6 @@ def _scenario_from_run_flags(
             scenario,
             request_counts=tuple(args.requests),
             replications=args.replications,
-            engine=args.engine,
             executor=args.executor,
             workers=args.workers,
         )
@@ -583,37 +559,45 @@ def _scenario_from_run_flags(
         return replace(
             scenario,
             replications=args.replications,
-            engine=args.engine,
             executor=args.executor,
             workers=args.workers,
         )
-    if isinstance(scenario, SurfaceScenario):
-        return replace(scenario, engine=args.engine)
-    if isinstance(scenario, (TraceArrivalsScenario, ServiceReplayScenario)):
-        # The trace/service kinds have no replication/request-list/executor
-        # shape; reject those flags rather than silently running defaults.
-        ignored = [
-            f"--{name}"
-            for name in ("replications", "requests", "executor", "workers")
-            if getattr(args, name) != _RUN_SHAPING_DEFAULTS[name]
-        ]
-        if ignored:
-            raise SystemExit(
-                f"experiment {args.experiment!r} accepts only --engine of the "
-                f"run flags (trace-arrivals also takes --stream); drop "
-                f"{', '.join(ignored)} or shape the scenario via --config "
-                f"(or its dedicated subcommand)"
-            )
+    if isinstance(scenario, AblationScenario):
+        # An ablation keeps its own x axis unless --requests is given.
+        _reject_run_flags(args, ("executor", "workers"))
+        shape: dict[str, object] = {"replications": args.replications}
+        if args.requests != _RUN_SHAPING_DEFAULTS["requests"]:
+            shape["request_counts"] = tuple(args.requests)
+        return replace(scenario, **shape)
+    if isinstance(
+        scenario,
+        (TraceArrivalsScenario, ServiceReplayScenario, NetworkIntegrationScenario),
+    ):
+        # These kinds have no replication/request-list/executor shape;
+        # reject those flags rather than silently running defaults.
+        _reject_run_flags(args, ("replications", "requests", "executor", "workers"))
         if isinstance(scenario, TraceArrivalsScenario):
-            return replace(scenario, engine=args.engine, stream=args.stream)
-        return replace(scenario, engine=args.engine)
-    if isinstance(scenario, ArtifactScenario):
+            return replace(scenario, stream=args.stream)
+        return scenario
+    if isinstance(scenario, (ArtifactScenario, SurfaceScenario)):
         return scenario
     raise SystemExit(  # pragma: no cover - requires a foreign scenario kind
         f"experiment {args.experiment!r} maps to scenario kind "
         f"{scenario.kind!r}, which `run` has no flag mapping for; run it "
         f"via --config or repro.api.Runner"
     )
+
+
+def _reject_run_flags(args: argparse.Namespace, names: tuple[str, ...]) -> None:
+    """Refuse ``run`` flags the experiment's scenario kind has no field for."""
+    ignored = [
+        f"--{name}" for name in names if getattr(args, name) != _RUN_SHAPING_DEFAULTS[name]
+    ]
+    if ignored:
+        raise SystemExit(
+            f"experiment {args.experiment!r} takes no {', '.join(ignored)}: "
+            f"shape the scenario via --config (or its dedicated subcommand)"
+        )
 
 
 def _scenario_from_network_flags(args: argparse.Namespace) -> NetworkSweepScenario:
@@ -625,7 +609,6 @@ def _scenario_from_network_flags(args: argparse.Namespace) -> NetworkSweepScenar
         "duration_s": args.duration,
         "rings": args.rings,
         "seed": args.seed,
-        "engine": args.engine,
         "executor": args.executor,
         "workers": args.workers,
         "workload": args.workload,
@@ -683,17 +666,15 @@ def _emit_report(report: RunReport | CampaignReport, args: argparse.Namespace) -
 
 def _registries_payload() -> dict[str, object]:
     """Machine-readable dump of every registry (``list --format json``)."""
-    bench_by_id = {spec.experiment_id: spec for spec in EXPERIMENTS}
+    spec_by_id = {spec.experiment_id: spec for spec in EXPERIMENTS}
     experiments = []
     for experiment_id in scenario_ids():
-        spec = bench_by_id.get(experiment_id)
+        spec = spec_by_id.get(experiment_id)
         experiments.append(
             {
                 "id": experiment_id,
                 "kind": scenario_for(experiment_id).kind,
                 "paper_artifact": spec.paper_artifact if spec else None,
-                "benchmark": spec.bench_target if spec else None,
-                "bench_only": experiment_id in BENCH_ONLY_EXPERIMENTS,
             }
         )
     return {
@@ -701,7 +682,6 @@ def _registries_payload() -> dict[str, object]:
         "experiments": experiments,
         "scenario_kinds": list(SCENARIO_KINDS.names()),
         "controllers": list(CONTROLLERS.names()),
-        "engines": list(ENGINES.names()),
         "executors": list(EXECUTORS.names()),
         "comparison_metrics": list(COMPARISON_METRICS.names()),
         "tuning_strategies": list(STRATEGIES.names()),
@@ -763,11 +743,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "json":
             print(json.dumps(_registries_payload(), indent=2))
             return 0
-        rows = [
-            [spec.experiment_id, spec.paper_artifact, spec.bench_target]
-            for spec in EXPERIMENTS
-        ]
-        print(format_table(["Experiment", "Paper artifact", "Benchmark"], rows))
+        rows = [[spec.experiment_id, spec.paper_artifact] for spec in EXPERIMENTS]
+        print(format_table(["Experiment", "Paper artifact"], rows))
         return 0
 
     if args.command == "campaign":
@@ -822,7 +799,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     max_wait_ms=args.max_wait_ms,
                     queue_capacity=args.queue_capacity,
                     seed=args.seed,
-                    engine=args.engine,
                 )
         except OSError as exc:
             parser.error(f"cannot read scenario config: {exc}")
@@ -852,7 +828,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "generations": args.generations,
                     "max_trials": args.max_trials,
                     "seed": args.seed,
-                    "engine": args.engine,
                     "executor": args.executor,
                     "workers": args.workers,
                 }
@@ -869,7 +844,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error(str(exc))
 
     if args.command == "serve":
-        from .cac.facs.system import FACSConfig
         from .service import ServiceConfig, render_service_report, run_load_session
 
         try:
@@ -882,7 +856,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 request_count=args.requests,
                 clients=args.clients,
                 service=service,
-                facs_config=FACSConfig(engine=args.engine),
                 seed=args.seed,
                 holding_scale=args.holding_scale,
             )

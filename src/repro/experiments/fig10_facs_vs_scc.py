@@ -52,7 +52,7 @@ def crossover_request_count(sweep: SweepResult) -> int | None:
     """First request count at which SCC's acceptance overtakes FACS's.
 
     Returns ``None`` when the curves never cross inside the sweep — the
-    Fig. 10 bench asserts that a crossover exists and falls in the interior
+    Fig. 10 tests assert that a crossover exists and falls in the interior
     of the 0–100 range.
     """
     facs = sweep.curve("FACS")

@@ -2,8 +2,8 @@
 
 Each entry ties a paper artifact (Fig. 7, Table 1, ...) to the function in
 this package that reproduces it and to the expected qualitative shape the
-reproduction is checked against.  The benches and EXPERIMENTS.md are both
-driven from this registry so the experiment inventory lives in one place.
+reproduction is checked against, so the experiment inventory lives in one
+place.
 The acceptance-sweep figures and ablations share one renderer,
 :func:`render_acceptance_sweep`.
 """
@@ -33,7 +33,6 @@ class ExperimentSpec:
     paper_artifact: str
     description: str
     expected_shape: str
-    bench_target: str
     runner: str  # dotted name of the function reproducing it
 
 
@@ -43,7 +42,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="Table 1",
         description="FRB1: 42 rules mapping (speed, angle, distance) to the correction value",
         expected_shape="exactly 42 rules covering all 3x7x2 input combinations",
-        bench_target="benchmarks/bench_tables.py",
         runner="repro.experiments.tables.render_frb1",
     ),
     ExperimentSpec(
@@ -51,7 +49,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="Table 2",
         description="FRB2: 27 rules mapping (Cv, request, counter state) to accept/reject",
         expected_shape="exactly 27 rules covering all 3x3x3 input combinations",
-        bench_target="benchmarks/bench_tables.py",
         runner="repro.experiments.tables.render_frb2",
     ),
     ExperimentSpec(
@@ -59,7 +56,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="Figure 5",
         description="FLC1 membership functions for S, A, D and Cv",
         expected_shape="term sets cover their universes with triangular/trapezoidal shapes",
-        bench_target="benchmarks/bench_membership.py",
         runner="repro.experiments.tables.render_flc1_memberships",
     ),
     ExperimentSpec(
@@ -67,7 +63,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="Figure 6",
         description="FLC2 membership functions for Cv, R, Cs and A/R",
         expected_shape="term sets cover their universes with triangular/trapezoidal shapes",
-        bench_target="benchmarks/bench_membership.py",
         runner="repro.experiments.tables.render_flc2_memberships",
     ),
     ExperimentSpec(
@@ -78,7 +73,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "acceptance decreases with offered requests; faster users are accepted more "
             "(walking speeds 4 and 10 km/h lowest)"
         ),
-        bench_target="benchmarks/bench_fig7_speed.py",
         runner="repro.experiments.fig7_speed.reproduce_figure7",
     ),
     ExperimentSpec(
@@ -89,7 +83,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "angle 0 stays near 100% at light load; acceptance decreases monotonically "
             "with the angle"
         ),
-        bench_target="benchmarks/bench_fig8_angle.py",
         runner="repro.experiments.fig8_angle.reproduce_figure8",
     ),
     ExperimentSpec(
@@ -100,7 +93,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "closer users are accepted more, but the spread is smaller than for "
             "speed or angle"
         ),
-        bench_target="benchmarks/bench_fig9_distance.py",
         runner="repro.experiments.fig9_distance.reproduce_figure9",
     ),
     ExperimentSpec(
@@ -111,7 +103,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "FACS accepts more than SCC at light load and fewer at heavy load "
             "(crossover near the middle of the sweep)"
         ),
-        bench_target="benchmarks/bench_fig10_facs_vs_scc.py",
         runner="repro.experiments.fig10_facs_vs_scc.reproduce_figure10",
     ),
     ExperimentSpec(
@@ -119,7 +110,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="ablation (not in paper)",
         description="Sensitivity of the Fig. 7 curves to the defuzzification method",
         expected_shape="centroid and bisector nearly coincide; MOM is coarser",
-        bench_target="benchmarks/bench_ablations.py",
         runner="repro.experiments.ablations.defuzzifier_ablation",
     ),
     ExperimentSpec(
@@ -127,7 +117,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="ablation (not in paper)",
         description="Sensitivity of the FACS acceptance to the A/R acceptance threshold",
         expected_shape="acceptance decreases monotonically as the threshold rises",
-        bench_target="benchmarks/bench_ablations.py",
         runner="repro.experiments.ablations.threshold_ablation",
     ),
     ExperimentSpec(
@@ -135,7 +124,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="ablation (not in paper)",
         description="FACS and SCC against Complete Sharing, Guard Channel and Threshold policies",
         expected_shape="Complete Sharing accepts the most; FACS trades acceptance for QoS headroom",
-        bench_target="benchmarks/bench_ablations.py",
         runner="repro.experiments.ablations.baseline_ablation",
     ),
     ExperimentSpec(
@@ -143,7 +131,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
         paper_artifact="Section 4 QoS claim",
         description="Multi-cell run with mobility and handoffs: dropping/blocking per controller",
         expected_shape="FACS keeps handoff dropping at or below the Complete Sharing level",
-        bench_target="benchmarks/bench_network.py",
         runner="repro.experiments.ablations.network_integration",
     ),
     ExperimentSpec(
@@ -157,7 +144,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "dropping and handoff failure grow with offered load; FACS holds "
             "dropping at or below the Complete Sharing level throughout"
         ),
-        bench_target="benchmarks/bench_network_sweep.py",
         runner="repro.experiments.network_sweep.reproduce_network_sweep",
     ),
     ExperimentSpec(
@@ -168,7 +154,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "Cv is highest for fast users heading straight at the BS and "
             "falls off as the angle grows"
         ),
-        bench_target="benchmarks/bench_compiled_engine.py",
         runner="repro.experiments.surfaces.render_flc1_surface",
     ),
     ExperimentSpec(
@@ -179,7 +164,6 @@ EXPERIMENTS: tuple[ExperimentSpec, ...] = (
             "A/R decreases with occupancy and increases with Cv; the accept "
             "region shrinks as the counters fill"
         ),
-        bench_target="benchmarks/bench_compiled_engine.py",
         runner="repro.experiments.surfaces.render_flc2_surface",
     ),
 )

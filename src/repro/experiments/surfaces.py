@@ -31,10 +31,9 @@ __all__ = [
 def flc1_surface_grid(
     distance_km: float = 3.0,
     resolution: int = 31,
-    engine: str = "compiled",
 ) -> tuple[list[float], list[float], list[list[float]]]:
     """Cv over the (speed, angle) plane at a fixed user-to-BS distance."""
-    flc1 = FLC1(engine=engine)
+    flc1 = FLC1()
     xs, ys, surface = flc1.controller.engine.control_surface(
         "S", "A", "Cv", fixed={"D": distance_km}, resolution=resolution
     )
@@ -44,10 +43,9 @@ def flc1_surface_grid(
 def flc2_surface_grid(
     request_bu: float = 5.0,
     resolution: int = 31,
-    engine: str = "compiled",
 ) -> tuple[list[float], list[float], list[list[float]]]:
     """A/R over the (Cv, counter state) plane at a fixed bandwidth request."""
-    flc2 = FLC2(engine=engine)
+    flc2 = FLC2()
     xs, ys, surface = flc2.controller.engine.control_surface(
         "Cv", "Cs", "AR", fixed={"R": request_bu}, resolution=resolution
     )
@@ -94,25 +92,13 @@ def render_flc2_grid(
     )
 
 
-def render_flc1_surface(
-    distance_km: float = 3.0,
-    resolution: int = 31,
-    engine: str = "compiled",
-) -> str:
+def render_flc1_surface(distance_km: float = 3.0, resolution: int = 31) -> str:
     """Compute and render the FLC1 control surface."""
-    xs, ys, surface = flc1_surface_grid(
-        distance_km=distance_km, resolution=resolution, engine=engine
-    )
+    xs, ys, surface = flc1_surface_grid(distance_km=distance_km, resolution=resolution)
     return render_flc1_grid(xs, ys, surface, distance_km=distance_km)
 
 
-def render_flc2_surface(
-    request_bu: float = 5.0,
-    resolution: int = 31,
-    engine: str = "compiled",
-) -> str:
+def render_flc2_surface(request_bu: float = 5.0, resolution: int = 31) -> str:
     """Compute and render the FLC2 control surface."""
-    xs, ys, surface = flc2_surface_grid(
-        request_bu=request_bu, resolution=resolution, engine=engine
-    )
+    xs, ys, surface = flc2_surface_grid(request_bu=request_bu, resolution=resolution)
     return render_flc2_grid(xs, ys, surface, request_bu=request_bu)

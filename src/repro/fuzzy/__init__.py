@@ -33,11 +33,7 @@ from .inference import (
     RuleActivation,
 )
 from .compiled import CompiledMamdaniEngine, CrispInference
-from .controller import (
-    ENGINES,
-    EngineSpec,
-    FuzzyController,
-)
+from .controller import FuzzyController
 
 __all__ = [
     # membership
@@ -74,6 +70,4 @@ __all__ = [
     "CrispInference",
     # controller
     "FuzzyController",
-    "ENGINES",
-    "EngineSpec",
 ]

@@ -66,10 +66,9 @@ _ABS = 1e-12
 class CentroidBoundTables:
     """Prefix-sum tables bounding one output variable's centroid, per row.
 
-    Build via :meth:`for_engine`, which returns ``None`` when the engine or
-    rule base falls outside the certified regime (anything but a compiled
-    engine with unit rule weights and the centroid defuzzifier, or a term
-    geometry with triple overlaps).
+    Build via :meth:`for_engine`, which returns ``None`` when the engine
+    falls outside the certified regime (anything but unit rule weights and
+    the centroid defuzzifier, or a term geometry with triple overlaps).
     """
 
     def __init__(self, engine: CompiledMamdaniEngine, var_name: str):
@@ -135,15 +134,16 @@ class CentroidBoundTables:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_engine(cls, engine: object, var_name: str) -> "CentroidBoundTables | None":
+    def for_engine(
+        cls, engine: CompiledMamdaniEngine, var_name: str
+    ) -> "CentroidBoundTables | None":
         """Build tables for ``engine``'s output ``var_name``, or ``None``.
 
         ``None`` (rather than an error) keeps callers' fast paths optional:
         anything outside the certified regime simply runs exact.
         """
         if not (
-            isinstance(engine, CompiledMamdaniEngine)
-            and engine._trivial_weights
+            engine._trivial_weights
             and engine._fast_centroid
             and var_name in engine._grouped_consequent_plans
         ):

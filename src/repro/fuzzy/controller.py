@@ -8,49 +8,17 @@ outputs.  FLC1 and FLC2 of the FACS system are both instances of this class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..registry import Registry
 from .compiled import CompiledMamdaniEngine, CrispInference
 from .defuzzification import DEFAULT_DEFUZZIFIER, Defuzzifier
-from .inference import InferenceResult, MamdaniEngine
+from .inference import InferenceResult
 from .rules import FuzzyRule, RuleBase
 from .variables import LinguisticVariable
 
-__all__ = [
-    "FuzzyController",
-    "EngineSpec",
-    "ENGINES",
-]
-
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One registered inference-engine mode."""
-
-    name: str
-    description: str
-
-
-#: Registry of inference-engine modes accepted by :class:`FuzzyController`
-#: (and, transitively, by ``FACSConfig.engine`` and the CLI ``--engine``
-#: flag) — the single source of truth for the engine *name set* used in
-#: validation, CLI choices and error messages.  Unlike the controller and
-#: executor registries this one is metadata-only: adding a mode also
-#: requires a dispatch branch in ``FuzzyController.__init__``.
-ENGINES: Registry[EngineSpec] = Registry("engine")
-
-ENGINES.register(
-    "compiled",
-    EngineSpec("compiled", "vectorized fast path lowered to numpy tensors"),
-)
-ENGINES.register(
-    "reference",
-    EngineSpec("reference", "interpreted per-rule Mamdani engine"),
-)
+__all__ = ["FuzzyController"]
 
 
 class FuzzyController:
@@ -66,11 +34,11 @@ class FuzzyController:
         The :class:`FuzzyRule` objects of the rule base.
     defuzzifier:
         Strategy reducing the aggregated output set to a crisp value.
-    engine:
-        ``"compiled"`` (default) runs the vectorized
-        :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine`;
-        ``"reference"`` runs the interpreted :class:`MamdaniEngine`.  The two
-        agree bit for bit.
+
+    Inference runs on the vectorized
+    :class:`~repro.fuzzy.compiled.CompiledMamdaniEngine`, which agrees bit
+    for bit with the interpreted :class:`~repro.fuzzy.inference.MamdaniEngine`
+    it extends.
     """
 
     def __init__(
@@ -80,16 +48,10 @@ class FuzzyController:
         outputs: Sequence[LinguisticVariable],
         rules: Sequence[FuzzyRule],
         defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        engine: str = "compiled",
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {tuple(sorted(ENGINES))}"
-            )
         self._name = name
         self._rule_base = RuleBase(rules, inputs, outputs, name=f"{name}-rules")
-        engine_class = MamdaniEngine if engine == "reference" else CompiledMamdaniEngine
-        self._engine: MamdaniEngine = engine_class(self._rule_base, defuzzifier=defuzzifier)
+        self._engine = CompiledMamdaniEngine(self._rule_base, defuzzifier=defuzzifier)
 
     # ------------------------------------------------------------------
     @property
@@ -101,7 +63,7 @@ class FuzzyController:
         return self._rule_base
 
     @property
-    def engine(self) -> MamdaniEngine:
+    def engine(self) -> CompiledMamdaniEngine:
         return self._engine
 
     @property
@@ -135,37 +97,20 @@ class FuzzyController:
                 f"controller {self._name!r} has {len(outputs)} outputs; "
                 "use evaluate() and index the result"
             )
-        engine = self._engine
-        if isinstance(engine, CompiledMamdaniEngine):
-            return engine.infer_crisp(inputs)[outputs[0]]
-        return engine.infer(inputs)[outputs[0]]
+        return self._engine.infer_crisp(inputs)[outputs[0]]
 
     def crisp_decision(self, **inputs: float) -> CrispInference:
-        """Crisp outputs plus the dominant rule, via the fastest path.
+        """Crisp outputs plus the dominant rule, skipping per-rule diagnostics.
 
-        With a compiled engine this skips all per-rule diagnostics; with the
-        reference engine the same record is distilled from a full
-        :class:`InferenceResult`.  FLC1 and FLC2 use this in the simulator
-        hot loop.
+        FLC1 and FLC2 use this in the simulator hot loop.
         """
-        engine = self._engine
-        if isinstance(engine, CompiledMamdaniEngine):
-            return engine.infer_crisp(inputs)
-        result = engine.infer(inputs)
-        activations = result.activations
-        dominant = max(range(len(activations)), key=lambda i: activations[i].firing_strength)
-        return CrispInference(
-            outputs=dict(result.outputs),
-            dominant_index=dominant,
-            dominant_label=activations[dominant].rule.label,
-        )
+        return self._engine.infer_crisp(inputs)
 
     def compute_batch(self, **inputs: np.ndarray) -> np.ndarray:
         """Crisp output vector for named ``(N,)`` input vectors.
 
-        The batched counterpart of :meth:`compute`: with a compiled engine
-        the whole batch flows through the tensorized
-        :meth:`~repro.fuzzy.inference.MamdaniEngine.infer_batch` path and the
+        The batched counterpart of :meth:`compute`: the whole batch flows
+        through the engine's tensorized ``infer_batch`` path and the
         returned values are bit-identical to calling :meth:`compute` per row.
         """
         outputs = self.output_names

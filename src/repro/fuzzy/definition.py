@@ -425,9 +425,7 @@ class FLCDefinition:
 
     # -- compilation -----------------------------------------------------
 
-    def build_controller(
-        self, engine: str = "compiled", defuzzifier: Defuzzifier | None = None
-    ) -> FuzzyController:
+    def build_controller(self, defuzzifier: Defuzzifier | None = None) -> FuzzyController:
         """Compile into a live :class:`FuzzyController`.
 
         ``defuzzifier`` overrides the definition's named choice (used by
@@ -443,7 +441,6 @@ class FLCDefinition:
                 if defuzzifier is None
                 else defuzzifier
             ),
-            engine=engine,
         )
 
     # -- codecs ----------------------------------------------------------

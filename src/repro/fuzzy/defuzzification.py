@@ -3,7 +3,7 @@
 Mamdani inference produces an aggregated output fuzzy set sampled on the
 output variable's grid; a defuzzifier reduces it to a single crisp value.
 The paper's FLC uses the standard centre-of-gravity (centroid) defuzzifier;
-the alternatives here are used by the defuzzification ablation bench.
+the alternatives here are used by the defuzzification ablation.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ class Registry(Generic[T]):
     ----------
     kind:
         Human-readable description of what the registry holds
-        (``"controller"``, ``"engine"``, ...); used in error messages.
+        (``"controller"``, ``"executor"``, ...); used in error messages.
 
     Registration preserves insertion order — ``names()`` is the canonical
     ordering for CLI ``choices`` lists and default selections.  Aliases

@@ -67,7 +67,7 @@ def run_trace_arrivals(
 ) -> TraceRunResult:
     """Admit the trace described by ``config`` through FACS, request by request.
 
-    ``facs_config`` selects the FACS tuning and inference engine.
+    ``facs_config`` selects the FACS tuning.
     ``stream=True`` runs the admission loop; ``stream=False`` runs the
     discrete-event batch experiment on the same config, the loop's oracle.
     Both return equal results.

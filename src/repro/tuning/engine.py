@@ -86,13 +86,12 @@ class _TrialTask:
     request_counts: tuple[int, ...]
     replications: int
     seed: int
-    engine: str
 
 
-def _facs_config(definition: FLCDefinition, slot: str, engine: str) -> FACSConfig:
+def _facs_config(definition: FLCDefinition, slot: str) -> FACSConfig:
     if slot == "flc1":
-        return FACSConfig(engine=engine, flc1_definition=definition)
-    return FACSConfig(engine=engine, flc2_definition=definition)
+        return FACSConfig(flc1_definition=definition)
+    return FACSConfig(flc2_definition=definition)
 
 
 def _sweep_payload(
@@ -102,7 +101,6 @@ def _sweep_payload(
     request_counts: tuple[int, ...],
     replications: int,
     seed: int,
-    engine: str,
 ) -> tuple[dict, tuple[int, ...]]:
     """(sweep metrics payload, summed counters) of one candidate run."""
     result = run_acceptance_sweep(
@@ -110,7 +108,7 @@ def _sweep_payload(
         variants={
             label: (
                 BatchExperimentConfig(seed=seed),
-                facs_factory(_facs_config(definition, slot, engine)),
+                facs_factory(_facs_config(definition, slot)),
             )
         },
         request_counts=request_counts,
@@ -149,7 +147,6 @@ def _evaluate_trial(task: _TrialTask) -> TrialResult:
         task.request_counts,
         task.replications,
         task.seed,
-        task.engine,
     )
     score = _extract_objective(payload, task.objective, _TUNED_LABEL)
     return TrialResult(
@@ -250,7 +247,6 @@ def run_tuning(
     request_counts: Sequence[int] = (10, 30),
     replications: int = 2,
     seed: int = 20070801,
-    engine: str = "compiled",
     executor: SweepExecutor | None = None,
     population: int = 8,
     generations: int = 6,
@@ -280,7 +276,7 @@ def run_tuning(
 
     # The paper baseline runs the identical workload with untouched values.
     baseline_payload, _ = _sweep_payload(
-        base, slot, _PAPER_LABEL, request_counts, replications, seed, engine
+        base, slot, _PAPER_LABEL, request_counts, replications, seed
     )
     baseline_score = _extract_objective(baseline_payload, objective, _PAPER_LABEL)
 
@@ -304,7 +300,6 @@ def run_tuning(
                 request_counts=request_counts,
                 replications=replications,
                 seed=seed,
-                engine=engine,
             )
             for offset, values in enumerate(batch)
         ]
@@ -341,7 +336,7 @@ def run_tuning(
 
     best_definition = space.apply(base, best.values)
     tuned_payload, _ = _sweep_payload(
-        best_definition, slot, _TUNED_LABEL, request_counts, replications, seed, engine
+        best_definition, slot, _TUNED_LABEL, request_counts, replications, seed
     )
     metrics = [objective] + [m for m in _REPORT_METRICS if m != objective]
     comparison_text, comparison = build_comparison(

@@ -78,10 +78,6 @@ class TestValidation:
         with pytest.raises(CampaignError, match="member id"):
             _member("../escape", {"kind": "artifact", "artifact": "table1-frb1"})
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(CampaignError, match="unknown engine"):
-            small_campaign(engine="warp")
-
     def test_unknown_executor_rejected(self):
         with pytest.raises(CampaignError, match="unknown executor"):
             small_campaign(executor="gpu")
@@ -115,9 +111,7 @@ class TestValidation:
 
 class TestRoundTrip:
     def test_json_round_trip_is_lossless(self):
-        campaign = small_campaign(
-            engine="reference", executor="thread", workers=2, seed=99
-        )
+        campaign = small_campaign(executor="thread", workers=2, seed=99)
         restored = Campaign.from_json(campaign.to_json())
         assert restored == campaign
         assert restored.to_dict() == campaign.to_dict()
@@ -172,13 +166,11 @@ class TestRoundTrip:
 
 
 class TestSharedOverrides:
-    def test_engine_and_seed_overrides_apply_where_fields_exist(self):
-        campaign = small_campaign(engine="reference", seed=1234)
+    def test_seed_override_applies_where_the_field_exists(self):
+        campaign = small_campaign(seed=1234)
         resolved = campaign.resolved_scenarios()
-        assert resolved[0].kind == "artifact"  # no engine/seed fields
-        assert resolved[1].engine == "reference"
+        assert resolved[0].kind == "artifact"  # no seed field
         assert resolved[1].seed == 1234
-        assert resolved[2].engine == "reference"
         assert resolved[2].seed == 1234
 
     def test_member_executors_are_normalized_to_serial(self):
@@ -202,7 +194,6 @@ class TestSharedOverrides:
 
     def test_none_overrides_leave_members_untouched(self):
         campaign = small_campaign()
-        assert campaign.resolved_scenarios()[1].engine == "compiled"
         assert campaign.resolved_scenarios()[1].seed is None
 
     def test_execution_normalized_resets_backend_only(self):
@@ -231,7 +222,7 @@ class TestCampaignRunner:
             assert output == reference, f"backend {key} diverged"
 
     def test_member_reports_match_individual_runner_runs(self):
-        campaign = small_campaign(engine="reference", seed=4321)
+        campaign = small_campaign(seed=4321)
         report = run_campaign(campaign)
         runner = Runner()
         for scenario, member_report in zip(

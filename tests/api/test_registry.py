@@ -7,10 +7,8 @@ import pytest
 from repro.api import (
     ABLATIONS,
     ARTIFACTS,
-    BENCH_ONLY_EXPERIMENTS,
     CONTROLLERS,
     DEFAULT_NETWORK_CONTROLLERS,
-    ENGINES,
     EXECUTORS,
     FIGURES,
     SCENARIOS,
@@ -18,7 +16,6 @@ from repro.api import (
     controller_factory,
 )
 from repro.cac import FuzzyAdmissionControlSystem
-from repro.cli import build_parser
 from repro.experiments import experiment_ids
 from repro.registry import Registry, RegistryError
 
@@ -107,7 +104,7 @@ class TestConcreteRegistries:
         assert tuple(CONTROLLERS.names()[:3]) == DEFAULT_NETWORK_CONTROLLERS
 
     def test_controller_factory_builds_fresh_instances(self):
-        factory = controller_factory("FACS", engine="reference")
+        factory = controller_factory("FACS")
         first, second = factory(), factory()
         assert isinstance(first, FuzzyAdmissionControlSystem)
         assert first is not second
@@ -115,14 +112,6 @@ class TestConcreteRegistries:
     def test_unknown_controller_raises(self):
         with pytest.raises(RegistryError, match="unknown controller 'Oracle'"):
             controller_factory("Oracle")
-
-    def test_engine_registry_drives_cli_choices(self):
-        assert ENGINES.names() == ("compiled", "reference")
-        parser = build_parser()
-        for name in ENGINES.names():
-            assert parser.parse_args(["run", "fig7-speed", "--engine", name]).engine == name
-        with pytest.raises(SystemExit):
-            parser.parse_args(["run", "fig7-speed", "--engine", "auto"])
 
     def test_executor_registry_names_and_aliases(self):
         assert EXECUTORS.names() == ("serial", "process", "thread")
@@ -134,9 +123,6 @@ class TestConcreteRegistries:
         # scenario registry may also hold scenario-only ids (trace-arrivals,
         # net-sweep-coupled-sharded) that are not paper artifacts.
         assert set(experiment_ids()) <= set(SCENARIOS.names())
-
-    def test_bench_only_ids_are_registered_scenarios(self):
-        assert BENCH_ONLY_EXPERIMENTS <= set(SCENARIOS.names())
 
     def test_dispatch_registries_cover_their_ids(self):
         assert set(FIGURES.names()) == {

@@ -76,7 +76,7 @@ class TestFigureSweeps:
         direct = reproduce_figure7(
             request_counts=(10, 20),
             replications=1,
-            facs_config=FACSConfig(engine="compiled"),
+            facs_config=FACSConfig(),
             executor="serial",
         )
         assert report.text == render_figure7(direct)

@@ -32,7 +32,6 @@ request_count_tuples = st.lists(
 controller_subsets = st.lists(
     st.sampled_from(CONTROLLER_NAMES), min_size=1, max_size=5, unique=True
 ).map(tuple)
-engines = st.sampled_from(["compiled", "reference"])
 
 
 @st.composite
@@ -58,7 +57,6 @@ def figure_sweep_scenarios(draw) -> FigureSweepScenario:
         replications=draw(st.integers(1, 20)),
         seed=draw(seeds),
         curve_values=curve_values,
-        engine=draw(engines),
         executor=executor,
         workers=workers,
     )
@@ -76,7 +74,6 @@ def network_sweep_scenarios(draw) -> NetworkSweepScenario:
         cell_radius_km=draw(positive_floats),
         mean_speed_kmh=draw(st.floats(min_value=0, max_value=200)),
         seed=draw(st.integers(0, 2**31)),
-        engine=draw(engines),
         executor=executor,
         workers=workers,
     )
@@ -88,7 +85,6 @@ def surface_scenarios(draw) -> SurfaceScenario:
         surface=draw(st.sampled_from(["flc1", "flc2"])),
         resolution=draw(st.integers(2, 101)),
         fixed_value=draw(st.one_of(st.none(), finite_floats)),
-        engine=draw(engines),
     )
 
 
@@ -112,7 +108,6 @@ def network_integration_scenarios(draw) -> NetworkIntegrationScenario:
         cell_radius_km=draw(positive_floats),
         mean_speed_kmh=draw(st.floats(min_value=0, max_value=200)),
         seed=draw(st.integers(0, 2**31)),
-        engine=draw(engines),
     )
 
 
@@ -200,10 +195,6 @@ class TestValidation:
     def test_fig10_rejects_curve_values(self):
         with pytest.raises(ScenarioError, match="fixed curve set"):
             FigureSweepScenario(figure="fig10-facs-vs-scc", curve_values=(1.0,))
-
-    def test_bad_engine_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown engine"):
-            FigureSweepScenario(figure="fig7-speed", engine="warp")
 
     def test_bad_executor_rejected(self):
         with pytest.raises(ScenarioError, match="unknown executor"):

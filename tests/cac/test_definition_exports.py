@@ -3,7 +3,8 @@
 ``examples/controllers/flc{1,2}.json`` are the declarative twins of the
 in-code paper controllers: their serialization must never drift, and the
 controllers built from them must reproduce the full Fig. 5/Fig. 6 control
-surfaces bit-for-bit on both inference engines.
+surfaces bit-for-bit, on the compiled engine and on the interpreted
+reference engine over the same rule base.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.analysis.io import flc_definition_to_json, read_flc_definition_json
 from repro.api.registry import controller_factory, is_definition_controller
 from repro.cac.facs import FLC1, FLC2
 from repro.cac.facs.definitions import flc1_definition, flc2_definition
+from tests.fuzzy.reference_engine import reference_engine
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 CONTROLLER_DIR = REPO_ROOT / "examples" / "controllers"
@@ -25,6 +27,9 @@ EXPORTS = {
     "flc1.json": flc1_definition,
     "flc2.json": flc2_definition,
 }
+
+#: Engine name -> the engine of that kind over a controller's rule base.
+ENGINES = {"compiled": lambda controller: controller.engine, "reference": reference_engine}
 
 
 @pytest.mark.parametrize("filename", sorted(EXPORTS))
@@ -44,12 +49,12 @@ def test_serialization_is_deterministic(filename):
 @pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_flc1_surface_is_bit_identical_to_the_in_code_controller(engine):
     definition = read_flc_definition_json(CONTROLLER_DIR / "flc1.json")
-    built = definition.build_controller(engine=engine)
-    paper = FLC1(engine=engine).controller
-    xs, ys, surface = built.engine.control_surface(
+    built = ENGINES[engine](definition.build_controller())
+    paper = ENGINES[engine](FLC1().controller)
+    xs, ys, surface = built.control_surface(
         "S", "A", "Cv", fixed={"D": 3.0}, resolution=61
     )
-    xs2, ys2, expected = paper.engine.control_surface(
+    xs2, ys2, expected = paper.control_surface(
         "S", "A", "Cv", fixed={"D": 3.0}, resolution=61
     )
     assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)
@@ -59,12 +64,12 @@ def test_flc1_surface_is_bit_identical_to_the_in_code_controller(engine):
 @pytest.mark.parametrize("engine", ["reference", "compiled"])
 def test_flc2_surface_is_bit_identical_to_the_in_code_controller(engine):
     definition = read_flc_definition_json(CONTROLLER_DIR / "flc2.json")
-    built = definition.build_controller(engine=engine)
-    paper = FLC2(engine=engine).controller
-    xs, ys, surface = built.engine.control_surface(
+    built = ENGINES[engine](definition.build_controller())
+    paper = ENGINES[engine](FLC2().controller)
+    xs, ys, surface = built.control_surface(
         "Cv", "Cs", "AR", fixed={"R": 5.0}, resolution=61
     )
-    xs2, ys2, expected = paper.engine.control_surface(
+    xs2, ys2, expected = paper.control_surface(
         "Cv", "Cs", "AR", fixed={"R": 5.0}, resolution=61
     )
     assert np.array_equal(xs, xs2) and np.array_equal(ys, ys2)

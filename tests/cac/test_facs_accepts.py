@@ -43,6 +43,7 @@ from repro.simulation.batch import run_des_experiment
 from repro.simulation.engine import NetworkSimulation
 from repro.tuning import ParameterSpec, SearchSpace
 from repro.workloads import WORKLOADS
+from tests.conftest import BISECTOR_FACS
 
 CONTROLLER_DIR = Path(__file__).resolve().parents[2] / "examples" / "controllers"
 
@@ -61,8 +62,9 @@ def _tuned_flc1():
 CONFIGS = {
     # Compiled paper controllers: screened.
     "compiled": FACSConfig(),
-    # Reference engine: no screen, exact FLC2 per verdict.
-    "reference": FACSConfig(engine="reference"),
+    # Bisector defuzzification, as the defuzzifier ablation runs: no screen,
+    # exact FLC2 per verdict.
+    "bisector": BISECTOR_FACS,
     # The shipped definition exports: a second screened controller pair.
     "definitions": FACSConfig(
         flc1_definition=read_flc_definition_json(CONTROLLER_DIR / "flc1.json"),

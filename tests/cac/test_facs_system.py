@@ -17,7 +17,7 @@ from repro.cellular.calls import Call
 from repro.cellular.mobility import UserState
 from repro.cellular.traffic import ServiceClass
 from repro.tuning.space import ParameterSpec, SearchSpace
-from tests.conftest import make_call
+from tests.conftest import BISECTOR_FACS, make_call
 
 
 class TestFACSDecisions:
@@ -31,6 +31,7 @@ class TestFACSDecisions:
     def test_accepts_on_empty_station_with_good_trajectory(self, facs, station):
         call = make_call(speed=60.0, angle=0.0, distance=1.0)
         assert facs.decide(call, station, 0.0).accepted
+        assert facs.decide(make_call(speed=60.0, angle=20.0, distance=3.0), station, 0.0).accepted
 
     def test_rejects_when_bandwidth_unavailable(self, facs, station):
         filler = make_call(ServiceClass.VIDEO, bandwidth=38)
@@ -208,8 +209,8 @@ class TestScreenFallbackLogging:
         # Screens are built once per controller pair and memoised; forget
         # earlier builds so this test sees the first one.
         _shared_screen.cache_clear()
-        reference = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
-        twin = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
+        reference = FuzzyAdmissionControlSystem(BISECTOR_FACS)
+        twin = FuzzyAdmissionControlSystem(BISECTOR_FACS)
         columns = self._columns()
         with caplog.at_level(logging.INFO, logger=self.LOGGER):
             verdicts = reference.decide_columns(*columns)

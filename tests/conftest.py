@@ -2,15 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
 from repro.cac.base import AdmissionController
-from repro.cac.facs import FLC1, FLC2, FuzzyAdmissionControlSystem
+from repro.cac.facs import FLC1, FLC2, FACSConfig, FuzzyAdmissionControlSystem
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
 from repro.cac.scc import ShadowClusterController
 from repro.cellular import BaseStation, Call, CallType, ServiceClass, UserState
 from repro.des import Environment, StreamFactory
+
+#: FACS with bisector defuzzification in both stages, as the defuzzifier
+#: ablation runs it.  Outside the certified regime, so it has no decision
+#: screen: its verdicts are scored exactly (``ExactColumns``).
+BISECTOR_FACS = FACSConfig(
+    flc1_definition=replace(flc1_definition(), defuzzifier="bisector"),
+    flc2_definition=replace(flc2_definition(), defuzzifier="bisector"),
+)
 
 
 @pytest.fixture

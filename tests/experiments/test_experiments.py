@@ -1,17 +1,18 @@
 """Tests of the experiments layer: registry, table/membership rendering and
 small-scale versions of the figure reproductions.
 
-The full-size figure sweeps live in ``benchmarks/``; here they are run with
-few replications and few request counts so the *shape* assertions stay fast
-enough for the unit-test suite.
+Most shape checks run with few replications and few request counts; the
+``test_paper_sweep_*`` and ``*_at_paper_size`` cases rerun each figure and
+ablation on its full x axis with more replications, which still takes about
+a second for all of them.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.cac import CompleteSharingController
 from repro.experiments import (
-    EXPERIMENTS,
     baseline_ablation,
     crossover_request_count,
     curve_spread,
@@ -32,10 +33,20 @@ from repro.experiments import (
     reproduce_figure10,
     threshold_ablation,
 )
+from repro.simulation import NetworkExperimentConfig, run_network_experiment
+from repro.simulation.scenario import facs_factory, scc_factory
 
 # Small but statistically meaningful settings for unit-level shape checks.
 QUICK_POINTS = (20, 100)
 QUICK_REPS = 4
+
+# The full-size shape checks: the x axis and replications of Figs. 7-9, the
+# denser axis of Fig. 10 and the ablations' own, all at the default seeds.
+PAPER_POINTS = (10, 30, 50, 70, 100)
+PAPER_REPS = 6
+FIG10_POINTS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)
+ABLATION_POINTS = (30, 70, 100)
+ABLATION_REPS = 4
 
 
 class TestRegistry:
@@ -52,11 +63,6 @@ class TestRegistry:
             "fig10-facs-vs-scc",
         ):
             assert required in ids
-
-    def test_every_spec_names_a_bench(self):
-        for spec in EXPERIMENTS:
-            assert spec.bench_target.startswith("benchmarks/")
-            assert spec.runner.startswith("repro.experiments.")
 
     def test_lookup(self):
         assert experiment("fig7-speed").paper_artifact == "Figure 7"
@@ -101,6 +107,10 @@ def fig10_sweep():
     return reproduce_figure10(request_counts=QUICK_POINTS, replications=QUICK_REPS)
 
 
+def _mean_at(curve, counts) -> float:
+    return sum(curve.point_at(n).acceptance_percentage for n in counts) / len(counts)
+
+
 class TestFigure7Shape:
     def test_acceptance_decreases_with_load(self, fig7_sweep):
         for curve in fig7_sweep.curves:
@@ -122,6 +132,19 @@ class TestFigure7Shape:
         assert "Figure 7" in text
         assert "legend:" in text
 
+    def test_paper_sweep_favours_vehicular_users_up_to_heavy_load(self):
+        sweep = reproduce_figure7(request_counts=PAPER_POINTS, replications=PAPER_REPS)
+        for curve in sweep.curves:
+            series = curve.acceptance_series()
+            assert series[0] >= series[-1], f"{curve.label} does not decrease with load"
+        slow = min(sweep.curve(label).mean_acceptance() for label in ("4km/h", "10km/h"))
+        fast = max(sweep.curve(label).mean_acceptance() for label in ("30km/h", "60km/h"))
+        assert fast >= slow
+        heavy = PAPER_POINTS[-1]
+        slow_heavy = sweep.curve("4km/h").point_at(heavy).acceptance_percentage
+        fast_heavy = sweep.curve("60km/h").point_at(heavy).acceptance_percentage
+        assert fast_heavy >= slow_heavy
+
 
 class TestFigure8Shape:
     def test_straight_heading_beats_perpendicular(self):
@@ -134,6 +157,18 @@ class TestFigure8Shape:
         assert sweep.curve("Angle=0").acceptance_series()[0] > 95.0
         assert "Figure 8" in render_figure8(sweep)
 
+    def test_paper_sweep_means_do_not_rise_with_the_angle(self):
+        sweep = reproduce_figure8(request_counts=PAPER_POINTS, replications=PAPER_REPS)
+        light, heavy = PAPER_POINTS[0], PAPER_POINTS[-1]
+        assert sweep.curve("Angle=0").point_at(light).acceptance_percentage > 95.0
+        labels = ("Angle=0", "Angle=30", "Angle=50", "Angle=60", "Angle=90")
+        means = [sweep.curve(label).mean_acceptance() for label in labels]
+        tolerance = 1.0  # percentage points of replication noise
+        assert all(a >= b - tolerance for a, b in zip(means, means[1:])), means
+        straight = sweep.curve("Angle=0").point_at(heavy).acceptance_percentage
+        perpendicular = sweep.curve("Angle=90").point_at(heavy).acceptance_percentage
+        assert straight > perpendicular
+
 
 class TestFigure9Shape:
     def test_distance_effect_is_small_but_ordered(self):
@@ -145,6 +180,18 @@ class TestFigure9Shape:
         assert near >= far - 1.0  # ordering holds up to small noise
         assert curve_spread(sweep) < 20.0
         assert "Figure 9" in render_figure9(sweep)
+
+    def test_paper_sweep_distance_spread_is_below_the_angle_spread(self):
+        sweep = reproduce_figure9(request_counts=PAPER_POINTS, replications=PAPER_REPS)
+        for curve in sweep.curves:
+            series = curve.acceptance_series()
+            assert series[0] >= series[-1]
+            assert all(0.0 <= value <= 100.0 for value in series)
+        assert sweep.curve("1km").mean_acceptance() >= sweep.curve("10km").mean_acceptance() - 1.0
+        angles = reproduce_figure8(
+            angles_deg=(0.0, 90.0), request_counts=PAPER_POINTS, replications=3
+        )
+        assert curve_spread(sweep) < curve_spread(angles)
 
 
 class TestFigure10Shape:
@@ -166,6 +213,15 @@ class TestFigure10Shape:
         crossover = crossover_request_count(fig10_sweep)
         assert crossover is None or crossover in QUICK_POINTS
 
+    def test_paper_sweep_crosses_inside_the_swept_range(self):
+        sweep = reproduce_figure10(request_counts=FIG10_POINTS, replications=PAPER_REPS)
+        facs, scc = sweep.curve("FACS"), sweep.curve("SCC")
+        assert _mean_at(facs, (20, 30, 40)) >= _mean_at(scc, (20, 30, 40))
+        assert _mean_at(scc, (90, 100)) > _mean_at(facs, (90, 100))
+        crossover = crossover_request_count(sweep)
+        assert crossover is not None
+        assert FIG10_POINTS[0] < crossover <= FIG10_POINTS[-1]
+
 
 class TestAblations:
     def test_defuzzifier_ablation_produces_all_methods(self):
@@ -185,3 +241,53 @@ class TestAblations:
         cs = sweep.curve("CS").mean_acceptance()
         facs = sweep.curve("FACS").mean_acceptance()
         assert cs >= facs
+
+    def test_defuzzifiers_stay_in_one_band_at_paper_size(self):
+        sweep = defuzzifier_ablation(request_counts=ABLATION_POINTS, replications=ABLATION_REPS)
+        centroid = sweep.curve("centroid").mean_acceptance()
+        assert abs(centroid - sweep.curve("bisector").mean_acceptance()) < 5.0
+        assert abs(centroid - sweep.curve("mom").mean_acceptance()) < 20.0
+
+    def test_threshold_ablation_is_monotone_at_paper_size(self):
+        sweep = threshold_ablation(
+            thresholds=(-0.25, 0.0, 0.25, 0.5),
+            request_counts=ABLATION_POINTS,
+            replications=ABLATION_REPS,
+        )
+        labels = sorted(sweep.labels(), key=lambda label: float(label.split("=")[1]))
+        means = [sweep.curve(label).mean_acceptance() for label in labels]
+        tolerance = 1.0
+        assert all(a >= b - tolerance for a, b in zip(means, means[1:])), means
+
+    def test_complete_sharing_bounds_the_baselines_at_paper_size(self):
+        sweep = baseline_ablation(request_counts=ABLATION_POINTS, replications=ABLATION_REPS)
+        means = {label: sweep.curve(label).mean_acceptance() for label in sweep.labels()}
+        assert means["CS"] >= means["FACS"]
+        assert means["CS"] >= means["Threshold"]
+        assert all(0.0 <= value <= 100.0 for value in means.values())
+
+
+class TestNetworkIntegration:
+    """The Section 4 QoS claim on the 7-cell network with mobility."""
+
+    CONFIG = NetworkExperimentConfig(
+        rings=1,
+        cell_radius_km=1.5,
+        arrival_rate_per_cell_per_s=0.03,
+        duration_s=1500.0,
+        mean_speed_kmh=60.0,
+        seed=20070615,
+    )
+
+    def test_complete_sharing_admits_most_and_facs_drops_no_more(self):
+        outputs = {
+            "FACS": run_network_experiment(self.CONFIG, facs_factory()),
+            "SCC": run_network_experiment(self.CONFIG, scc_factory()),
+            "CS": run_network_experiment(self.CONFIG, CompleteSharingController),
+        }
+        for output in outputs.values():
+            assert output.result.metrics.requested > 0
+            assert output.handoff_attempts > 0
+        facs, cs = outputs["FACS"].result.metrics, outputs["CS"].result.metrics
+        assert cs.acceptance_percentage >= facs.acceptance_percentage
+        assert facs.dropping_probability <= cs.dropping_probability + 0.02

@@ -18,13 +18,12 @@ from repro.cac.facs.flc1 import FLC1
 from repro.cac.facs.flc2 import FLC2
 from repro.fuzzy.inference import BatchInference
 from repro.fuzzy.compiled import CompiledMamdaniEngine
+from tests.fuzzy.reference_engine import reference_engine
 
 
-def _controllers(name: str):
-    """(compiled, reference) FuzzyController pair for FLC1 or FLC2."""
-    if name == "FLC1":
-        return FLC1(engine="compiled").controller, FLC1(engine="reference").controller
-    return FLC2(engine="compiled").controller, FLC2(engine="reference").controller
+def _controller(name: str):
+    """The FuzzyController of FLC1 or FLC2."""
+    return (FLC1() if name == "FLC1" else FLC2()).controller
 
 
 def _sample_matrix(engine, count: int, seed: int, margin: float = 2.0) -> np.ndarray:
@@ -52,7 +51,7 @@ def _boundary_matrix(engine) -> np.ndarray:
 @pytest.mark.parametrize("flc", ["FLC1", "FLC2"])
 class TestInferBatchBitIdentity:
     def test_matches_scalar_infer_on_random_inputs(self, flc):
-        compiled, _ = _controllers(flc)
+        compiled = _controller(flc)
         engine = compiled.engine
         matrix = _sample_matrix(engine, 300, seed=101)
         batch = engine.infer_batch(matrix)
@@ -62,7 +61,7 @@ class TestInferBatchBitIdentity:
             assert np.array_equal(batch.outputs[var], scalar)
 
     def test_matches_infer_crisp(self, flc):
-        compiled, _ = _controllers(flc)
+        compiled = _controller(flc)
         engine = compiled.engine
         matrix = _sample_matrix(engine, 200, seed=102)
         batch = engine.infer_batch(matrix)
@@ -74,15 +73,15 @@ class TestInferBatchBitIdentity:
             assert batch.dominant_indices[i] == crisp.dominant_index
 
     def test_matches_reference_engine(self, flc):
-        compiled, reference = _controllers(flc)
+        compiled = _controller(flc)
         matrix = _sample_matrix(compiled.engine, 200, seed=103)
         compiled_batch = compiled.engine.infer_batch(matrix)
-        reference_batch = reference.engine.infer_batch(matrix)
+        reference_batch = reference_engine(compiled).infer_batch(matrix)
         for var in compiled.engine.rule_base.output_variables:
             assert np.array_equal(compiled_batch.outputs[var], reference_batch.outputs[var])
 
     def test_boundary_inputs(self, flc):
-        compiled, _ = _controllers(flc)
+        compiled = _controller(flc)
         engine = compiled.engine
         matrix = _boundary_matrix(engine)
         batch = engine.infer_batch(matrix)
@@ -92,7 +91,7 @@ class TestInferBatchBitIdentity:
             assert np.array_equal(batch.outputs[var], scalar)
 
     def test_mapping_inputs_equal_matrix_inputs(self, flc):
-        compiled, _ = _controllers(flc)
+        compiled = _controller(flc)
         engine = compiled.engine
         matrix = _sample_matrix(engine, 50, seed=104)
         by_name = {
@@ -104,7 +103,7 @@ class TestInferBatchBitIdentity:
             assert np.array_equal(from_matrix.outputs[var], from_mapping.outputs[var])
 
     def test_chunked_blocks_are_bitwise_transparent(self, flc):
-        compiled, _ = _controllers(flc)
+        compiled = _controller(flc)
         engine = compiled.engine
         matrix = _sample_matrix(engine, 137, seed=105)
         whole = engine.infer_batch(matrix)
@@ -120,7 +119,7 @@ class TestInferBatchBitIdentity:
         assert np.array_equal(whole.dominant_indices, chunked.dominant_indices)
 
     def test_thread_shared_engine_is_deterministic(self, flc):
-        compiled, _ = _controllers(flc)
+        compiled = _controller(flc)
         engine = compiled.engine
         matrix = _sample_matrix(engine, 120, seed=106)
         order = engine.input_order
@@ -136,9 +135,8 @@ class TestInferBatchBitIdentity:
 @pytest.mark.parametrize("flc", ["FLC1", "FLC2"])
 class TestTensorizedControlSurface:
     def test_matches_per_point_inference(self, flc, engine_kind):
-        compiled, reference = _controllers(flc)
-        controller = compiled if engine_kind == "compiled" else reference
-        engine = controller.engine
+        compiled = _controller(flc)
+        engine = compiled.engine if engine_kind == "compiled" else reference_engine(compiled)
         order = engine.input_order
         x_var, y_var, pin_var = order[0], order[1], order[2]
         input_vars = engine.rule_base.input_variables
@@ -155,38 +153,38 @@ class TestTensorizedControlSurface:
 
 class TestControlSurfaceValidation:
     def test_unknown_variable_rejected(self):
-        engine = FLC1(engine="compiled").controller.engine
+        engine = FLC1().controller.engine
         with pytest.raises(KeyError, match="unknown input variable"):
             engine.control_surface("S", "bogus", "Cv", fixed={"D": 1.0})
 
     def test_missing_fixed_value_rejected(self):
-        engine = FLC1(engine="compiled").controller.engine
+        engine = FLC1().controller.engine
         with pytest.raises(ValueError, match="fixed values required"):
             engine.control_surface("S", "A", "Cv")
 
 
 class TestBatchInputValidation:
     def test_wrong_matrix_shape_rejected(self):
-        engine = FLC1(engine="compiled").controller.engine
+        engine = FLC1().controller.engine
         with pytest.raises(ValueError, match="shape"):
             engine.infer_batch(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="shape"):
             engine.infer_batch(np.zeros(4))
 
     def test_missing_mapping_variable_rejected(self):
-        engine = FLC1(engine="compiled").controller.engine
+        engine = FLC1().controller.engine
         with pytest.raises(ValueError, match="missing crisp inputs"):
             engine.infer_batch({"S": np.zeros(3), "A": np.zeros(3)})
 
     def test_unequal_mapping_lengths_rejected(self):
-        engine = FLC1(engine="compiled").controller.engine
+        engine = FLC1().controller.engine
         with pytest.raises(ValueError, match="equally sized"):
             engine.infer_batch(
                 {"S": np.zeros(3), "A": np.zeros(4), "D": np.zeros(3)}
             )
 
     def test_batch_inference_container_protocol(self):
-        engine = FLC1(engine="compiled").controller.engine
+        engine = FLC1().controller.engine
         batch = engine.infer_batch(np.array([[30.0, 0.0, 2.0], [60.0, 45.0, 5.0]]))
         assert isinstance(batch, BatchInference)
         assert len(batch) == 2
@@ -195,7 +193,7 @@ class TestBatchInputValidation:
 
 class TestComputeBatch:
     def test_matches_scalar_compute(self):
-        controller = FLC1(engine="compiled").controller
+        controller = FLC1().controller
         rng = np.random.default_rng(9)
         speeds = rng.uniform(0.0, 120.0, 40)
         angles = rng.uniform(-180.0, 180.0, 40)

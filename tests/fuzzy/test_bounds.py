@@ -13,7 +13,6 @@ from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.bounds import CentroidBoundTables
 from repro.fuzzy.compiled import CompiledMamdaniEngine
 from repro.fuzzy.defuzzification import Bisector
-from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.rules import RuleBase
 from tests.cac.verdict_table_oracle import pair_scores
 
@@ -131,12 +130,10 @@ def _half_weight_first_rule(rb: RuleBase) -> RuleBase:
     [
         lambda rb: CompiledMamdaniEngine(rb, defuzzifier=Bisector()),
         lambda rb: CompiledMamdaniEngine(_half_weight_first_rule(rb)),
-        lambda rb: MamdaniEngine(rb),
     ],
     ids=[
         "bisector-defuzzifier",
         "rule-weights",
-        "reference-engine",
     ],
 )
 def test_for_engine_rejects_uncertified_regimes(facs, make_engine):

@@ -13,7 +13,7 @@ import pytest
 from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
 from repro.cac.facs.frb1 import frb1_rules
 from repro.cac.facs.frb2 import frb2_rules
-from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
+from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.compiled import CompiledMamdaniEngine, CrispInference
 from repro.fuzzy.controller import FuzzyController
 from repro.fuzzy.defuzzification import (
@@ -25,6 +25,7 @@ from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.membership import Triangular
 from repro.fuzzy.rules import Consequent, FuzzyRule, Proposition, RuleBase
 from repro.fuzzy.variables import LinguisticVariable, Term
+from tests.fuzzy.reference_engine import reference_compute, reference_engine
 
 # Paper operating points (the curve parameters of Figs. 7-9).
 PAPER_SPEEDS = (4.0, 10.0, 30.0, 60.0)
@@ -189,26 +190,18 @@ class TestErrorParity:
         x = LinguisticVariable("x", (0.0, 10.0), [Term("lo", Triangular(0, 0, 2))])
         y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
         controller_rules = [FuzzyRule((Proposition("x", "lo"),), (Consequent("y", "out"),))]
-        reference = FuzzyController("t", [x], [y], controller_rules, engine="reference")
-        compiled = FuzzyController("t", [x], [y], controller_rules, engine="compiled")
+        compiled = FuzzyController("t", [x], [y], controller_rules)
         with pytest.raises(DefuzzificationError):
-            reference.compute(x=9.0)
+            reference_compute(compiled, x=9.0)
         with pytest.raises(DefuzzificationError):
             compiled.compute(x=9.0)
-        assert compiled.compute(x=1.0) == reference.compute(x=1.0)
+        assert compiled.compute(x=1.0) == reference_compute(compiled, x=1.0)
 
 
 class TestCompilability:
     def test_auto_compiles_conjunctive_rules(self, rb1):
         engine = CompiledMamdaniEngine(rb1)
         assert isinstance(engine, MamdaniEngine)  # drop-in subclass
-
-    def test_unknown_engine_name_rejected(self):
-        x = LinguisticVariable("x", (0.0, 1.0), [Term("lo", Triangular(0, 0, 1))])
-        y = LinguisticVariable("y", (0.0, 1.0), [Term("out", Triangular(0, 0.5, 1))])
-        rules = [FuzzyRule((Proposition("x", "lo"),), (Consequent("y", "out"),))]
-        with pytest.raises(ValueError, match="unknown engine"):
-            FuzzyController("t", [x], [y], rules, engine="turbo")
 
 
 class TestControllerIntegration:
@@ -217,18 +210,10 @@ class TestControllerIntegration:
         assert isinstance(facs.flc1.controller.engine, CompiledMamdaniEngine)
         assert isinstance(facs.flc2.controller.engine, CompiledMamdaniEngine)
 
-    def test_reference_engine_selectable_through_config(self):
-        facs = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
-        assert not isinstance(facs.flc1.controller.engine, CompiledMamdaniEngine)
-        assert not isinstance(facs.flc2.controller.engine, CompiledMamdaniEngine)
-
-    def test_invalid_engine_rejected_by_config(self):
-        with pytest.raises(ValueError, match="engine"):
-            FACSConfig(engine="warp")
-
     def test_facs_decisions_identical_across_engines(self, call_factory, station):
-        compiled_system = FuzzyAdmissionControlSystem(FACSConfig(engine="compiled"))
-        reference_system = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
+        compiled_system = FuzzyAdmissionControlSystem()
+        flc1 = compiled_system.flc1.controller
+        flc2 = compiled_system.flc2.controller
         rng = np.random.default_rng(3)
         for _ in range(25):
             call = call_factory(
@@ -237,10 +222,19 @@ class TestControllerIntegration:
                 distance=float(rng.uniform(0, 10)),
             )
             fast = compiled_system.decide(call, station, now=0.0)
-            slow = reference_system.decide(call, station, now=0.0)
-            assert fast.accepted == slow.accepted
-            assert fast.score == slow.score
-            assert fast.outcome == slow.outcome
+            user = call.user_state.clamped()
+            correction = reference_compute(
+                flc1, S=user.speed_kmh, A=user.angle_deg, D=user.distance_km
+            )
+            slow = reference_compute(
+                flc2,
+                Cv=min(max(correction, 0.0), 1.0),
+                R=float(call.bandwidth_units),
+                Cs=float(station.used_bu),
+            )
+            assert fast.score == min(max(slow, -1.0), 1.0)
+            assert fast.outcome == compiled_system.flc2.classify_score(fast.score)
+            assert fast.accepted == (fast.score > 0.0)
 
     def test_unhashable_defuzzifier_still_accepted(self):
         # The construction memo requires hashable arguments; callers with
@@ -264,9 +258,8 @@ class TestControllerIntegration:
         assert value == reference.flc1.correction_value(30.0, 0.0, 2.0)
 
     def test_crisp_decision_matches_evaluate_on_reference(self):
-        facs = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
-        controller = facs.flc2.controller
+        controller = FuzzyAdmissionControlSystem().flc2.controller
         crisp: CrispInference = controller.crisp_decision(Cv=0.6, R=5.0, Cs=12.0)
-        full = controller.evaluate(Cv=0.6, R=5.0, Cs=12.0)
+        full = reference_engine(controller).infer({"Cv": 0.6, "R": 5.0, "Cs": 12.0})
         assert crisp["AR"] == full["AR"]
         assert crisp.dominant_label == full.dominant_rule().rule.label

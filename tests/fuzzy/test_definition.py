@@ -217,7 +217,7 @@ class TestFLCDefinition:
             base.with_rule(replace(lo, label=""))
 
     def test_build_controller_evaluates(self):
-        controller = tiny_definition().build_controller(engine="reference")
+        controller = tiny_definition().build_controller()
         assert 0.0 <= controller.compute(x=2.0) <= 1.0
 
 
@@ -268,7 +268,7 @@ class TestRoundTrips:
 class TestExtraction:
     def test_extraction_round_trips_the_builtin_definitions(self):
         for definition in (flc1_definition(), flc2_definition()):
-            controller = definition.build_controller(engine="reference")
+            controller = definition.build_controller()
             assert definition_from_controller(controller) == definition
 
     def test_unsupported_membership_kind_is_rejected(self):

@@ -1,11 +1,11 @@
-"""The engine knob cannot change an answer: one property over definitions.
+"""The compiled engine answers what the interpreted one does: one property.
 
 Random :class:`FLCDefinition` s — triangular and trapezoidal terms, one to
 four weighted rules of one to three propositions, every defuzzifier — are
-built on both engines, and for inputs inside and outside the universes the
+built into controllers, and for inputs inside and outside the universes the
 compiled scalar path, the compiled batch path on a one-row batch and the
-reference engine must return the same float, or all raise
-:class:`DefuzzificationError`.
+interpreted reference engine over the same rule base must return the same
+float, or all raise :class:`DefuzzificationError`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from repro.fuzzy.definition import (
     TermDef,
     VariableDef,
 )
+from tests.fuzzy.reference_engine import reference_compute
 
 DEFUZZIFIERS = ("centroid", "bisector", "mom", "som", "lom", "weighted_average")
 
@@ -31,13 +32,12 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def outcomes(definition: FLCDefinition, inputs: dict[str, float]) -> list[object]:
     """Each path's crisp output, or ``"raised"`` where it raises."""
-    compiled = definition.build_controller(engine="compiled")
-    reference = definition.build_controller(engine="reference")
+    compiled = definition.build_controller()
     rows = {name: np.array([value]) for name, value in inputs.items()}
     paths = (
         lambda: compiled.compute(**inputs),
         lambda: float(compiled.compute_batch(**rows)[0]),
-        lambda: reference.compute(**inputs),
+        lambda: reference_compute(compiled, **inputs),
     )
     results: list[object] = []
     for path in paths:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.cac.facs.config import DEFAULT_FLC2_CONFIG
 from repro.cac.facs.frb2 import frb2_rules
-from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
+from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.compiled import (
     CompiledMamdaniEngine,
     _trapezoidal_degree,
@@ -27,6 +27,7 @@ from repro.fuzzy.compiled import (
 from repro.fuzzy.inference import MamdaniEngine
 from repro.fuzzy.membership import Trapezoidal, Triangular
 from repro.fuzzy.rules import RuleBase
+from tests.fuzzy.reference_engine import reference_compute
 
 COMMON = settings(
     max_examples=60,
@@ -148,12 +149,13 @@ class TestSimulationLevelProperty:
         counter=st.integers(min_value=0, max_value=40),
     )
     def test_engines_agree_on_admission_scores(self, speed, angle, distance, counter):
-        """FACS scores are engine-independent for arbitrary operating points."""
-        fast = FuzzyAdmissionControlSystem(FACSConfig(engine="compiled"))
-        slow = FuzzyAdmissionControlSystem(FACSConfig(engine="reference"))
+        """FACS scores equal the reference engine's at arbitrary operating points."""
+        fast = FuzzyAdmissionControlSystem()
         correction_fast = fast.flc1.correction_value(speed, angle, distance)
-        correction_slow = slow.flc1.correction_value(speed, angle, distance)
+        correction_slow = reference_compute(fast.flc1.controller, S=speed, A=angle, D=distance)
         assert correction_fast == pytest.approx(correction_slow, abs=1e-9)
         score_fast = fast.flc2.decision_score(correction_fast, 5.0, float(counter))
-        score_slow = slow.flc2.decision_score(correction_slow, 5.0, float(counter))
+        score_slow = reference_compute(
+            fast.flc2.controller, Cv=correction_slow, R=5.0, Cs=float(counter)
+        )
         assert score_fast == pytest.approx(score_slow, abs=1e-9)

@@ -7,7 +7,6 @@ import random
 
 import pytest
 
-from repro.cac.facs.system import FACSConfig
 from repro.service import (
     ServiceConfig,
     VirtualClock,
@@ -16,6 +15,7 @@ from repro.service import (
     run_with_virtual_clock,
 )
 from repro.simulation import BatchExperimentConfig, run_trace_arrivals
+from tests.conftest import BISECTOR_FACS
 
 
 def replay_config(**overrides) -> BatchExperimentConfig:
@@ -95,14 +95,14 @@ class TestReplayDeterminism:
         with pytest.raises(ValueError, match="permutation"):
             run_service_replay(replay_config(), SERVICE, submit_order=[0, 1, 2])
 
-    def test_engines_agree(self):
-        compiled = run_service_replay(
-            replay_config(), SERVICE, facs_config=FACSConfig(engine="compiled")
+    def test_unscreened_controller_replays_identically(self):
+        baseline = run_service_replay(replay_config(), SERVICE, facs_config=BISECTOR_FACS)
+        order = list(reversed(range(replay_config().request_count)))
+        shuffled = run_service_replay(
+            replay_config(), SERVICE, submit_order=order, facs_config=BISECTOR_FACS
         )
-        reference = run_service_replay(
-            replay_config(), SERVICE, facs_config=FACSConfig(engine="reference")
-        )
-        assert compiled.to_json() == reference.to_json()
+        assert shuffled.to_json() == baseline.to_json()
+        assert baseline.to_json() != run_service_replay(replay_config(), SERVICE).to_json()
 
     def test_different_seed_changes_the_report(self):
         first = run_service_replay(replay_config(), SERVICE)

@@ -40,8 +40,6 @@ class TestServiceReplayScenario:
             ServiceReplayScenario(queue_capacity=0)
         with pytest.raises(ScenarioError, match="arrival_window_s"):
             ServiceReplayScenario(arrival_window_s=-1.0)
-        with pytest.raises(ScenarioError, match="unknown engine"):
-            ServiceReplayScenario(engine="warp")
 
     def test_runner_produces_report(self):
         report = Runner().run(ServiceReplayScenario(**QUICK))
@@ -128,11 +126,11 @@ class TestCli:
         assert "service-replay" in capsys.readouterr().err
 
     def test_run_maps_the_registered_scenario(self, capsys):
-        assert main(["run", "service-replay", "--engine", "reference"]) == 0
+        assert main(["run", "service-replay"]) == 0
         assert "admission service (replay)" in capsys.readouterr().out
 
     def test_run_rejects_unsupported_shaping_flags(self):
-        with pytest.raises(SystemExit, match="only --engine"):
+        with pytest.raises(SystemExit, match="takes no --replications"):
             main(["run", "service-replay", "--replications", "2"])
 
     def test_serve_command(self, capsys):

@@ -64,7 +64,7 @@ def test_loop_equals_the_des_oracle(
         seed=seed,
         workload=None if workload_name is None else WORKLOADS.get(workload_name),
     )
-    factory = CONTROLLERS.get(name)(engine="compiled")
+    factory = CONTROLLERS.get(name)()
     for collect_trace in (False, True):
         loop = run_batch_experiment(config, factory, collect_trace=collect_trace)
         oracle = run_des_experiment(config, factory(), collect_trace=collect_trace)

@@ -76,11 +76,12 @@ class TestBatchExperiment:
         assert output.acceptance_percentage == 0.0
 
     def test_all_requests_decided(self):
-        config = BatchExperimentConfig(request_count=40, seed=11)
-        output = run_batch_experiment(config, facs_factory())
-        metrics = output.result.metrics
-        assert metrics.requested == 40
-        assert metrics.accepted + metrics.blocked == 40
+        for count, seed in ((40, 11), (100, 20070616)):
+            config = BatchExperimentConfig(request_count=count, seed=seed)
+            output = run_batch_experiment(config, facs_factory())
+            metrics = output.result.metrics
+            assert metrics.requested == count
+            assert metrics.accepted + metrics.blocked == count
 
     def test_reproducible_for_same_seed(self):
         config = BatchExperimentConfig(request_count=60, seed=123)

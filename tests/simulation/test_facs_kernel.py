@@ -25,6 +25,7 @@ from repro.simulation.config import BatchExperimentConfig
 from repro.simulation.scenario import facs_factory, scc_factory
 from repro.tuning import ParameterSpec, SearchSpace
 from repro.workloads import WORKLOADS
+from tests.conftest import BISECTOR_FACS
 
 
 def _tuned_flc1(target: str, value: float) -> FACSConfig:
@@ -62,7 +63,9 @@ CASES = {
         None,
         partial(FuzzyAdmissionControlSystem, defuzzifier=defuzzifier_by_name("mom")),
     ),
-    "reference": (UserProfile(), None, facs_factory(FACSConfig(engine="reference"))),
+    # The same bisector FACS spelled as definitions that name their
+    # defuzzifier, as a controller definition file does.
+    "bisector-definitions": (UserProfile(), None, facs_factory(BISECTOR_FACS)),
     # A non-unit rule weight puts the pair outside the certified regime.
     "tuned-weight": (UserProfile(), None, facs_factory(_tuned_flc1("weight.1", 0.5))),
     # A shifted membership peak keeps it certified.
@@ -137,7 +140,7 @@ class TestRouting:
 
     def test_no_run_enters_the_event_loop(self, des_runs):
         for name in CONTROLLERS.names():
-            factory = CONTROLLERS.get(name)(engine="compiled")
+            factory = CONTROLLERS.get(name)()
             for collect_trace in (False, True):
                 output = run_batch_experiment(
                     _config("default", 100), factory, collect_trace=collect_trace

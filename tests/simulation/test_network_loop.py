@@ -24,8 +24,10 @@ from repro.cellular.calls import CallType
 from repro.cellular.network import hex_cell_count
 from repro.simulation.config import NetworkExperimentConfig
 from repro.simulation.engine import NetworkSimulation
+from repro.simulation.scenario import facs_factory
 from repro.workloads import WORKLOADS, WorkloadSpec
 from repro.workloads.arrivals import ArrivalModel
+from tests.conftest import BISECTOR_FACS
 from tests.simulation.network_oracle import DESNetworkSimulation
 
 WORKLOAD_NAMES = (None, *WORKLOADS.names())
@@ -64,7 +66,7 @@ def network_configs(draw) -> NetworkExperimentConfig:
 @given(config=network_configs())
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_loop_equals_the_des_oracle(name, config):
-    loop, oracle = _pickled_runs(config, CONTROLLERS.get(name)(engine="compiled"))
+    loop, oracle = _pickled_runs(config, CONTROLLERS.get(name)())
     assert loop == oracle
 
 
@@ -77,7 +79,18 @@ NET_MOBILITY = NetworkExperimentConfig(
 @pytest.mark.parametrize("seed", [1, 20070626])
 def test_net_mobility_regime_equals_the_des_oracle(seed):
     config = NET_MOBILITY.with_seed(seed)
-    loop, oracle = _pickled_runs(config, CONTROLLERS.get("FACS")(engine="compiled"))
+    loop, oracle = _pickled_runs(config, CONTROLLERS.get("FACS")())
+    assert loop == oracle
+    assert pickle.loads(loop).handoff_attempts > 0
+
+
+def test_unscreened_facs_equals_the_des_oracle():
+    # A bisector FACS has no decision screen, so the engine scores every new
+    # call's verdict exactly (ExactColumns) and asks every handoff ``accepts``.
+    config = NetworkExperimentConfig(
+        rings=2, arrival_rate_per_cell_per_s=0.03, duration_s=600.0, seed=1
+    )
+    loop, oracle = _pickled_runs(config, facs_factory(BISECTOR_FACS))
     assert loop == oracle
     assert pickle.loads(loop).handoff_attempts > 0
 
@@ -95,7 +108,7 @@ def test_facs_cells_above_the_cs_universe_equal_the_des_oracle(monkeypatch):
         admitted_occupancy.append(station.used_bu)
 
     monkeypatch.setattr(FuzzyAdmissionControlSystem, "on_admitted", noted)
-    loop, oracle = _pickled_runs(config, CONTROLLERS.get("FACS")(engine="compiled"))
+    loop, oracle = _pickled_runs(config, CONTROLLERS.get("FACS")())
     assert loop == oracle
     assert max(admitted_occupancy) > 40
 
@@ -128,7 +141,7 @@ def test_equal_instants_pop_in_the_oracle_order(name):
         mean_speed_kmh=60.0,
         workload=WorkloadSpec("regular", _RegularArrival()),
     )
-    loop, oracle = _pickled_runs(config, CONTROLLERS.get(name)(engine="compiled"))
+    loop, oracle = _pickled_runs(config, CONTROLLERS.get(name)())
     assert loop == oracle
 
 

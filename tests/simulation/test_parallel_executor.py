@@ -13,7 +13,6 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cac.facs.system import FACSConfig
 from repro.simulation.config import BatchExperimentConfig
 from repro.simulation.executor import (
     EXECUTOR_CHOICES,
@@ -32,6 +31,7 @@ from repro.simulation.scenario import (
     scc_factory,
 )
 from repro.simulation.sweep import ReplicationTask, run_acceptance_sweep
+from tests.conftest import BISECTOR_FACS
 
 
 def _mini_variants():
@@ -192,7 +192,7 @@ class TestPicklability:
     def test_scenario_factories_are_picklable(self):
         for factory in (
             facs_factory(),
-            facs_factory(FACSConfig(engine="reference")),
+            facs_factory(BISECTOR_FACS),
             scc_factory(),
         ):
             clone = pickle.loads(pickle.dumps(factory))

@@ -19,6 +19,7 @@ from repro.simulation import (
     run_network_experiment,
     run_network_sweep,
 )
+from repro.simulation.scenario import facs_factory
 
 
 def small_config(rings: int = 1, **overrides) -> NetworkExperimentConfig:
@@ -86,6 +87,24 @@ class TestShardedExperimentDeterminism:
         assert sharded.time_average_occupancy_bu == pytest.approx(
             coupled.time_average_occupancy_bu, rel=0.25
         )
+
+    def test_rings3_facs_new_calls_match_the_coupled_engine(self):
+        # 37 FACS cells: the new calls come from the coupled run's per-cell
+        # streams, and handoffs cross shards.
+        config = NetworkExperimentConfig(
+            rings=3,
+            cell_radius_km=1.5,
+            arrival_rate_per_cell_per_s=0.03,
+            duration_s=900.0,
+            mean_speed_kmh=60.0,
+            seed=20070629,
+        )
+        coupled = run_network_experiment(config, facs_factory())
+        sharded = run_coupled_sharded_network_experiment(config, facs_factory())
+        coupled_new = coupled.result.metrics.requested - coupled.result.metrics.handoff_requests
+        sharded_new = sharded.result.metrics.requested - sharded.result.metrics.handoff_requests
+        assert sharded_new == coupled_new
+        assert sharded.handoff_attempts > 0
 
     def test_handoffs_actually_cross_shard_boundaries(self):
         output = run_coupled_sharded_network_experiment(

@@ -36,7 +36,7 @@ WINDOWS = st.none() | st.floats(1.0, 40.0)
 )
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_shards_equal_the_des_oracle(name, config, window_s):
-    factory = CONTROLLERS.get(name)(engine="compiled")
+    factory = CONTROLLERS.get(name)()
     sharded = run_coupled_sharded_network_experiment(config, factory, window_s=window_s)
     oracle = run_des_sharded(config, factory, window_s=window_s)
     assert pickle.dumps(sharded) == pickle.dumps(oracle)
@@ -48,7 +48,7 @@ def test_net_mobility_regime_equals_the_des_oracle(rings):
     config = NetworkExperimentConfig(
         rings=rings, arrival_rate_per_cell_per_s=0.03, duration_s=900.0
     )
-    factory = CONTROLLERS.get("FACS")(engine="compiled")
+    factory = CONTROLLERS.get("FACS")()
     oracle = pickle.dumps(run_des_sharded(config, factory))
     serial = run_coupled_sharded_network_experiment(config, factory)
     process = run_coupled_sharded_network_experiment(

@@ -14,6 +14,7 @@ from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
 from repro.simulation import BatchExperimentConfig, run_trace_arrivals
 from repro.simulation.batch import run_des_experiment
 from repro.workloads import WORKLOADS
+from tests.conftest import BISECTOR_FACS
 
 WORKLOAD_NAMES = (None, *WORKLOADS.names())
 
@@ -43,18 +44,15 @@ class TestRunTraceArrivals:
         result = run_trace_arrivals(config, stream=True)
         assert 0 < result.peak_occupancy_bu <= config.capacity_bu
 
-    def test_engines_agree(self):
-        # The compiled pair reads the decision screen and the reference
-        # pair has none, so this pins the screened path to the exact one;
-        # tests/simulation/test_facs_kernel.py holds both paths and both
-        # engines to the DES oracle.
-        compiled = run_trace_arrivals(
-            small_config(), facs_config=FACSConfig(engine="compiled"), stream=True
-        )
-        reference = run_trace_arrivals(
-            small_config(), facs_config=FACSConfig(engine="reference"), stream=True
-        )
-        assert compiled == reference
+    def test_screened_run_equals_the_exact_run(self, monkeypatch):
+        # The paper's pair reads the decision screen; without one it scores
+        # every verdict exactly, so this pins the screened path to the
+        # exact one.  tests/simulation/test_facs_kernel.py holds both paths
+        # to the DES oracle.
+        screened = run_trace_arrivals(small_config(request_count=1_500), stream=True)
+        monkeypatch.setattr(FuzzyAdmissionControlSystem, "_decision_screen", lambda self: None)
+        exact = run_trace_arrivals(small_config(request_count=1_500), stream=True)
+        assert screened == exact
 
     def test_uses_the_same_trace_as_the_batch_experiment(self):
         config = small_config(request_count=100)
@@ -79,6 +77,14 @@ class TestRunTraceArrivals:
         config = small_config(request_count=requests, seed=seed, **window)
         assert run_trace_arrivals(config, stream=True) == run_trace_arrivals(config)
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_kernel_equals_the_des_oracle_in_deep_overload(self, seed):
+        # 5,000 requests in the default 2000 s window: about 90% blocked.
+        config = BatchExperimentConfig(request_count=5_000, seed=seed)
+        kernel = run_trace_arrivals(config, stream=True)
+        assert kernel == run_trace_arrivals(config)
+        assert kernel.acceptance_percentage < 20.0
+
     @given(
         request_count=st.integers(1, 300),
         seconds_per_request=st.floats(0.5, 200.0),
@@ -98,21 +104,20 @@ class TestRunTraceArrivals:
         assert run_trace_arrivals(config, stream=True) == run_trace_arrivals(config)
 
     def test_kernel_logs_its_paths_once_per_run(self, caplog, monkeypatch):
-        # A certified controller pair reads the screen at any run size; the
-        # reference engine's pair has no screen and scores exactly.  A fresh
+        # A certified controller pair reads the screen at any run size; a
+        # bisector pair has no screen and scores exactly.  A fresh
         # screen has no tables yet, and the first run asks no bandwidth often
         # enough to build them.
         for module, memo in ((system, "_shared_screen"), (screen, "_shared_verdicts")):
             fresh = lru_cache(maxsize=64)(getattr(module, memo).__wrapped__)
             monkeypatch.setattr(module, memo, fresh)
-        for request_count, engine, path in (
-            (100, "compiled", "screened"),
-            (1_500, "compiled", "screened"),
-            (100, "reference", "exact"),
+        for request_count, facs_config, path in (
+            (100, FACSConfig(), "screened"),
+            (1_500, FACSConfig(), "screened"),
+            (100, BISECTOR_FACS, "exact"),
         ):
             caplog.clear()
             config = small_config(request_count=request_count)
-            facs_config = FACSConfig(engine=engine)
             with caplog.at_level(logging.DEBUG, logger="repro.simulation.batch"):
                 result = run_trace_arrivals(config, facs_config, stream=True)
                 run_trace_arrivals(config, facs_config)  # the DES oracle logs nothing
@@ -159,21 +164,19 @@ class TestTraceArrivalsScenario:
             TraceArrivalsScenario(arrival_window_s=-1.0)
         with pytest.raises(ScenarioError, match="speed_kmh"):
             TraceArrivalsScenario(speed_kmh=float("nan"))
-        with pytest.raises(ScenarioError, match="unknown engine"):
-            TraceArrivalsScenario(engine="warp")
 
     def test_cli_rejects_unsupported_shaping_flags(self):
         from repro.cli import main
 
-        with pytest.raises(SystemExit, match="only --engine"):
+        with pytest.raises(SystemExit, match="takes no --replications"):
             main(["run", "trace-arrivals", "--replications", "2"])
-        with pytest.raises(SystemExit, match="only --engine"):
+        with pytest.raises(SystemExit, match="takes no --requests"):
             main(["run", "trace-arrivals", "--requests", "10", "20"])
 
-    def test_cli_engine_flag_applies(self, capsys):
+    def test_cli_runs_the_trace(self, capsys):
         from repro.cli import main
 
-        assert main(["run", "trace-arrivals", "--engine", "reference"]) == 0
+        assert main(["run", "trace-arrivals"]) == 0
         assert "trace-driven admission" in capsys.readouterr().out
 
     def test_runner_produces_report(self):

@@ -30,24 +30,13 @@ class TestParser:
         args = build_parser().parse_args(["run", "fig10-facs-vs-scc"])
         assert args.executor == "serial"
         assert args.workers is None
-        assert args.engine == "compiled"
 
     def test_performance_flags_parse(self):
         args = build_parser().parse_args(
-            [
-                "run",
-                "fig10-facs-vs-scc",
-                "--executor",
-                "process",
-                "--workers",
-                "4",
-                "--engine",
-                "reference",
-            ]
+            ["run", "fig10-facs-vs-scc", "--executor", "process", "--workers", "4"]
         )
         assert args.executor == "process"
         assert args.workers == 4
-        assert args.engine == "reference"
 
     def test_workers_without_process_executor_rejected(self):
         with pytest.raises(SystemExit):
@@ -56,8 +45,9 @@ class TestParser:
     def test_unknown_executor_and_engine_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig7-speed", "--executor", "gpu"])
+        # Inference has one engine, so there is no --engine flag to pass.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig7-speed", "--engine", "warp"])
+            build_parser().parse_args(["run", "fig7-speed", "--engine", "compiled"])
 
 
 class TestCommands:
@@ -105,17 +95,35 @@ class TestCommands:
             assert "legend:" not in output and "crossover" not in output
             assert len([line for line in output.splitlines() if line.strip()]) == 4
 
-    def test_benchmark_only_experiment_is_refused(self):
-        with pytest.raises(SystemExit, match="benchmark-only"):
-            main(["run", "abl-defuzz"])
+    @pytest.mark.parametrize(
+        "argv, title",
+        [
+            (["abl-defuzz", "--replications", "1", "--requests", "10"], "ablation-defuzzifier"),
+            (["abl-threshold", "--replications", "1", "--requests", "10"], "ablation-threshold"),
+            (["abl-baselines", "--replications", "1", "--requests", "10"], "ablation-baselines"),
+            (["net-integration"], "7-cell network"),
+        ],
+        ids=["abl-defuzz", "abl-threshold", "abl-baselines", "net-integration"],
+    )
+    def test_ablations_and_network_integration_run(self, capsys, argv, title):
+        assert main(["run", *argv]) == 0
+        assert capsys.readouterr().out.startswith(title)
 
-    def test_engine_choice_does_not_change_results(self, capsys):
-        base = ["run", "fig7-speed", "--replications", "1", "--requests", "15", "30"]
-        assert main(base + ["--engine", "compiled"]) == 0
-        compiled_output = capsys.readouterr().out
-        assert main(base + ["--engine", "reference"]) == 0
-        reference_output = capsys.readouterr().out
-        assert compiled_output == reference_output
+    def test_ablation_keeps_its_own_requests_unless_given(self, capsys):
+        assert main(["run", "abl-threshold", "--replications", "1"]) == 0
+        default_rows = capsys.readouterr().out
+        assert main(["run", "abl-threshold", "--replications", "1", "--requests", "15"]) == 0
+        given_rows = capsys.readouterr().out
+        assert "      15 |" in given_rows and "      15 |" not in default_rows
+
+    def test_ablation_rejects_executor_flags(self):
+        with pytest.raises(SystemExit, match="takes no --executor"):
+            main(["run", "abl-defuzz", "--executor", "thread"])
+
+    def test_network_integration_rejects_shaping_flags(self):
+        for flags in (["--replications", "2"], ["--requests", "10"], ["--stream"]):
+            with pytest.raises(SystemExit):
+                main(["run", "net-integration", *flags])
 
     def test_process_executor_matches_serial(self, capsys):
         base = [
@@ -140,7 +148,6 @@ class TestNetworkSweepCommand:
         assert args.rates == [0.01, 0.02, 0.03, 0.04, 0.05]
         assert args.replications == 3
         assert args.executor == "serial"
-        assert args.engine == "compiled"
         assert args.controllers == ["FACS", "SCC", "CS"]
 
     def test_flags_parse(self):

@@ -129,6 +129,9 @@ class TestExecutorIndependence:
             executor=executor,
         )
         assert pickle.dumps(serial.to_dict()) == pickle.dumps(pooled.to_dict())
+        assert len(pooled.trials) == 3 * 2
+        assert pooled.best.score is not None
+        assert pooled.comparison["baseline"] == "paper"
 
 
 @settings(max_examples=5, deadline=None)

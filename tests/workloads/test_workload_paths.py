@@ -20,7 +20,7 @@ import pytest
 
 from repro.analysis.frame import MetricsFrame, class_column_names
 from repro.cac.complete_sharing import CompleteSharingController
-from repro.cac.facs.system import FACSConfig
+from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.cellular.traffic import ServiceClass
 from repro.simulation import (
     BatchExperimentConfig,
@@ -51,10 +51,10 @@ def network_config(workload=None) -> NetworkExperimentConfig:
     )
 
 
-def sweep_spec(workload=None, engine: str = "compiled") -> NetworkSweepSpec:
+def sweep_spec(workload=None) -> NetworkSweepSpec:
     return NetworkSweepSpec(
         name="workload-paths",
-        controllers={"FACS": facs_factory(FACSConfig(engine=engine))},
+        controllers={"FACS": facs_factory()},
         arrival_rates=(0.05,),
         replications=2,
         base_config=network_config(workload),
@@ -102,10 +102,13 @@ class TestExecutorIdentity:
         )
         assert pickle.dumps(pooled) == reference
 
-    def test_mmpp_sweep_identical_across_engines(self):
-        compiled = run_network_sweep(sweep_spec(MMPP, engine="compiled"))
-        interpreted = run_network_sweep(sweep_spec(MMPP, engine="reference"))
-        for left, right in zip(compiled.curves, interpreted.curves):
+    def test_mmpp_sweep_identical_without_the_screen(self, monkeypatch):
+        # Without its decision screen FACS scores every new call's verdict
+        # exactly (ExactColumns), so the screen cannot perturb a decision.
+        screened = run_network_sweep(sweep_spec(MMPP))
+        monkeypatch.setattr(FuzzyAdmissionControlSystem, "_decision_screen", lambda self: None)
+        exact = run_network_sweep(sweep_spec(MMPP))
+        for left, right in zip(screened.curves, exact.curves):
             assert left.points == right.points
 
 
@@ -140,6 +143,13 @@ class TestPerClassCounters:
         assert frame.class_names == ("voice", "data", "video")
         for name in class_column_names(frame.class_names):
             assert not np.isnan(frame.column(name)).any()
+        for service in frame.class_names:
+            total = {
+                counter: frame.column(f"class.{service}.{counter}").sum()
+                for counter in ("requested", "accepted", "blocked")
+            }
+            assert total["requested"] > 0, service
+            assert total["requested"] == total["accepted"] + total["blocked"]
         groups = frame.group_reduce()
         assert groups
         for group in groups:
