@@ -1,7 +1,7 @@
 """Certified decision screening for the FACS cascade.
 
-The single-cell admission loop and both network engines only need the
-*boolean* admission verdict — "is the defuzzified A/R score above the
+The single-cell admission loop, both network engines and the admission
+service only need the *boolean* admission verdict — "is the defuzzified A/R score above the
 threshold?" — yet the score path pays for full dense-grid aggregation and
 centroid integration in both FLC stages for every request.
 :class:`DecisionScreen` answers the boolean directly for the overwhelming
@@ -15,8 +15,8 @@ by tolerance.
 There are two ways in.  A block of rows (a trace's, or a network cell's new
 calls) goes through :meth:`DecisionScreen.columns`, which bounds FLC1 for
 the whole block.  A single request whose exact correction value is already
-known (a network handoff, through
-:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.accepts`, and a
+known (a network handoff or a queued service request, through
+:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.verdict`, and a
 row the block bounds could not decide) goes through
 :meth:`DecisionScreen.verdict_at`: one bisect of the shared ``Cv`` grid and
 one read of the (R, Cs) cell table, with exact FLC2 only where that cell is

@@ -369,12 +369,16 @@ class FuzzyAdmissionControlSystem(AdmissionController):
     ) -> BatchAdmissionDecision:
         """Score ``N`` candidate requests against one station snapshot.
 
-        The batched admission path: the cascaded FLC1 → FLC2 evaluation runs
-        once over the whole candidate vector through the engines'
-        tensorized ``infer_batch``.  No candidate is admitted and nothing
-        changes, so this answers "which of these would be accepted *right
-        now*" — element for element identical to calling :meth:`decide` on
-        the unchanged station.
+        The cascaded FLC1 → FLC2 evaluation runs once over the whole
+        candidate vector through the engines' tensorized ``infer_batch``.
+        No candidate is admitted and nothing changes, so this answers
+        "which of these would be accepted *right now*" — element for element
+        identical to calling :meth:`decide` on the unchanged station.
+
+        No production path calls it.  The admission service answers each
+        request through :meth:`verdict` at its flush snapshot; its test
+        oracle (``tests/service/flush_oracle.py``) scores whole micro-batches
+        here, as the service once did.
         """
         corrections = self.correction_values([call.user_state for call in calls])
         bandwidths = np.array([float(call.bandwidth_units) for call in calls])
@@ -432,30 +436,35 @@ class FuzzyAdmissionControlSystem(AdmissionController):
             },
         )
 
+    def verdict(self, correction: float, request_bu: float, occupancy_bu: float) -> bool:
+        """Whether FLC2's A/R score at a known correction value is above the threshold.
+
+        FLC2's half of :meth:`decide`'s verdict, without the fit check.  The
+        certified screen answers from its (R, Cs) cell table
+        (:meth:`~repro.cac.facs.screen.DecisionScreen.verdict_at`) and runs
+        exact FLC2 where the cell is ambiguous or the bandwidth's tables are
+        not yet worth building, so it raises wherever :meth:`decide`'s FLC2
+        would.  For a pair without a screen, FLC2 runs exactly.
+        :meth:`accepts` and the admission service's flush both answer
+        through it.
+        """
+        screen = self._decision_screen()
+        if screen is not None:
+            return screen.verdict_at(correction, request_bu, occupancy_bu)[0]
+        score = self._flc2.evaluate(correction, float(request_bu), float(occupancy_bu)).score
+        return score > self._config.acceptance_threshold
+
     def accepts(self, call: Call, station: BaseStation, now: float) -> bool:
-        """The verdict of :meth:`decide`, read from the decision screen.
+        """The verdict of :meth:`decide`: exact FLC1, then :meth:`verdict`.
 
         FLC1 runs exactly, as in :meth:`decide`, so its errors are raised
-        the same way.  FLC2's verdict at that exact correction value then
-        comes from the screen
-        (:meth:`~repro.cac.facs.screen.DecisionScreen.verdict_at`), which
-        runs exact FLC2 where the (R, Cs) cell is ambiguous or the
-        bandwidth's tables are not yet worth building, and so raises
-        wherever :meth:`decide`'s FLC2 would.  For a pair without a screen,
-        FLC2 runs exactly.
-        Only an exact ``FuzzyAdmissionControlSystem`` reads the screen: a
-        subclass may override :meth:`decide`, so it answers through its
-        own.
+        the same way, and :meth:`verdict` reads FLC2's verdict at that
+        correction value from the screen.  Only an exact
+        ``FuzzyAdmissionControlSystem`` reads the screen: a subclass may
+        override :meth:`decide`, so it answers through its own.
         """
         if type(self) is not FuzzyAdmissionControlSystem:
             return super().accepts(call, station, now)
         correction = self.correction_value(call.user_state)
-        bandwidth = float(call.bandwidth_units)
-        occupancy = float(station.used_bu)
-        screen = self._decision_screen()
-        if screen is not None:
-            accepted = screen.verdict_at(correction, bandwidth, occupancy)[0]
-        else:
-            score = self._flc2.evaluate(correction, bandwidth, occupancy).score
-            accepted = score > self._config.acceptance_threshold
-        return accepted and station.can_fit(call.bandwidth_units)
+        bandwidth = call.bandwidth_units
+        return self.verdict(correction, bandwidth, station.used_bu) and station.can_fit(bandwidth)

@@ -571,15 +571,19 @@ def _scenario_from_run_flags(
         return replace(scenario, **shape)
     if isinstance(
         scenario,
-        (TraceArrivalsScenario, ServiceReplayScenario, NetworkIntegrationScenario),
+        (
+            ArtifactScenario,
+            SurfaceScenario,
+            TraceArrivalsScenario,
+            ServiceReplayScenario,
+            NetworkIntegrationScenario,
+        ),
     ):
         # These kinds have no replication/request-list/executor shape;
         # reject those flags rather than silently running defaults.
         _reject_run_flags(args, ("replications", "requests", "executor", "workers"))
         if isinstance(scenario, TraceArrivalsScenario):
             return replace(scenario, stream=args.stream)
-        return scenario
-    if isinstance(scenario, (ArtifactScenario, SurfaceScenario)):
         return scenario
     raise SystemExit(  # pragma: no cover - requires a foreign scenario kind
         f"experiment {args.experiment!r} maps to scenario kind "

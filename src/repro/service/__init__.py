@@ -3,9 +3,11 @@
 Three layers, one code path:
 
 * :mod:`repro.service.server` — the asyncio server core: bounded queue,
-  size/deadline micro-batcher, ``decide_batch`` dispatcher that scores
-  each micro-batch against the flush-instant occupancy snapshot, then
-  admits greedily (release-then-score-then-greedy-admit).
+  size/deadline micro-batcher.  FLC1 runs when a request is queued; the
+  flush reads each request's FLC2 verdict (the certified screen's cell
+  table, exact FLC2 only where it is ambiguous) at the flush-instant
+  occupancy snapshot, then admits greedily
+  (release-then-verdict-then-greedy-admit).
 * :mod:`repro.service.replay` — deterministic replay of a seeded arrival
   trace on a virtual clock; what tests and CI gate on.
 * :mod:`repro.service.loadgen` — closed-loop wall-clock load generator

@@ -3,15 +3,21 @@
 This is the online counterpart of the offline trace pipeline
 (:mod:`repro.simulation.trace`).  Concurrent callers ``await
 server.submit(call)``; the server coalesces pending requests into
-micro-batches and scores each batch through
-:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.decide_batch`
-against live :class:`~repro.cellular.cell.BaseStation` state: departures
-due by the flush instant are released, every request of the micro-batch is
-scored against that one flush-instant occupancy snapshot, and the accepted
-ones are admitted greedily while bandwidth lasts.  The trace pipeline
-instead scores each request at the occupancy its own arrival meets, so the
-two agree exactly with ``max_batch=1``, where every request flushes alone
-at its arrival instant.
+micro-batches and answers them against live
+:class:`~repro.cellular.cell.BaseStation` state.  Each admission runs in
+the two halves of the FACS cascade.  FLC1 reads only the requesting user,
+so ``submit`` computes the request's correction value
+(:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.correction_value`)
+when it queues the request, during the batching wait.  At the flush,
+departures due by the flush instant are released, every request of the
+micro-batch gets FLC2's verdict
+(:meth:`~repro.cac.facs.system.FuzzyAdmissionControlSystem.verdict`: a
+read of the certified screen's (R, Cs) cell table, exact FLC2 only where
+that cell is ambiguous) at that one flush-instant occupancy snapshot, and
+the accepted ones are admitted greedily while bandwidth lasts.  The trace
+pipeline instead scores each request at the occupancy its own arrival
+meets, so the two agree exactly with ``max_batch=1``, where every request
+flushes alone at its arrival instant.
 
 Batching policy — flush on whichever comes first:
 
@@ -105,7 +111,6 @@ class ServiceDecision:
 
     call_id: int
     outcome: str
-    score: float | None
     enqueued_at_s: float
     decided_at_s: float
     batch_index: int | None
@@ -274,6 +279,7 @@ class ServiceReport:
 @dataclass
 class _Pending:
     call: Call
+    correction: float
     enqueued_at: float
     future: asyncio.Future = field(repr=False)
 
@@ -346,33 +352,38 @@ class AdmissionServer:
 
     # ------------------------------------------------------------------
     async def submit(self, call: Call) -> ServiceDecision:
-        """Ask for admission; resolves when the call's batch is scored.
+        """Ask for admission; resolves when the call's batch is answered.
 
         Sheds immediately (bounded queue) when ``queue_capacity`` requests
-        are already waiting.
+        are already waiting.  A queued request's FLC1 runs here, so an FLC1
+        error raises to this caller alone, before anything is counted or
+        queued.
         """
         if self._closed:
             raise ServiceClosedError("admission server is closed")
         now = self._clock.now()
+        shed = len(self._pending) >= self._config.queue_capacity
+        correction = None if shed else self._controller.correction_value(call.user_state)
         self._submitted += 1
         self._requested_bu += call.bandwidth_units
         if self._first_enqueued_at is None:
             self._first_enqueued_at = now
 
-        if len(self._pending) >= self._config.queue_capacity:
+        if shed:
             self._shed += 1
             call.block(now, self._station.station_id)
             return ServiceDecision(
                 call_id=call.call_id,
                 outcome=SHED,
-                score=None,
                 enqueued_at_s=now,
                 decided_at_s=now,
                 batch_index=None,
             )
 
         future = asyncio.get_running_loop().create_future()
-        self._pending.append(_Pending(call=call, enqueued_at=now, future=future))
+        self._pending.append(
+            _Pending(call=call, correction=correction, enqueued_at=now, future=future)
+        )
         if len(self._pending) >= self._config.max_batch:
             self._flush(FLUSH_SIZE)
         elif len(self._pending) == 1:
@@ -446,7 +457,7 @@ class AdmissionServer:
         self._completed += 1
 
     def _flush(self, reason: str) -> None:
-        """Score and answer one batch of pending requests, synchronously."""
+        """Answer one batch of pending requests, synchronously."""
         if self._deadline_task is not None:
             self._deadline_task.cancel()
             self._deadline_task = None
@@ -457,20 +468,20 @@ class AdmissionServer:
         while self._pending and len(batch) < self._config.max_batch:
             batch.append(self._pending.popleft())
 
-        # Release departures due by the batch instant before scoring, so
-        # the controller sees the occupancy at the flush instant.
+        # Release departures due by the batch instant first, so every
+        # verdict reads the occupancy at the flush instant.
         while self._departures and self._departures[0][0] <= now:
             self._release_next_departure()
 
         occupancy_before = self._station.used_bu
-        decision = self._controller.decide_batch(
-            [pending.call for pending in batch], self._station, now
-        )
+        verdict, can_fit = self._controller.verdict, self._station.can_fit
         admitted_in_batch = 0
         batch_index = self._batch_count
-        for pending, scored_ok, score in zip(batch, decision.accepted, decision.scores):
+        for pending in batch:
             call = pending.call
-            accepted = bool(scored_ok) and self._station.can_fit(call.bandwidth_units)
+            bandwidth = call.bandwidth_units
+            above_threshold = verdict(pending.correction, bandwidth, occupancy_before)
+            accepted = above_threshold and can_fit(bandwidth)
             if accepted:
                 self._station.allocate(call)
                 call.admit(now, self._station.station_id)
@@ -493,7 +504,6 @@ class AdmissionServer:
                     ServiceDecision(
                         call_id=call.call_id,
                         outcome=ADMITTED if accepted else REJECTED,
-                        score=float(score),
                         enqueued_at_s=pending.enqueued_at,
                         decided_at_s=now,
                         batch_index=batch_index,

@@ -108,9 +108,9 @@ class TestBatchingPolicy:
         outcomes = [d.outcome for d in decisions]
         assert outcomes.count(SHED) == 3
         shed = [d for d in decisions if d.outcome == SHED]
-        # Shed decisions are immediate, carry no score and no batch.
+        # Shed decisions are immediate and carry no batch.
         assert all(d.latency_s == 0.0 for d in shed)
-        assert all(d.score is None and d.batch_index is None for d in shed)
+        assert all(d.batch_index is None for d in shed)
         assert server.report().shed == 3
 
     def test_submit_after_close_raises(self):

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import experiment_ids
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestParser:
@@ -124,6 +131,37 @@ class TestCommands:
         for flags in (["--replications", "2"], ["--requests", "10"], ["--stream"]):
             with pytest.raises(SystemExit):
                 main(["run", "net-integration", *flags])
+
+    @pytest.mark.parametrize(
+        "experiment, flags",
+        [
+            ("surface-flc1", "--replications 3 --requests 10 --executor thread --workers 2"),
+            ("table1-frb1", "--replications 7"),
+        ],
+    )
+    def test_artifacts_and_surfaces_reject_sweep_flags(self, experiment, flags):
+        named = ", ".join(flag for flag in flags.split() if flag.startswith("--"))
+        with pytest.raises(SystemExit, match=f"takes no {named}:"):
+            main(["run", experiment, *flags.split()])
+
+    def test_a_closed_stdout_pipe_exits_without_a_traceback(self):
+        # The reader closes its end before the run writes anything, so the
+        # write always meets a closed pipe.
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            finished = subprocess.run(
+                [sys.executable, "-m", "repro", "run", "table1-frb1"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert finished.returncode != 0
+        assert b"Traceback" not in finished.stderr
+        assert b"BrokenPipeError" not in finished.stderr
 
     def test_process_executor_matches_serial(self, capsys):
         base = [

@@ -60,6 +60,13 @@ GOLDEN_CASES = {
         "120", "--rings", "0", "--seed", "99", "--controllers", "CS",
     ],
     "list.txt": ["list"],
+    # Captured while the service still scored whole micro-batches through
+    # decide_batch: answering them through per-request verdicts must not
+    # change a byte.
+    "service-replay.txt": ["service-replay"],
+    "service-replay_b32_r400.json": [
+        "service-replay", "--max-batch", "32", "--requests", "400", "--format", "json",
+    ],
 }
 
 
