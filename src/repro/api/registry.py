@@ -127,9 +127,9 @@ def definition_controller_factory(path: str) -> ControllerFactory:
     definition = read_flc_definition_json(path)
     signature = (definition.input_names(), definition.output_names())
     if signature == FLC1_VARIABLES:
-        config = FACSConfig(flc1_definition=definition)
+        config = FACSConfig(flc1=definition)
     elif signature == FLC2_VARIABLES:
-        config = FACSConfig(flc2_definition=definition)
+        config = FACSConfig(flc2=definition)
     else:
         raise DefinitionError(
             f"controller definition {path} fits neither FACS slot: "

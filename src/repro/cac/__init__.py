@@ -4,14 +4,7 @@ from .base import AdmissionController, AdmissionDecision, DecisionOutcome
 from .complete_sharing import CompleteSharingController
 from .guard_channel import GuardChannelConfig, GuardChannelController
 from .threshold_policy import ThresholdPolicyConfig, ThresholdPolicyController
-from .facs import (
-    FACSConfig,
-    FLC1,
-    FLC2,
-    FLC1Config,
-    FLC2Config,
-    FuzzyAdmissionControlSystem,
-)
+from .facs import FACSConfig, FLC1, FLC2, FuzzyAdmissionControlSystem
 from .scc import ProjectionConfig, SCCConfig, ShadowClusterController
 
 __all__ = [
@@ -27,8 +20,6 @@ __all__ = [
     "FACSConfig",
     "FLC1",
     "FLC2",
-    "FLC1Config",
-    "FLC2Config",
     "ShadowClusterController",
     "SCCConfig",
     "ProjectionConfig",

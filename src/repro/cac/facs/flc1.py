@@ -15,10 +15,8 @@ import numpy as np
 
 from ...cellular.mobility import UserState
 from ...fuzzy.controller import FuzzyController
-from ...fuzzy.defuzzification import Defuzzifier, DEFAULT_DEFUZZIFIER
 from ...fuzzy.definition import DefinitionError, FLCDefinition
-from .config import DEFAULT_FLC1_CONFIG, FLC1Config
-from .frb1 import frb1_rules
+from .definitions import FLC1_VARIABLES, flc1_definition
 
 __all__ = ["FLC1", "CorrectionResult"]
 
@@ -55,44 +53,23 @@ class CorrectionResult:
 
 
 class FLC1:
-    """The mobility-prediction fuzzy controller of the FACS system."""
+    """The mobility-prediction fuzzy controller of the FACS system.
 
-    def __init__(
-        self,
-        config: FLC1Config = DEFAULT_FLC1_CONFIG,
-        defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        definition: FLCDefinition | None = None,
-    ):
-        self._config = config
+    Compiled from ``definition``; ``None`` means the paper's
+    (:func:`~repro.cac.facs.definitions.flc1_definition`).
+    """
+
+    def __init__(self, definition: FLCDefinition | None = None):
+        if definition is None:
+            definition = flc1_definition()
+        _check_definition_shape(definition, *FLC1_VARIABLES, "FLC1")
         self._definition = definition
-        if definition is not None:
-            _check_definition_shape(definition, ("S", "A", "D"), ("Cv",), "FLC1")
-            self._controller = definition.build_controller(
-                defuzzifier=(
-                    None if defuzzifier is DEFAULT_DEFUZZIFIER else defuzzifier
-                ),
-            )
-        else:
-            self._controller = FuzzyController(
-                name="FLC1",
-                inputs=[
-                    config.speed_variable(),
-                    config.angle_variable(),
-                    config.distance_variable(),
-                ],
-                outputs=[config.correction_variable()],
-                rules=frb1_rules(),
-                defuzzifier=defuzzifier,
-            )
+        self._controller = definition.build_controller()
 
     # ------------------------------------------------------------------
     @property
-    def config(self) -> FLC1Config:
-        return self._config
-
-    @property
-    def definition(self) -> FLCDefinition | None:
-        """The declarative definition this controller was built from, if any."""
+    def definition(self) -> FLCDefinition:
+        """The declarative definition this controller was built from."""
         return self._definition
 
     @property

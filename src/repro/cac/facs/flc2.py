@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ...fuzzy.controller import FuzzyController
-from ...fuzzy.defuzzification import Defuzzifier, DEFAULT_DEFUZZIFIER
 from ...fuzzy.definition import FLCDefinition
 from ..base import DecisionOutcome
-from .config import DEFAULT_FLC2_CONFIG, FLC2Config
+from .definitions import FLC2_VARIABLES, flc2_definition
 from .flc1 import _check_definition_shape
-from .frb2 import frb2_rules
 
 __all__ = ["FLC2", "DecisionResult"]
 
@@ -43,44 +41,23 @@ class DecisionResult:
 
 
 class FLC2:
-    """The admission-decision fuzzy controller of the FACS system."""
+    """The admission-decision fuzzy controller of the FACS system.
 
-    def __init__(
-        self,
-        config: FLC2Config = DEFAULT_FLC2_CONFIG,
-        defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-        definition: FLCDefinition | None = None,
-    ):
-        self._config = config
+    Compiled from ``definition``; ``None`` means the paper's
+    (:func:`~repro.cac.facs.definitions.flc2_definition`).
+    """
+
+    def __init__(self, definition: FLCDefinition | None = None):
+        if definition is None:
+            definition = flc2_definition()
+        _check_definition_shape(definition, *FLC2_VARIABLES, "FLC2")
         self._definition = definition
-        if definition is not None:
-            _check_definition_shape(definition, ("Cv", "R", "Cs"), ("AR",), "FLC2")
-            self._controller = definition.build_controller(
-                defuzzifier=(
-                    None if defuzzifier is DEFAULT_DEFUZZIFIER else defuzzifier
-                ),
-            )
-        else:
-            self._controller = FuzzyController(
-                name="FLC2",
-                inputs=[
-                    config.correction_variable(),
-                    config.request_variable(),
-                    config.counter_variable(),
-                ],
-                outputs=[config.decision_variable()],
-                rules=frb2_rules(),
-                defuzzifier=defuzzifier,
-            )
+        self._controller = definition.build_controller()
 
     # ------------------------------------------------------------------
     @property
-    def config(self) -> FLC2Config:
-        return self._config
-
-    @property
-    def definition(self) -> FLCDefinition | None:
-        """The declarative definition this controller was built from, if any."""
+    def definition(self) -> FLCDefinition:
+        """The declarative definition this controller was built from."""
         return self._definition
 
     @property

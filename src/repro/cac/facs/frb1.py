@@ -1,15 +1,14 @@
 """FRB1 — the 42-rule fuzzy rule base of FLC1 (Table 1 of the paper).
 
 The table is transcribed verbatim: rule index, speed term, angle term,
-distance term and the correction-value consequent.  :func:`frb1_rules`
-builds one conjunctive :class:`FuzzyRule` per row.
+distance term and the correction-value consequent.
+:func:`~repro.cac.facs.definitions.flc1_definition` makes one conjunctive
+rule of each row, labelled with its index.
 """
 
 from __future__ import annotations
 
-from ...fuzzy.rules import Consequent, FuzzyRule, Proposition
-
-__all__ = ["FRB1_TABLE", "frb1_rules"]
+__all__ = ["FRB1_TABLE"]
 
 #: Table 1 of the paper: (rule index, S, A, D, Cv).
 FRB1_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
@@ -57,14 +56,3 @@ FRB1_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
     (41, "Fa", "B2", "F", "Cv1"),
 )
 
-
-def frb1_rules() -> list[FuzzyRule]:
-    """Table 1 as :class:`FuzzyRule` objects labelled with the paper's rule indices."""
-    return [
-        FuzzyRule(
-            (Proposition("S", speed), Proposition("A", angle), Proposition("D", distance)),
-            (Consequent("Cv", correction),),
-            label=str(index),
-        )
-        for index, speed, angle, distance, correction in FRB1_TABLE
-    ]

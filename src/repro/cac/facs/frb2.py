@@ -3,15 +3,13 @@
 Transcribed verbatim from Table 2: rule index, correction-value term (Bad /
 Normal / Good), request term (Text / Voice / Video), counter-state term
 (Small / Middle / Full) and the accept/reject consequent (R / WR / NRNA /
-WA / A).  :func:`frb2_rules` builds one conjunctive :class:`FuzzyRule` per
-row.
+WA / A).  :func:`~repro.cac.facs.definitions.flc2_definition` makes one
+conjunctive rule of each row, labelled with its index.
 """
 
 from __future__ import annotations
 
-from ...fuzzy.rules import Consequent, FuzzyRule, Proposition
-
-__all__ = ["FRB2_TABLE", "frb2_rules"]
+__all__ = ["FRB2_TABLE"]
 
 #: Table 2 of the paper: (rule index, Cv, R, Cs, A/R).
 FRB2_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
@@ -44,14 +42,3 @@ FRB2_TABLE: tuple[tuple[int, str, str, str, str], ...] = (
     (26, "G", "Vi", "F", "R"),
 )
 
-
-def frb2_rules() -> list[FuzzyRule]:
-    """Table 2 as :class:`FuzzyRule` objects labelled with the paper's rule indices."""
-    return [
-        FuzzyRule(
-            (Proposition("Cv", correction), Proposition("R", request), Proposition("Cs", counter)),
-            (Consequent("AR", decision),),
-            label=str(index),
-        )
-        for index, correction, request, counter, decision in FRB2_TABLE
-    ]

@@ -33,10 +33,9 @@ from ...cellular.mobility import (
     PAPER_SPEED_RANGE_KMH,
     UserState,
 )
-from ...fuzzy.defuzzification import DefuzzificationError, Defuzzifier, DEFAULT_DEFUZZIFIER
+from ...fuzzy.defuzzification import DefuzzificationError
 from ...fuzzy.definition import FLCDefinition
 from ..base import AdmissionController, AdmissionDecision
-from .config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from .flc1 import FLC1
 from .flc2 import FLC2
 from .screen import _MEMO_ENTRIES, DecisionScreen, ScreenedColumns
@@ -56,23 +55,22 @@ _NEUTRAL_CORRECTION = 0.5
 _SCREEN_UNAVAILABLE = object()
 
 
-
 @dataclass(frozen=True)
 class FACSConfig:
-    """Tunable parameters of the FACS controller."""
+    """The two stages of a FACS controller and its acceptance threshold.
 
-    flc1: FLC1Config = DEFAULT_FLC1_CONFIG
-    flc2: FLC2Config = DEFAULT_FLC2_CONFIG
+    ``flc1`` and ``flc2`` are the stages' definitions (see
+    :mod:`repro.fuzzy.definition`); ``None`` means the paper's
+    (:mod:`repro.cac.facs.definitions`).  ``None`` keeps the default config
+    cheap to hash, for the construction memos, and to pickle, for sweep
+    tasks shipped to worker processes.
+    """
+
+    flc1: FLCDefinition | None = None
+    flc2: FLCDefinition | None = None
     #: Minimum defuzzified A/R score for acceptance.  The default 0 accepts
     #: "weak accept" and above, mirroring the paper's soft decision scale.
     acceptance_threshold: float = 0.0
-    #: Declarative overrides for the two pipeline stages.  When set, the
-    #: stage is built from the definition (see :mod:`repro.fuzzy.definition`)
-    #: instead of the corresponding ``FLC1Config``/``FLC2Config`` builders;
-    #: definitions are frozen and hashable, so definition-backed configs
-    #: still share memoised controllers and ship to worker processes.
-    flc1_definition: FLCDefinition | None = None
-    flc2_definition: FLCDefinition | None = None
 
     def __post_init__(self) -> None:
         if not -1.0 <= self.acceptance_threshold <= 1.0:
@@ -82,36 +80,24 @@ class FACSConfig:
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc1(config: FLC1Config, defuzzifier: Defuzzifier) -> FLC1:
-    """Build (or reuse) the FLC1 for a configuration.
+def _shared_flc1(definition: FLCDefinition | None) -> FLC1:
+    """Build (or reuse) the FLC1 of a definition (``None``: the paper's).
 
-    Controller construction — rule parsing, membership sampling, rule-base
-    compilation — costs a few milliseconds, which dominates short
-    replications when every run builds a fresh FACS.  FLC1/FLC2 hold no
-    per-call state, so instances are shared across FACS systems with the
-    same configuration — including across threads: the compiled engine keeps
-    its scratch buffer in thread-local storage, so the thread-pool sweep
-    executor can share one memoised controller between workers.
+    Controller construction — membership sampling, rule-base compilation —
+    costs a few milliseconds, which dominates short replications when every
+    run builds a fresh FACS.  FLC1/FLC2 hold no per-call state, so instances
+    are shared across FACS systems with the same definition — including
+    across threads: the compiled engine keeps its scratch buffer in
+    thread-local storage, so the thread-pool sweep executor can share one
+    memoised controller between workers.
     """
-    return FLC1(config, defuzzifier=defuzzifier)
+    return FLC1(definition)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc2(config: FLC2Config, defuzzifier: Defuzzifier) -> FLC2:
-    """Build (or reuse) the FLC2 for a configuration (see :func:`_shared_flc1`)."""
-    return FLC2(config, defuzzifier=defuzzifier)
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc1_from_definition(definition: FLCDefinition, defuzzifier: Defuzzifier) -> FLC1:
-    """Build (or reuse) a definition-backed FLC1 (see :func:`_shared_flc1`)."""
-    return FLC1(definition=definition, defuzzifier=defuzzifier)
-
-
-@lru_cache(maxsize=_MEMO_ENTRIES)
-def _shared_flc2_from_definition(definition: FLCDefinition, defuzzifier: Defuzzifier) -> FLC2:
-    """Build (or reuse) a definition-backed FLC2 (see :func:`_shared_flc1`)."""
-    return FLC2(definition=definition, defuzzifier=defuzzifier)
+def _shared_flc2(definition: FLCDefinition | None) -> FLC2:
+    """Build (or reuse) the FLC2 of a definition (see :func:`_shared_flc1`)."""
+    return FLC2(definition)
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
@@ -128,7 +114,6 @@ def _shared_screen(flc1: FLC1, flc2: FLC2, threshold: float) -> DecisionScreen |
     its reason, once.
     """
     return DecisionScreen.build(flc1, flc2, threshold)
-
 
 
 @dataclass(frozen=True)
@@ -190,27 +175,10 @@ class FuzzyAdmissionControlSystem(AdmissionController):
 
     name = "FACS"
 
-    def __init__(
-        self,
-        config: FACSConfig | None = None,
-        defuzzifier: Defuzzifier = DEFAULT_DEFUZZIFIER,
-    ):
+    def __init__(self, config: FACSConfig | None = None):
         self._config = config or FACSConfig()
-        cfg = self._config
-        try:
-            if cfg.flc1_definition is not None:
-                self._flc1 = _shared_flc1_from_definition(cfg.flc1_definition, defuzzifier)
-            else:
-                self._flc1 = _shared_flc1(cfg.flc1, defuzzifier)
-            if cfg.flc2_definition is not None:
-                self._flc2 = _shared_flc2_from_definition(cfg.flc2_definition, defuzzifier)
-            else:
-                self._flc2 = _shared_flc2(cfg.flc2, defuzzifier)
-        except TypeError:
-            # Unhashable custom config/defuzzifier: skip the memo and build
-            # directly, preserving the pre-memoisation contract.
-            self._flc1 = FLC1(cfg.flc1, defuzzifier=defuzzifier, definition=cfg.flc1_definition)
-            self._flc2 = FLC2(cfg.flc2, defuzzifier=defuzzifier, definition=cfg.flc2_definition)
+        self._flc1 = _shared_flc1(self._config.flc1)
+        self._flc2 = _shared_flc2(self._config.flc2)
         # Looked up lazily on the first screened verdict (see
         # _decision_screen).
         self._screen: DecisionScreen | object | None = None

@@ -77,13 +77,6 @@ class CallMetrics:
 
     # ------------------------------------------------------------------
     @property
-    def acceptance_ratio(self) -> float:
-        """Fraction of requests admitted (the paper's headline metric)."""
-        if self.requested == 0:
-            return 0.0
-        return self.accepted / self.requested
-
-    @property
     def acceptance_percentage(self) -> float:
         """Percentage of accepted calls, 0–100 (the y axis of Figs. 7–10).
 

@@ -1,7 +1,6 @@
-"""Ablation studies on the design choices called out in DESIGN.md.
+"""Ablation studies on design choices the paper fixes without exploring them.
 
-The paper fixes several design parameters without exploring them; these
-ablations quantify how much each one matters:
+These ablations quantify how much each one matters:
 
 * the defuzzification method used by FLC1/FLC2 (centroid vs alternatives);
 * the crisp acceptance threshold applied to the soft A/R output;
@@ -12,11 +11,11 @@ ablations quantify how much each one matters:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Sequence
 
-from ..cac.base import AdmissionController
-from ..cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
-from ..fuzzy.defuzzification import defuzzifier_by_name
+from ..cac.facs.definitions import flc1_definition, flc2_definition
+from ..cac.facs.system import FACSConfig
 from ..simulation.config import (
     BatchExperimentConfig,
     NetworkExperimentConfig,
@@ -43,12 +42,11 @@ def defuzzifier_ablation(
     """Acceptance sensitivity to the defuzzification method of both FLCs."""
     variants = {}
     for method in methods:
-        defuzzifier = defuzzifier_by_name(method)
-
-        def factory(defuzz=defuzzifier) -> AdmissionController:
-            return FuzzyAdmissionControlSystem(defuzzifier=defuzz)
-
-        variants[method] = (BatchExperimentConfig(seed=seed), factory)
+        config = FACSConfig(
+            flc1=replace(flc1_definition(), defuzzifier=method),
+            flc2=replace(flc2_definition(), defuzzifier=method),
+        )
+        variants[method] = (BatchExperimentConfig(seed=seed), facs_factory(config))
     return run_acceptance_sweep(
         name="ablation-defuzzifier",
         variants=variants,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from ..analysis.plotting import ascii_membership_plot
 from ..analysis.tables import format_table
-from ..cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG, FLC1Config, FLC2Config
 from ..cac.facs.flc1 import FLC1
 from ..cac.facs.flc2 import FLC2
 from ..cac.facs.frb1 import FRB1_TABLE
@@ -40,9 +39,9 @@ def render_frb2() -> str:
     )
 
 
-def render_flc1_memberships(config: FLC1Config = DEFAULT_FLC1_CONFIG, points: int = 25) -> str:
+def render_flc1_memberships(points: int = 25) -> str:
     """Render the four FLC1 membership-function panels of Fig. 5 as ASCII plots."""
-    flc1 = FLC1(config)
+    flc1 = FLC1()
     sections: list[str] = []
     for variable, title in (
         ("S", "Fig. 5(a) — speed terms (km/h)"),
@@ -55,9 +54,9 @@ def render_flc1_memberships(config: FLC1Config = DEFAULT_FLC1_CONFIG, points: in
     return "\n\n".join(sections)
 
 
-def render_flc2_memberships(config: FLC2Config = DEFAULT_FLC2_CONFIG, points: int = 25) -> str:
+def render_flc2_memberships(points: int = 25) -> str:
     """Render the four FLC2 membership-function panels of Fig. 6 as ASCII plots."""
-    flc2 = FLC2(config)
+    flc2 = FLC2()
     sections: list[str] = []
     for variable, title in (
         ("Cv", "Fig. 6(a) — correction value terms"),

@@ -12,15 +12,16 @@ Two directions are supported:
 ``FLCDefinition.build_controller``
     compiles the definition into a live
     :class:`~repro.fuzzy.controller.FuzzyController` on the existing
-    ``RuleBase``/``CompiledMamdaniEngine`` path.  A definition extracted
-    from an in-code controller rebuilds a *bit-identical* control surface:
-    the exact float break points, rule order, weights and resolution round
-    trip untouched.
+    ``RuleBase``/``CompiledMamdaniEngine`` path, with the defuzzifier the
+    definition names.  It is how FACS builds both of its stages: the
+    paper's FLC1/FLC2 are definitions too
+    (:mod:`repro.cac.facs.definitions`).
 
 ``definition_from_rule_base`` / ``definition_from_controller``
-    extract a definition from an existing rule base or controller, the
-    route used to export the paper's built-in FLC1/FLC2 as JSON files
-    (``examples/controllers/``).
+    extract a definition from an existing rule base or controller.  The
+    extraction is lossless: the exact float break points, rule order,
+    weights and resolution round trip untouched, so the extracted
+    definition rebuilds a *bit-identical* control surface.
 
 This module sits at the bottom of the dependency stack: it only imports
 other ``repro.fuzzy`` modules.  The schema-versioned JSON codecs live in
@@ -35,7 +36,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Mapping
 
 from .controller import FuzzyController
-from .defuzzification import Defuzzifier, defuzzifier_by_name
+from .defuzzification import defuzzifier_by_name
 from .membership import MembershipFunction, Trapezoidal, Triangular
 from .rules import Consequent, FuzzyRule, Proposition, RuleBase
 from .variables import LinguisticVariable, Term
@@ -425,22 +426,14 @@ class FLCDefinition:
 
     # -- compilation -----------------------------------------------------
 
-    def build_controller(self, defuzzifier: Defuzzifier | None = None) -> FuzzyController:
-        """Compile into a live :class:`FuzzyController`.
-
-        ``defuzzifier`` overrides the definition's named choice (used by
-        the ablation paths); by default the definition is authoritative.
-        """
+    def build_controller(self) -> FuzzyController:
+        """Compile into a live :class:`FuzzyController`."""
         return FuzzyController(
             name=self.name,
             inputs=[variable.build() for variable in self.inputs],
             outputs=[variable.build() for variable in self.outputs],
             rules=[rule.build() for rule in self.rules],
-            defuzzifier=(
-                defuzzifier_by_name(self.defuzzifier)
-                if defuzzifier is None
-                else defuzzifier
-            ),
+            defuzzifier=defuzzifier_by_name(self.defuzzifier),
         )
 
     # -- codecs ----------------------------------------------------------

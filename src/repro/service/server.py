@@ -357,7 +357,9 @@ class AdmissionServer:
         Sheds immediately (bounded queue) when ``queue_capacity`` requests
         are already waiting.  A queued request's FLC1 runs here, so an FLC1
         error raises to this caller alone, before anything is counted or
-        queued.
+        queued.  An FLC2 error at the flush raises to this caller alone too;
+        the request then leaves the counters and its batch's size, and every
+        other request of the batch is answered.
         """
         if self._closed:
             raise ServiceClosedError("admission server is closed")
@@ -475,12 +477,22 @@ class AdmissionServer:
 
         occupancy_before = self._station.used_bu
         verdict, can_fit = self._controller.verdict, self._station.can_fit
-        admitted_in_batch = 0
+        answered = admitted_in_batch = 0
         batch_index = self._batch_count
         for pending in batch:
             call = pending.call
             bandwidth = call.bandwidth_units
-            above_threshold = verdict(pending.correction, bandwidth, occupancy_before)
+            try:
+                above_threshold = verdict(pending.correction, bandwidth, occupancy_before)
+            except Exception as exc:
+                # An FLC2 error fails its own caller alone and, like an FLC1
+                # error in submit, leaves its request uncounted.
+                self._submitted -= 1
+                self._requested_bu -= bandwidth
+                if not pending.future.done():
+                    pending.future.set_exception(exc)
+                continue
+            answered += 1
             accepted = above_threshold and can_fit(bandwidth)
             if accepted:
                 self._station.allocate(call)
@@ -522,7 +534,7 @@ class AdmissionServer:
                 ServiceBatchRecord(
                     index=batch_index,
                     flushed_at_s=now,
-                    size=len(batch),
+                    size=answered,
                     admitted=admitted_in_batch,
                     reason=reason,
                     occupancy_before_bu=occupancy_before,

@@ -88,10 +88,6 @@ class _TrialTask:
     seed: int
 
 
-def _facs_config(definition: FLCDefinition, slot: str) -> FACSConfig:
-    if slot == "flc1":
-        return FACSConfig(flc1_definition=definition)
-    return FACSConfig(flc2_definition=definition)
 
 
 def _sweep_payload(
@@ -108,7 +104,7 @@ def _sweep_payload(
         variants={
             label: (
                 BatchExperimentConfig(seed=seed),
-                facs_factory(_facs_config(definition, slot)),
+                facs_factory(FACSConfig(**{slot: definition})),
             )
         },
         request_counts=request_counts,

@@ -1,7 +1,8 @@
 """The shipped FLC1/FLC2 definition exports are byte-stable and bit-identical.
 
-``examples/controllers/flc{1,2}.json`` are the declarative twins of the
-in-code paper controllers: their serialization must never drift, and the
+``examples/controllers/flc{1,2}.json`` are exports of the definitions the
+in-code paper controllers are built from: their serialization must never
+drift, and the
 controllers built from them must reproduce the full Fig. 5/Fig. 6 control
 surfaces bit-for-bit, on the compiled engine and on the interpreted
 reference engine over the same rule base.

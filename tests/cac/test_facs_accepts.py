@@ -67,11 +67,11 @@ CONFIGS = {
     "bisector": BISECTOR_FACS,
     # The shipped definition exports: a second screened controller pair.
     "definitions": FACSConfig(
-        flc1_definition=read_flc_definition_json(CONTROLLER_DIR / "flc1.json"),
-        flc2_definition=read_flc_definition_json(CONTROLLER_DIR / "flc2.json"),
+        flc1=read_flc_definition_json(CONTROLLER_DIR / "flc1.json"),
+        flc2=read_flc_definition_json(CONTROLLER_DIR / "flc2.json"),
     ),
     # A non-unit rule weight: no screen.
-    "tuned-weight": FACSConfig(flc1_definition=_tuned_flc1()),
+    "tuned-weight": FACSConfig(flc1=_tuned_flc1()),
 }
 
 
@@ -194,7 +194,7 @@ def test_no_rule_fired_errors_match_decide():
     without_slow = replace(flc1, rules=[r for r in flc1.rules if ("S", "Sl") not in r.antecedent])
     without_video = replace(flc2, rules=[r for r in flc2.rules if ("R", "Vi") not in r.antecedent])
     call = _request(UserState(0.0, 0.0, 2.0), 10)
-    configs = (FACSConfig(flc1_definition=without_slow), FACSConfig(flc2_definition=without_video))
+    configs = (FACSConfig(flc1=without_slow), FACSConfig(flc2=without_video))
     for config in configs:
         controller = FuzzyAdmissionControlSystem(config)
         for occupancy in (0, 35):  # the second request does not fit
@@ -406,7 +406,7 @@ def test_block_rows_count_toward_their_bandwidths_batch(monkeypatch):
 def test_pairs_of_one_flc2_and_threshold_share_their_tables(monkeypatch):
     _tables_from(monkeypatch, screen_module._BATCH_MIN_VERDICTS)
     space = SearchSpace((ParameterSpec("mf.S.M.1", choices=(35.0,)),))
-    tuned = FACSConfig(flc1_definition=space.apply(flc1_definition(), (35.0,)))
+    tuned = FACSConfig(flc1=space.apply(flc1_definition(), (35.0,)))
     paper = FuzzyAdmissionControlSystem()._decision_screen()
     retuned = FuzzyAdmissionControlSystem(tuned)._decision_screen()
     stricter = FuzzyAdmissionControlSystem(FACSConfig(acceptance_threshold=0.5))

@@ -250,9 +250,7 @@ class TestSharedMemos:
         spec = ParameterSpec(target, low=low, high=high, steps=self.TRIALS)
         space = SearchSpace((spec,))
         return [
-            self._verdict_tables(
-                FACSConfig(**{f"{slot}_definition": space.apply(base, (value,))})
-            )
+            self._verdict_tables(FACSConfig(**{slot: space.apply(base, (value,))}))
             for value in spec.grid_values()
         ]
 

@@ -8,13 +8,17 @@ decision towards rejection, and so on.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cac.base import DecisionOutcome
-from repro.cac.facs.config import FLC1Config, FLC2Config
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
+from repro.cac.facs.flc1 import FLC1
 from repro.cac.facs.flc2 import FLC2
 from repro.cellular.mobility import UserState
+from repro.fuzzy.definition import DefinitionError
 
 
 class TestFLC1Structure:
@@ -43,9 +47,12 @@ class TestFLC1Structure:
     def test_correction_variable_covers_unit_interval(self, flc1):
         assert flc1.controller.rule_base.output_variables["Cv"].is_complete()
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FLC1Config(correction_terms=2).correction_variable()
+    def test_is_compiled_from_the_paper_definition(self, flc1):
+        assert flc1.definition == flc1_definition()
+
+    def test_rejects_a_definition_that_does_not_fit_the_slot(self):
+        with pytest.raises(DefinitionError, match="does not fit the FLC1 slot"):
+            FLC1(flc2_definition())
 
 
 class TestFLC1Behaviour:
@@ -130,6 +137,13 @@ class TestFLC2Structure:
             assert variable.is_complete()
         assert flc2.controller.rule_base.output_variables["AR"].is_complete()
 
+    def test_is_compiled_from_the_paper_definition(self, flc2):
+        assert flc2.definition == flc2_definition()
+
+    def test_rejects_a_definition_that_does_not_fit_the_slot(self):
+        with pytest.raises(DefinitionError, match="does not fit the FLC2 slot"):
+            FLC2(flc1_definition())
+
 
 class TestFLC2Behaviour:
     def test_empty_cell_accepts(self, flc2):
@@ -180,6 +194,13 @@ class TestFLC2Behaviour:
     def test_score_always_in_range(self, flc2, correction, request, counter):
         assert -1.0 <= flc2.decision_score(correction, request, counter) <= 1.0
 
-    def test_custom_config_resolution(self):
-        flc2 = FLC2(FLC2Config(resolution=201))
+    def test_custom_resolution(self):
+        paper = flc2_definition()
+        coarse = replace(
+            paper,
+            inputs=tuple(replace(variable, resolution=201) for variable in paper.inputs),
+            outputs=tuple(replace(variable, resolution=201) for variable in paper.outputs),
+        )
+        flc2 = FLC2(coarse)
+        assert flc2.controller.rule_base.output_variables["AR"].resolution == 201
         assert -1.0 <= flc2.decision_score(0.5, 5.0, 20.0) <= 1.0

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
-from repro.cac.facs.frb1 import FRB1_TABLE, frb1_rules
-from repro.cac.facs.frb2 import FRB2_TABLE, frb2_rules
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
+from repro.cac.facs.frb1 import FRB1_TABLE
+from repro.cac.facs.frb2 import FRB2_TABLE
 from repro.fuzzy.compiled import CompiledMamdaniEngine
 from repro.fuzzy.defuzzification import Centroid
 from repro.fuzzy.inference import MamdaniEngine
@@ -66,38 +66,18 @@ def assert_row_decides_alone(base: RuleBase, index: int) -> None:
 
 
 def frb1_base() -> RuleBase:
-    config = DEFAULT_FLC1_CONFIG
-    return RuleBase(
-        frb1_rules(),
-        inputs=[
-            config.speed_variable(),
-            config.angle_variable(),
-            config.distance_variable(),
-        ],
-        outputs=[config.correction_variable()],
-        name="frb1",
-    )
+    return flc1_definition().build_controller().rule_base
 
 
 def frb2_base() -> RuleBase:
-    config = DEFAULT_FLC2_CONFIG
-    return RuleBase(
-        frb2_rules(),
-        inputs=[
-            config.correction_variable(),
-            config.request_variable(),
-            config.counter_variable(),
-        ],
-        outputs=[config.decision_variable()],
-        name="frb2",
-    )
+    return flc2_definition().build_controller().rule_base
 
 
 class TestFRB1Table:
     def test_has_42_rules(self):
         """Section 3.1: |T(S)| x |T(A)| x |T(D)| = 3 x 7 x 2 = 42 rules."""
         assert len(FRB1_TABLE) == 42
-        assert len(frb1_rules()) == 42
+        assert len(frb1_base().rules) == 42
 
     def test_rule_indices_are_sequential(self):
         assert [row[0] for row in FRB1_TABLE] == list(range(42))
@@ -150,11 +130,11 @@ class TestFRB1Table:
             assert str(rule) == f"[{index}] IF S is {s} AND A is {a} AND D is {d} THEN Cv is {cv}"
 
     def test_rule_labels_match_indices(self):
-        for rule, (index, *_rest) in zip(frb1_rules(), FRB1_TABLE):
+        for rule, (index, *_rest) in zip(frb1_base().rules, FRB1_TABLE):
             assert rule.label == str(index)
 
     def test_rule_strings_mention_their_terms(self):
-        assert rule_rows(frb1_rules()) == [
+        assert rule_rows(frb1_base().rules) == [
             (str(index), (("S", s), ("A", a), ("D", d)), (("Cv", cv),), 1.0)
             for index, s, a, d, cv in FRB1_TABLE
         ]
@@ -168,7 +148,7 @@ class TestFRB2Table:
     def test_has_27_rules(self):
         """Section 3.2: 3 x 3 x 3 = 27 rules."""
         assert len(FRB2_TABLE) == 27
-        assert len(frb2_rules()) == 27
+        assert len(frb2_base().rules) == 27
 
     def test_rule_indices_are_sequential(self):
         assert [row[0] for row in FRB2_TABLE] == list(range(27))
@@ -214,11 +194,11 @@ class TestFRB2Table:
         assert base.is_complete()
 
     def test_rule_labels_match_indices(self):
-        for rule, (index, *_rest) in zip(frb2_rules(), FRB2_TABLE):
+        for rule, (index, *_rest) in zip(frb2_base().rules, FRB2_TABLE):
             assert rule.label == str(index)
 
     def test_rule_strings_reference_decision_variable(self):
-        assert rule_rows(frb2_rules()) == [
+        assert rule_rows(frb2_base().rules) == [
             (str(index), (("Cv", cv), ("R", r), ("Cs", cs)), (("AR", ar),), 1.0)
             for index, cv, r, cs, ar in FRB2_TABLE
         ]

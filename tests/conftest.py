@@ -18,8 +18,8 @@ from repro.des import Environment, StreamFactory
 #: ablation runs it.  Outside the certified regime, so it has no decision
 #: screen: its verdicts are scored exactly (``ExactColumns``).
 BISECTOR_FACS = FACSConfig(
-    flc1_definition=replace(flc1_definition(), defuzzifier="bisector"),
-    flc2_definition=replace(flc2_definition(), defuzzifier="bisector"),
+    flc1=replace(flc1_definition(), defuzzifier="bisector"),
+    flc2=replace(flc2_definition(), defuzzifier="bisector"),
 )
 
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
-from repro.cac.facs.frb1 import frb1_rules
-from repro.cac.facs.frb2 import frb2_rules
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
 from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.compiled import CompiledMamdaniEngine, CrispInference
 from repro.fuzzy.controller import FuzzyController
@@ -35,28 +33,12 @@ PAPER_DISTANCES = (1.0, 3.0, 7.0, 10.0)
 
 @pytest.fixture(scope="module")
 def rb1() -> RuleBase:
-    config = DEFAULT_FLC1_CONFIG
-    return RuleBase(
-        frb1_rules(),
-        [config.speed_variable(), config.angle_variable(), config.distance_variable()],
-        [config.correction_variable()],
-        name="frb1",
-    )
+    return flc1_definition().build_controller().rule_base
 
 
 @pytest.fixture(scope="module")
 def rb2() -> RuleBase:
-    config = DEFAULT_FLC2_CONFIG
-    return RuleBase(
-        frb2_rules(),
-        [
-            config.correction_variable(),
-            config.request_variable(),
-            config.counter_variable(),
-        ],
-        [config.decision_variable()],
-        name="frb2",
-    )
+    return flc2_definition().build_controller().rule_base
 
 
 @pytest.fixture(scope="module")
@@ -235,27 +217,6 @@ class TestControllerIntegration:
             assert fast.score == min(max(slow, -1.0), 1.0)
             assert fast.outcome == compiled_system.flc2.classify_score(fast.score)
             assert fast.accepted == (fast.score > 0.0)
-
-    def test_unhashable_defuzzifier_still_accepted(self):
-        # The construction memo requires hashable arguments; callers with
-        # custom unhashable defuzzifiers must still get a working system.
-        class ListyCentroid:
-            name = "listy"
-            __hash__ = None  # explicitly unhashable
-            _inner = None
-
-            def __call__(self, grid, surface):
-                from repro.fuzzy.defuzzification import Centroid
-
-                return Centroid()(grid, surface)
-
-            def defuzzify(self, grid, surface):
-                return self(grid, surface)
-
-        facs = FuzzyAdmissionControlSystem(defuzzifier=ListyCentroid())
-        reference = FuzzyAdmissionControlSystem()
-        value = facs.flc1.correction_value(30.0, 0.0, 2.0)
-        assert value == reference.flc1.correction_value(30.0, 0.0, 2.0)
 
     def test_crisp_decision_matches_evaluate_on_reference(self):
         controller = FuzzyAdmissionControlSystem().flc2.controller

@@ -16,8 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cac.facs.config import DEFAULT_FLC2_CONFIG
-from repro.cac.facs.frb2 import frb2_rules
+from repro.cac.facs.definitions import flc2_definition
 from repro.cac.facs.system import FuzzyAdmissionControlSystem
 from repro.fuzzy.compiled import (
     CompiledMamdaniEngine,
@@ -38,21 +37,7 @@ COMMON = settings(
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
-def _flc2_rule_base() -> RuleBase:
-    config = DEFAULT_FLC2_CONFIG
-    return RuleBase(
-        frb2_rules(),
-        [
-            config.correction_variable(),
-            config.request_variable(),
-            config.counter_variable(),
-        ],
-        [config.decision_variable()],
-        name="frb2",
-    )
-
-
-_RB2 = _flc2_rule_base()
+_RB2 = flc2_definition().build_controller().rule_base
 _REFERENCE2 = MamdaniEngine(_RB2)
 _COMPILED2 = CompiledMamdaniEngine(_RB2)
 
@@ -95,7 +80,7 @@ class TestDefuzzifiedOutputInsideUniverse:
         counter=st.floats(min_value=-5.0, max_value=45.0),
     )
     def test_flc2_output_inside_decision_universe(self, correction, request_bu, counter):
-        low, high = DEFAULT_FLC2_CONFIG.decision_universe
+        low, high = _RB2.output_variables["AR"].universe
         inputs = {"Cv": correction, "R": request_bu, "Cs": counter}
         for engine in (_REFERENCE2, _COMPILED2):
             value = engine.infer(inputs)["AR"]
@@ -120,20 +105,15 @@ class TestRulePermutationInvariance:
         counter=st.floats(min_value=0.0, max_value=40.0),
     )
     def test_infer_invariant_under_rule_permutation(self, seed, correction, counter):
-        config = DEFAULT_FLC2_CONFIG
         inputs = {"Cv": correction, "R": 5.0, "Cs": counter}
         baseline = _COMPILED2.infer_crisp(inputs)["AR"]
 
-        rules = list(frb2_rules())
+        rules = _RB2.rules
         np.random.default_rng(seed).shuffle(rules)
         shuffled = RuleBase(
             rules,
-            [
-                config.correction_variable(),
-                config.request_variable(),
-                config.counter_variable(),
-            ],
-            [config.decision_variable()],
+            list(_RB2.input_variables.values()),
+            list(_RB2.output_variables.values()),
             name="frb2-shuffled",
         )
         for engine in (MamdaniEngine(shuffled), CompiledMamdaniEngine(shuffled)):

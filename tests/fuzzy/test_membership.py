@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
 from repro.fuzzy.compiled import _term_evaluator
 from repro.fuzzy.membership import (
     Trapezoidal,
@@ -153,16 +153,10 @@ class TestGenericHelpers:
 
 def paper_terms() -> list:
     """Every term of Figs. 5 and 6, with the variable whose grid it is on."""
-    flc1, flc2 = DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
     variables = [
-        ("FLC1", flc1.speed_variable()),
-        ("FLC1", flc1.angle_variable()),
-        ("FLC1", flc1.distance_variable()),
-        ("FLC1", flc1.correction_variable()),
-        ("FLC2", flc2.correction_variable()),
-        ("FLC2", flc2.request_variable()),
-        ("FLC2", flc2.counter_variable()),
-        ("FLC2", flc2.decision_variable()),
+        (paper.name, variable.build())
+        for paper in (flc1_definition(), flc2_definition())
+        for variable in (*paper.inputs, *paper.outputs)
     ]
     return [
         pytest.param(variable, term, id=f"{controller}-{variable.name}-{term.name}")

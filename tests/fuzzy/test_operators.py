@@ -15,9 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cac.facs.config import DEFAULT_FLC1_CONFIG, DEFAULT_FLC2_CONFIG
-from repro.cac.facs.frb1 import frb1_rules
-from repro.cac.facs.frb2 import frb2_rules
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
 from repro.fuzzy.compiled import CompiledMamdaniEngine
 from repro.fuzzy.defuzzification import Centroid
 from repro.fuzzy.inference import MamdaniEngine
@@ -84,24 +82,12 @@ class TestMinConjunction:
 # ----------------------------------------------------------------------
 # FLC1 and FLC2 against the oracle, on both engines
 # ----------------------------------------------------------------------
-def _flc1_variables():
-    config = DEFAULT_FLC1_CONFIG
-    inputs = [config.speed_variable(), config.angle_variable(), config.distance_variable()]
-    return inputs, [config.correction_variable()]
-
-
-def _flc2_variables():
-    config = DEFAULT_FLC2_CONFIG
-    inputs = [
-        config.correction_variable(),
-        config.request_variable(),
-        config.counter_variable(),
-    ]
-    return inputs, [config.decision_variable()]
-
-
-VARIABLES = {"FLC1": _flc1_variables(), "FLC2": _flc2_variables()}
-RULES = {"FLC1": tuple(frb1_rules()), "FLC2": tuple(frb2_rules())}
+PAPER = {"FLC1": flc1_definition(), "FLC2": flc2_definition()}
+VARIABLES = {
+    name: ([v.build() for v in paper.inputs], [v.build() for v in paper.outputs])
+    for name, paper in PAPER.items()
+}
+RULES = {name: tuple(rule.build() for rule in paper.rules) for name, paper in PAPER.items()}
 ENGINE_CLASSES = {"reference": MamdaniEngine, "compiled": CompiledMamdaniEngine}
 CONTROLLERS = pytest.mark.parametrize("controller", sorted(VARIABLES))
 ENGINES = pytest.mark.parametrize("kind", sorted(ENGINE_CLASSES))

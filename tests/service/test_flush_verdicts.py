@@ -7,7 +7,7 @@ screen's cell table, exact FLC2 where it is ambiguous or missing).  The
 oracle, ``FlushOracleServer``, scores each micro-batch with ``decide_batch``.
 These tests hold the two to the same decisions and report bytes over drawn
 traces, batching knobs and controller pairs, pin which paths a flush takes,
-and check that a request whose FLC1 fails fails alone.
+and check that a request whose FLC1 or FLC2 fails fails alone.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cac.facs import screen as screen_module
-from repro.cac.facs.definitions import flc1_definition
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
 from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
 from repro.cellular.calls import Call, CallState
 from repro.cellular.mobility import UserState
@@ -171,7 +171,7 @@ def test_a_request_whose_flc1_fails_fails_alone():
     clock = VirtualClock()
     server = AdmissionServer(
         ServiceConfig(max_batch=4, max_wait_ms=500.0),
-        facs_config=FACSConfig(flc1_definition=without_slow),
+        facs_config=FACSConfig(flc1=without_slow),
         clock=clock,
     )
     moving = [_call(call_id, 20.0 + 10.0 * call_id) for call_id in range(1, 7)]
@@ -201,3 +201,47 @@ def test_a_request_whose_flc1_fails_fails_alone():
     assert report.submitted == len(moving)
     assert report.admitted + report.rejected + report.shed == report.submitted
     assert report.completed == report.admitted
+
+
+def test_a_request_whose_flc2_fails_fails_alone():
+    # No FLC2 rule covers a video request, so its verdict raises at the flush.
+    flc2 = flc2_definition()
+    without_video = replace(flc2, rules=[r for r in flc2.rules if ("R", "Vi") not in r.antecedent])
+    clock = VirtualClock()
+    server = AdmissionServer(
+        ServiceConfig(max_batch=4, max_wait_ms=100.0),
+        facs_config=FACSConfig(flc2=without_video),
+        clock=clock,
+    )
+    video = Call(
+        service=ServiceClass.VIDEO,
+        bandwidth_units=10,
+        user_state=UserState(40.0, 0.0, 2.0),
+        holding_time_s=50.0,
+        call_id=2,
+    )
+    calls = [_call(1, 30.0), video, _call(3, 50.0)]
+
+    async def main():
+        async def at(when: float, call: Call):
+            await clock.sleep_until(when, key=call.call_id)
+            return await server.submit(call)
+
+        # One 100 ms window: the deadline flushes all three together.
+        answers = await asyncio.gather(
+            *(at(0.01 * k, call) for k, call in enumerate(calls)), return_exceptions=True
+        )
+        await server.aclose()
+        return answers
+
+    first, failed, last = run_with_virtual_clock(main(), clock)
+    assert isinstance(failed, DefuzzificationError)
+    assert [first.call_id, last.call_id] == [1, 3]
+    assert first.outcome in (ADMITTED, REJECTED) and last.outcome in (ADMITTED, REJECTED)
+    assert first.batch_index == last.batch_index == 0
+    assert video.state is CallState.REQUESTED
+    report = server.report()
+    assert (report.submitted, report.requested_bu) == (2, 10)
+    assert report.admitted + report.rejected + report.shed == report.submitted
+    assert report.completed == report.admitted
+    assert [(batch.size, batch.reason) for batch in report.batches] == [(2, "deadline")]

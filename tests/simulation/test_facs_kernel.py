@@ -9,17 +9,16 @@ of the admission loop enters it.
 
 from __future__ import annotations
 
-from functools import partial
+from dataclasses import replace
 
 import pytest
 
 from repro.api import CONTROLLERS
 from repro.cac.complete_sharing import CompleteSharingController
-from repro.cac.facs.definitions import flc1_definition
-from repro.cac.facs.system import FACSConfig, FuzzyAdmissionControlSystem
+from repro.cac.facs.definitions import flc1_definition, flc2_definition
+from repro.cac.facs.system import FACSConfig
 from repro.cellular.mobility import UserProfile
 from repro.des.environment import Environment
-from repro.fuzzy.defuzzification import defuzzifier_by_name
 from repro.simulation.batch import run_batch_experiment, run_des_experiment
 from repro.simulation.config import BatchExperimentConfig
 from repro.simulation.scenario import facs_factory, scc_factory
@@ -30,7 +29,7 @@ from tests.conftest import BISECTOR_FACS
 
 def _tuned_flc1(target: str, value: float) -> FACSConfig:
     space = SearchSpace((ParameterSpec(target, choices=(value,)),))
-    return FACSConfig(flc1_definition=space.apply(flc1_definition(), (value,)))
+    return FACSConfig(flc1=space.apply(flc1_definition(), (value,)))
 
 
 #: Every FACS configuration the figure sweeps, ablations, tuning and
@@ -53,19 +52,19 @@ CASES = {
         None,
         facs_factory(FACSConfig(acceptance_threshold=0.5)),
     ),
-    "bisector": (
-        UserProfile(),
-        None,
-        partial(FuzzyAdmissionControlSystem, defuzzifier=defuzzifier_by_name("bisector")),
-    ),
+    # The defuzzifier ablation's controllers: definitions that name another
+    # defuzzifier put the pair outside the certified regime.
+    "bisector": (UserProfile(), None, facs_factory(BISECTOR_FACS)),
     "mom": (
         UserProfile(),
         None,
-        partial(FuzzyAdmissionControlSystem, defuzzifier=defuzzifier_by_name("mom")),
+        facs_factory(
+            FACSConfig(
+                flc1=replace(flc1_definition(), defuzzifier="mom"),
+                flc2=replace(flc2_definition(), defuzzifier="mom"),
+            )
+        ),
     ),
-    # The same bisector FACS spelled as definitions that name their
-    # defuzzifier, as a controller definition file does.
-    "bisector-definitions": (UserProfile(), None, facs_factory(BISECTOR_FACS)),
     # A non-unit rule weight puts the pair outside the certified regime.
     "tuned-weight": (UserProfile(), None, facs_factory(_tuned_flc1("weight.1", 0.5))),
     # A shifted membership peak keeps it certified.

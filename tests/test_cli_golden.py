@@ -67,6 +67,21 @@ GOLDEN_CASES = {
     "service-replay_b32_r400.json": [
         "service-replay", "--max-batch", "32", "--requests", "400", "--format", "json",
     ],
+    # Captured while FLC1 and FLC2 could still be built from break-point
+    # config classes and a defuzzifier override: building every stage from
+    # an FLCDefinition must not change a byte of the defuzzifier ablation
+    # or of a tuning search over either slot.
+    "run_abl-defuzz_r1.json": [
+        "run", "abl-defuzz", "--replications", "1", "--requests", "10", "30",
+        "--format", "json",
+    ],
+    "tune_flc1_r30.json": [
+        "tune", "--requests", "30", "--replications", "1", "--format", "json",
+    ],
+    "tune_flc2_cs-m1_r30.json": [
+        "tune", "--controller", "FLC2", "--parameter", "mf.Cs.M.1=15,20",
+        "--requests", "30", "--replications", "1", "--format", "json",
+    ],
 }
 
 
